@@ -12,9 +12,7 @@ fn bench_detection(c: &mut Criterion) {
         .map(|b| minicc::compile(b.source, b.name).unwrap())
         .collect();
     c.bench_function("detect_all_21_benchmarks", |b| {
-        // The parallel driver fans out over ALL functions of the suite at
-        // once (not per module) so the fan-out isn't throttled by small
-        // modules.
+        // One driver call over every function of the suite.
         let fs: Vec<&ssair::Function> = modules.iter().flat_map(|m| &m.functions).collect();
         let opts = idioms::DetectOptions::default();
         b.iter(|| {

@@ -122,7 +122,7 @@ fn main() {
         return;
     }
 
-    // Full-suite passes through the parallel driver (the headline mean).
+    // Full-suite passes through the module driver (the headline mean).
     let mut samples_ms: Vec<f64> = Vec::with_capacity(passes);
     for _ in 0..passes {
         let t = Instant::now();

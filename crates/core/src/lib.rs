@@ -116,7 +116,6 @@ pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
     let compile_s = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    // Parallel fan-out over functions; deterministic module-ordered output.
     let instances = idioms::detect_module(&module);
     let detect_s = t1.elapsed().as_secs_f64();
 
@@ -216,35 +215,20 @@ pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
         let Some(out) = inst.value(out_var) else {
             continue;
         };
-        let slice = ssair::analysis::kernel_slice(f, out, &killers, solver::PURE_CALLS);
-        let pure_arith_only = slice.is_some_and(|sl| {
-            sl.iter().all(|&v| {
-                !matches!(
-                    f.opcode(v),
-                    Some(ssair::Opcode::Call | ssair::Opcode::Select)
-                )
+        let pure_arith = |out, killers: &[ssair::ValueId]| {
+            ssair::analysis::kernel_slice(f, out, killers, solver::PURE_CALLS).is_some_and(|sl| {
+                sl.iter().all(|&v| {
+                    !matches!(
+                        f.opcode(v),
+                        Some(ssair::Opcode::Call | ssair::Opcode::Select)
+                    )
+                })
             })
-        });
-        if !pure_arith_only {
-            halide_ok = false;
-        }
+        };
+        halide_ok &= pure_arith(out, &killers);
         // Histograms additionally need an expressible index kernel.
-        if inst.kind == IdiomKind::Histogram {
-            if let Some(idx) = inst.value("bin_idx") {
-                let ks = inst.family("read_value");
-                let sl = ssair::analysis::kernel_slice(f, idx, &ks, solver::PURE_CALLS);
-                let ok = sl.is_some_and(|sl| {
-                    sl.iter().all(|&v| {
-                        !matches!(
-                            f.opcode(v),
-                            Some(ssair::Opcode::Call | ssair::Opcode::Select)
-                        )
-                    })
-                });
-                if !ok {
-                    halide_ok = false;
-                }
-            }
+        if let (IdiomKind::Histogram, Some(idx)) = (inst.kind, inst.value("bin_idx")) {
+            halide_ok &= pure_arith(idx, &inst.family("read_value"));
         }
     }
 
@@ -492,51 +476,170 @@ fn load_elem(mem: &Memory, al: &Allocation, i: usize) -> Result<Value, String> {
     }
 }
 
-/// One full run: fresh machine, registered vendor hosts, seeded setup,
-/// entry execution. Returns the entry's return value, the final memory
-/// and how many allocations the setup made (the program's declared
-/// arrays — everything allocated later is runtime-internal).
-fn run_once(
-    m: &Module,
-    entry: &str,
-    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seed: u64,
-) -> Result<(Value, Memory, usize), String> {
-    let mut vm = Machine::new(m);
-    hetero::hosts::register_all(&mut vm);
-    let args = setup(&mut vm.mem, seed);
-    let setup_allocs = vm.mem.allocations().len();
-    let ret = vm.run(entry, &args).map_err(|e| e.to_string())?;
-    Ok((ret, std::mem::take(&mut vm.mem), setup_allocs))
+/// One finished run of a program's entry point under one input seed.
+pub struct Run {
+    /// The input seed.
+    pub seed: u64,
+    /// The entry's return value.
+    pub ret: Value,
+    /// The final memory.
+    pub mem: Memory,
+    /// Allocations the setup made: the program's declared arrays.
+    /// Everything allocated later is runtime-internal.
+    pub setup_allocs: usize,
 }
 
-/// [`run_once`] on the bytecode tier: fresh [`Vm`] over an
-/// already-compiled module, so callers amortize the lowering across
-/// every seed and every oracle re-run.
-fn run_once_vm(
-    code: &CompiledModule<'_>,
-    entry: &str,
-    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seed: u64,
-) -> Result<(Value, Memory, usize), String> {
-    let mut vm = Vm::new(code);
-    hetero::hosts::register_all(&mut vm);
-    let args = setup(&mut vm.mem, seed);
-    let setup_allocs = vm.mem.allocations().len();
-    let ret = vm.run(entry, &args).map_err(|e| e.to_string())?;
-    Ok((ret, std::mem::take(&mut vm.mem), setup_allocs))
+impl std::fmt::Debug for Run {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Run {{ seed: {}, ret: {:?}, .. }}", self.seed, self.ret)
+    }
+}
+
+/// A module ready to run on the process-wide [`exec_backend`]: lowered
+/// once to bytecode and reused by every seed, or tree-walked directly.
+enum Program<'m> {
+    Bytecode(CompiledModule<'m>),
+    Walker(&'m Module),
+}
+
+impl<'m> Program<'m> {
+    fn new(m: &'m Module) -> Program<'m> {
+        match exec_backend() {
+            ExecBackend::Bytecode => Program::Bytecode(compile_module(m)),
+            ExecBackend::Walker => Program::Walker(m),
+        }
+    }
+
+    /// One full run: seeded setup, fresh machine with the vendor hosts
+    /// registered, entry execution.
+    fn run(
+        &self,
+        entry: &str,
+        setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
+        seed: u64,
+    ) -> Result<Run, String> {
+        let mut mem = Memory::new();
+        let args = setup(&mut mem, seed);
+        let setup_allocs = mem.allocations().len();
+        let (ret, mem) = match self {
+            Program::Bytecode(code) => {
+                let mut vm = Vm::new(code);
+                hetero::hosts::register_all(&mut vm);
+                vm.mem = mem;
+                (vm.run(entry, &args), vm.mem)
+            }
+            Program::Walker(m) => {
+                let mut vm = Machine::new(m);
+                hetero::hosts::register_all(&mut vm);
+                vm.mem = mem;
+                (vm.run(entry, &args), vm.mem)
+            }
+        };
+        Ok(Run {
+            seed,
+            ret: ret.map_err(|e| e.to_string())?,
+            mem,
+            setup_allocs,
+        })
+    }
+}
+
+/// The original module's runs, one per input seed in seed order, each
+/// made at most once: validation and every reversed variant of the
+/// witness compare against the same images. A seed no caller reached
+/// yet is run (and the module compiled) on first use.
+struct Forward<'m> {
+    module: &'m Module,
+    program: Option<Program<'m>>,
+    runs: Vec<Run>,
+}
+
+impl<'m> Forward<'m> {
+    fn new(module: &'m Module, runs: Vec<Run>) -> Forward<'m> {
+        Forward {
+            module,
+            program: None,
+            runs,
+        }
+    }
+
+    /// The run under `seeds[k]`, where `seeds[..k]` already ran.
+    fn get(
+        &mut self,
+        k: usize,
+        seed: u64,
+        entry: &str,
+        setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
+    ) -> Result<&Run, ValidationError> {
+        if k == self.runs.len() {
+            let module = self.module;
+            let run = self
+                .program
+                .get_or_insert_with(|| Program::new(module))
+                .run(entry, setup, seed)
+                .map_err(|message| ValidationError::Exec {
+                    which: "original",
+                    seed,
+                    message,
+                })?;
+            self.runs.push(run);
+        }
+        let run = &self.runs[k];
+        debug_assert_eq!(run.seed, seed, "forward runs follow the seed order");
+        Ok(run)
+    }
+}
+
+/// Compares one seed's transformed run against the original's: (1) the
+/// entry return value, (2) the final memory size, and (3) every element
+/// of every array the setup allocated, typed and bitwise. Returns how
+/// many elements it compared.
+fn compare_runs(o: &Run, t: &Run) -> Result<usize, ValidationError> {
+    let seed = o.seed;
+    debug_assert_eq!(o.setup_allocs, t.setup_allocs, "setup is deterministic");
+    if !bitwise_eq(o.ret, t.ret) {
+        return Err(ValidationError::ReturnValue {
+            seed,
+            original: o.ret,
+            transformed: t.ret,
+        });
+    }
+    if o.mem.size() != t.mem.size() {
+        return Err(ValidationError::MemorySize {
+            seed,
+            original: o.mem.size(),
+            transformed: t.mem.size(),
+        });
+    }
+    let mut elements = 0;
+    for (array, al) in o.mem.allocations()[..o.setup_allocs].iter().enumerate() {
+        for index in 0..al.count {
+            let exec = |which, message| ValidationError::Exec {
+                which,
+                seed,
+                message,
+            };
+            let vo = load_elem(&o.mem, al, index).map_err(|e| exec("original", e))?;
+            let vt = load_elem(&t.mem, al, index).map_err(|e| exec("transformed", e))?;
+            elements += 1;
+            if !bitwise_eq(vo, vt) {
+                return Err(ValidationError::Element {
+                    seed,
+                    array,
+                    allocation: al.clone(),
+                    index,
+                    original: vo,
+                    transformed: vt,
+                });
+            }
+        }
+    }
+    Ok(elements)
 }
 
 /// Differential validation of `transformed` against `original`: runs
-/// `entry` on both modules under every seed in `seeds` and compares
-/// (1) the entry return value, (2) the final memory size, and (3) every
-/// element of every array the setup allocated, typed and bitwise.
-///
-/// This replaces the earlier whole-memory prefix snapshot, which
-/// tolerated out-of-bounds reads (`unwrap_or(0)`), skipped the low
-/// bytes, and silently ignored any divergence past the shorter run's
-/// memory — and which could not see results that never touch memory at
-/// all (a scalar reduction returned from the entry point).
+/// `entry` on both modules under every seed in `seeds` and compares the
+/// runs seed by seed ([`compare_runs`]).
 pub fn validate_transform(
     original: &Module,
     transformed: &Module,
@@ -544,104 +647,37 @@ pub fn validate_transform(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ValidationSummary, ValidationError> {
-    match exec_backend() {
-        ExecBackend::Bytecode => {
-            // Compile each module exactly once; every seed reuses the
-            // flat instruction streams.
-            let code_o = compile_module(original);
-            let code_t = compile_module(transformed);
-            validate_compiled(&code_o, &code_t, entry, &setup, seeds)
-        }
-        ExecBackend::Walker => validate_runs(seeds, |which, seed| {
-            let m = if which == "original" {
-                original
-            } else {
-                transformed
-            };
-            run_once(m, entry, &setup, seed)
-        }),
-    }
+    let mut forward = Forward::new(original, Vec::new());
+    validate_against(&mut forward, transformed, entry, &setup, seeds)
 }
 
-/// [`validate_transform`] over two already-compiled modules — the shape
-/// the reversal oracle wants, where one original is compared against many
-/// rewritten variants without recompiling it each time.
-fn validate_compiled(
-    code_o: &CompiledModule<'_>,
-    code_t: &CompiledModule<'_>,
+/// The seed loop of [`validate_transform`], against forward runs that
+/// may already exist: per seed, the original's run (made on first use),
+/// then `transformed`'s, then [`compare_runs`].
+fn validate_against(
+    forward: &mut Forward<'_>,
+    transformed: &Module,
     entry: &str,
     setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ValidationSummary, ValidationError> {
-    validate_runs(seeds, |which, seed| {
-        let code = if which == "original" { code_o } else { code_t };
-        run_once_vm(code, entry, setup, seed)
-    })
-}
-
-/// The backend-agnostic seed loop of [`validate_transform`]: `run` is
-/// called with `"original"`/`"transformed"` and the seed, and its results
-/// are compared bitwise (return value, memory size, every element of
-/// every setup-allocated array).
-fn validate_runs(
-    seeds: &[u64],
-    mut run: impl FnMut(&'static str, u64) -> Result<(Value, Memory, usize), String>,
-) -> Result<ValidationSummary, ValidationError> {
     if seeds.is_empty() {
         return Err(ValidationError::NoSeeds);
     }
-    let mut arrays = 0usize;
-    let mut elements = 0usize;
-    for &seed in seeds {
-        let (ret_o, mem_o, n_setup) = run("original", seed).map_err(|e| ValidationError::Exec {
-            which: "original",
-            seed,
-            message: e,
-        })?;
-        let (ret_t, mem_t, n_setup_t) =
-            run("transformed", seed).map_err(|e| ValidationError::Exec {
+    let program = Program::new(transformed);
+    let mut arrays = 0;
+    let mut elements = 0;
+    for (k, &seed) in seeds.iter().enumerate() {
+        let o = forward.get(k, seed, entry, setup)?;
+        let t = program
+            .run(entry, setup, seed)
+            .map_err(|message| ValidationError::Exec {
                 which: "transformed",
                 seed,
-                message: e,
+                message,
             })?;
-        debug_assert_eq!(n_setup, n_setup_t, "setup is deterministic");
-        if !bitwise_eq(ret_o, ret_t) {
-            return Err(ValidationError::ReturnValue {
-                seed,
-                original: ret_o,
-                transformed: ret_t,
-            });
-        }
-        if mem_o.size() != mem_t.size() {
-            return Err(ValidationError::MemorySize {
-                seed,
-                original: mem_o.size(),
-                transformed: mem_t.size(),
-            });
-        }
-        arrays = n_setup;
-        for (array, al) in mem_o.allocations()[..n_setup].iter().enumerate() {
-            for index in 0..al.count {
-                let exec = |which, message| ValidationError::Exec {
-                    which,
-                    seed,
-                    message,
-                };
-                let vo = load_elem(&mem_o, al, index).map_err(|e| exec("original", e))?;
-                let vt = load_elem(&mem_t, al, index).map_err(|e| exec("transformed", e))?;
-                elements += 1;
-                if !bitwise_eq(vo, vt) {
-                    return Err(ValidationError::Element {
-                        seed,
-                        array,
-                        allocation: al.clone(),
-                        index,
-                        original: vo,
-                        transformed: vt,
-                    });
-                }
-            }
-        }
+        elements += compare_runs(o, &t)?;
+        arrays = o.setup_allocs;
     }
     Ok(ValidationSummary {
         seeds: seeds.len(),
@@ -651,7 +687,7 @@ fn validate_runs(
 }
 
 /// What the reversed-iteration oracle covered for one module.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReversalOracle {
     /// Regions whose reversed run compared bitwise-equal.
     pub checked: usize,
@@ -682,15 +718,30 @@ pub fn check_reversal_oracle(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ReversalOracle, ValidationError> {
+    check_reversal_oracle_with(module, instances, entry, setup, seeds, Vec::new())
+}
+
+/// [`check_reversal_oracle`] against `forward`, the original's runs under
+/// a prefix of `seeds` ([`PipelineOutcome::forward`]). Each forward run is
+/// made at most once per call, so a witnessed region costs only its
+/// reversed variant's runs; seeds missing from `forward` run on first
+/// use.
+///
+/// # Errors
+/// As [`check_reversal_oracle`].
+pub fn check_reversal_oracle_with(
+    module: &Module,
+    instances: &[IdiomInstance],
+    entry: &str,
+    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
+    seeds: &[u64],
+    forward: Vec<Run>,
+) -> Result<ReversalOracle, ValidationError> {
+    use ssair::analysis::{AffineMap, Analyses};
     let facts = analysis::ParamAliasFacts::of_module(module);
+    let mut forward = Forward::new(module, forward);
+    let mut analyses: BTreeMap<&str, (Analyses, AffineMap)> = BTreeMap::new();
     let mut oracle = ReversalOracle::default();
-    // On the bytecode tier the forward module compiles once here and is
-    // reused against every reversed variant (each of which compiles once
-    // and runs under every seed).
-    let code_o = match exec_backend() {
-        ExecBackend::Bytecode => Some(compile_module(module)),
-        ExecBackend::Walker => None,
-    };
     for inst in instances {
         let Some(iv) = inst.value(inst.kind.outer_iterator_var()) else {
             continue;
@@ -698,23 +749,18 @@ pub fn check_reversal_oracle(
         let Some(f) = module.function(&inst.function) else {
             continue;
         };
-        let an = ssair::analysis::Analyses::new(f);
-        let map = ssair::analysis::AffineMap::new(f, &an);
-        let cert = analysis::classify_region(f, &an, &map, &inst.blocks, iv, Some(&facts));
+        let (an, map) = analyses.entry(&f.name).or_insert_with(|| {
+            let an = Analyses::new(f);
+            let map = AffineMap::new(f, &an);
+            (an, map)
+        });
+        let cert = analysis::classify_region(f, an, map, &inst.blocks, iv, Some(&facts));
         if cert.safety != idioms::ParallelSafety::IndependentIterations {
             continue;
         }
         match xform::reverse::reversed_module(module, &inst.function, iv) {
             Ok(reversed) => {
-                match &code_o {
-                    Some(code_o) => {
-                        let code_r = compile_module(&reversed);
-                        validate_compiled(code_o, &code_r, entry, &setup, seeds)?;
-                    }
-                    None => {
-                        validate_transform(module, &reversed, entry, &setup, seeds)?;
-                    }
-                }
+                validate_against(&mut forward, &reversed, entry, &setup, seeds)?;
                 oracle.checked += 1;
             }
             Err(reason) => oracle.skipped.push((inst.function.clone(), reason)),
@@ -761,8 +807,8 @@ pub fn transform_and_validate_module(
 /// module against the original under every input seed.
 ///
 /// This is the entry point the `progen` fuzz driver and the corpus replay
-/// tests run per generated program; `detect_complete` distinguishes "no
-/// instance found" from "the search was cut off".
+/// tests run per generated program; `incomplete_functions` distinguishes
+/// "no instance found" from "the search was cut off".
 #[derive(Debug)]
 pub struct PipelineOutcome {
     /// The compiled (optimized, verified) original module.
@@ -794,6 +840,10 @@ pub struct PipelineOutcome {
     pub verify_errors: Vec<String>,
     /// The differential-validation verdict over all seeds.
     pub validation: Result<ValidationSummary, ValidationError>,
+    /// The original module's runs validation made, one per seed it
+    /// reached, in seed order: the forward images
+    /// [`check_reversal_oracle_with`] compares reversed variants against.
+    pub forward: Vec<Run>,
 }
 
 /// Wall-clock cost of each [`run_pipeline`] stage, in seconds.
@@ -807,14 +857,6 @@ pub struct PipelineTimings {
     pub transform_s: f64,
     /// Multi-seed differential validation.
     pub validate_s: f64,
-}
-
-impl PipelineOutcome {
-    /// `true` when no per-function search was truncated by a budget.
-    #[must_use]
-    pub fn detect_complete(&self) -> bool {
-        self.incomplete_functions.is_empty()
-    }
 }
 
 /// Runs compile → detect → transform-all → validate on `source`.
@@ -878,7 +920,9 @@ pub fn run_pipeline_with(
         .unwrap_or_default();
     post_transform(&mut xf.module);
     let t = Instant::now();
-    let validation = validate_transform(&module, &xf.module, entry, setup, seeds);
+    let mut forward = Forward::new(&module, Vec::new());
+    let validation = validate_against(&mut forward, &xf.module, entry, &setup, seeds);
+    let forward = forward.runs;
     let validate_s = t.elapsed().as_secs_f64();
     Ok(PipelineOutcome {
         module,
@@ -896,6 +940,7 @@ pub fn run_pipeline_with(
         xform: xf,
         verify_errors,
         validation,
+        forward,
     })
 }
 
@@ -910,15 +955,12 @@ pub fn transform_and_validate(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     kind: IdiomKind,
 ) -> Result<(Module, xform::Replacement), String> {
-    let insts: Vec<_> = idioms::detect_module(module)
+    let inst = idioms::detect_module(module)
         .into_iter()
-        .filter(|i| i.kind == kind)
-        .collect();
-    let inst = insts
-        .first()
+        .find(|i| i.kind == kind)
         .ok_or_else(|| format!("no {kind:?} instance found"))?;
     let mut transformed = module.clone();
-    let rep = xform::apply_replacement(&mut transformed, inst, 0).map_err(|e| e.to_string())?;
+    let rep = xform::apply_replacement(&mut transformed, &inst, 0).map_err(|e| e.to_string())?;
     validate_transform(
         module,
         &transformed,

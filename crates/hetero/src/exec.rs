@@ -30,8 +30,8 @@ use idioms::ParallelSafety;
 use interp::{compile_module, CompiledModule, HostFn, HostRegistry, Memory, Value, Vm};
 use ssair::{Function, Module};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Thread-pool configuration.
 #[derive(Debug, Clone)]
@@ -538,86 +538,6 @@ pub fn register_parallel<'m>(
     }
 }
 
-/// A queue of independent jobs (typically: one module's kernel calls, or
-/// one corpus shard) fanned out across a scoped pool. Results come back
-/// in submission order; job pickup is an atomic work-list, so the pool
-/// load-balances uneven jobs.
-pub struct KernelBatch<'j, T> {
-    jobs: Vec<Job<'j, T>>,
-}
-
-/// One enqueued [`KernelBatch`] job.
-type Job<'j, T> = Box<dyn FnOnce() -> T + Send + 'j>;
-
-impl<'j, T: Send + 'j> KernelBatch<'j, T> {
-    /// An empty batch.
-    #[must_use]
-    pub fn new() -> KernelBatch<'j, T> {
-        KernelBatch { jobs: Vec::new() }
-    }
-
-    /// Enqueues a job.
-    pub fn push(&mut self, job: impl FnOnce() -> T + Send + 'j) {
-        self.jobs.push(Box::new(job));
-    }
-
-    /// Jobs enqueued so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the batch is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Runs every job across `workers` threads; returns the results in
-    /// submission order.
-    pub fn run(self, workers: usize) -> Vec<T> {
-        let n = self.jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let jobs: Vec<Mutex<Option<Job<'j, T>>>> =
-            self.jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers.clamp(1, n) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = jobs[i]
-                        .lock()
-                        .expect("job slot lock")
-                        .take()
-                        .expect("each job runs once");
-                    let r = job();
-                    *results[i].lock().expect("result slot lock") = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot lock")
-                    .expect("every job completed")
-            })
-            .collect()
-    }
-}
-
-impl<'j, T: Send + 'j> Default for KernelBatch<'j, T> {
-    fn default() -> KernelBatch<'j, T> {
-        KernelBatch::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,28 +751,5 @@ entry:
         vm2.mem = m1;
         vm2.run("run", &args2[..6]).unwrap();
         assert_eq!(vm.mem.bytes(), vm2.mem.bytes());
-    }
-
-    #[test]
-    fn kernel_batch_returns_results_in_submission_order() {
-        let mut batch = KernelBatch::new();
-        for i in 0..50u64 {
-            batch.push(move || i * i);
-        }
-        assert_eq!(batch.len(), 50);
-        let got = batch.run(8);
-        let want: Vec<u64> = (0..50).map(|i| i * i).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn kernel_batch_borrows_shared_state() {
-        let inputs: Vec<u64> = (0..16).collect();
-        let mut batch = KernelBatch::new();
-        for i in 0..inputs.len() {
-            let inputs = &inputs;
-            batch.push(move || inputs[i] + 1);
-        }
-        assert_eq!(batch.run(4), (1..=16).collect::<Vec<u64>>());
     }
 }

@@ -12,11 +12,9 @@
 //!
 //! [`detect`] runs every idiom over a function and post-processes raw
 //! solver solutions into deduplicated [`IdiomInstance`]s;
-//! [`detect_module`] fans the per-function searches out over scoped
-//! threads (functions are independent) and re-assembles the results in
-//! deterministic module order, and [`detect_with`] additionally reports
-//! solver cost and whether any search was truncated by a limit
-//! ([`Detection`]). Post-processing:
+//! [`detect_module`] runs it over every function in module order, and
+//! [`detect_with`] additionally reports solver cost and whether any
+//! search was truncated by a limit ([`Detection`]). Post-processing:
 //!
 //! * solver symmetries (commuted operands, transposed matrix roles)
 //!   collapse onto one instance per anchor instruction;
@@ -30,8 +28,7 @@ use solver::{RowsOutcome, Solution, SolveOptions, SolveOutcome, Solver};
 use ssair::analysis::AffineMap;
 use ssair::{BlockId, Function, Module, ValueId};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The building-block IDL source (paper §4.1).
 pub const BUILDING_BLOCKS_IDL: &str = include_str!("../idl/building_blocks.idl");
@@ -855,65 +852,20 @@ fn solve_idiom(
     solver.solve_outcome(c, solve_opts)
 }
 
-/// Runs detection over every function of `m` in parallel and returns the
-/// instances in function order — byte-identical to running [`detect`] on
-/// each function serially, because per-function detection is independent
-/// and results are stitched back in module order.
+/// Runs detection over every function of `m` and returns the instances
+/// in function order.
 #[must_use]
 pub fn detect_module(m: &Module) -> Vec<IdiomInstance> {
-    detect_module_with(m, &DetectOptions::default())
+    m.functions.iter().flat_map(detect).collect()
 }
 
-/// [`detect_module`] with explicit limits.
-#[must_use]
-pub fn detect_module_with(m: &Module, opts: &DetectOptions) -> Vec<IdiomInstance> {
-    let fs: Vec<&Function> = m.functions.iter().collect();
-    detect_functions(&fs, opts)
-        .into_iter()
-        .flat_map(|d| d.instances)
-        .collect()
-}
-
-/// The parallel detection driver: fans `detect_with` out over `fs` with
-/// scoped threads (no extra dependencies) and returns one [`Detection`]
-/// per function, in input order. Functions are handed out through a
-/// shared counter so long functions don't serialize behind short ones.
+/// The module detection driver: one [`Detection`] per function of `fs`,
+/// in input order, computed serially on the caller's thread. Per-module
+/// detection costs about a millisecond, less than spawning a thread, so
+/// parallelism lives one level up, across modules (the corpus workers).
 #[must_use]
 pub fn detect_functions(fs: &[&Function], opts: &DetectOptions) -> Vec<Detection> {
-    // Compile the idiom library (and derive the skeleton chains and
-    // requirement signatures) once, before fanning out, so workers don't
-    // contend on the lazy-init locks.
-    for kind in IdiomKind::ALL {
-        let _ = compiled(kind);
-        let _ = chain_info(kind);
-        let _ = requirements(kind);
-    }
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(fs.len());
-    if workers <= 1 {
-        return fs.iter().map(|f| detect_with(f, opts)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Detection>>> = fs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(f) = fs.get(i) else { break };
-                let d = detect_with(f, opts);
-                *slots[i].lock().expect("no poisoned result slot") = Some(d);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned result slot")
-                .expect("every function slot filled")
-        })
-        .collect()
+    fs.iter().map(|f| detect_with(f, opts)).collect()
 }
 
 fn instance_from_solution(

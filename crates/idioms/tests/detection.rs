@@ -231,9 +231,11 @@ fn bindings_expose_the_figure_5_variables() {
 }
 
 #[test]
-fn detect_module_matches_the_serial_per_function_loop() {
-    // The parallel driver must be observably identical to the serial
-    // loop: same instances, same order, same bindings.
+fn detect_module_is_deterministic_and_matches_per_function_detect_with() {
+    // Module detection is the per-function search stitched in module
+    // order: repeated runs and the per-function `detect_with` loop agree
+    // instance for instance (kind, function, anchor, blocks, bindings,
+    // certificate).
     let m = minicc::compile(
         "double mixed(double* x, double* y, int* bins, int* key, int n) {
             double s = 0.0;
@@ -255,16 +257,18 @@ fn detect_module_matches_the_serial_per_function_loop() {
         "t",
     )
     .unwrap();
-    let serial: Vec<_> = m.functions.iter().flat_map(detect).collect();
-    let parallel = idioms::detect_module(&m);
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.kind, p.kind);
-        assert_eq!(s.function, p.function);
-        assert_eq!(s.anchor, p.anchor);
-        assert_eq!(s.blocks, p.blocks);
-        assert_eq!(s.bindings, p.bindings);
-    }
+    let opts = idioms::DetectOptions::default();
+    let per_function: Vec<_> = m
+        .functions
+        .iter()
+        .flat_map(|f| idioms::detect_with(f, &opts).instances)
+        .collect();
+    let first = idioms::detect_module(&m);
+    assert_eq!(first, per_function);
+    assert_eq!(idioms::detect_module(&m), first);
+    let kinds: Vec<IdiomKind> = first.iter().map(|i| i.kind).collect();
+    assert!(kinds.contains(&IdiomKind::Histogram), "{kinds:?}");
+    assert!(kinds.contains(&IdiomKind::Stencil1D), "{kinds:?}");
 }
 
 #[test]

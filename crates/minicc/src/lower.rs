@@ -489,8 +489,15 @@ impl<'a> FuncLower<'a> {
             let b = self.block(line)?;
             self.write_var(&internal, b, value);
         } else {
-            let total: usize = dims.iter().product();
-            let count = self.f.const_int(Type::I64, total as i64);
+            // The element count must fit the alloca's i64 operand.
+            let total = dims
+                .iter()
+                .try_fold(1i64, |acc, &d| acc.checked_mul(i64::try_from(d).ok()?))
+                .ok_or_else(|| CompileError {
+                    line,
+                    message: format!("array {name:?} has too many elements: {dims:?}"),
+                })?;
+            let count = self.f.const_int(Type::I64, total);
             // Allocas live in the entry block, like clang's.
             let entry = BlockId(0);
             let ptr_ty = ir_type(ty).ptr_to();
@@ -1099,6 +1106,17 @@ mod tests {
             .map(|&v| f.opcode(v).unwrap())
             .collect();
         assert_eq!(ops, vec![Opcode::Mul, Opcode::Add, Opcode::Ret]);
+    }
+
+    #[test]
+    fn rejects_array_sizes_that_overflow_i64() {
+        for src in [
+            "double f() { double a[4294967296][4294967296]; a[0][0] = 1.0; return a[0][0]; }",
+            "double f() { double a[3037000500][3037000500]; a[0][0] = 1.0; return a[0][0]; }",
+        ] {
+            let err = compile_unoptimized(src, "t").expect_err(src);
+            assert!(err.message.contains("too many elements"), "{err}");
+        }
     }
 
     #[test]

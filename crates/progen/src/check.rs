@@ -220,7 +220,7 @@ pub(crate) fn check_source(
     adversaries: &[String],
     canary: Canary,
 ) -> Result<Checked, Failure> {
-    let out = idiomatch_core::run_pipeline_with(
+    let mut out = idiomatch_core::run_pipeline_with(
         source,
         name,
         Spec::ENTRY,
@@ -316,14 +316,16 @@ pub(crate) fn check_source(
 
     // Every surviving independent-iterations certificate is witnessed
     // dynamically: the original program re-run with the certified loop
-    // reversed must match the forward run bitwise.
+    // reversed must match the forward run bitwise. The forward runs are
+    // the ones validation already made.
     let t = std::time::Instant::now();
-    let reversal = idiomatch_core::check_reversal_oracle(
+    let reversal = idiomatch_core::check_reversal_oracle_with(
         &out.module,
         &out.instances,
         Spec::ENTRY,
         setup,
         &FUZZ_SEEDS,
+        std::mem::take(&mut out.forward),
     )
     .map_err(Failure::ReversalDiverged)?;
     let reversal_s = t.elapsed().as_secs_f64();

@@ -160,6 +160,8 @@ fn canary_miscompile_is_caught_and_shrinks_to_a_tiny_reproducer() {
         &format!("canary-{seed}"),
         "canary: broken lift_red init",
     );
+    // The same 16-line reproducer the fuzz binary's `--canary` run prints.
+    assert_eq!(text.lines().count(), 16, "{text}");
     let case = progen::parse_case(&text).unwrap();
     assert!(
         progen::replay_case(&case).is_ok(),

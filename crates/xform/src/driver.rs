@@ -127,7 +127,7 @@ pub fn transform_module(module: &Module) -> ModuleXform {
 }
 
 /// [`transform_module`] over a caller-provided instance list (e.g. from
-/// [`idioms::detect_module_with`] with custom limits).
+/// [`idioms::detect_functions`] with custom limits).
 #[must_use]
 pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> ModuleXform {
     // Deterministic attempt order (on the original, consistent block

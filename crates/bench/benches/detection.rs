@@ -134,10 +134,9 @@ fn bench_solver_per_idiom(c: &mut Criterion) {
 }
 
 /// Execution-only microbenchmarks: one canonical-seed run of a
-/// representative benchmark on each executor tier — the tree-walking
-/// `Machine` oracle, the bytecode `Vm` (compile amortized outside the
-/// loop), and compile+execute on the `Vm` (the per-validation-seed cost
-/// the pipeline actually pays once, then reuses).
+/// representative benchmark on the bytecode `Vm` (compile amortized
+/// outside the loop), and compile+execute on the `Vm` (the cost the
+/// pipeline pays once per module, then reuses across seeds).
 fn bench_execution(c: &mut Criterion) {
     let suite = benchsuite::all();
     for name in ["CG", "stencil"] {
@@ -147,13 +146,6 @@ fn bench_execution(c: &mut Criterion) {
             .unwrap_or_else(|| panic!("suite has {name}"));
         let module = minicc::compile(b.source, b.name).unwrap();
         let tag = name.replace('-', "_");
-        c.bench_function(&format!("exec_walker_{tag}"), |bench| {
-            bench.iter(|| {
-                let mut vm = interp::Machine::new(&module);
-                let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
-                vm.run(b.entry, &args).unwrap()
-            })
-        });
         let code = interp::compile_module(&module);
         c.bench_function(&format!("exec_vm_{tag}"), |bench| {
             bench.iter(|| {

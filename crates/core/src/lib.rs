@@ -18,40 +18,10 @@
 
 use hetero::{Platform, Workload};
 use idioms::{IdiomInstance, IdiomKind};
-use interp::{compile_module, Allocation, CompiledModule, Machine, Memory, Value, Vm};
+use interp::{compile_module, Allocation, CompiledModule, Memory, Value, Vm};
 use ssair::{Module, Type};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Which interpreter executes programs for profiling and validation.
-///
-/// The bytecode [`Vm`] is the production tier: each module is lowered
-/// once ([`compile_module`]) and the flat instruction stream is reused
-/// across every seed and oracle run. The tree-walking [`Machine`] is the
-/// debug oracle — bit-for-bit identical results, steps and errors —
-/// retained behind `IDIOMATCH_EXEC_BACKEND=walker`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// Compile to register bytecode once, execute on [`Vm`] (default).
-    Bytecode,
-    /// Tree-walk the SSA directly on [`Machine`] (debug oracle).
-    Walker,
-}
-
-/// The process-wide backend choice, read once from the environment
-/// variable `IDIOMATCH_EXEC_BACKEND` (`walker` selects the tree-walking
-/// oracle; anything else, including unset, selects the bytecode VM).
-#[must_use]
-pub fn exec_backend() -> ExecBackend {
-    static BACKEND: OnceLock<ExecBackend> = OnceLock::new();
-    *BACKEND.get_or_init(
-        || match std::env::var("IDIOMATCH_EXEC_BACKEND").as_deref() {
-            Ok("walker") => ExecBackend::Walker,
-            _ => ExecBackend::Bytecode,
-        },
-    )
-}
 
 /// A benchmark input generator: allocates the program's arrays for one
 /// input seed and returns the entry-point arguments (the signature of
@@ -124,25 +94,14 @@ pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
         *by_class.entry(inst.kind.class_label()).or_default() += 1;
     }
 
-    // Profile one full run of the canonical workload. The bytecode VM
-    // keeps dense per-function counters and maps them back to `ValueId`s,
-    // so the resulting `Profile` is identical to the walker's.
-    let profile = match exec_backend() {
-        ExecBackend::Bytecode => {
-            let code = compile_module(&module);
-            let mut vm = Vm::new(&code);
-            vm.set_profiling(true);
-            let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
-            vm.run(b.entry, &args).expect("bundled benchmark executes");
-            vm.profile()
-        }
-        ExecBackend::Walker => {
-            let mut vm = Machine::new(&module);
-            let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
-            vm.run(b.entry, &args).expect("bundled benchmark executes");
-            vm.profile
-        }
-    };
+    // Profile one full run of the canonical workload. The VM keeps dense
+    // per-function counters and maps them back to `ValueId`s.
+    let code = compile_module(&module);
+    let mut vm = Vm::new(&code);
+    vm.set_profiling(true);
+    let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
+    vm.run(b.entry, &args).expect("bundled benchmark executes");
+    let profile = vm.profile();
 
     let mut total_cost = 0.0;
     for f in &module.functions {
@@ -495,53 +454,25 @@ impl std::fmt::Debug for Run {
     }
 }
 
-/// A module ready to run on the process-wide [`exec_backend`]: lowered
-/// once to bytecode and reused by every seed, or tree-walked directly.
-enum Program<'m> {
-    Bytecode(CompiledModule<'m>),
-    Walker(&'m Module),
-}
-
-impl<'m> Program<'m> {
-    fn new(m: &'m Module) -> Program<'m> {
-        match exec_backend() {
-            ExecBackend::Bytecode => Program::Bytecode(compile_module(m)),
-            ExecBackend::Walker => Program::Walker(m),
-        }
-    }
-
-    /// One full run: seeded setup, fresh machine with the vendor hosts
-    /// registered, entry execution.
-    fn run(
-        &self,
-        entry: &str,
-        setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
-        seed: u64,
-    ) -> Result<Run, String> {
-        let mut mem = Memory::new();
-        let args = setup(&mut mem, seed);
-        let setup_allocs = mem.allocations().len();
-        let (ret, mem) = match self {
-            Program::Bytecode(code) => {
-                let mut vm = Vm::new(code);
-                hetero::hosts::register_all(&mut vm);
-                vm.mem = mem;
-                (vm.run(entry, &args), vm.mem)
-            }
-            Program::Walker(m) => {
-                let mut vm = Machine::new(m);
-                hetero::hosts::register_all(&mut vm);
-                vm.mem = mem;
-                (vm.run(entry, &args), vm.mem)
-            }
-        };
-        Ok(Run {
-            seed,
-            ret: ret.map_err(|e| e.to_string())?,
-            mem,
-            setup_allocs,
-        })
-    }
+/// One full run of `entry` in `code`: seeded setup, fresh VM with the
+/// vendor hosts registered, entry execution.
+fn run_program(
+    code: &CompiledModule<'_>,
+    entry: &str,
+    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
+    seed: u64,
+) -> Result<Run, String> {
+    let mut vm = Vm::new(code);
+    hetero::hosts::register_all(&mut vm);
+    let args = setup(&mut vm.mem, seed);
+    let setup_allocs = vm.mem.allocations().len();
+    let ret = vm.run(entry, &args).map_err(|e| e.to_string())?;
+    Ok(Run {
+        seed,
+        ret,
+        mem: vm.mem,
+        setup_allocs,
+    })
 }
 
 /// The original module's runs, one per input seed in seed order, each
@@ -550,7 +481,7 @@ impl<'m> Program<'m> {
 /// yet is run (and the module compiled) on first use.
 struct Forward<'m> {
     module: &'m Module,
-    program: Option<Program<'m>>,
+    code: Option<CompiledModule<'m>>,
     runs: Vec<Run>,
 }
 
@@ -558,7 +489,7 @@ impl<'m> Forward<'m> {
     fn new(module: &'m Module, runs: Vec<Run>) -> Forward<'m> {
         Forward {
             module,
-            program: None,
+            code: None,
             runs,
         }
     }
@@ -573,11 +504,9 @@ impl<'m> Forward<'m> {
     ) -> Result<&Run, ValidationError> {
         if k == self.runs.len() {
             let module = self.module;
-            let run = self
-                .program
-                .get_or_insert_with(|| Program::new(module))
-                .run(entry, setup, seed)
-                .map_err(|message| ValidationError::Exec {
+            let code = self.code.get_or_insert_with(|| compile_module(module));
+            let run =
+                run_program(code, entry, setup, seed).map_err(|message| ValidationError::Exec {
                     which: "original",
                     seed,
                     message,
@@ -664,14 +593,13 @@ fn validate_against(
     if seeds.is_empty() {
         return Err(ValidationError::NoSeeds);
     }
-    let program = Program::new(transformed);
+    let code = compile_module(transformed);
     let mut arrays = 0;
     let mut elements = 0;
     for (k, &seed) in seeds.iter().enumerate() {
         let o = forward.get(k, seed, entry, setup)?;
-        let t = program
-            .run(entry, setup, seed)
-            .map_err(|message| ValidationError::Exec {
+        let t =
+            run_program(&code, entry, setup, seed).map_err(|message| ValidationError::Exec {
                 which: "transformed",
                 seed,
                 message,

@@ -144,6 +144,31 @@ fn chunk_range(begin: i64, end: i64, workers: usize) -> Vec<(i64, i64)> {
     parts
 }
 
+/// The one fan-out of the parallel executors: runs `work` on every
+/// per-worker input, each on its own scoped thread, and returns the
+/// results in input (worker) order so callers can replay the serial store
+/// order. A panicking worker becomes an `Err` naming `what`.
+fn fan_out<I: Send, T: Send>(
+    what: &str,
+    inputs: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> Result<T, String> + Sync,
+) -> Vec<Result<T, String>> {
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| s.spawn(move || work(input)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err(format!("parallel {what} worker panicked")))
+            })
+            .collect()
+    })
+}
+
 /// Runs `callee` from the pre-compiled module on the calling thread
 /// against the caller's memory (swapped in and out) — the sequential
 /// executor. The bytecode was compiled once at registration; each launch
@@ -201,35 +226,21 @@ pub fn gemm_parallel(
         }
         wins.push(rest);
 
-        let results: Vec<Result<(), String>> = std::thread::scope(|s| {
-            let view = &view;
-            let g = &g;
-            let handles: Vec<_> = parts
-                .iter()
-                .copied()
-                .zip(wins)
-                .map(|((lo, hi), mut win)| {
-                    s.spawn(move || {
-                        for i0 in lo..hi {
-                            for i1 in 0..g.n {
-                                let acc = gemm_acc(g, view, i0, i1)?;
-                                let ca = gemm_addr(g.c, i0, i1, g.sc, g.cr)?;
-                                let cur = win.load_f64(ca)?;
-                                win.store_f64(ca, acc + beta_old(cur, g.beta))?;
-                            }
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("parallel gemm worker panicked".into()))
-                })
-                .collect()
-        });
+        let results = fan_out(
+            "gemm",
+            parts.iter().copied().zip(wins),
+            |((lo, hi), mut win)| {
+                for i0 in lo..hi {
+                    for i1 in 0..g.n {
+                        let acc = gemm_acc(&g, &view, i0, i1)?;
+                        let ca = gemm_addr(g.c, i0, i1, g.sc, g.cr)?;
+                        let cur = win.load_f64(ca)?;
+                        win.store_f64(ca, acc + beta_old(cur, g.beta))?;
+                    }
+                }
+                Ok(())
+            },
+        );
         for r in results {
             r?;
         }
@@ -239,29 +250,14 @@ pub fn gemm_parallel(
     // Partial-accumulator path: the compute phase only reads memory; the
     // launching thread then replays the serial store order.
     let shared = &*mem;
-    let results: Vec<Result<Vec<f64>, String>> = std::thread::scope(|s| {
-        let g = &g;
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut buf = Vec::with_capacity(((hi - lo) * g.n).max(0) as usize);
-                    for i0 in lo..hi {
-                        for i1 in 0..g.n {
-                            buf.push(gemm_acc(g, shared, i0, i1)?);
-                        }
-                    }
-                    Ok(buf)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("parallel gemm worker panicked".into()))
-            })
-            .collect()
+    let results = fan_out("gemm", parts.iter().copied(), |(lo, hi)| {
+        let mut buf = Vec::with_capacity(((hi - lo) * g.n).max(0) as usize);
+        for i0 in lo..hi {
+            for i1 in 0..g.n {
+                buf.push(gemm_acc(&g, shared, i0, i1)?);
+            }
+        }
+        Ok(buf)
     });
     for (&(lo, hi), r) in parts.iter().zip(results) {
         let buf = r?;
@@ -311,52 +307,27 @@ pub fn csrmv_parallel(
             }
             wins.push(rest);
 
-            let results: Vec<Result<(), String>> = std::thread::scope(|s| {
-                let view = &view;
-                let sp = &sp;
-                let handles: Vec<_> = parts
-                    .iter()
-                    .copied()
-                    .zip(wins)
-                    .map(|((lo, hi), mut win)| {
-                        s.spawn(move || {
-                            for j in lo..hi {
-                                let d = csrmv_row(sp, view, j)?;
-                                win.store_f64(elem_addr(sp.y, j, 8)?, d)?;
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|_| Err("parallel csrmv worker panicked".into()))
-                    })
-                    .collect()
-            });
+            let results = fan_out(
+                "csrmv",
+                parts.iter().copied().zip(wins),
+                |((lo, hi), mut win)| {
+                    for j in lo..hi {
+                        let d = csrmv_row(&sp, &view, j)?;
+                        win.store_f64(elem_addr(sp.y, j, 8)?, d)?;
+                    }
+                    Ok(())
+                },
+            );
             for r in results {
                 r?;
             }
         }
         ParallelCert::ReductionOnly => {
             let shared = &*mem;
-            let results: Vec<Result<Vec<f64>, String>> = std::thread::scope(|s| {
-                let sp = &sp;
-                let handles: Vec<_> = parts
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || (lo..hi).map(|j| csrmv_row(sp, shared, j)).collect())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|_| Err("parallel csrmv worker panicked".into()))
-                    })
-                    .collect()
+            let results = fan_out("csrmv", parts.iter().copied(), |(lo, hi)| {
+                (lo..hi)
+                    .map(|j| csrmv_row(&sp, shared, j))
+                    .collect::<Result<Vec<f64>, String>>()
             });
             for (&(lo, _), r) in parts.iter().zip(results) {
                 for (j, d) in (lo..).zip(r?) {
@@ -413,31 +384,14 @@ fn stencil_host<'m>(
         }
 
         let baseline = mem.clone();
-        let results: Vec<Result<Memory, String>> = std::thread::scope(|s| {
-            let baseline = &baseline;
-            let callee = &callee;
-            let code = &code;
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|&(lo, hi)| {
-                    let mut cargs = args.to_vec();
-                    s.spawn(move || {
-                        cargs[bi] = Value::I(lo);
-                        cargs[ei] = Value::I(hi);
-                        let mut inner = Vm::new(code);
-                        inner.mem = baseline.clone();
-                        inner.run(callee, &cargs).map_err(|e| e.message)?;
-                        Ok(std::mem::take(&mut inner.mem))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("parallel stencil worker panicked".into()))
-                })
-                .collect()
+        let results = fan_out("stencil", parts.iter().copied(), |(lo, hi)| {
+            let mut cargs = args.to_vec();
+            cargs[bi] = Value::I(lo);
+            cargs[ei] = Value::I(hi);
+            let mut inner = Vm::new(&code);
+            inner.mem = baseline.clone();
+            inner.run(&callee, &cargs).map_err(|e| e.message)?;
+            Ok(std::mem::take(&mut inner.mem))
         });
 
         let base_bytes = baseline.bytes();
@@ -489,7 +443,7 @@ fn sequential_host<'m>(
 /// The module is lowered to bytecode once here; every registered host
 /// shares that [`CompiledModule`], so repeated kernel launches pay only
 /// the dispatch loop. Generic over [`HostRegistry`], so hosts install on
-/// a walker `Machine` or a bytecode `Vm` alike.
+/// the bytecode `Vm` and on the reference `Machine` alike.
 pub fn register_parallel<'m>(
     vm: &mut impl HostRegistry<'m>,
     module: &'m Module,
@@ -560,6 +514,22 @@ mod tests {
         assert_eq!(chunk_range(2, 5, 8), vec![(2, 3), (3, 4), (4, 5)]);
         assert_eq!(chunk_range(5, 5, 4), vec![(5, 5)]);
         assert_eq!(chunk_range(7, 3, 4), vec![(7, 7)]);
+    }
+
+    #[test]
+    fn fan_out_keeps_worker_order_and_contains_panics() {
+        let results = fan_out("probe", [1, 2, 3], |x| {
+            assert_ne!(x, 2, "worker 2 fails");
+            Ok(x * 10)
+        });
+        assert_eq!(
+            results,
+            vec![
+                Ok(10),
+                Err("parallel probe worker panicked".to_string()),
+                Ok(30)
+            ]
+        );
     }
 
     fn gemm_fixture(mem: &mut Memory, m: usize, n: usize, k: usize, beta: f64) -> Vec<Value> {

@@ -1,7 +1,7 @@
 //! Functional executors for the fixed-function library entry points.
 //!
 //! These are the "vendor libraries" of the simulation: registering them
-//! with an [`interp::Machine`] makes transformed programs executable (the
+//! with an [`interp::Vm`] makes transformed programs executable (the
 //! timing of the simulated devices is handled separately by
 //! [`crate::model`], and the parallel thread-pool variants live in
 //! [`crate::exec`]).
@@ -252,7 +252,7 @@ pub fn csrmv_serial(mem: &mut Memory, args: &[Value]) -> Result<Value, String> {
 /// is the cuSPARSE `csrmv` equivalent of the paper's Figure 6.
 ///
 /// Generic over [`HostRegistry`] so the same registration serves the
-/// tree-walking `Machine` and the bytecode `Vm`.
+/// bytecode `Vm` and the reference `Machine` the tests hold it to.
 pub fn register_all<'m>(vm: &mut impl HostRegistry<'m>) {
     vm.register_host("gemm_f64", Arc::new(gemm_serial));
     vm.register_host("csrmv_f64", Arc::new(csrmv_serial));

@@ -18,17 +18,17 @@
 //!   lookup becomes a slot load, not a `HashMap<String, _>` probe) and
 //!   statically resolved to an intrinsic or a module function index.
 //!
-//! **Fidelity over coverage.** The tree-walking [`crate::Machine`] is the
-//! semantic oracle, quirks included, and the VM must match it bit-for-bit
-//! (same results, same `ExecError` messages, same step accounting, same
-//! panics on malformed IR). Any function whose shape the bytecode cannot
-//! reproduce *exactly* — entry-block phis, mid-block phis or terminators
-//! (which the walker silently skips or lets "last branch win"), phis not
-//! covering every predecessor edge, void loads/stores, operands that are
-//! not provably defined on every path (the walker reports those at
-//! runtime) — is left uncompiled (`None`) and executed by the VM's
-//! embedded fallback walker instead. Compilation never fails; it only
-//! falls back.
+//! **Verified IR in, bytecode out.** The tree-walking [`crate::Machine`]
+//! is the reference semantics, quirks included, and the VM must match it
+//! bit-for-bit (same results, same `ExecError` messages, same step
+//! accounting). Every function that passes [`ssair::verify`] compiles.
+//! The compiler does not run the verifier itself (it is several times
+//! the cost of compiling); its own cheap shape checks are the guard.
+//! A function that fails them — entry-block or mid-block phis, misplaced
+//! terminators, phis not covering every predecessor edge, void
+//! loads/stores, operands not provably defined on every path — is left
+//! uncompiled (`None`), and calling it is an `ExecError` naming it.
+//! Compilation itself never fails.
 
 use crate::machine::Value;
 use ssair::{BlockId, FCmpPred, Function, ICmpPred, Module, Opcode, Type, ValueId, ValueKind};
@@ -313,8 +313,8 @@ pub(crate) struct CompiledFunction {
 pub struct CompiledModule<'m> {
     pub(crate) module: &'m Module,
     /// Per function (same order as [`Module::functions`]): the lowered
-    /// code, or `None` when the function's shape requires the fallback
-    /// walker for bit-exact semantics.
+    /// code, or `None` when the function's shape failed the compiler's
+    /// checks (never for verified IR).
     pub(crate) funcs: Vec<Option<CompiledFunction>>,
     /// First function index per name (the walker's `Module::function`
     /// takes the first match too).
@@ -332,17 +332,17 @@ impl<'m> CompiledModule<'m> {
         self.module
     }
 
-    /// How many functions compiled to bytecode (the rest run on the
-    /// fallback walker).
+    /// How many functions compiled to bytecode: all of them for a module
+    /// that passes [`ssair::verify::verify_module`].
     #[must_use]
     pub fn compiled_count(&self) -> usize {
         self.funcs.iter().filter(|f| f.is_some()).count()
     }
 }
 
-/// Lowers every function of `module`. Never fails: functions whose shape
-/// the bytecode cannot reproduce bit-for-bit are marked for the fallback
-/// walker instead.
+/// Lowers every function of `module`. Never fails: a function whose
+/// shape the bytecode cannot reproduce bit-for-bit is left uncompiled,
+/// and calling it is an execution error.
 #[must_use]
 pub fn compile_module(module: &Module) -> CompiledModule<'_> {
     let mut func_index = HashMap::new();
@@ -407,31 +407,31 @@ fn compile_function(
         let mut phis = Vec::new();
         let mut body = Vec::new();
         for &v in &f.block(b).instrs {
-            let i = f.instr(v)?; // non-instruction id: the walker skips it
+            let i = f.instr(v)?; // non-instruction id
             match i.opcode {
                 Opcode::Phi if body.is_empty() => phis.push(v),
-                Opcode::Phi => return None, // mid-block phi: never executes
+                Opcode::Phi => return None, // mid-block phi
                 _ => body.push(v),
             }
         }
         let (&last, rest) = body.split_last()?; // empty body falls through
         if !f.opcode(last)?.is_terminator() {
-            return None; // fallthrough is a runtime error — walker's job
+            return None; // fallthrough
         }
         if rest
             .iter()
             .any(|&v| f.opcode(v).is_some_and(|o| o.is_terminator()))
         {
-            return None; // mid-block branch: the walker keeps going
+            return None; // mid-block branch
         }
         if b == BlockId(0) && !phis.is_empty() {
-            return None; // entry phi is a runtime error — walker's job
+            return None; // entry phi
         }
         shapes.push(BlockShape { phis, body });
     }
 
     // Per-instruction operand/target/type checks (anything the walker
-    // would panic or error on at runtime stays on the walker).
+    // would panic or error on at runtime is refused).
     for shape in &shapes {
         for &v in &shape.body {
             check_instr(f, v, nb)?;
@@ -584,7 +584,7 @@ fn compile_function(
 
 /// Operand/target-count and result-type checks for one body instruction:
 /// `None` means the walker would panic or raise a shape-dependent runtime
-/// error here, so the function must stay on the walker.
+/// error here, so the function is refused.
 fn check_instr(f: &Function, v: ValueId, nb: usize) -> Option<()> {
     let i = f.instr(v)?;
     let ty = &f.value(v).ty;
@@ -959,15 +959,15 @@ exit:
     }
 
     #[test]
-    fn entry_phi_falls_back_to_the_walker() {
-        // An entry-block phi is a *runtime* walker error; the bytecode
-        // tier must leave the function to the oracle.
+    fn entry_phi_is_refused() {
+        // An entry-block phi is a *runtime* walker error (and a verifier
+        // error); the bytecode tier must refuse the function.
         let mut m = compile_text(
             "define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 1\n  ret i64 %x\n}\n",
         );
         m.functions[0].append_phi(BlockId(0), Type::I64);
         let c = compile_module(&m);
-        assert!(c.funcs[0].is_none(), "entry phi must fall back");
+        assert!(c.funcs[0].is_none(), "entry phi must be refused");
     }
 
     #[test]
@@ -1000,7 +1000,7 @@ entry:
     }
 
     #[test]
-    fn possibly_undefined_operand_falls_back() {
+    fn possibly_undefined_operand_is_refused() {
         // %x is only defined on the `then` path; the walker reports
         // "use of undefined value" at runtime when `join` reads it after
         // coming from `entry` — must-defined has to reject this.
@@ -1020,6 +1020,6 @@ join:
 "#,
         );
         let c = compile_module(&m);
-        assert!(c.funcs[0].is_none(), "maybe-undefined use must fall back");
+        assert!(c.funcs[0].is_none(), "maybe-undefined use must be refused");
     }
 }

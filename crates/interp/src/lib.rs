@@ -13,15 +13,16 @@
 //!    — the `hetero` crate converts profile counts into modeled sequential
 //!    milliseconds.
 //!
-//! Two executors share one semantics. The tree-walking [`Machine`] is a
-//! straightforward SSA evaluator over a byte-addressable memory and serves
-//! as the debug oracle; the production path lowers each module once with
-//! [`compile_module`] into a flat register bytecode and executes it many
-//! times with the [`Vm`] — same results, same errors, same step
-//! accounting, differential-tested bit-for-bit. Calls resolve in order
-//! to: registered *host functions* (the simulated heterogeneous APIs
-//! installed by the `hetero` crate), the math intrinsics, then module
-//! functions.
+//! Execution has one production path: each module is lowered once with
+//! [`compile_module`] into a flat register bytecode and executed many
+//! times with the [`Vm`]. Verified IR ([`ssair::verify`]) compiles in
+//! full; calling a function the compiler refused is an [`ExecError`].
+//! The tree-walking [`Machine`] is a straightforward SSA evaluator over
+//! the same byte-addressable [`Memory`], kept as the reference the VM is
+//! differential-tested against bit-for-bit (results, errors, step
+//! accounting, profiles). Calls resolve in order to: registered *host
+//! functions* (the simulated heterogeneous APIs installed by the `hetero`
+//! crate), the math intrinsics, then module functions.
 
 mod bytecode;
 mod machine;

@@ -1,4 +1,6 @@
-//! The SSA evaluator.
+//! The tree-walking SSA evaluator: the reference semantics the bytecode
+//! [`crate::Vm`] is held to (`tests/vm_differential.rs` and the VM's unit
+//! tests compare the two bit for bit). Production code runs the VM.
 
 use crate::memory::Memory;
 use crate::profile::Profile;
@@ -118,7 +120,8 @@ pub trait HostRegistry<'m> {
     fn register_host(&mut self, name: &str, f: HostFn<'m>);
 }
 
-/// The interpreter.
+/// The reference interpreter: it walks the SSA directly, with no compile
+/// step. IR that fails [`ssair::verify`] may make it panic.
 pub struct Machine<'m> {
     module: &'m Module,
     /// The linear memory of the run.
@@ -404,7 +407,7 @@ impl<'m> Machine<'m> {
                 let base = op_p(0)?;
                 let idx = op_i(1)?;
                 let elem = ty.pointee().expect("gep yields pointer").size_bytes() as i64;
-                Value::P((base as i64 + idx * elem) as u64)
+                Value::P((base as i64).wrapping_add(idx.wrapping_mul(elem)) as u64)
             }
             Opcode::Load => {
                 let addr = op_p(0)?;
@@ -439,7 +442,7 @@ impl<'m> Machine<'m> {
                     return Err(Self::err("negative alloca size"));
                 }
                 let elem = ty.pointee().expect("alloca yields pointer");
-                Value::P(self.mem.alloc(elem, n as usize))
+                Value::P(self.mem.try_alloc(elem, n as usize).map_err(Self::err)?)
             }
             Opcode::SExt | Opcode::ZExt => Value::I(wrap_int(ty, op_i(0)?)),
             Opcode::Trunc => Value::I(wrap_int(ty, op_i(0)?)),

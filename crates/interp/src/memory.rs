@@ -32,6 +32,17 @@ impl Allocation {
     }
 }
 
+/// The error for a program allocation past [`Memory::MAX_BYTES`] (cold:
+/// no correct program reaches it).
+#[cold]
+#[inline(never)]
+fn over_cap(ty: &Type, n: usize) -> String {
+    format!(
+        "memory limit exceeded: alloca of {n} x {ty} would grow memory past {} bytes",
+        Memory::MAX_BYTES
+    )
+}
+
 /// Linear memory.
 #[derive(Clone)]
 pub struct Memory {
@@ -46,6 +57,10 @@ impl Default for Memory {
 }
 
 impl Memory {
+    /// The largest memory image a program `alloca` may grow the memory to
+    /// (1 GiB). Harness allocations ([`Memory::alloc`]) are not capped.
+    pub const MAX_BYTES: usize = 1 << 30;
+
     /// Creates an empty memory (address 0 reserved).
     #[must_use]
     pub fn new() -> Memory {
@@ -87,12 +102,30 @@ impl Memory {
         base
     }
 
+    /// Allocates like [`Memory::alloc`] on behalf of the executed program
+    /// (`alloca`): fails instead of growing the memory image past
+    /// [`Memory::MAX_BYTES`], so a hostile size is an error, not an abort.
+    // Out of line (as are the cold error constructors): code inlined into
+    // the VM's dispatch loop slowed its suite-run programs by up to ~10%.
+    #[inline(never)]
+    pub fn try_alloc(&mut self, ty: &Type, n: usize) -> Result<u64, String> {
+        let base = (self.bytes.len() + 7) & !7;
+        let end = ty
+            .size_bytes()
+            .checked_mul(n)
+            .and_then(|bytes| bytes.checked_add(base));
+        if end.is_none_or(|end| end > Memory::MAX_BYTES) {
+            return Err(over_cap(ty, n));
+        }
+        Ok(self.alloc(ty, n))
+    }
+
     fn check(&self, addr: u64, n: usize) -> Result<usize, String> {
         let a = addr as usize;
         if addr == 0 {
             return Err("null pointer access".into());
         }
-        if a + n > self.bytes.len() {
+        if a.checked_add(n).is_none_or(|end| end > self.bytes.len()) {
             return Err(format!("out-of-bounds access at {addr} (+{n})"));
         }
         Ok(a)
@@ -270,7 +303,7 @@ impl Memory {
             return Err("null pointer output window".into());
         }
         let b = base as usize;
-        if b + len > self.bytes.len() {
+        if b.checked_add(len).is_none_or(|end| end > self.bytes.len()) {
             return Err(format!("out-of-bounds output window at {base} (+{len})"));
         }
         let (lo, rest) = self.bytes.split_at_mut(b);
@@ -308,8 +341,11 @@ impl ReadView<'_> {
             return Err("null pointer access".into());
         }
         let a = addr as usize;
-        if a + n <= self.win_start {
-            return Ok(&self.lo[a..a + n]);
+        let Some(end) = a.checked_add(n) else {
+            return Err(format!("out-of-bounds access at {addr} (+{n})"));
+        };
+        if end <= self.win_start {
+            return Ok(&self.lo[a..end]);
         }
         if a >= self.win_end {
             let off = a - self.win_end;
@@ -377,7 +413,10 @@ impl<'a> OutWindow<'a> {
 
     fn offset(&self, addr: u64, n: usize) -> Result<usize, String> {
         let a = addr as usize;
-        if a < self.start || a + n > self.start + self.bytes.len() {
+        if a < self.start
+            || a.checked_add(n)
+                .is_none_or(|end| end > self.start + self.bytes.len())
+        {
             return Err(format!(
                 "access at {addr} (+{n}) outside the output window [{}, {})",
                 self.start,
@@ -449,6 +488,40 @@ mod tests {
         let a = m.alloc(&Type::F64, 1);
         assert!(m.load_f64(a + 8).is_err());
         assert!(m.store_i64(0, 1).is_err());
+    }
+
+    #[test]
+    fn addresses_near_the_top_of_the_space_are_out_of_bounds() {
+        // `p[-2]` on the first allocation: 8 - 16 wraps to 2^64 - 8,
+        // whose end would wrap past zero.
+        let mut m = Memory::new();
+        let a = m.alloc(&Type::F64, 4);
+        let wrapped = a.wrapping_sub(16);
+        assert_eq!(wrapped, 0xFFFF_FFFF_FFFF_FFF8);
+        let e = m.load_f64(wrapped).unwrap_err();
+        assert!(e.contains("out-of-bounds"), "{e}");
+        assert!(m.store_f64(wrapped, 1.0).is_err());
+        assert!(m.split_out(wrapped, 16).is_err());
+        // The parallel hosts' views check the same way.
+        let (view, mut win) = m.split_out(a, 16).unwrap();
+        assert!(view.load_f64(wrapped).is_err());
+        assert!(win.load_f64(wrapped).is_err());
+        assert!(win.store_f64(wrapped, 1.0).is_err());
+    }
+
+    #[test]
+    fn program_allocations_are_capped() {
+        let mut m = Memory::new();
+        let e = m.try_alloc(&Type::F64, 4_000_000_000).unwrap_err();
+        assert!(e.contains("memory limit exceeded"), "{e}");
+        assert!(
+            m.try_alloc(&Type::F64, usize::MAX).is_err(),
+            "size overflow"
+        );
+        assert_eq!(m.size(), 8, "a refused allocation leaves memory untouched");
+        assert!(m.allocations().is_empty());
+        let a = m.try_alloc(&Type::F64, 4).unwrap();
+        assert_eq!(m.allocations()[0].base, a);
     }
 
     #[test]

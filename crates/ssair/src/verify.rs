@@ -3,10 +3,11 @@
 //! The verifier catches frontend and transformation bugs early: every block
 //! must end in exactly one terminator, phis must match their predecessors,
 //! uses must be dominated by definitions, and operand/result types must be
-//! consistent for the common instruction shapes.
+//! consistent for the common instruction shapes. A module that verifies
+//! compiles to bytecode in full (`interp::compile_module`).
 
 use crate::analysis::Analyses;
-use crate::function::{Function, Opcode};
+use crate::function::{BlockId, Function, Instr, Opcode};
 use crate::module::Module;
 use crate::types::Type;
 
@@ -43,6 +44,12 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
 }
 
 /// Verifies one function.
+///
+/// Verified IR is the bytecode compiler's contract: every function that
+/// passes compiles to bytecode, so the structural rules below are exactly
+/// the shapes the compiler cannot lower (mid-block or entry-block phis,
+/// misplaced terminators, wrong operand or target counts, out-of-range
+/// ids, uses not dominated by their definitions, void memory accesses).
 pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
     macro_rules! err {
@@ -50,12 +57,22 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
             errors.push(VerifyError { function: f.name.clone(), message: format!($($arg)*) })
         };
     }
+    if f.num_blocks() == 0 {
+        err!("function has no blocks");
+        return Err(errors);
+    }
 
-    // Block structure: non-empty, exactly one terminator, at the end.
+    // Block structure: non-empty, exactly one terminator, at the end;
+    // phis form a prefix outside the entry block; every instruction has
+    // its opcode's shape (operand/target counts, in-range ids).
     for b in f.block_ids() {
         let instrs = &f.block(b).instrs;
         if instrs.is_empty() {
             err!("block {b} is empty");
+            continue;
+        }
+        if let Some(v) = instrs.iter().find(|v| v.0 as usize >= f.num_values()) {
+            err!("block {b} lists out-of-range value {v}");
             continue;
         }
         for (pos, &v) in instrs.iter().enumerate() {
@@ -71,12 +88,19 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
                     instrs.len()
                 );
             }
-            if i.opcode == Opcode::Phi
-                && instrs[..pos]
+            if i.opcode == Opcode::Phi {
+                if b == BlockId(0) {
+                    err!("phi {v} in the entry block");
+                }
+                if instrs[..pos]
                     .iter()
                     .any(|&p| f.opcode(p) != Some(Opcode::Phi))
-            {
-                err!("block {b}: phi {v} after non-phi instruction");
+                {
+                    err!("block {b}: phi {v} after non-phi instruction");
+                }
+            }
+            if let Err(msg) = verify_shape(f, i) {
+                err!("{} {v}: {msg}", i.opcode.mnemonic());
             }
         }
     }
@@ -109,9 +133,6 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
                         preds
                     );
                 }
-                if i.operands.len() != i.incoming.len() {
-                    err!("phi {v}: operand/incoming arity mismatch");
-                }
             }
             // Dominance: each use must be dominated by its definition.
             for (k, &op) in i.operands.iter().enumerate() {
@@ -143,6 +164,72 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
     } else {
         Err(errors)
     }
+}
+
+/// Operand and target counts, id ranges and the callee of one
+/// instruction — everything later checks index without bounds checks.
+fn verify_shape(f: &Function, i: &Instr) -> Result<(), String> {
+    let n = i.operands.len();
+    let want = match i.opcode {
+        Opcode::Add
+        | Opcode::Sub
+        | Opcode::Mul
+        | Opcode::SDiv
+        | Opcode::SRem
+        | Opcode::And
+        | Opcode::Or
+        | Opcode::Xor
+        | Opcode::Shl
+        | Opcode::AShr
+        | Opcode::FAdd
+        | Opcode::FSub
+        | Opcode::FMul
+        | Opcode::FDiv
+        | Opcode::ICmp(_)
+        | Opcode::FCmp(_)
+        | Opcode::Gep
+        | Opcode::Store => 2,
+        Opcode::Select => 3,
+        Opcode::Load
+        | Opcode::Alloca
+        | Opcode::SExt
+        | Opcode::ZExt
+        | Opcode::Trunc
+        | Opcode::SIToFP
+        | Opcode::FPToSI
+        | Opcode::FPExt
+        | Opcode::FPTrunc
+        | Opcode::CondBr => 1,
+        Opcode::Br => 0,
+        Opcode::Ret => n.min(1),
+        Opcode::Phi => i.incoming.len(),
+        Opcode::Call => n,
+    };
+    if n != want {
+        return Err(format!("has {n} operands, expects {want}"));
+    }
+    if let Some(op) = i.operands.iter().find(|op| op.0 as usize >= f.num_values()) {
+        return Err(format!("operand {op} is out of range"));
+    }
+    let targets = match i.opcode {
+        Opcode::Br => 1,
+        Opcode::CondBr => 2,
+        _ => 0,
+    };
+    if i.targets.len() != targets {
+        return Err(format!(
+            "has {} targets, expects {targets}",
+            i.targets.len()
+        ));
+    }
+    let mut blocks = i.targets.iter().chain(&i.incoming);
+    if let Some(b) = blocks.find(|b| b.0 as usize >= f.num_blocks()) {
+        return Err(format!("block {b} is out of range"));
+    }
+    if i.opcode == Opcode::Call && i.callee.is_none() {
+        return Err("call has no callee".into());
+    }
+    Ok(())
 }
 
 // Collapsing the per-opcode checks into match guards would make failing
@@ -193,13 +280,18 @@ fn verify_types(f: &Function, v: crate::ValueId, errors: &mut Vec<VerifyError>) 
             }
         }
         Opcode::Load => {
-            if opty(0).pointee() != Some(ty) {
+            if *ty == Type::Void || opty(0).pointee() != Some(ty) {
                 err!("load {} type does not match pointer", f.display_name(v));
             }
         }
         Opcode::Store => {
-            if opty(1).pointee() != Some(opty(0)) {
+            if *opty(0) == Type::Void || opty(1).pointee() != Some(opty(0)) {
                 err!("store {} type does not match pointer", f.display_name(v));
+            }
+        }
+        Opcode::Alloca => {
+            if !ty.is_pointer() || !opty(0).is_integer() {
+                err!("alloca {} has bad types", f.display_name(v));
             }
         }
         Opcode::CondBr => {
@@ -306,6 +398,82 @@ exit:
         .unwrap();
         let errs = verify_function(&f).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("incoming")));
+    }
+
+    /// Verifies `f` and asserts a `VerifyError` mentioning `needle`.
+    fn assert_rejects(f: &Function, needle: &str) {
+        let errs = verify_function(f).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.message.contains(needle)),
+            "expected {needle:?}, got {errs:?}"
+        );
+    }
+
+    #[test]
+    fn rejects_entry_block_phi() {
+        let mut f = Function::new("entry_phi", &[], Type::Void);
+        f.append_phi(BlockId(0), Type::I64);
+        f.append_ret(BlockId(0), None);
+        assert_rejects(&f, "in the entry block");
+    }
+
+    #[test]
+    fn rejects_short_operand_list_without_panicking() {
+        // A one-operand `add`: the type rules index operands[1], so the
+        // count check must come first and report instead of panicking.
+        let mut f = Function::new("short", &[("x".into(), Type::I64)], Type::I64);
+        let x = f.params[0];
+        let r = f.append_simple(BlockId(0), Type::I64, Opcode::Add, vec![x]);
+        f.append_ret(BlockId(0), Some(r));
+        assert_rejects(&f, "has 1 operands, expects 2");
+    }
+
+    #[test]
+    fn rejects_out_of_range_branch_target() {
+        let mut f = Function::new("far", &[], Type::Void);
+        f.append_br(BlockId(0), BlockId(7));
+        assert_rejects(&f, "block bb7 is out of range");
+    }
+
+    #[test]
+    fn rejects_call_without_callee() {
+        let mut f = Function::new("anon", &[], Type::Void);
+        f.append_simple(BlockId(0), Type::Void, Opcode::Call, Vec::new());
+        f.append_ret(BlockId(0), None);
+        assert_rejects(&f, "call has no callee");
+    }
+
+    #[test]
+    fn rejects_void_load_and_store() {
+        let vptr = Type::Void.ptr_to();
+        let mut f = Function::new("vload", &[("p".into(), vptr.clone())], Type::Void);
+        let p = f.params[0];
+        f.append_simple(BlockId(0), Type::Void, Opcode::Load, vec![p]);
+        f.append_ret(BlockId(0), None);
+        assert_rejects(&f, "load");
+
+        let mut g = Function::new("vstore", &[("p".into(), vptr)], Type::Void);
+        let p = g.params[0];
+        let v = g.append_call(BlockId(0), Type::Void, "nothing", Vec::new());
+        g.append_simple(BlockId(0), Type::Void, Opcode::Store, vec![v, p]);
+        g.append_ret(BlockId(0), None);
+        assert_rejects(&g, "store");
+    }
+
+    #[test]
+    fn rejects_non_pointer_gep_and_alloca_results() {
+        let mut f = Function::new("gep", &[("p".into(), Type::F64.ptr_to())], Type::Void);
+        let p = f.params[0];
+        let one = f.const_int(Type::I64, 1);
+        f.append_simple(BlockId(0), Type::I64, Opcode::Gep, vec![p, one]);
+        f.append_ret(BlockId(0), None);
+        assert_rejects(&f, "gep");
+
+        let mut g = Function::new("alloca", &[], Type::Void);
+        let four = g.const_int(Type::I64, 4);
+        g.append_simple(BlockId(0), Type::F64, Opcode::Alloca, vec![four]);
+        g.append_ret(BlockId(0), None);
+        assert_rejects(&g, "alloca");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!     cargo run --example quickstart
 
 use idiomatch::core as pipeline;
-use idiomatch::interp::{Machine, Value};
+use idiomatch::interp::{compile_module, Value, Vm};
 
 fn main() {
     let source = "double dot(double* x, double* y, int n) {
@@ -49,8 +49,10 @@ fn main() {
     println!("\n== replaced with a call to @{} ==", rep.callee);
     println!("{}", transformed.function("dot").unwrap());
 
-    // 4. Run the transformed program.
-    let mut vm = Machine::new(&transformed);
+    // 4. Run the transformed program: lower it to bytecode once, run it
+    //    on the VM.
+    let code = compile_module(&transformed);
+    let mut vm = Vm::new(&code);
     idiomatch::hetero::hosts::register_all(&mut vm);
     let x = vm.mem.alloc_f64_slice(&[1.0, 2.0, 3.0, 4.0]);
     let y = vm.mem.alloc_f64_slice(&[2.0, 2.0, 2.0, 2.0]);

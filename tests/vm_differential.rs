@@ -145,38 +145,108 @@ fn transformed_benchmarks_agree_bitwise() {
 }
 
 /// Error paths must agree exactly: same message, same step count, same
-/// partial memory effects.
+/// partial memory effects. Every case runs after a setup allocation, so
+/// `P(8)` is the base of the first array. The last two are hostile: a
+/// negative index whose address wraps to the top of the address space,
+/// and an `alloca` far past the memory cap, which must be an error and
+/// not an allocation abort.
 #[test]
 fn error_paths_agree_bitwise() {
-    let cases: [(&str, &str, Vec<Value>); 3] = [
+    let cases: [(&str, &str, Vec<Value>, &str); 5] = [
         (
             "int div(int n) { return 100 / n; }",
             "div",
             vec![Value::I(0)],
+            "division by zero",
         ),
-        ("int rem(int n) { return 7 % n; }", "rem", vec![Value::I(0)]),
+        (
+            "int rem(int n) { return 7 % n; }",
+            "rem",
+            vec![Value::I(0)],
+            "remainder by zero",
+        ),
         (
             "double deref(double* p, int i) { return p[i]; }",
             "deref",
             vec![Value::P(8), Value::I(1 << 20)],
+            "out-of-bounds",
+        ),
+        (
+            "double back(double* p) { return p[-2]; }",
+            "back",
+            vec![Value::P(8)],
+            "out-of-bounds access at 18446744073709551608",
+        ),
+        (
+            "double f(double* q) { double a[4000000000]; a[0] = 1.0; return a[0]; }",
+            "f",
+            vec![Value::P(8)],
+            "memory limit exceeded",
         ),
     ];
-    for (src, entry, args) in cases {
+    for (src, entry, args, message) in cases {
         let m = idiomatch::minicc::compile(src, entry).unwrap();
-        let t = assert_parity(
-            &m,
-            entry,
-            &|_, _| args.clone(),
-            0,
-            None,
-            &format!("error case {entry}"),
-        );
-        assert!(t.result.is_err(), "{entry}: case must fail");
+        let setup = |mem: &mut Memory, _: u64| {
+            mem.alloc_f64_slice(&[1.0; 4]);
+            args.clone()
+        };
+        let t = assert_parity(&m, entry, &setup, 0, None, &format!("error case {entry}"));
+        let e = t.result.expect_err("case must fail");
+        assert!(e.contains(message), "{entry}: {e}");
     }
     // Unknown function name: identical error string on both tiers.
     let m = idiomatch::minicc::compile("int id(int x) { return x; }", "id").unwrap();
     let t = assert_parity(&m, "nope", &|_, _| vec![], 0, None, "unknown entry");
     assert!(t.result.is_err());
+}
+
+/// Verified IR is the VM's whole contract: every module that passes
+/// `verify_module` compiles in full — the 21 benchmarks and a progen
+/// sweep, each as the original, the transformed module and every
+/// reversed-loop variant the witness could build from its instances.
+#[test]
+fn verified_modules_compile_fully() {
+    // Returns (modules seen, modules that verified).
+    fn check(m: &ssair::Module, ctx: &str) -> (usize, usize) {
+        if ssair::verify::verify_module(m).is_err() {
+            return (1, 0);
+        }
+        assert_eq!(
+            compile_module(m).compiled_count(),
+            m.functions.len(),
+            "{ctx}: a verified function did not compile"
+        );
+        (1, 1)
+    }
+    fn check_all(m: &ssair::Module, ctx: &str, tally: &mut (usize, usize)) {
+        let mut add = |(seen, ok)| {
+            tally.0 += seen;
+            tally.1 += ok;
+        };
+        add(check(m, ctx));
+        add(check(&idiomatch::xform::transform_module(m).module, ctx));
+        for inst in idiomatch::idioms::detect_module(m) {
+            let Some(iv) = inst.value(inst.kind.outer_iterator_var()) else {
+                continue;
+            };
+            if let Ok(r) = idiomatch::xform::reverse::reversed_module(m, &inst.function, iv) {
+                add(check(&r, ctx));
+            }
+        }
+    }
+    let mut tally = (0, 0);
+    for b in benchsuite::all() {
+        let m = idiomatch::minicc::compile(b.source, b.name).unwrap();
+        check_all(&m, b.name, &mut tally);
+    }
+    for seed in 0..200 {
+        let m = idiomatch::minicc::compile(&idiomatch::progen::generate(seed).render(), "prop")
+            .unwrap();
+        check_all(&m, &format!("progen {seed}"), &mut tally);
+    }
+    // The pipeline only produces verified IR, so the implication is
+    // exercised on every module, not vacuously.
+    assert_eq!(tally.0, tally.1, "{tally:?}: some modules failed to verify");
 }
 
 /// Step-limit exhaustion is bitwise too: sweep budgets across a loop so

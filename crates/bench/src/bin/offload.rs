@@ -263,8 +263,17 @@ fn main() {
     let (mut suite_serial_ms, mut suite_parallel_ms) = (0.0f64, 0.0f64);
 
     for b in benchsuite::all() {
-        let module = minicc::compile(b.source, b.name).expect("bundled benchmark compiles");
-        let xf = xform::transform_module(&module);
+        let transformed = idiomatch_core::compile(b.source, b.name)
+            .expect("bundled benchmark compiles")
+            .detect()
+            .transform();
+        assert!(
+            transformed.verify_errors.is_empty(),
+            "{}: {:?}",
+            b.name,
+            transformed.verify_errors
+        );
+        let xf = &transformed.xform;
         let certs = xf.certificates();
         replaced_total += xf.replaced() as u64;
         for o in &xf.outcomes {

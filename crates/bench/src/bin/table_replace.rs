@@ -44,12 +44,14 @@ fn main() {
         std::collections::BTreeMap::new();
     let mut verify_failures = 0u64;
     for b in benchsuite::all() {
-        let module = minicc::compile(b.source, b.name).expect("bundled benchmark compiles");
-        let report =
-            idiomatch_core::transform_and_validate_module(&module, b.entry, b.setup, &seeds);
-        if let Err(errors) = ssair::verify::verify_module(&report.xform.module) {
+        let report = idiomatch_core::compile(b.source, b.name)
+            .expect("bundled benchmark compiles")
+            .detect()
+            .transform()
+            .validate(b.entry, b.setup, &seeds);
+        if !report.verify_errors.is_empty() {
             verify_failures += 1;
-            for e in &errors {
+            for e in &report.verify_errors {
                 eprintln!("{}: IR VERIFICATION FAILED: {e}", b.name);
             }
         }
@@ -63,7 +65,7 @@ fn main() {
             proven: 0,
             assumed: 0,
             validated: report.validation.is_ok(),
-            failure: report.validation.err(),
+            failure: report.validation.clone().err(),
         };
         for o in &report.xform.outcomes {
             match &o.outcome {

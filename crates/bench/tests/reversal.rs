@@ -35,15 +35,11 @@ fn pipeline_forward_runs_witness_the_same_regions_as_the_standalone_oracle() {
     // The pipeline hands validation's forward runs to the witness; the
     // verdict must equal the standalone oracle's, which runs its own.
     for b in benchsuite::all() {
-        let mut out = idiomatch_core::run_pipeline(
-            b.source,
-            b.name,
-            b.entry,
-            b.setup,
-            &benchsuite::VALIDATION_SEEDS,
-            &idioms::DetectOptions::default(),
-        )
-        .expect("bundled benchmark compiles");
+        let mut out = idiomatch_core::compile(b.source, b.name)
+            .expect("bundled benchmark compiles")
+            .detect()
+            .transform()
+            .validate(b.entry, b.setup, &benchsuite::VALIDATION_SEEDS);
         let standalone = idiomatch_core::check_reversal_oracle(
             &out.module,
             &out.instances,
@@ -52,15 +48,7 @@ fn pipeline_forward_runs_witness_the_same_regions_as_the_standalone_oracle() {
             &benchsuite::VALIDATION_SEEDS,
         )
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let shared = idiomatch_core::check_reversal_oracle_with(
-            &out.module,
-            &out.instances,
-            b.entry,
-            b.setup,
-            &benchsuite::VALIDATION_SEEDS,
-            std::mem::take(&mut out.forward),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let shared = out.witness().unwrap_or_else(|e| panic!("{}: {e}", b.name));
         assert_eq!(shared, standalone, "{}", b.name);
     }
 }

@@ -5,16 +5,14 @@
 //! detection (`idl` + `solver` + `idioms`) → API selection (`hetero`) →
 //! code replacement (`xform`) → linked, executable program (`interp`).
 //!
-//! [`analyze`] runs detection, profiling and modeling for one benchmark
-//! and returns everything the evaluation harness (crates/bench) needs to
-//! regenerate the paper's tables and figures;
-//! [`transform_and_validate_module`] performs *every* detected
-//! replacement ([`xform::transform_module`]) and checks the transformed
-//! program against the original by seeded differential execution
-//! ([`validate_transform`]: element-wise bitwise comparison of every
-//! program array plus the entry return value).
-//! [`transform_and_validate`] is the single-instance convenience used by
-//! the walkthrough examples.
+//! The pipeline is one typed stage chain, each stage timed into one
+//! [`StageTimes`]: [`compile`] → [`Compiled::detect`] →
+//! [`Detected::transform`] (replace every instance, verify the IR) →
+//! [`Transformed::validate`] (seeded differential execution, compared
+//! bitwise) → [`Validated::witness`] (the reversed-iteration oracle).
+//! [`validate_transform`] and [`check_reversal_oracle`] are the last two
+//! stages' standalone forms. [`analyze`] adds profiling and modeling to
+//! compile + detect for the paper's tables and figures (crates/bench).
 
 use hetero::{Platform, Workload};
 use idioms::{IdiomInstance, IdiomKind};
@@ -81,13 +79,13 @@ pub struct Analysis {
 /// a bug in the suite, not an input condition.
 #[must_use]
 pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
-    let t0 = Instant::now();
-    let module = minicc::compile(b.source, b.name).expect("bundled benchmark compiles");
-    let compile_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let instances = idioms::detect_module(&module);
-    let detect_s = t1.elapsed().as_secs_f64();
+    let Detected {
+        compiled: Compiled { module, times },
+        instances,
+        ..
+    } = compile(b.source, b.name)
+        .expect("bundled benchmark compiles")
+        .detect();
 
     let mut by_class: BTreeMap<&'static str, usize> = BTreeMap::new();
     for inst in &instances {
@@ -216,8 +214,8 @@ pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
             launches: b.invocations,
         },
         dominant_kind,
-        compile_s,
-        detect_s,
+        compile_s: times.compile_s,
+        detect_s: times.detect_s,
         covered: b.covered,
         lazy: b.lazy,
         halide_ok,
@@ -436,22 +434,14 @@ fn load_elem(mem: &Memory, al: &Allocation, i: usize) -> Result<Value, String> {
 }
 
 /// One finished run of a program's entry point under one input seed.
-pub struct Run {
-    /// The input seed.
-    pub seed: u64,
-    /// The entry's return value.
-    pub ret: Value,
+struct Run {
+    seed: u64,
+    ret: Value,
     /// The final memory.
-    pub mem: Memory,
+    mem: Memory,
     /// Allocations the setup made: the program's declared arrays.
     /// Everything allocated later is runtime-internal.
-    pub setup_allocs: usize,
-}
-
-impl std::fmt::Debug for Run {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Run {{ seed: {}, ret: {:?}, .. }}", self.seed, self.ret)
-    }
+    setup_allocs: usize,
 }
 
 /// One full run of `entry` in `code`: seeded setup, fresh VM with the
@@ -635,7 +625,8 @@ pub struct ReversalOracle {
 ///
 /// Regions certified `ReductionOnly` or `Serial` are out of scope (their
 /// iterations do not claim to commute), as are loop shapes the rewriter
-/// refuses; both are reported, not failed.
+/// refuses; both are reported, not failed. [`Validated::witness`] runs
+/// the same check against the forward runs validation already made.
 ///
 /// # Errors
 /// The first divergence or execution failure, as a [`ValidationError`].
@@ -646,28 +637,23 @@ pub fn check_reversal_oracle(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ReversalOracle, ValidationError> {
-    check_reversal_oracle_with(module, instances, entry, setup, seeds, Vec::new())
+    let mut forward = Forward::new(module, Vec::new());
+    witness(&mut forward, instances, entry, &setup, seeds)
 }
 
-/// [`check_reversal_oracle`] against `forward`, the original's runs under
-/// a prefix of `seeds` ([`PipelineOutcome::forward`]). Each forward run is
-/// made at most once per call, so a witnessed region costs only its
-/// reversed variant's runs; seeds missing from `forward` run on first
-/// use.
-///
-/// # Errors
-/// As [`check_reversal_oracle`].
-pub fn check_reversal_oracle_with(
-    module: &Module,
+/// The witness loop of [`check_reversal_oracle`] over `forward.module`:
+/// each forward run is made at most once per call, so a witnessed region
+/// costs only its reversed variant's runs.
+fn witness(
+    forward: &mut Forward<'_>,
     instances: &[IdiomInstance],
     entry: &str,
-    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
+    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
-    forward: Vec<Run>,
 ) -> Result<ReversalOracle, ValidationError> {
     use ssair::analysis::{AffineMap, Analyses};
+    let module = forward.module;
     let facts = analysis::ParamAliasFacts::of_module(module);
-    let mut forward = Forward::new(module, forward);
     let mut analyses: BTreeMap<&str, (Analyses, AffineMap)> = BTreeMap::new();
     let mut oracle = ReversalOracle::default();
     for inst in instances {
@@ -688,7 +674,7 @@ pub fn check_reversal_oracle_with(
         }
         match xform::reverse::reversed_module(module, &inst.function, iv) {
             Ok(reversed) => {
-                validate_against(&mut forward, &reversed, entry, &setup, seeds)?;
+                validate_against(forward, &reversed, entry, setup, seeds)?;
                 oracle.checked += 1;
             }
             Err(reason) => oracle.skipped.push((inst.function.clone(), reason)),
@@ -697,50 +683,77 @@ pub fn check_reversal_oracle_with(
     Ok(oracle)
 }
 
-/// Whole-module transformation plus differential validation: detects all
-/// idiom instances, applies every non-overlapping replacement
-/// ([`xform::transform_module`]) and validates the surviving module
-/// against the original under every seed.
-#[derive(Debug)]
-pub struct ModuleReport {
-    /// The transformation outcomes (transformed module + per-instance
-    /// replaced/shadowed/failed records).
-    pub xform: xform::ModuleXform,
-    /// The differential-validation verdict over all seeds.
-    pub validation: Result<ValidationSummary, ValidationError>,
+// The staged pipeline. Each stage consumes the artifact of the stage
+// before it and dereferences to it, exposing every earlier result.
+
+/// Wall-clock seconds of each pipeline stage (zero until it runs).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageTimes {
+    /// minicc frontend (parse, lower, optimize, verify).
+    pub compile_s: f64,
+    /// Idiom detection over every function.
+    pub detect_s: f64,
+    /// Whole-module transformation (`xform::transform_instances`).
+    pub transform_s: f64,
+    /// Structural IR verification of the transformed module.
+    pub verify_s: f64,
+    /// Multi-seed differential validation.
+    pub validate_s: f64,
+    /// The reversed-iteration witness.
+    pub witness_s: f64,
 }
 
-/// Runs detect → transform-all → execute-and-compare for one program.
-/// The validation runs even when nothing was replaced (it then checks
-/// interpreter determinism for free).
-#[must_use]
-pub fn transform_and_validate_module(
-    module: &Module,
-    entry: &str,
-    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seeds: &[u64],
-) -> ModuleReport {
-    let xf = xform::transform_module(module);
-    let validation = validate_transform(module, &xf.module, entry, setup, seeds);
-    ModuleReport {
-        xform: xf,
-        validation,
+/// Stage 1: the compiled (optimized, verified) original module.
+#[derive(Debug)]
+pub struct Compiled {
+    /// The original module.
+    pub module: Module,
+    /// Stage wall times, filled in as the chain advances.
+    pub times: StageTimes,
+}
+
+/// Compiles `source` with `minicc`: the first stage of the pipeline.
+///
+/// # Errors
+/// The frontend error when `source` does not compile; every later stage
+/// reports through its artifact instead of failing.
+pub fn compile(source: &str, name: &str) -> Result<Compiled, minicc::CompileError> {
+    let mut times = StageTimes::default();
+    let t = Instant::now();
+    let module = minicc::compile(source, name)?;
+    times.compile_s = t.elapsed().as_secs_f64();
+    Ok(Compiled { module, times })
+}
+
+impl Compiled {
+    /// Stage 2: detects every idiom in every function under the default
+    /// solver budgets, recording truncation instead of hiding it.
+    #[must_use]
+    pub fn detect(mut self) -> Detected {
+        let fs: Vec<&ssair::Function> = self.module.functions.iter().collect();
+        let t = Instant::now();
+        let detections = idioms::detect_functions(&fs, &idioms::DetectOptions::default());
+        self.times.detect_s = t.elapsed().as_secs_f64();
+        let incomplete_functions = fs
+            .iter()
+            .zip(&detections)
+            .filter(|(_, d)| !d.complete)
+            .map(|(f, _)| f.name.clone())
+            .collect();
+        Detected {
+            solve_steps: detections.iter().map(|d| d.steps).sum(),
+            pruned_pairs: detections.iter().map(|d| d.pruned_pairs).sum(),
+            instances: detections.into_iter().flat_map(|d| d.instances).collect(),
+            incomplete_functions,
+            compiled: self,
+        }
     }
 }
 
-/// The full Figure-1 pipeline over one C source program, as one reusable
-/// call: compile (`minicc`) → detect every idiom (`idioms`, with explicit
-/// budgets so truncation is observable) → replace every instance
-/// (`xform::transform_module`) → differentially validate the transformed
-/// module against the original under every input seed.
-///
-/// This is the entry point the `progen` fuzz driver and the corpus replay
-/// tests run per generated program; `incomplete_functions` distinguishes
-/// "no instance found" from "the search was cut off".
+/// Stage 2: the detected idiom instances of a [`Compiled`] module.
 #[derive(Debug)]
-pub struct PipelineOutcome {
-    /// The compiled (optimized, verified) original module.
-    pub module: Module,
+pub struct Detected {
+    compiled: Compiled,
     /// Every detected idiom instance, in module order.
     pub instances: Vec<IdiomInstance>,
     /// Functions whose search hit a solver budget (empty = complete).
@@ -748,156 +761,136 @@ pub struct PipelineOutcome {
     /// Total solver assignment steps across all functions and idioms
     /// (skeleton prepass included).
     pub solve_steps: u64,
-    /// Steps of the shared loop-skeleton prepass (a subset of
-    /// `solve_steps`, accounted once per function).
-    pub skeleton_steps: u64,
     /// Idiom×function pairs the fingerprint prepass proved matchless
     /// (skipped with zero solver steps).
     pub pruned_pairs: u64,
-    /// Wall-clock seconds per pipeline stage (frontend compile /
-    /// detection / transformation / validation), so throughput numbers
-    /// can separate the pipeline from its drivers.
-    pub timings: PipelineTimings,
-    /// The whole-module transformation result.
+}
+
+impl std::ops::Deref for Detected {
+    type Target = Compiled;
+    fn deref(&self) -> &Compiled {
+        &self.compiled
+    }
+}
+
+impl Detected {
+    /// Stage 3: replaces every non-overlapping instance
+    /// ([`xform::transform_instances`]) and verifies the transformed
+    /// module's IR.
+    #[must_use]
+    pub fn transform(mut self) -> Transformed {
+        let t = Instant::now();
+        let xform = xform::transform_instances(&self.module, self.instances.clone());
+        self.compiled.times.transform_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let verify_errors = ssair::verify::verify_module(&xform.module)
+            .err()
+            .map(|es| es.iter().map(ToString::to_string).collect())
+            .unwrap_or_default();
+        self.compiled.times.verify_s = t.elapsed().as_secs_f64();
+        Transformed {
+            detected: self,
+            xform,
+            verify_errors,
+        }
+    }
+}
+
+/// Stage 3: the transformed module of a [`Detected`] one.
+#[derive(Debug)]
+pub struct Transformed {
+    detected: Detected,
+    /// The transformation result: transformed module plus per-instance
+    /// replaced/shadowed/failed records.
     pub xform: xform::ModuleXform,
-    /// Structural IR errors of the transformed module
-    /// (`ssair::verify::verify_module` over every function, generated
-    /// kernels included), checked before any fault-injection hook runs.
-    /// Always empty for a correct backend; the suite and corpus drivers
-    /// assert on it.
+    /// Structural IR errors of the honest transformed module
+    /// (`ssair::verify::verify_module`, generated kernels included).
+    /// Always empty for a correct backend.
     pub verify_errors: Vec<String>,
+}
+
+impl std::ops::Deref for Transformed {
+    type Target = Detected;
+    fn deref(&self) -> &Detected {
+        &self.detected
+    }
+}
+
+impl Transformed {
+    /// The transformed module, for fault injection between
+    /// [`Detected::transform`] and [`Transformed::validate`]: the
+    /// verifier has already judged the honest module, so only validation
+    /// sees the damage. `progen`'s canary proves the validator this way.
+    pub fn module_mut(&mut self) -> &mut Module {
+        &mut self.xform.module
+    }
+
+    /// Stage 4: differential validation of the transformed module
+    /// against the original under every seed ([`validate_transform`]).
+    /// It runs even when nothing was replaced (then checking execution
+    /// determinism). The original's runs are kept for
+    /// [`Validated::witness`].
+    pub fn validate<'a, S: Fn(&mut Memory, u64) -> Vec<Value>>(
+        mut self,
+        entry: &'a str,
+        setup: S,
+        seeds: &'a [u64],
+    ) -> Validated<'a, S> {
+        let t = Instant::now();
+        let mut forward = Forward::new(&self.module, Vec::new());
+        let validation = validate_against(&mut forward, &self.xform.module, entry, &setup, seeds);
+        let forward = forward.runs;
+        self.detected.compiled.times.validate_s = t.elapsed().as_secs_f64();
+        Validated {
+            transformed: self,
+            validation,
+            forward,
+            entry,
+            setup,
+            seeds,
+        }
+    }
+}
+
+/// Stage 4: the validation verdict of a [`Transformed`] module.
+pub struct Validated<'a, S> {
+    transformed: Transformed,
     /// The differential-validation verdict over all seeds.
     pub validation: Result<ValidationSummary, ValidationError>,
-    /// The original module's runs validation made, one per seed it
-    /// reached, in seed order: the forward images
-    /// [`check_reversal_oracle_with`] compares reversed variants against.
-    pub forward: Vec<Run>,
+    forward: Vec<Run>,
+    entry: &'a str,
+    setup: S,
+    seeds: &'a [u64],
 }
 
-/// Wall-clock cost of each [`run_pipeline`] stage, in seconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineTimings {
-    /// minicc frontend (parse, lower, optimize, verify).
-    pub compile_s: f64,
-    /// Idiom detection over every function.
-    pub detect_s: f64,
-    /// Whole-module transformation (`xform::transform_instances`).
-    pub transform_s: f64,
-    /// Multi-seed differential validation.
-    pub validate_s: f64,
+impl<S> std::ops::Deref for Validated<'_, S> {
+    type Target = Transformed;
+    fn deref(&self) -> &Transformed {
+        &self.transformed
+    }
 }
 
-/// Runs compile → detect → transform-all → validate on `source`.
-///
-/// # Errors
-/// Returns the frontend error when `source` does not compile; every later
-/// stage reports through [`PipelineOutcome`] instead of failing the call.
-pub fn run_pipeline(
-    source: &str,
-    name: &str,
-    entry: &str,
-    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seeds: &[u64],
-    opts: &idioms::DetectOptions,
-) -> Result<PipelineOutcome, minicc::CompileError> {
-    run_pipeline_with(source, name, entry, setup, seeds, opts, |_| {})
-}
-
-/// [`run_pipeline`] with a fault-injection hook applied to the
-/// transformed module *between* transformation and validation. This is
-/// how the fuzz harness proves the validator end-to-end: `progen`'s
-/// canary corrupts an offloaded call here and the validation stage must
-/// report the divergence. The honest pipeline passes a no-op.
-///
-/// # Errors
-/// As [`run_pipeline`].
-pub fn run_pipeline_with(
-    source: &str,
-    name: &str,
-    entry: &str,
-    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seeds: &[u64],
-    opts: &idioms::DetectOptions,
-    post_transform: impl FnOnce(&mut Module),
-) -> Result<PipelineOutcome, minicc::CompileError> {
-    let t = Instant::now();
-    let module = minicc::compile(source, name)?;
-    let compile_s = t.elapsed().as_secs_f64();
-    let fs: Vec<&ssair::Function> = module.functions.iter().collect();
-    let t = Instant::now();
-    let detections = idioms::detect_functions(&fs, opts);
-    let detect_s = t.elapsed().as_secs_f64();
-    let incomplete_functions: Vec<String> = fs
-        .iter()
-        .zip(&detections)
-        .filter(|(_, d)| !d.complete)
-        .map(|(f, _)| f.name.clone())
-        .collect();
-    let solve_steps = detections.iter().map(|d| d.steps).sum();
-    let skeleton_steps = detections.iter().map(|d| d.skeleton_steps).sum();
-    let pruned_pairs = detections.iter().map(|d| d.pruned_pairs).sum();
-    let instances: Vec<IdiomInstance> = detections.into_iter().flat_map(|d| d.instances).collect();
-    let t = Instant::now();
-    let mut xf = xform::transform_instances(&module, instances.clone());
-    let transform_s = t.elapsed().as_secs_f64();
-    // Structural check of the honest transformed module, before the
-    // fault-injection hook may deliberately damage it.
-    let verify_errors: Vec<String> = ssair::verify::verify_module(&xf.module)
-        .err()
-        .map(|es| es.iter().map(ToString::to_string).collect())
-        .unwrap_or_default();
-    post_transform(&mut xf.module);
-    let t = Instant::now();
-    let mut forward = Forward::new(&module, Vec::new());
-    let validation = validate_against(&mut forward, &xf.module, entry, &setup, seeds);
-    let forward = forward.runs;
-    let validate_s = t.elapsed().as_secs_f64();
-    Ok(PipelineOutcome {
-        module,
-        instances,
-        incomplete_functions,
-        solve_steps,
-        skeleton_steps,
-        pruned_pairs,
-        timings: PipelineTimings {
-            compile_s,
-            detect_s,
-            transform_s,
-            validate_s,
-        },
-        xform: xf,
-        verify_errors,
-        validation,
-        forward,
-    })
-}
-
-/// Applies the first applicable replacement of `kind` in `module` and
-/// validates it differentially under the default seed set
-/// ([`benchsuite::VALIDATION_SEEDS`]).
-///
-/// Returns the transformed module and the replacement description.
-pub fn transform_and_validate(
-    module: &Module,
-    entry: &str,
-    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
-    kind: IdiomKind,
-) -> Result<(Module, xform::Replacement), String> {
-    let inst = idioms::detect_module(module)
-        .into_iter()
-        .find(|i| i.kind == kind)
-        .ok_or_else(|| format!("no {kind:?} instance found"))?;
-    let mut transformed = module.clone();
-    let rep = xform::apply_replacement(&mut transformed, &inst, 0).map_err(|e| e.to_string())?;
-    validate_transform(
-        module,
-        &transformed,
-        entry,
-        setup,
-        &benchsuite::VALIDATION_SEEDS,
-    )
-    .map_err(|e| e.to_string())?;
-    Ok((transformed, rep))
+impl<S: Fn(&mut Memory, u64) -> Vec<Value>> Validated<'_, S> {
+    /// Stage 5: the reversed-iteration witness ([`check_reversal_oracle`])
+    /// over the original module and its detected instances, compared
+    /// against the forward runs validation made.
+    ///
+    /// # Errors
+    /// As [`check_reversal_oracle`].
+    pub fn witness(&mut self) -> Result<ReversalOracle, ValidationError> {
+        let t = Instant::now();
+        let runs = std::mem::take(&mut self.forward);
+        let mut forward = Forward::new(&self.transformed.module, runs);
+        let oracle = witness(
+            &mut forward,
+            &self.transformed.instances,
+            self.entry,
+            &self.setup,
+            self.seeds,
+        );
+        self.transformed.detected.compiled.times.witness_s = t.elapsed().as_secs_f64();
+        oracle
+    }
 }
 
 #[cfg(test)]
@@ -933,29 +926,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transform_and_validate_spmv_benchmark() {
+    /// The whole-module chain over one bundled benchmark, returning the
+    /// replacement of `kind` after asserting that everything validated.
+    fn replaced_in_benchmark(name: &str, kind: IdiomKind) -> xform::Replacement {
         let b = benchsuite::all()
             .into_iter()
-            .find(|b| b.name == "spmv")
+            .find(|b| b.name == name)
             .unwrap();
-        let module = minicc::compile(b.source, b.name).unwrap();
-        let (transformed, rep) = transform_and_validate(&module, b.entry, b.setup, IdiomKind::Spmv)
-            .expect("spmv replacement validates");
-        assert_eq!(rep.callee, "csrmv_f64");
-        assert!(transformed.functions.len() >= module.functions.len());
+        let v = compile(b.source, b.name)
+            .unwrap()
+            .detect()
+            .transform()
+            .validate(b.entry, b.setup, &benchsuite::VALIDATION_SEEDS);
+        assert!(v.verify_errors.is_empty(), "{:?}", v.verify_errors);
+        v.validation.as_ref().expect("replacement validates");
+        v.xform
+            .outcomes
+            .iter()
+            .find_map(|o| match &o.outcome {
+                xform::Outcome::Replaced(rep) if o.instance.kind == kind => Some(rep.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no {kind:?} replaced in {name}"))
     }
 
     #[test]
-    fn transform_and_validate_stencil_benchmark() {
+    fn chain_replaces_and_validates_spmv_benchmark() {
+        assert_eq!(
+            replaced_in_benchmark("spmv", IdiomKind::Spmv).callee,
+            "csrmv_f64"
+        );
+    }
+
+    #[test]
+    fn chain_replaces_and_validates_stencil_benchmark() {
+        let rep = replaced_in_benchmark("stencil", IdiomKind::Stencil2D);
+        assert!(rep.callee.starts_with("halide_st2_"));
+    }
+
+    /// Fault injection through [`Transformed::module_mut`] happens after
+    /// the verifier judged the honest module, so the chain reports clean
+    /// IR and a failing validation.
+    #[test]
+    fn a_tamper_after_transform_passes_verify_and_fails_validate() {
+        let src = "double s(double* x, int n) { double a = 0.0; for (int i = 0; i < n; i++) a += x[i]; return a; }";
+        let setup: SetupFn = |m, seed| {
+            let x = m.alloc_f64_slice(&[1.0, -2.0, 3.5, 0.25, seed as f64]);
+            vec![Value::P(x), Value::I(5)]
+        };
+        let mut t = compile(src, "s").unwrap().detect().transform();
+        assert_eq!(t.xform.replaced(), 1);
+        let f = t.module_mut().function_mut("s").expect("entry function");
+        let call = f
+            .value_ids()
+            .find(|&v| {
+                f.instr(v)
+                    .and_then(|i| i.callee.as_deref())
+                    .is_some_and(|c| c.starts_with("lift_red_"))
+            })
+            .expect("device call present");
+        let bad = f.const_float(Type::F64, 12.5);
+        f.instr_mut(call).expect("call").operands[3] = bad;
+        let v = t.validate("s", setup, &[0, 1]);
+        assert!(v.verify_errors.is_empty(), "{:?}", v.verify_errors);
+        assert!(
+            matches!(
+                v.validation,
+                Err(ValidationError::ReturnValue { seed: 0, .. })
+            ),
+            "the tampered init must fail validation: {:?}",
+            v.validation
+        );
+    }
+
+    /// The witness compares reversed variants against the forward runs
+    /// validation made — not fresh ones: a bit flipped in one of those
+    /// images is reported at its seed, array and index.
+    #[test]
+    fn a_flipped_forward_element_is_reported_at_its_seed_array_and_index() {
         let b = benchsuite::all()
             .into_iter()
             .find(|b| b.name == "stencil")
             .unwrap();
-        let module = minicc::compile(b.source, b.name).unwrap();
-        let (_, rep) = transform_and_validate(&module, b.entry, b.setup, IdiomKind::Stencil2D)
-            .expect("stencil replacement validates");
-        assert!(rep.callee.starts_with("halide_st2_"));
+        let seeds = benchsuite::VALIDATION_SEEDS;
+        let mut v = compile(b.source, b.name)
+            .unwrap()
+            .detect()
+            .transform()
+            .validate(b.entry, b.setup, &seeds);
+        v.validation.as_ref().expect("stencil validates");
+        assert_eq!(v.forward.len(), seeds.len());
+        let k = 1;
+        let run = &mut v.forward[k];
+        let (array, al) = run.mem.allocations()[..run.setup_allocs]
+            .iter()
+            .enumerate()
+            .find(|(_, al)| al.elem == Type::F64 && al.count > 0)
+            .map(|(i, al)| (i, al.clone()))
+            .expect("a double array");
+        let index = al.count / 2;
+        let addr = al.base + (8 * index) as u64;
+        let honest = run.mem.load_f64(addr).expect("in bounds");
+        let flipped = f64::from_bits(honest.to_bits() ^ 1);
+        run.mem.store_f64(addr, flipped).expect("in bounds");
+
+        match v.witness() {
+            Err(ValidationError::Element {
+                seed,
+                array: a,
+                index: i,
+                original,
+                transformed,
+                ..
+            }) => {
+                assert_eq!((seed, a, i), (seeds[k], array, index));
+                assert_eq!(original, Value::F(flipped));
+                assert_eq!(transformed, Value::F(honest));
+            }
+            other => panic!("expected an element divergence, got {other:?}"),
+        }
     }
 
     /// Applies the first replacement of `kind` and hands the transformed

@@ -1,6 +1,7 @@
-//! Per-module analysis: materialize one job, push it through the full
-//! Figure-1 pipeline ([`idiomatch_core::run_pipeline`]) and condense the
-//! outcome into one [`ModuleRecord`].
+//! Per-module analysis: materialize one job, push it through the
+//! Figure-1 stage chain ([`idiomatch_core::compile`] → detect → transform
+//! → validate) and condense the artifacts into one [`ModuleRecord`]. Each
+//! module is compiled once.
 //!
 //! This function runs inside the driver's isolation sandbox: it is
 //! *allowed* to panic or stall — the sandbox converts a panic into a
@@ -18,12 +19,12 @@
 //! `// progen:forbid` directives) know their planted idioms by
 //! construction, so the record additionally carries recall
 //! (`planted`/`planted_hit`) and near-miss `false_positives` counts;
-//! plain `.c` modules without the progen entry point fall back to
-//! detection-only (no transform, `validated: false`).
+//! plain `.c` modules without the progen entry point stop after detection
+//! (no transform, `validated: false`). The reversal witness is not run.
 
 use crate::record::{ModuleRecord, Taxonomy};
 use crate::source::{Job, Payload};
-use idioms::{DetectOptions, IdiomInstance, IdiomKind};
+use idioms::IdiomKind;
 use progen::{generate, parse_case, setup, Spec, FUZZ_SEEDS};
 
 /// Fixture directive: panic inside the sandbox.
@@ -38,7 +39,7 @@ pub(crate) fn analyze_job(job: &Job) -> ModuleRecord {
     match &job.payload {
         Payload::Progen(seed) => {
             let spec = generate(*seed);
-            run_full(&job.id, &spec.render(), &spec.expected(), &spec.forbidden())
+            analyze_source(&job.id, &spec.render(), &spec.expected(), &spec.forbidden())
         }
         Payload::File(path) => {
             let text = match std::fs::read_to_string(path) {
@@ -79,46 +80,56 @@ pub(crate) fn analyze_job(job: &Job) -> ModuleRecord {
                 Ok(case) => (case.expects, case.forbids),
                 Err(_) => (Vec::new(), Vec::new()),
             };
-            let module = match minicc::compile(&text, &job.id) {
-                Ok(m) => m,
-                Err(e) => {
-                    return ModuleRecord::empty(&job.id, 0, Taxonomy::ParseError, e.to_string())
-                }
-            };
-            if module.function(Spec::ENTRY).is_some() {
-                run_full(&job.id, &text, &expects, &forbids)
-            } else {
-                detect_only(&job.id, &module, &expects, &forbids)
-            }
+            analyze_source(&job.id, &text, &expects, &forbids)
         }
     }
 }
 
-/// Full pipeline: compile → detect → replace every instance → multi-seed
-/// differential validation. Requires the progen entry point and input
-/// shape ([`Spec::ENTRY`] + [`setup`]).
-fn run_full(
+/// Compiles and detects `source`; a module with the progen entry point
+/// ([`Spec::ENTRY`], input shape [`setup`]) goes on to replace every
+/// instance and multi-seed differential validation. Without it the record
+/// is detection-only: nothing is transformed and `validated` stays
+/// `false`.
+fn analyze_source(
     id: &str,
     source: &str,
     expects: &[(String, IdiomKind)],
     forbids: &[(String, IdiomKind)],
 ) -> ModuleRecord {
-    let out = match idiomatch_core::run_pipeline(
-        source,
-        id,
-        Spec::ENTRY,
-        setup,
-        &FUZZ_SEEDS,
-        &DetectOptions::default(),
-    ) {
-        Ok(o) => o,
+    let detected = match idiomatch_core::compile(source, id) {
+        Ok(c) => c.detect(),
         Err(e) => return ModuleRecord::empty(id, 0, Taxonomy::ParseError, e.to_string()),
     };
     let mut rec = ModuleRecord::empty(id, 0, Taxonomy::Ok, String::new());
-    fill_counts(&mut rec, &out.instances, out.solve_steps, expects, forbids);
-    rec.pruned_pairs = out.pruned_pairs;
-    rec.compile_ms = out.timings.compile_s * 1e3;
-    rec.exec_ms = out.timings.validate_s * 1e3;
+    for inst in &detected.instances {
+        *rec.instances
+            .entry(inst.kind.constraint_name().to_owned())
+            .or_default() += 1;
+    }
+    rec.detected = detected.instances.len() as u64;
+    rec.solve_steps = detected.solve_steps;
+    rec.pruned_pairs = detected.pruned_pairs;
+    let found = |function: &String, kind: IdiomKind| {
+        detected
+            .instances
+            .iter()
+            .any(|i| &i.function == function && i.kind == kind)
+    };
+    rec.planted = expects.len() as u64;
+    rec.planted_hit = expects.iter().filter(|(f, k)| found(f, *k)).count() as u64;
+    rec.false_positives = forbids.iter().filter(|(f, k)| found(f, *k)).count() as u64;
+    if let Some(f) = detected.incomplete_functions.first() {
+        rec.outcome = Taxonomy::Truncated;
+        rec.detail = format!("solver budget exhausted in {f}");
+    }
+    if detected.module.function(Spec::ENTRY).is_none() {
+        return rec;
+    }
+    let out = detected
+        .transform()
+        .validate(Spec::ENTRY, setup, &FUZZ_SEEDS);
+    rec.compile_ms = out.times.compile_s * 1e3;
+    rec.exec_ms = out.times.validate_s * 1e3;
     rec.replaced = out.xform.replaced() as u64;
     // Legality evidence census: every committed replacement carries a
     // verdict (rejections abort the rewrite, so only Proven /
@@ -143,11 +154,8 @@ fn run_full(
             "transformed module failed the IR verifier: {}",
             out.verify_errors.join("; ")
         );
-    } else if let Some(f) = out.incomplete_functions.first() {
-        rec.outcome = Taxonomy::Truncated;
-        rec.detail = format!("solver budget exhausted in {f}");
-    } else {
-        match out.validation {
+    } else if rec.outcome == Taxonomy::Ok {
+        match &out.validation {
             Ok(_) => rec.validated = true,
             Err(e) => {
                 rec.outcome = Taxonomy::ValidationDivergence;
@@ -156,60 +164,6 @@ fn run_full(
         }
     }
     rec
-}
-
-/// Detection-only fallback for plain `.c` modules without the progen
-/// entry point: instance counts and solver steps are recorded, nothing
-/// is transformed, and `validated` stays `false`.
-fn detect_only(
-    id: &str,
-    module: &ssair::Module,
-    expects: &[(String, IdiomKind)],
-    forbids: &[(String, IdiomKind)],
-) -> ModuleRecord {
-    let fs: Vec<&ssair::Function> = module.functions.iter().collect();
-    let detections = idioms::detect_functions(&fs, &DetectOptions::default());
-    let incomplete = fs
-        .iter()
-        .zip(&detections)
-        .find(|(_, d)| !d.complete)
-        .map(|(f, _)| f.name.clone());
-    let solve_steps: u64 = detections.iter().map(|d| d.steps).sum();
-    let pruned_pairs: u64 = detections.iter().map(|d| d.pruned_pairs).sum();
-    let instances: Vec<IdiomInstance> = detections.into_iter().flat_map(|d| d.instances).collect();
-    let mut rec = ModuleRecord::empty(id, 0, Taxonomy::Ok, String::new());
-    fill_counts(&mut rec, &instances, solve_steps, expects, forbids);
-    rec.pruned_pairs = pruned_pairs;
-    if let Some(f) = incomplete {
-        rec.outcome = Taxonomy::Truncated;
-        rec.detail = format!("solver budget exhausted in {f}");
-    }
-    rec
-}
-
-/// Instance census + expectation bookkeeping shared by both paths.
-fn fill_counts(
-    rec: &mut ModuleRecord,
-    instances: &[IdiomInstance],
-    solve_steps: u64,
-    expects: &[(String, IdiomKind)],
-    forbids: &[(String, IdiomKind)],
-) {
-    for inst in instances {
-        *rec.instances
-            .entry(inst.kind.constraint_name().to_owned())
-            .or_default() += 1;
-    }
-    rec.detected = instances.len() as u64;
-    rec.solve_steps = solve_steps;
-    let found = |function: &String, kind: IdiomKind| {
-        instances
-            .iter()
-            .any(|i| &i.function == function && i.kind == kind)
-    };
-    rec.planted = expects.len() as u64;
-    rec.planted_hit = expects.iter().filter(|(f, k)| found(f, *k)).count() as u64;
-    rec.false_positives = forbids.iter().filter(|(f, k)| found(f, *k)).count() as u64;
 }
 
 #[cfg(test)]

@@ -7,14 +7,27 @@ use crate::CompileError;
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Open recursive-descent levels (see [`MAX_NESTING`]).
+    depth: usize,
 }
+
+/// Deepest nesting of statements, parenthesised (sub)expressions and
+/// prefix operators the parser accepts. Every level is a chain of native
+/// stack frames in the parser (and later in lowering), so an unbounded
+/// depth lets a few kilobytes of source overflow a thread's stack — an
+/// abort no caller can contain. Deeper input is a [`CompileError`].
+const MAX_NESTING: usize = 128;
 
 type Result<T> = std::result::Result<T, CompileError>;
 
 /// Parses a whole translation unit.
 pub fn parse_program(source: &str) -> Result<Program> {
     let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut prog = Program::default();
     while !matches!(p.peek(), Tok::Eof) {
         prog.funcs.push(p.funcdef()?);
@@ -42,6 +55,17 @@ impl Parser {
             line: self.line(),
             message: msg.into(),
         }
+    }
+
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn bump(&mut self) -> Tok {
@@ -141,6 +165,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::stmt_unnested)
+    }
+
+    fn stmt_unnested(&mut self) -> Result<Stmt> {
         let line = self.line();
         if self.eat_punct("{") {
             return Ok(Stmt::Block(self.block_body()?));
@@ -363,6 +391,10 @@ impl Parser {
     }
 
     fn ternary(&mut self) -> Result<Expr> {
+        self.nested(Self::ternary_unnested)
+    }
+
+    fn ternary_unnested(&mut self) -> Result<Expr> {
         let cond = self.or_expr()?;
         if self.eat_punct("?") {
             let then = self.expr()?;
@@ -464,13 +496,13 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Self::unary)?)));
         }
         if self.eat_punct("!") {
-            return Ok(Expr::Not(Box::new(self.unary()?)));
+            return Ok(Expr::Not(Box::new(self.nested(Self::unary)?)));
         }
         if self.eat_punct("+") {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         // Cast: '(' type ')' unary — lookahead for a type keyword.
         if matches!(self.peek(), Tok::Punct("("))
@@ -479,7 +511,7 @@ impl Parser {
             self.bump(); // (
             let ty = self.base_type()?;
             self.expect_punct(")")?;
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
             return Ok(Expr::Cast {
                 ty,
                 expr: Box::new(expr),
@@ -635,6 +667,32 @@ mod tests {
     fn reports_errors_with_lines() {
         let err = parse_program("int f() {\n  return 1 +;\n}").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    /// Every recursive-descent entry counts toward one cap: nesting up to
+    /// it parses, one level more is an error instead of a deeper stack.
+    #[test]
+    fn nesting_past_the_cap_is_a_compile_error() {
+        // The `return` statement and its expression take two levels.
+        let within = MAX_NESTING - 2;
+        let shapes = [
+            |k: usize| format!("return {}1.0{};", "(".repeat(k), ")".repeat(k)),
+            |k: usize| format!("return {}1.0;", "- ".repeat(k)),
+            |k: usize| format!("{}return 1.0;{}", "{".repeat(k), "}".repeat(k)),
+            |k: usize| format!("{}return 1.0;", "if (n) ".repeat(k)),
+            |k: usize| format!("return {}1.0;", "n ? 1.0 : ".repeat(k)),
+        ];
+        for shape in shapes {
+            let src = |k| format!("double f(int n) {{ {} }}", shape(k));
+            parse_program(&src(within)).unwrap_or_else(|e| panic!("{}: {e}", shape(1)));
+            let err = parse_program(&src(within + 1)).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                "{}",
+                shape(1)
+            );
+        }
     }
 
     #[test]

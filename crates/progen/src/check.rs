@@ -7,7 +7,7 @@
 
 use crate::spec::{setup, Spec};
 use idiomatch_core::{ValidationError, ValidationSummary};
-use idioms::{DetectOptions, IdiomKind};
+use idioms::IdiomKind;
 use ssair::{Module, Opcode, Type};
 
 /// Input seeds every generated program is validated under (the suite's
@@ -209,9 +209,9 @@ pub fn check(spec: &Spec, canary: Canary) -> Result<Checked, Failure> {
 
 /// [`check`] over already-rendered source + expectations: the shared
 /// engine behind spec checking and corpus replay. The pipeline itself is
-/// [`idiomatch_core::run_pipeline_with`] (the canary is its
-/// fault-injection hook); this function layers the generator's
-/// guarantees on the outcome.
+/// the [`idiomatch_core::compile`] stage chain (the canary tampers with
+/// the transformed module between transform and validate); this function
+/// layers the generator's guarantees on its artifacts.
 pub(crate) fn check_source(
     source: &str,
     name: &str,
@@ -220,25 +220,18 @@ pub(crate) fn check_source(
     adversaries: &[String],
     canary: Canary,
 ) -> Result<Checked, Failure> {
-    let mut out = idiomatch_core::run_pipeline_with(
-        source,
-        name,
-        Spec::ENTRY,
-        setup,
-        &FUZZ_SEEDS,
-        &DetectOptions::default(),
-        |m| {
-            canary.tamper(m);
-        },
-    )
-    .map_err(|e| Failure::Compile(e.to_string()))?;
+    let mut out = idiomatch_core::compile(source, name)
+        .map_err(|e| Failure::Compile(e.to_string()))?
+        .detect()
+        .transform();
+    canary.tamper(out.module_mut());
     if let Some(function) = out.incomplete_functions.first() {
         return Err(Failure::Truncated {
             function: function.clone(),
         });
     }
     // The transformed module must be structurally well-formed before any
-    // semantic comparison (the verifier runs on the honest module, before
+    // semantic comparison (the verifier ran on the honest module, before
     // the canary's deliberate tampering).
     if let Some(error) = out.verify_errors.first() {
         return Err(Failure::InvalidIr {
@@ -318,19 +311,9 @@ pub(crate) fn check_source(
     // dynamically: the original program re-run with the certified loop
     // reversed must match the forward run bitwise. The forward runs are
     // the ones validation already made.
-    let t = std::time::Instant::now();
-    let reversal = idiomatch_core::check_reversal_oracle_with(
-        &out.module,
-        &out.instances,
-        Spec::ENTRY,
-        setup,
-        &FUZZ_SEEDS,
-        std::mem::take(&mut out.forward),
-    )
-    .map_err(Failure::ReversalDiverged)?;
-    let reversal_s = t.elapsed().as_secs_f64();
-
-    let validation = out.validation.map_err(Failure::Validation)?;
+    let mut out = out.validate(Spec::ENTRY, setup, &FUZZ_SEEDS);
+    let reversal = out.witness().map_err(Failure::ReversalDiverged)?;
+    let validation = out.validation.clone().map_err(Failure::Validation)?;
     Ok(Checked {
         functions: out.module.functions.len(),
         planted: expected.len(),
@@ -338,9 +321,9 @@ pub(crate) fn check_source(
         detected: out.xform.outcomes.len(),
         replaced: out.xform.replaced(),
         solve_steps: out.solve_steps,
-        detect_s: out.timings.detect_s,
-        detect_replace_s: out.timings.detect_s + out.timings.transform_s,
-        execute_s: out.timings.validate_s + reversal_s,
+        detect_s: out.times.detect_s,
+        detect_replace_s: out.times.detect_s + out.times.transform_s,
+        execute_s: out.times.validate_s + out.times.witness_s,
         reversal_checked: reversal.checked,
         validation,
     })

@@ -76,16 +76,11 @@ fn aliased_stencil_is_detected_but_refused_by_call_site_facts() {
     // the whole-module call-site facts (the entry passes d2 twice) stop
     // the rewrite. Pin all three stages: detected, attempted, refused.
     let spec = one_adversary(AdversaryKind::AliasedParams);
-    let out = idiomatch_core::run_pipeline_with(
-        &spec.render(),
-        "adv_alias",
-        progen::Spec::ENTRY,
-        progen::setup,
-        &progen::FUZZ_SEEDS,
-        &idioms::DetectOptions::default(),
-        |_| {},
-    )
-    .expect("adversary program compiles and validates");
+    let out = idiomatch_core::compile(&spec.render(), "adv_alias")
+        .expect("adversary program compiles")
+        .detect()
+        .transform()
+        .validate(progen::Spec::ENTRY, progen::setup, &progen::FUZZ_SEEDS);
     assert!(
         out.instances
             .iter()
@@ -111,8 +106,9 @@ fn aliased_stencil_is_detected_but_refused_by_call_site_facts() {
         );
     }
     // And the original loop survives untouched, so the program still
-    // validates (run_pipeline_with already checked that above).
+    // validates.
     assert_eq!(out.xform.replaced(), 0);
+    assert!(out.validation.is_ok(), "{:?}", out.validation);
 }
 
 #[test]

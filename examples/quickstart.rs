@@ -6,7 +6,9 @@
 //!     cargo run --example quickstart
 
 use idiomatch::core as pipeline;
+use idiomatch::idioms::IdiomKind;
 use idiomatch::interp::{compile_module, Value, Vm};
+use idiomatch::xform::Outcome;
 
 fn main() {
     let source = "double dot(double* x, double* y, int n) {
@@ -15,13 +17,16 @@ fn main() {
         return acc;
     }";
     // 1. clang's role: C -> optimized SSA IR.
-    let module = idiomatch::minicc::compile(source, "quickstart").expect("compiles");
-    println!("== optimized IR ==\n{}", module.function("dot").unwrap());
+    let compiled = pipeline::compile(source, "quickstart").expect("compiles");
+    println!(
+        "== optimized IR ==\n{}",
+        compiled.module.function("dot").unwrap()
+    );
 
     // 2. Idiom detection (IDL + constraint solver).
-    let f = module.function("dot").unwrap();
-    let instances = idiomatch::idioms::detect(f);
-    for inst in &instances {
+    let detected = compiled.detect();
+    let f = detected.module.function("dot").unwrap();
+    for inst in &detected.instances {
         println!(
             "detected {:?} anchored at {}",
             inst.kind,
@@ -34,24 +39,37 @@ fn main() {
     }
 
     // 3. Replacement: outline the reduction operator, generate device
-    //    code (the Lift path), link it in.
-    let (transformed, rep) = pipeline::transform_and_validate(
-        &module,
+    //    code (the Lift path), link it in, and validate the result
+    //    against the original under several seeded inputs.
+    let validated = detected.transform().validate(
         "dot",
         |mem, seed| {
             let x = mem.alloc_f64_slice(&[1.0 + seed as f64, 2.0, 3.0, 4.0]);
             let y = mem.alloc_f64_slice(&[0.5, 0.5, 0.5, 0.5]);
             vec![Value::P(x), Value::P(y), Value::I(4)]
         },
-        idiomatch::idioms::IdiomKind::Reduction,
-    )
-    .expect("replacement validates");
+        &idiomatch::benchsuite::VALIDATION_SEEDS,
+    );
+    validated
+        .validation
+        .as_ref()
+        .expect("replacement validates");
+    let rep = validated
+        .xform
+        .outcomes
+        .iter()
+        .find_map(|o| match &o.outcome {
+            Outcome::Replaced(rep) if o.instance.kind == IdiomKind::Reduction => Some(rep),
+            _ => None,
+        })
+        .expect("reduction replaced");
+    let transformed = &validated.xform.module;
     println!("\n== replaced with a call to @{} ==", rep.callee);
     println!("{}", transformed.function("dot").unwrap());
 
     // 4. Run the transformed program: lower it to bytecode once, run it
     //    on the VM.
-    let code = compile_module(&transformed);
+    let code = compile_module(transformed);
     let mut vm = Vm::new(&code);
     idiomatch::hetero::hosts::register_all(&mut vm);
     let x = vm.mem.alloc_f64_slice(&[1.0, 2.0, 3.0, 4.0]);

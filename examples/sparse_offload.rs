@@ -7,6 +7,7 @@
 use idiomatch::core as pipeline;
 use idiomatch::idioms::IdiomKind;
 use idiomatch::interp::{compile_module, Value, Vm};
+use idiomatch::xform::Outcome;
 
 const CG_KERNEL: &str = "
 void spmv(double* a, int* rowstr, int* colidx, double* z, double* r, int m) {
@@ -35,10 +36,12 @@ fn setup(mem: &mut idiomatch::interp::Memory, seed: u64) -> Vec<Value> {
 }
 
 fn main() {
-    let module = idiomatch::minicc::compile(CG_KERNEL, "cg").expect("compiles");
-    let f = module.function("spmv").unwrap();
-    let insts = idiomatch::idioms::detect(f);
-    let spmv = insts
+    let detected = pipeline::compile(CG_KERNEL, "cg")
+        .expect("compiles")
+        .detect();
+    let f = detected.module.function("spmv").unwrap();
+    let spmv = detected
+        .instances
         .iter()
         .find(|i| i.kind == IdiomKind::Spmv)
         .expect("SPMV detected");
@@ -58,13 +61,28 @@ fn main() {
         println!("  {var:>24} = {}", f.display_name(spmv.value(var).unwrap()));
     }
 
-    let (transformed, rep) =
-        pipeline::transform_and_validate(&module, "spmv", setup, IdiomKind::Spmv)
-            .expect("replacement validates");
+    let validated =
+        detected
+            .transform()
+            .validate("spmv", setup, &idiomatch::benchsuite::VALIDATION_SEEDS);
+    validated
+        .validation
+        .as_ref()
+        .expect("replacement validates");
+    let rep = validated
+        .xform
+        .outcomes
+        .iter()
+        .find_map(|o| match &o.outcome {
+            Outcome::Replaced(rep) if o.instance.kind == IdiomKind::Spmv => Some(rep),
+            _ => None,
+        })
+        .expect("SPMV replaced");
+    let transformed = &validated.xform.module;
     println!("\n== Figure 6: generated call ==  @{}", rep.callee);
     println!("{}", transformed.function("spmv").unwrap());
 
-    let code = compile_module(&transformed);
+    let code = compile_module(transformed);
     let mut vm = Vm::new(&code);
     idiomatch::hetero::hosts::register_all(&mut vm);
     let args = setup(&mut vm.mem, idiomatch::benchsuite::CANONICAL_SEED);

@@ -90,3 +90,37 @@ fn crash_and_timeout_are_contained_within_a_shard() {
     let _ = std::fs::remove_dir_all(&corpus_dir);
     let _ = std::fs::remove_dir_all(&state);
 }
+
+#[test]
+fn a_deeply_nested_one_liner_is_a_parse_error_not_an_abort() {
+    // 1,000 nested parentheses: ~2 KB of source that used to overflow
+    // the sandbox thread's stack inside the parser and abort the batch.
+    let corpus_dir = scratch("corpus_deep_src");
+    let deep = format!(
+        "double fz_entry(double* a) {{ return {}1.0{}; }}\n",
+        "(".repeat(1000),
+        ")".repeat(1000)
+    );
+    std::fs::write(corpus_dir.join("a_deep.c"), deep).unwrap();
+    std::fs::write(corpus_dir.join("b_ok.c"), OK_SOURCE).unwrap();
+
+    let state = scratch("corpus_deep_state");
+    let summary = run(&RunConfig::new(
+        Source::dir(&corpus_dir).expect("dir source"),
+        &state,
+    ))
+    .expect("run survives the hostile module");
+
+    assert!(summary.complete);
+    assert_eq!(summary.records.len(), 2);
+    let deep = &summary.records[0];
+    assert_eq!(deep.module, "a_deep.c");
+    assert_eq!(deep.outcome, Taxonomy::ParseError);
+    assert!(deep.detail.contains("nesting"), "got {:?}", deep.detail);
+    let ok = &summary.records[1];
+    assert_eq!(ok.outcome, Taxonomy::Ok, "{}", ok.detail);
+    assert_eq!(ok.planted_hit, 1);
+
+    let _ = std::fs::remove_dir_all(&corpus_dir);
+    let _ = std::fs::remove_dir_all(&state);
+}

@@ -4,6 +4,8 @@
 use idiomatch::core as pipeline;
 use idiomatch::idioms::IdiomKind;
 use idiomatch::interp::{Machine, Value};
+use idiomatch::ssair::Module;
+use idiomatch::xform::{Outcome, Replacement};
 
 #[test]
 fn every_idiom_kind_round_trips_end_to_end() {
@@ -45,11 +47,37 @@ fn every_idiom_kind_round_trips_end_to_end() {
         },
     ];
     for c in cases {
-        let module = idiomatch::minicc::compile(c.src, "case").expect("compiles");
-        let (_, rep) = pipeline::transform_and_validate(&module, c.entry, c.setup, c.kind)
-            .unwrap_or_else(|e| panic!("{:?}: {e}", c.kind));
+        let (_, rep) = replaced(c.src, c.entry, c.setup, c.kind);
         assert_eq!(rep.kind, c.kind);
     }
+}
+
+/// The whole-module pipeline over `src`: asserts that it validated and
+/// returns the transformed module with the replacement of `kind`.
+fn replaced(
+    src: &str,
+    entry: &str,
+    setup: idiomatch::core::SetupFn,
+    kind: IdiomKind,
+) -> (Module, Replacement) {
+    let v = pipeline::compile(src, "case")
+        .expect("compiles")
+        .detect()
+        .transform()
+        .validate(entry, setup, &idiomatch::benchsuite::VALIDATION_SEEDS);
+    if let Err(e) = &v.validation {
+        panic!("{kind:?}: {e}");
+    }
+    let rep = v
+        .xform
+        .outcomes
+        .iter()
+        .find_map(|o| match &o.outcome {
+            Outcome::Replaced(rep) if o.instance.kind == kind => Some(rep.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no {kind:?} replaced"));
+    (v.xform.module.clone(), rep)
 }
 
 #[test]
@@ -88,10 +116,7 @@ fn transformed_spmv_runs_on_the_simulated_library() {
         .into_iter()
         .find(|b| b.name == "spmv")
         .unwrap();
-    let module = idiomatch::minicc::compile(b.source, b.name).unwrap();
-    let (transformed, rep) =
-        pipeline::transform_and_validate(&module, b.entry, b.setup, IdiomKind::Spmv)
-            .expect("validates");
+    let (transformed, rep) = replaced(b.source, b.entry, b.setup, IdiomKind::Spmv);
     assert_eq!(rep.callee, "csrmv_f64");
     // And it actually executes through the registered host.
     let mut vm = Machine::new(&transformed);

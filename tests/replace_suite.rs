@@ -17,10 +17,15 @@ fn every_benchmark_transforms_fully_and_validates() {
     let mut detected = 0usize;
     let mut replaced = 0usize;
     for b in benchsuite::all() {
-        let module = idiomatch::minicc::compile(b.source, b.name).unwrap();
-        let report = pipeline::transform_and_validate_module(&module, b.entry, b.setup, seeds);
+        let report = pipeline::compile(b.source, b.name)
+            .unwrap()
+            .detect()
+            .transform()
+            .validate(b.entry, b.setup, seeds);
+        assert!(report.verify_errors.is_empty(), "{}", b.name);
         let summary = report
             .validation
+            .as_ref()
             .unwrap_or_else(|e| panic!("{}: validation failed: {e}", b.name));
         assert_eq!(summary.seeds, seeds.len(), "{}", b.name);
         assert!(

@@ -6,9 +6,10 @@
 //! [`Module`] and reused across every validation seed, the reversal oracle
 //! and every host-dispatched kernel launch:
 //!
-//! * operands become plain indices into a dense `Vec<Value>` register file
-//!   (no `Option` unwrap, no const-vs-reg match per operand) — constants
-//!   are folded into the per-function `init_regs` template;
+//! * operands become plain indices into the function's frame, a dense
+//!   window of the VM's one register stack (no `Option` unwrap, no
+//!   const-vs-reg match per operand) — constants are folded into the
+//!   per-function `init_regs` template a call pushes;
 //! * phi nodes are eliminated into per-CFG-edge parallel-move snippets
 //!   ([`Op::PhiMoves`]), so block entry is a handful of register moves;
 //! * branch targets are pc offsets into one contiguous code array;

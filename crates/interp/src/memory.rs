@@ -43,6 +43,18 @@ fn over_cap(ty: &Type, n: usize) -> String {
     )
 }
 
+/// The error for an `n`-byte access at `addr` that [`Memory::offset`]
+/// refused (cold: no correct program reaches it).
+#[cold]
+#[inline(never)]
+fn access_fault(addr: u64, n: usize) -> String {
+    if addr == 0 {
+        "null pointer access".into()
+    } else {
+        format!("out-of-bounds access at {addr} (+{n})")
+    }
+}
+
 /// Linear memory.
 #[derive(Clone)]
 pub struct Memory {
@@ -105,103 +117,111 @@ impl Memory {
     /// Allocates like [`Memory::alloc`] on behalf of the executed program
     /// (`alloca`): fails instead of growing the memory image past
     /// [`Memory::MAX_BYTES`], so a hostile size is an error, not an abort.
+    pub fn try_alloc(&mut self, ty: &Type, n: usize) -> Result<u64, String> {
+        self.alloc_within_cap(ty, n).ok_or_else(|| over_cap(ty, n))
+    }
+
+    /// [`Memory::try_alloc`] without the message: `None` leaves the memory
+    /// untouched.
     // Out of line (as are the cold error constructors): code inlined into
     // the VM's dispatch loop slowed its suite-run programs by up to ~10%.
     #[inline(never)]
-    pub fn try_alloc(&mut self, ty: &Type, n: usize) -> Result<u64, String> {
+    pub(crate) fn alloc_within_cap(&mut self, ty: &Type, n: usize) -> Option<u64> {
         let base = (self.bytes.len() + 7) & !7;
         let end = ty
             .size_bytes()
             .checked_mul(n)
-            .and_then(|bytes| bytes.checked_add(base));
-        if end.is_none_or(|end| end > Memory::MAX_BYTES) {
-            return Err(over_cap(ty, n));
-        }
-        Ok(self.alloc(ty, n))
+            .and_then(|bytes| bytes.checked_add(base))?;
+        (end <= Memory::MAX_BYTES).then(|| self.alloc(ty, n))
     }
 
-    fn check(&self, addr: u64, n: usize) -> Result<usize, String> {
+    /// The byte offset of the `n`-byte access at `addr`, or `None` when it
+    /// is null, wraps past the top of the address space or ends past the
+    /// image. These are the only conditions under which a typed accessor
+    /// fails.
+    #[inline]
+    pub(crate) fn offset(&self, addr: u64, n: usize) -> Option<usize> {
         let a = addr as usize;
-        if addr == 0 {
-            return Err("null pointer access".into());
+        if addr == 0 || a.checked_add(n).is_none_or(|end| end > self.bytes.len()) {
+            return None;
         }
-        if a.checked_add(n).is_none_or(|end| end > self.bytes.len()) {
-            return Err(format!("out-of-bounds access at {addr} (+{n})"));
-        }
-        Ok(a)
+        Some(a)
+    }
+
+    /// The `N` bytes at `addr`, or `None` where [`Memory::offset`] refuses
+    /// the access: the typed loads without their messages, for the VM's
+    /// dispatch loop.
+    #[inline]
+    pub(crate) fn read<const N: usize>(&self, addr: u64) -> Option<[u8; N]> {
+        let a = self.offset(addr, N)?;
+        self.bytes[a..].first_chunk().copied()
+    }
+
+    /// Writes `v` at `addr`, or returns `None` (writing nothing) where
+    /// [`Memory::offset`] refuses the access.
+    #[inline]
+    pub(crate) fn write<const N: usize>(&mut self, addr: u64, v: [u8; N]) -> Option<()> {
+        let a = self.offset(addr, N)?;
+        *self.bytes[a..].first_chunk_mut()? = v;
+        Some(())
+    }
+
+    fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], String> {
+        self.read(addr).ok_or_else(|| access_fault(addr, N))
+    }
+
+    fn store<const N: usize>(&mut self, addr: u64, v: [u8; N]) -> Result<(), String> {
+        self.write(addr, v).ok_or_else(|| access_fault(addr, N))
     }
 
     /// Loads an `i64` (or pointer) value.
     pub fn load_i64(&self, addr: u64) -> Result<i64, String> {
-        let a = self.check(addr, 8)?;
-        Ok(i64::from_le_bytes(
-            self.bytes[a..a + 8].try_into().expect("8 bytes"),
-        ))
+        self.load(addr).map(i64::from_le_bytes)
     }
 
     /// Stores an `i64` (or pointer) value.
     pub fn store_i64(&mut self, addr: u64, v: i64) -> Result<(), String> {
-        let a = self.check(addr, 8)?;
-        self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.store(addr, v.to_le_bytes())
     }
 
     /// Loads an `i32` value (sign-preserved in `i64`).
     pub fn load_i32(&self, addr: u64) -> Result<i64, String> {
-        let a = self.check(addr, 4)?;
-        Ok(i64::from(i32::from_le_bytes(
-            self.bytes[a..a + 4].try_into().expect("4 bytes"),
-        )))
+        self.load(addr).map(|b| i64::from(i32::from_le_bytes(b)))
     }
 
     /// Stores an `i32` value (truncating).
     pub fn store_i32(&mut self, addr: u64, v: i64) -> Result<(), String> {
-        let a = self.check(addr, 4)?;
-        self.bytes[a..a + 4].copy_from_slice(&(v as i32).to_le_bytes());
-        Ok(())
+        self.store(addr, (v as i32).to_le_bytes())
     }
 
     /// Loads an `i1` value.
     pub fn load_i8(&self, addr: u64) -> Result<i64, String> {
-        let a = self.check(addr, 1)?;
-        Ok(i64::from(self.bytes[a]))
+        self.load(addr).map(|[b]| i64::from(b))
     }
 
     /// Stores an `i1` value.
     pub fn store_i8(&mut self, addr: u64, v: i64) -> Result<(), String> {
-        let a = self.check(addr, 1)?;
-        self.bytes[a] = (v & 1) as u8;
-        Ok(())
+        self.store(addr, [(v & 1) as u8])
     }
 
     /// Loads an `f64`.
     pub fn load_f64(&self, addr: u64) -> Result<f64, String> {
-        let a = self.check(addr, 8)?;
-        Ok(f64::from_le_bytes(
-            self.bytes[a..a + 8].try_into().expect("8 bytes"),
-        ))
+        self.load(addr).map(f64::from_le_bytes)
     }
 
     /// Stores an `f64`.
     pub fn store_f64(&mut self, addr: u64, v: f64) -> Result<(), String> {
-        let a = self.check(addr, 8)?;
-        self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.store(addr, v.to_le_bytes())
     }
 
     /// Loads an `f32` widened to `f64`.
     pub fn load_f32(&self, addr: u64) -> Result<f64, String> {
-        let a = self.check(addr, 4)?;
-        Ok(f64::from(f32::from_le_bytes(
-            self.bytes[a..a + 4].try_into().expect("4 bytes"),
-        )))
+        self.load(addr).map(|b| f64::from(f32::from_le_bytes(b)))
     }
 
     /// Stores an `f32` (narrowing).
     pub fn store_f32(&mut self, addr: u64, v: f64) -> Result<(), String> {
-        let a = self.check(addr, 4)?;
-        self.bytes[a..a + 4].copy_from_slice(&(v as f32).to_le_bytes());
-        Ok(())
+        self.store(addr, (v as f32).to_le_bytes())
     }
 
     // ----- bulk helpers for harnesses and tests -----
@@ -507,6 +527,51 @@ mod tests {
         assert!(view.load_f64(wrapped).is_err());
         assert!(win.load_f64(wrapped).is_err());
         assert!(win.store_f64(wrapped, 1.0).is_err());
+    }
+
+    #[test]
+    fn fast_accessors_fail_exactly_where_the_typed_ones_do() {
+        // The VM's message-free `read`/`write` against the typed accessors
+        // at the boundaries: null, the last access that fits, one byte
+        // past it, and an address whose end wraps past the top.
+        let mut m = Memory::new();
+        m.alloc(&Type::I64, 3);
+        let len = m.size() as u64;
+        for (addr, fits) in [
+            (0, false),
+            (len - 8, true),
+            (len - 7, false),
+            (u64::MAX - 2, false),
+        ] {
+            assert_eq!(m.read::<8>(addr).is_some(), fits, "read at {addr}");
+            assert_eq!(m.load_f64(addr).is_ok(), fits, "load_f64 at {addr}");
+            assert_eq!(m.write(addr, [0; 8]).is_some(), fits, "write at {addr}");
+            assert_eq!(m.store_i64(addr, 0).is_ok(), fits, "store_i64 at {addr}");
+        }
+        for (addr, fits) in [
+            (0, false),
+            (len - 4, true),
+            (len - 3, false),
+            (u64::MAX - 2, false),
+        ] {
+            assert_eq!(m.read::<4>(addr).is_some(), fits, "read at {addr}");
+            assert_eq!(m.load_i32(addr).is_ok(), fits, "load_i32 at {addr}");
+            assert_eq!(m.write(addr, [0; 4]).is_some(), fits, "write at {addr}");
+            assert_eq!(m.store_f32(addr, 0.0).is_ok(), fits, "store_f32 at {addr}");
+        }
+        for (addr, fits) in [
+            (0, false),
+            (len - 1, true),
+            (len, false),
+            (u64::MAX - 2, false),
+        ] {
+            assert_eq!(m.read::<1>(addr).is_some(), fits, "read at {addr}");
+            assert_eq!(m.load_i8(addr).is_ok(), fits, "load_i8 at {addr}");
+        }
+        // A refused write leaves the image untouched.
+        let image = m.bytes().to_vec();
+        assert!(m.write(len - 7, [0xFF; 8]).is_none());
+        assert_eq!(m.bytes(), &image[..]);
     }
 
     #[test]

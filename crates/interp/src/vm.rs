@@ -11,6 +11,27 @@
 //! Verified IR ([`ssair::verify`]) compiles in full. A function the
 //! compiler refused is never executed: calling it is an [`ExecError`]
 //! naming the function.
+//!
+//! **One loop, no host recursion.** Every frame lives on one register
+//! stack owned by the [`Vm`]: a frame is an offset into it, holding the
+//! callee's `init_regs` template with the arguments copied straight from
+//! the caller's registers. A call to a module function pushes a return
+//! frame and keeps dispatching; `ret` truncates the stack and pops it.
+//! Program recursion therefore never recurses on the Rust stack, and a
+//! warm [`Vm`] makes no heap allocation per call: the register stack, the
+//! return frames and the one scratch buffer (phi moves and host or
+//! intrinsic arguments) keep their capacity across calls and runs. The
+//! register stack is capped at `MAX_STACK_REGS` values; a call past the
+//! cap is an [`ExecError`] ("call stack exhausted"), not an out-of-memory
+//! abort.
+//!
+//! **Checks without messages.** Inside the loop, operand type checks and
+//! memory bounds checks return `Option`, with no `String` in sight. When
+//! one fails, a single cold path (`fault`) replays the failing op
+//! through the message-carrying accessors ([`Value::try_i`],
+//! [`Memory::load_f64`], …) and returns exactly the walker's error.
+//! Profiling is a `const` parameter of the loop, so the unprofiled
+//! instantiation carries no counter code at all.
 
 use crate::bytecode::{
     CallSite, CallTarget, CompiledFunction, CompiledModule, FloatOp, IntOp, MemKind, Op, NO_VID,
@@ -22,6 +43,13 @@ use ssair::{FCmpPred, ICmpPred};
 
 type Result<T> = std::result::Result<T, ExecError>;
 
+/// The most registers the call stack may hold at once (64 MiB of
+/// [`Value`]s): far above any bundled or generated program (the deepest
+/// chain of the 21 benchmarks and progen seeds 0..2000 holds 4 frames and
+/// 323 registers), and low enough that runaway recursion is an error long
+/// before it is an out-of-memory abort.
+const MAX_STACK_REGS: usize = 1 << 22;
+
 fn err(msg: impl Into<String>) -> ExecError {
     ExecError {
         message: msg.into(),
@@ -29,14 +57,43 @@ fn err(msg: impl Into<String>) -> ExecError {
 }
 
 /// The error for calling a function the compiler refused (verified IR
-/// never does). Cold and out of line to keep formatting code out of the
-/// dispatch loop (see `Memory::try_alloc`).
+/// never does). Cold and out of line, like every error constructor here,
+/// to keep formatting code out of the dispatch loop.
 #[cold]
 #[inline(never)]
 fn refused(name: &str) -> ExecError {
     err(format!(
         "@{name} did not compile to bytecode (malformed IR: run ssair::verify)"
     ))
+}
+
+#[cold]
+#[inline(never)]
+fn wrong_arity(cf: &CompiledFunction, got: usize) -> ExecError {
+    err(format!(
+        "@{} expects {} arguments, got {got}",
+        cf.name, cf.arity
+    ))
+}
+
+#[cold]
+#[inline(never)]
+fn stack_exhausted() -> ExecError {
+    err(format!(
+        "call stack exhausted: a call would hold more than {MAX_STACK_REGS} registers (runaway recursion?)"
+    ))
+}
+
+/// A caller waiting for its callee to return.
+struct Frame<'c> {
+    cf: &'c CompiledFunction,
+    fidx: u32,
+    /// Offset of the caller's registers in the register stack.
+    base: u32,
+    /// Where the caller resumes.
+    pc: u32,
+    /// The caller's register that receives the return value.
+    dst: u32,
 }
 
 /// The bytecode executor. Create once per run from a shared
@@ -55,6 +112,12 @@ pub struct Vm<'c> {
     /// Dense per-function execution counts, indexed by module function
     /// index then `ValueId` (only allocated when profiling).
     counts: Vec<Vec<u64>>,
+    /// Every live frame's registers, innermost last.
+    regs: Vec<Value>,
+    /// The callers of the innermost frame, innermost last.
+    frames: Vec<Frame<'c>>,
+    /// Phi-move sources and host/intrinsic arguments.
+    scratch: Vec<Value>,
 }
 
 impl<'c> Vm<'c> {
@@ -70,6 +133,9 @@ impl<'c> Vm<'c> {
             steps: 0,
             profiling: false,
             counts: Vec::new(),
+            regs: Vec::new(),
+            frames: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -109,298 +175,524 @@ impl<'c> Vm<'c> {
     /// Runs `func` with `args`; returns its return value (`I(0)` for
     /// void).
     pub fn run(&mut self, func: &str, args: &[Value]) -> Result<Value> {
-        let Some(&idx) = self.compiled.func_index.get(func) else {
+        let compiled = self.compiled;
+        let Some(&idx) = compiled.func_index.get(func) else {
             return Err(err(format!("no function named {func:?}")));
         };
-        self.call_function(idx as usize, args)
-    }
-
-    fn call_function(&mut self, idx: usize, args: &[Value]) -> Result<Value> {
-        let compiled = self.compiled;
-        match &compiled.funcs[idx] {
-            Some(cf) => self.exec_compiled(idx, cf, args),
-            None => Err(refused(&compiled.module.functions[idx].name)),
-        }
-    }
-
-    #[inline]
-    fn bump(&mut self, fidx: usize, vid: u32) {
-        if self.counts.len() <= fidx {
-            self.counts.resize(self.compiled.funcs.len(), Vec::new());
-        }
-        let c = &mut self.counts[fidx];
-        if c.len() <= vid as usize {
-            c.resize(
-                self.compiled.module.functions[fidx]
-                    .num_values()
-                    .max(vid as usize + 1),
-                0,
-            );
-        }
-        c[vid as usize] += 1;
-    }
-
-    fn exec_compiled(
-        &mut self,
-        fidx: usize,
-        cf: &'c CompiledFunction,
-        args: &[Value],
-    ) -> Result<Value> {
+        let idx = idx as usize;
+        let Some(cf) = &compiled.funcs[idx] else {
+            return Err(refused(&compiled.module.functions[idx].name));
+        };
         if args.len() != cf.arity {
-            return Err(err(format!(
-                "@{} expects {} arguments, got {}",
-                cf.name,
-                cf.arity,
-                args.len()
-            )));
+            return Err(wrong_arity(cf, args.len()));
         }
-        let mut regs = cf.init_regs.clone();
+        self.regs.clear();
+        self.frames.clear();
+        if push_frame(&mut self.regs, cf).is_none() {
+            return Err(stack_exhausted());
+        }
         for (&p, &a) in cf.params.iter().zip(args) {
-            regs[p as usize] = a;
+            self.regs[p as usize] = a;
         }
-        // Parallel-move scratch, reused across phi snippets (no per-edge
-        // allocation).
-        let mut scratch: Vec<Value> = Vec::new();
-        let mut pc = 0usize;
-        loop {
-            if let Op::PhiMoves { moves, target } = &cf.code[pc] {
-                scratch.clear();
-                for mv in moves.iter() {
-                    self.steps += 1;
-                    if self.steps > self.max_steps {
-                        return Err(err("step limit exceeded (infinite loop?)"));
-                    }
-                    scratch.push(regs[mv.src as usize]);
-                    if self.profiling {
-                        self.bump(fidx, mv.dst);
-                    }
-                }
-                for (mv, &val) in moves.iter().zip(&scratch) {
-                    regs[mv.dst as usize] = val;
-                }
-                pc = *target as usize;
-                continue;
-            }
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                return Err(err("step limit exceeded (infinite loop?)"));
-            }
-            if self.profiling {
-                let vid = cf.vids[pc];
-                if vid != NO_VID {
-                    self.bump(fidx, vid);
-                }
-            }
-            match &cf.code[pc] {
-                Op::IntBin {
-                    op,
-                    wrap,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    let a = regs[*a as usize].try_i().map_err(err)?;
-                    let b = regs[*b as usize].try_i().map_err(err)?;
-                    let r = match op {
-                        IntOp::Add => a.wrapping_add(b),
-                        IntOp::Sub => a.wrapping_sub(b),
-                        IntOp::Mul => a.wrapping_mul(b),
-                        IntOp::Div => {
-                            if b == 0 {
-                                return Err(err("integer division by zero"));
-                            }
-                            a.wrapping_div(b)
-                        }
-                        IntOp::Rem => {
-                            if b == 0 {
-                                return Err(err("integer remainder by zero"));
-                            }
-                            a.wrapping_rem(b)
-                        }
-                        IntOp::And => a & b,
-                        IntOp::Or => a | b,
-                        IntOp::Xor => a ^ b,
-                        IntOp::Shl => a.wrapping_shl(b as u32),
-                        IntOp::AShr => a.wrapping_shr(b as u32),
-                    };
-                    regs[*dst as usize] = Value::I(wrap.apply(r));
-                    pc += 1;
-                }
-                Op::FloatBin {
-                    op,
-                    round,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    let a = regs[*a as usize].try_f().map_err(err)?;
-                    let b = regs[*b as usize].try_f().map_err(err)?;
-                    let r = match op {
-                        FloatOp::Add => a + b,
-                        FloatOp::Sub => a - b,
-                        FloatOp::Mul => a * b,
-                        FloatOp::Div => a / b,
-                    };
-                    regs[*dst as usize] = Value::F(if *round { r as f32 as f64 } else { r });
-                    pc += 1;
-                }
-                Op::ICmp { pred, dst, a, b } => {
-                    let (a, b) = match (regs[*a as usize], regs[*b as usize]) {
-                        (Value::P(x), Value::P(y)) => (x as i64, y as i64),
-                        (x, y) => (x.try_i().map_err(err)?, y.try_i().map_err(err)?),
-                    };
-                    let r = match pred {
-                        ICmpPred::Eq => a == b,
-                        ICmpPred::Ne => a != b,
-                        ICmpPred::Slt => a < b,
-                        ICmpPred::Sle => a <= b,
-                        ICmpPred::Sgt => a > b,
-                        ICmpPred::Sge => a >= b,
-                    };
-                    regs[*dst as usize] = Value::I(i64::from(r));
-                    pc += 1;
-                }
-                Op::FCmp { pred, dst, a, b } => {
-                    let a = regs[*a as usize].try_f().map_err(err)?;
-                    let b = regs[*b as usize].try_f().map_err(err)?;
-                    let r = match pred {
-                        FCmpPred::Oeq => a == b,
-                        FCmpPred::One => a != b,
-                        FCmpPred::Olt => a < b,
-                        FCmpPred::Ole => a <= b,
-                        FCmpPred::Ogt => a > b,
-                        FCmpPred::Oge => a >= b,
-                    };
-                    regs[*dst as usize] = Value::I(i64::from(r));
-                    pc += 1;
-                }
-                Op::Select {
-                    dst,
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    let c = regs[*cond as usize].try_i().map_err(err)?;
-                    regs[*dst as usize] = regs[if c != 0 { *on_true } else { *on_false } as usize];
-                    pc += 1;
-                }
-                Op::Gep {
-                    dst,
-                    base,
-                    idx,
-                    elem,
-                } => {
-                    let base = regs[*base as usize].try_p().map_err(err)?;
-                    let idx = regs[*idx as usize].try_i().map_err(err)?;
-                    regs[*dst as usize] =
-                        Value::P((base as i64).wrapping_add(idx.wrapping_mul(*elem)) as u64);
-                    pc += 1;
-                }
-                Op::Load { kind, dst, addr } => {
-                    let addr = regs[*addr as usize].try_p().map_err(err)?;
-                    let v = match kind {
-                        MemKind::I8 => Value::I(self.mem.load_i8(addr).map_err(err)?),
-                        MemKind::I32 => Value::I(self.mem.load_i32(addr).map_err(err)?),
-                        MemKind::I64 => Value::I(self.mem.load_i64(addr).map_err(err)?),
-                        MemKind::F32 => Value::F(self.mem.load_f32(addr).map_err(err)?),
-                        MemKind::F64 => Value::F(self.mem.load_f64(addr).map_err(err)?),
-                        MemKind::Ptr => Value::P(self.mem.load_i64(addr).map_err(err)? as u64),
-                    };
-                    regs[*dst as usize] = v;
-                    pc += 1;
-                }
-                Op::Store { kind, val, addr } => {
-                    let val = regs[*val as usize];
-                    let addr = regs[*addr as usize].try_p().map_err(err)?;
-                    let res = match kind {
-                        MemKind::I8 => val.try_i().and_then(|x| self.mem.store_i8(addr, x)),
-                        MemKind::I32 => val.try_i().and_then(|x| self.mem.store_i32(addr, x)),
-                        MemKind::I64 => val.try_i().and_then(|x| self.mem.store_i64(addr, x)),
-                        MemKind::F32 => val.try_f().and_then(|x| self.mem.store_f32(addr, x)),
-                        MemKind::F64 => val.try_f().and_then(|x| self.mem.store_f64(addr, x)),
-                        MemKind::Ptr => {
-                            val.try_p().and_then(|x| self.mem.store_i64(addr, x as i64))
-                        }
-                    };
-                    res.map_err(err)?;
-                    pc += 1;
-                }
-                Op::Alloca { dst, n, elem } => {
-                    let n = regs[*n as usize].try_i().map_err(err)?;
-                    if n < 0 {
-                        return Err(err("negative alloca size"));
-                    }
-                    regs[*dst as usize] =
-                        Value::P(self.mem.try_alloc(elem, n as usize).map_err(err)?);
-                    pc += 1;
-                }
-                Op::IntCast { wrap, dst, src } => {
-                    let x = regs[*src as usize].try_i().map_err(err)?;
-                    regs[*dst as usize] = Value::I(wrap.apply(x));
-                    pc += 1;
-                }
-                Op::SiToFp { round, dst, src } => {
-                    let x = regs[*src as usize].try_i().map_err(err)? as f64;
-                    regs[*dst as usize] = Value::F(if *round { x as f32 as f64 } else { x });
-                    pc += 1;
-                }
-                Op::FpToSi { wrap, dst, src } => {
-                    let x = regs[*src as usize].try_f().map_err(err)?;
-                    regs[*dst as usize] = Value::I(wrap.apply(x as i64));
-                    pc += 1;
-                }
-                Op::FpExt { dst, src } => {
-                    let x = regs[*src as usize].try_f().map_err(err)?;
-                    regs[*dst as usize] = Value::F(x);
-                    pc += 1;
-                }
-                Op::FpTrunc { dst, src } => {
-                    let x = regs[*src as usize].try_f().map_err(err)?;
-                    regs[*dst as usize] = Value::F(x as f32 as f64);
-                    pc += 1;
-                }
-                Op::Call { site } => {
-                    let site = &cf.sites[*site as usize];
-                    let mut args = Vec::with_capacity(site.args.len());
-                    for &r in site.args.iter() {
-                        args.push(regs[r as usize]);
-                    }
-                    regs[site.dst as usize] = self.dispatch_site(site, &args)?;
-                    pc += 1;
-                }
-                Op::Jump { target } => pc = *target as usize,
-                Op::CondJump {
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    let c = regs[*cond as usize].try_i().map_err(err)?;
-                    pc = if c != 0 { *on_true } else { *on_false } as usize;
-                }
-                Op::Ret { val } => {
-                    return Ok(match val {
-                        Some(r) => regs[*r as usize],
-                        None => Value::I(0),
-                    });
-                }
-                Op::PhiMoves { .. } => unreachable!("handled above"),
-            }
+        if self.profiling {
+            self.exec::<true>(idx, cf)
+        } else {
+            self.exec::<false>(idx, cf)
         }
     }
 
-    fn dispatch_site(&mut self, site: &CallSite, args: &[Value]) -> Result<Value> {
-        if let Some(h) = &self.host_slots[site.sym as usize] {
-            let h = h.clone();
-            return h(&mut self.mem, args).map_err(err);
+    /// The dispatch loop, from the entry frame already on the register
+    /// stack until it returns or a step fails. `steps` stays in a local
+    /// and is written back on the single exit.
+    fn exec<const PROFILE: bool>(
+        &mut self,
+        mut fidx: usize,
+        mut cf: &'c CompiledFunction,
+    ) -> Result<Value> {
+        let Vm {
+            compiled,
+            mem,
+            host_slots,
+            max_steps,
+            steps: steps_out,
+            counts,
+            regs,
+            frames,
+            scratch,
+            ..
+        } = self;
+        let compiled: &'c CompiledModule<'c> = compiled;
+        let max_steps = *max_steps;
+        let mut steps = *steps_out;
+        let mut base = 0usize;
+        let mut pc = 0usize;
+        let result = 'run: loop {
+            // (Re-)entering a frame: it is the top of the register stack.
+            let r = &mut regs[base..];
+            let code = &cf.code[..];
+            'exec: loop {
+                let op = &code[pc];
+                if let Op::PhiMoves { moves, target } = op {
+                    let n = moves.len() as u64;
+                    if steps + n > max_steps {
+                        // The budget runs out inside the snippet: the
+                        // moves that fit still count (and profile).
+                        let fit = max_steps.saturating_sub(steps) as usize;
+                        if PROFILE {
+                            for mv in &moves[..fit] {
+                                bump(counts, compiled, fidx, mv.dst);
+                            }
+                        }
+                        steps = max_steps + 1;
+                        break 'exec;
+                    }
+                    steps += n;
+                    scratch.clear();
+                    scratch.extend(moves.iter().map(|mv| r[mv.src as usize]));
+                    for (mv, &val) in moves.iter().zip(scratch.iter()) {
+                        r[mv.dst as usize] = val;
+                        if PROFILE {
+                            bump(counts, compiled, fidx, mv.dst);
+                        }
+                    }
+                    pc = *target as usize;
+                    continue;
+                }
+                steps += 1;
+                if steps > max_steps {
+                    break 'exec;
+                }
+                if PROFILE {
+                    let vid = cf.vids[pc];
+                    if vid != NO_VID {
+                        bump(counts, compiled, fidx, vid);
+                    }
+                }
+                match op {
+                    Op::IntBin {
+                        op,
+                        wrap,
+                        dst,
+                        a,
+                        b,
+                    } => {
+                        let (Some(a), Some(b)) = (int(r[*a as usize]), int(r[*b as usize])) else {
+                            break 'exec;
+                        };
+                        let v = match op {
+                            IntOp::Add => a.wrapping_add(b),
+                            IntOp::Sub => a.wrapping_sub(b),
+                            IntOp::Mul => a.wrapping_mul(b),
+                            IntOp::Div if b == 0 => break 'exec,
+                            IntOp::Div => a.wrapping_div(b),
+                            IntOp::Rem if b == 0 => break 'exec,
+                            IntOp::Rem => a.wrapping_rem(b),
+                            IntOp::And => a & b,
+                            IntOp::Or => a | b,
+                            IntOp::Xor => a ^ b,
+                            IntOp::Shl => a.wrapping_shl(b as u32),
+                            IntOp::AShr => a.wrapping_shr(b as u32),
+                        };
+                        r[*dst as usize] = Value::I(wrap.apply(v));
+                        pc += 1;
+                    }
+                    Op::FloatBin {
+                        op,
+                        round,
+                        dst,
+                        a,
+                        b,
+                    } => {
+                        let (Some(a), Some(b)) = (float(r[*a as usize]), float(r[*b as usize]))
+                        else {
+                            break 'exec;
+                        };
+                        let v = match op {
+                            FloatOp::Add => a + b,
+                            FloatOp::Sub => a - b,
+                            FloatOp::Mul => a * b,
+                            FloatOp::Div => a / b,
+                        };
+                        r[*dst as usize] = Value::F(if *round { v as f32 as f64 } else { v });
+                        pc += 1;
+                    }
+                    Op::ICmp { pred, dst, a, b } => {
+                        let (a, b) = match (r[*a as usize], r[*b as usize]) {
+                            (Value::P(x), Value::P(y)) => (x as i64, y as i64),
+                            (Value::I(x), Value::I(y)) => (x, y),
+                            _ => break 'exec,
+                        };
+                        let v = match pred {
+                            ICmpPred::Eq => a == b,
+                            ICmpPred::Ne => a != b,
+                            ICmpPred::Slt => a < b,
+                            ICmpPred::Sle => a <= b,
+                            ICmpPred::Sgt => a > b,
+                            ICmpPred::Sge => a >= b,
+                        };
+                        r[*dst as usize] = Value::I(i64::from(v));
+                        pc += 1;
+                    }
+                    Op::FCmp { pred, dst, a, b } => {
+                        let (Some(a), Some(b)) = (float(r[*a as usize]), float(r[*b as usize]))
+                        else {
+                            break 'exec;
+                        };
+                        let v = match pred {
+                            FCmpPred::Oeq => a == b,
+                            FCmpPred::One => a != b,
+                            FCmpPred::Olt => a < b,
+                            FCmpPred::Ole => a <= b,
+                            FCmpPred::Ogt => a > b,
+                            FCmpPred::Oge => a >= b,
+                        };
+                        r[*dst as usize] = Value::I(i64::from(v));
+                        pc += 1;
+                    }
+                    Op::Select {
+                        dst,
+                        cond,
+                        on_true,
+                        on_false,
+                    } => {
+                        let Some(c) = int(r[*cond as usize]) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = r[if c != 0 { *on_true } else { *on_false } as usize];
+                        pc += 1;
+                    }
+                    Op::Gep {
+                        dst,
+                        base,
+                        idx,
+                        elem,
+                    } => {
+                        let (Some(p), Some(i)) = (ptr(r[*base as usize]), int(r[*idx as usize]))
+                        else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] =
+                            Value::P((p as i64).wrapping_add(i.wrapping_mul(*elem)) as u64);
+                        pc += 1;
+                    }
+                    Op::Load { kind, dst, addr } => {
+                        let Some(p) = ptr(r[*addr as usize]) else {
+                            break 'exec;
+                        };
+                        let v = match kind {
+                            MemKind::I8 => mem.read(p).map(|[b]| Value::I(i64::from(b))),
+                            MemKind::I32 => mem
+                                .read(p)
+                                .map(|b| Value::I(i64::from(i32::from_le_bytes(b)))),
+                            MemKind::I64 => mem.read(p).map(|b| Value::I(i64::from_le_bytes(b))),
+                            MemKind::F32 => mem
+                                .read(p)
+                                .map(|b| Value::F(f64::from(f32::from_le_bytes(b)))),
+                            MemKind::F64 => mem.read(p).map(|b| Value::F(f64::from_le_bytes(b))),
+                            MemKind::Ptr => mem.read(p).map(|b| Value::P(u64::from_le_bytes(b))),
+                        };
+                        let Some(v) = v else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = v;
+                        pc += 1;
+                    }
+                    Op::Store { kind, val, addr } => {
+                        let val = r[*val as usize];
+                        let Some(p) = ptr(r[*addr as usize]) else {
+                            break 'exec;
+                        };
+                        let stored = match kind {
+                            MemKind::I8 => int(val).and_then(|x| mem.write(p, [(x & 1) as u8])),
+                            MemKind::I32 => {
+                                int(val).and_then(|x| mem.write(p, (x as i32).to_le_bytes()))
+                            }
+                            MemKind::I64 => int(val).and_then(|x| mem.write(p, x.to_le_bytes())),
+                            MemKind::F32 => {
+                                float(val).and_then(|x| mem.write(p, (x as f32).to_le_bytes()))
+                            }
+                            MemKind::F64 => float(val).and_then(|x| mem.write(p, x.to_le_bytes())),
+                            MemKind::Ptr => ptr(val).and_then(|x| mem.write(p, x.to_le_bytes())),
+                        };
+                        if stored.is_none() {
+                            break 'exec;
+                        }
+                        pc += 1;
+                    }
+                    Op::Alloca { dst, n, elem } => {
+                        let Some(n) = int(r[*n as usize]).filter(|&n| n >= 0) else {
+                            break 'exec;
+                        };
+                        let Some(p) = mem.alloc_within_cap(elem, n as usize) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = Value::P(p);
+                        pc += 1;
+                    }
+                    Op::IntCast { wrap, dst, src } => {
+                        let Some(x) = int(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = Value::I(wrap.apply(x));
+                        pc += 1;
+                    }
+                    Op::SiToFp { round, dst, src } => {
+                        let Some(x) = int(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        let x = x as f64;
+                        r[*dst as usize] = Value::F(if *round { x as f32 as f64 } else { x });
+                        pc += 1;
+                    }
+                    Op::FpToSi { wrap, dst, src } => {
+                        let Some(x) = float(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = Value::I(wrap.apply(x as i64));
+                        pc += 1;
+                    }
+                    Op::FpExt { dst, src } => {
+                        let Some(x) = float(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = Value::F(x);
+                        pc += 1;
+                    }
+                    Op::FpTrunc { dst, src } => {
+                        let Some(x) = float(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = Value::F(x as f32 as f64);
+                        pc += 1;
+                    }
+                    Op::Call { site } => {
+                        let site = &cf.sites[*site as usize];
+                        // Host slot, then intrinsic, then module function
+                        // (the walker's order).
+                        let host = host_slots[site.sym as usize].as_ref();
+                        let callee = match (host, site.target) {
+                            (None, CallTarget::Function(callee)) => callee as usize,
+                            _ => match call_leaf(compiled, site, host, r, scratch, mem) {
+                                Ok(v) => {
+                                    r[site.dst as usize] = v;
+                                    pc += 1;
+                                    continue;
+                                }
+                                Err(e) => break 'run Err(e),
+                            },
+                        };
+                        let Some(next) = &compiled.funcs[callee] else {
+                            break 'run Err(refused(&compiled.module.functions[callee].name));
+                        };
+                        if site.args.len() != next.arity {
+                            break 'run Err(wrong_arity(next, site.args.len()));
+                        }
+                        let Some(next_base) = push_frame(regs, next) else {
+                            break 'run Err(stack_exhausted());
+                        };
+                        for (&p, &a) in next.params.iter().zip(site.args.iter()) {
+                            regs[next_base + p as usize] = regs[base + a as usize];
+                        }
+                        frames.push(Frame {
+                            cf,
+                            fidx: fidx as u32,
+                            base: base as u32,
+                            pc: pc as u32 + 1,
+                            dst: site.dst,
+                        });
+                        (cf, fidx, base, pc) = (next, callee, next_base, 0);
+                        continue 'run;
+                    }
+                    Op::Jump { target } => pc = *target as usize,
+                    Op::CondJump {
+                        cond,
+                        on_true,
+                        on_false,
+                    } => {
+                        let Some(c) = int(r[*cond as usize]) else {
+                            break 'exec;
+                        };
+                        pc = if c != 0 { *on_true } else { *on_false } as usize;
+                    }
+                    Op::Ret { val } => {
+                        let v = val.map_or(Value::I(0), |x| r[x as usize]);
+                        let Some(caller) = frames.pop() else {
+                            break 'run Ok(v);
+                        };
+                        regs.truncate(base);
+                        (cf, fidx, base, pc) = (
+                            caller.cf,
+                            caller.fidx as usize,
+                            caller.base as usize,
+                            caller.pc as usize,
+                        );
+                        regs[base + caller.dst as usize] = v;
+                        continue 'run;
+                    }
+                    Op::PhiMoves { .. } => unreachable!("handled above"),
+                }
+            }
+            // A message-free check refused the op at `pc`.
+            break 'run Err(fault(&code[pc], r, mem, steps > max_steps));
+        };
+        *steps_out = steps;
+        result
+    }
+}
+
+/// Pushes `cf`'s register template onto the stack; returns the new
+/// frame's base, or `None` (pushing nothing) past [`MAX_STACK_REGS`].
+fn push_frame(regs: &mut Vec<Value>, cf: &CompiledFunction) -> Option<usize> {
+    let base = regs.len();
+    if base + cf.init_regs.len() > MAX_STACK_REGS {
+        return None;
+    }
+    regs.extend_from_slice(&cf.init_regs);
+    Some(base)
+}
+
+#[inline(always)]
+fn int(v: Value) -> Option<i64> {
+    match v {
+        Value::I(x) => Some(x),
+        _ => None,
+    }
+}
+
+#[inline(always)]
+fn float(v: Value) -> Option<f64> {
+    match v {
+        Value::F(x) => Some(x),
+        _ => None,
+    }
+}
+
+#[inline(always)]
+fn ptr(v: Value) -> Option<u64> {
+    match v {
+        Value::P(x) => Some(x),
+        _ => None,
+    }
+}
+
+fn bump(counts: &mut Vec<Vec<u64>>, compiled: &CompiledModule<'_>, fidx: usize, vid: u32) {
+    if counts.len() <= fidx {
+        counts.resize(compiled.funcs.len(), Vec::new());
+    }
+    let c = &mut counts[fidx];
+    if c.len() <= vid as usize {
+        c.resize(
+            compiled.module.functions[fidx]
+                .num_values()
+                .max(vid as usize + 1),
+            0,
+        );
+    }
+    c[vid as usize] += 1;
+}
+
+/// A call that pushes no frame: a host, an intrinsic or an unknown
+/// callee. Out of line: it formats its own errors.
+#[inline(never)]
+fn call_leaf(
+    compiled: &CompiledModule<'_>,
+    site: &CallSite,
+    host: Option<&HostFn<'_>>,
+    r: &[Value],
+    scratch: &mut Vec<Value>,
+    mem: &mut Memory,
+) -> Result<Value> {
+    scratch.clear();
+    scratch.extend(site.args.iter().map(|&a| r[a as usize]));
+    match (host, site.target) {
+        (Some(h), _) => h(mem, scratch).map_err(err),
+        (None, CallTarget::Intrinsic(k)) => k.eval(scratch).map_err(err),
+        (None, _) => Err(err(format!(
+            "call to unknown function {:?}",
+            compiled.symbols[site.sym as usize]
+        ))),
+    }
+}
+
+/// The error of an op whose message-free check failed in the dispatch
+/// loop (or of the step that overran the budget): the op is replayed
+/// through the message-carrying accessors, in the walker's check order,
+/// so the message is exactly the walker's. A refused op never wrote
+/// anything, so the replay sees the state the check saw.
+#[cold]
+#[inline(never)]
+fn fault(op: &Op, r: &[Value], mem: &mut Memory, over_budget: bool) -> ExecError {
+    if over_budget {
+        return err("step limit exceeded (infinite loop?)");
+    }
+    match replay(op, r, mem) {
+        Err(e) => err(e),
+        Ok(()) => unreachable!("a message-free check refused {op:?}, but its replay passed"),
+    }
+}
+
+fn replay(op: &Op, r: &[Value], mem: &mut Memory) -> std::result::Result<(), String> {
+    let reg = |x: u32| r[x as usize];
+    match *op {
+        Op::IntBin { op, a, b, .. } => {
+            reg(a).try_i()?;
+            let b = reg(b).try_i()?;
+            match op {
+                IntOp::Div if b == 0 => Err("integer division by zero".into()),
+                IntOp::Rem if b == 0 => Err("integer remainder by zero".into()),
+                _ => Ok(()),
+            }
         }
-        match site.target {
-            CallTarget::Intrinsic(k) => k.eval(args).map_err(err),
-            CallTarget::Function(idx) => self.call_function(idx as usize, args),
-            CallTarget::Unknown => Err(err(format!(
-                "call to unknown function {:?}",
-                self.compiled.symbols[site.sym as usize]
-            ))),
+        Op::FloatBin { a, b, .. } | Op::FCmp { a, b, .. } => {
+            reg(a).try_f()?;
+            reg(b).try_f().map(drop)
         }
+        Op::ICmp { a, b, .. } => match (reg(a), reg(b)) {
+            (Value::P(_), Value::P(_)) => Ok(()),
+            (x, y) => {
+                x.try_i()?;
+                y.try_i().map(drop)
+            }
+        },
+        Op::Select { cond, .. } | Op::CondJump { cond, .. } => reg(cond).try_i().map(drop),
+        Op::Gep { base, idx, .. } => {
+            reg(base).try_p()?;
+            reg(idx).try_i().map(drop)
+        }
+        Op::Load { kind, addr, .. } => {
+            let addr = reg(addr).try_p()?;
+            match kind {
+                MemKind::I8 => mem.load_i8(addr).map(drop),
+                MemKind::I32 => mem.load_i32(addr).map(drop),
+                MemKind::I64 | MemKind::Ptr => mem.load_i64(addr).map(drop),
+                MemKind::F32 => mem.load_f32(addr).map(drop),
+                MemKind::F64 => mem.load_f64(addr).map(drop),
+            }
+        }
+        Op::Store { kind, val, addr } => {
+            let val = reg(val);
+            let addr = reg(addr).try_p()?;
+            match kind {
+                MemKind::I8 => val.try_i().and_then(|x| mem.store_i8(addr, x)),
+                MemKind::I32 => val.try_i().and_then(|x| mem.store_i32(addr, x)),
+                MemKind::I64 => val.try_i().and_then(|x| mem.store_i64(addr, x)),
+                MemKind::F32 => val.try_f().and_then(|x| mem.store_f32(addr, x)),
+                MemKind::F64 => val.try_f().and_then(|x| mem.store_f64(addr, x)),
+                MemKind::Ptr => val.try_p().and_then(|x| mem.store_i64(addr, x as i64)),
+            }
+        }
+        Op::Alloca { n, ref elem, .. } => {
+            let n = reg(n).try_i()?;
+            if n < 0 {
+                return Err("negative alloca size".into());
+            }
+            mem.try_alloc(elem, n as usize).map(drop)
+        }
+        Op::IntCast { src, .. } | Op::SiToFp { src, .. } => reg(src).try_i().map(drop),
+        Op::FpToSi { src, .. } | Op::FpExt { src, .. } | Op::FpTrunc { src, .. } => {
+            reg(src).try_f().map(drop)
+        }
+        Op::Call { .. } | Op::Jump { .. } | Op::Ret { .. } | Op::PhiMoves { .. } => Ok(()),
     }
 }
 
@@ -721,5 +1013,56 @@ entry:
         let m = compile_text("define i64 @f(i64 %a) {\nentry:\n  ret i64 %a\n}\n");
         assert_parity(&m, "f", &[]);
         assert_parity(&m, "f", &[Value::I(1), Value::I(2)]);
+    }
+
+    const REC: &str = r#"
+define i64 @rec(i64 %k) {
+entry:
+  %c = icmp sle i64 %k, 0
+  br i1 %c, label %base, label %step
+base:
+  ret i64 0
+step:
+  %km = sub i64 %k, 1
+  %r = call i64 @rec(i64 %km)
+  %s = add i64 %r, 1
+  ret i64 %s
+}
+"#;
+
+    #[test]
+    fn deep_recursion_runs_without_host_recursion() {
+        // 100,000 nested calls on a 64 KiB thread: program frames live on
+        // the VM's register stack, never on the Rust stack.
+        let m = compile_text(REC);
+        let code = compile_module(&m);
+        let r = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(64 * 1024)
+                .spawn_scoped(s, || Vm::new(&code).run("rec", &[Value::I(100_000)]))
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow")
+        });
+        assert_eq!(r.unwrap(), Value::I(100_000));
+    }
+
+    #[test]
+    fn runaway_recursion_exhausts_the_call_stack_not_the_process() {
+        let m = compile_text(REC);
+        let code = compile_module(&m);
+        let per_frame = code.funcs[0].as_ref().unwrap().init_regs.len();
+        let mut vm = Vm::new(&code);
+        let e = vm.run("rec", &[Value::I(i64::MAX)]).unwrap_err();
+        assert!(e.message.contains("call stack exhausted"), "{e}");
+        // Every frame that fits runs icmp, br, sub and call; the call of
+        // the last one is the one that fails.
+        let depth = (MAX_STACK_REGS / per_frame) as u64;
+        assert_eq!(vm.steps(), depth * 4);
+        // The VM stays usable: the next run starts from an empty stack,
+        // and every return pops its frame's registers.
+        assert_eq!(vm.run("rec", &[Value::I(3)]).unwrap(), Value::I(3));
+        assert_eq!(vm.regs.len(), per_frame);
+        assert!(vm.frames.is_empty());
     }
 }

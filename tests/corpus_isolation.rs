@@ -124,3 +124,59 @@ fn a_deeply_nested_one_liner_is_a_parse_error_not_an_abort() {
     let _ = std::fs::remove_dir_all(&corpus_dir);
     let _ = std::fs::remove_dir_all(&state);
 }
+
+/// `fz_entry` with the fixed progen signature, returning `rec(n * scale)`
+/// for the three-line recursive `rec` (`n` is 64).
+fn recursive_module(scale: u64) -> String {
+    format!(
+        "int rec(int k) {{ if (k <= 0) {{ return 0; }} return rec(k - 1) + 1; }}\n\
+         double fz_entry(double* d0, double* d1, double* d2, double* d3, double* o0, \
+         double* o1, double* g0, double* go, double* m0, double* m1, double* mo, int* k0, \
+         int* bi, double* bf, double* cv, int* cr, int* cc, double* x0, double* y0, int n, \
+         int g, int dim, int rows, int nb) {{ return rec(n * {scale}); }}\n"
+    )
+}
+
+#[test]
+fn deep_recursion_is_a_record_not_an_abort() {
+    // A 64,000-deep call chain used to overflow the sandbox thread's
+    // stack inside the VM and abort the batch. It now runs (the VM keeps
+    // frames on its own register stack), and a runaway depth is a typed
+    // execution error in the module's record.
+    let corpus_dir = scratch("corpus_rec_src");
+    std::fs::write(corpus_dir.join("a_deep.c"), recursive_module(1000)).unwrap();
+    std::fs::write(
+        corpus_dir.join("b_runaway.c"),
+        recursive_module(100_000_000),
+    )
+    .unwrap();
+    std::fs::write(corpus_dir.join("c_ok.c"), OK_SOURCE).unwrap();
+
+    let state = scratch("corpus_rec_state");
+    let summary = run(&RunConfig::new(
+        Source::dir(&corpus_dir).expect("dir source"),
+        &state,
+    ))
+    .expect("run survives the recursive modules");
+
+    assert!(summary.complete);
+    assert_eq!(summary.records.len(), 3);
+    let deep = &summary.records[0];
+    assert_eq!(deep.module, "a_deep.c");
+    assert_eq!(deep.outcome, Taxonomy::Ok, "{}", deep.detail);
+    assert!(deep.validated, "the 64,000-deep module validates");
+    let runaway = &summary.records[1];
+    assert_eq!(runaway.module, "b_runaway.c");
+    assert_eq!(runaway.outcome, Taxonomy::ValidationDivergence);
+    assert!(
+        runaway.detail.contains("call stack exhausted"),
+        "got {:?}",
+        runaway.detail
+    );
+    let ok = &summary.records[2];
+    assert_eq!(ok.outcome, Taxonomy::Ok, "{}", ok.detail);
+    assert_eq!(ok.planted_hit, 1);
+
+    let _ = std::fs::remove_dir_all(&corpus_dir);
+    let _ = std::fs::remove_dir_all(&state);
+}

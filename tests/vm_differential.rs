@@ -200,6 +200,373 @@ fn error_paths_agree_bitwise() {
     assert!(t.result.is_err());
 }
 
+/// Builds `@case` from an IR signature, return type and body, plus
+/// `@mid` and `@top`, which pass their arguments down one call each: the
+/// case's op then runs two frames deep when entered through `@top`.
+fn case_module(sig: &str, ret: &str, body: &str) -> ssair::Module {
+    let forward = |callee: &str| {
+        if ret == "void" {
+            format!("  call void @{callee}({sig})\n  ret void")
+        } else {
+            format!("  %v = call {ret} @{callee}({sig})\n  ret {ret} %v")
+        }
+    };
+    let text = format!(
+        "define {ret} @case({sig}) {{\nentry:\n  {body}\n}}\n\n\
+         define {ret} @mid({sig}) {{\nentry:\n{}\n}}\n\n\
+         define {ret} @top({sig}) {{\nentry:\n{}\n}}\n",
+        forward("case"),
+        forward("mid")
+    );
+    idiomatch::ssair::parser::parse_module(&text)
+        .unwrap_or_else(|e| panic!("case IR parses: {e:?}\n{text}"))
+}
+
+/// Every failure the VM's message-free checks refuse and rebuild on its
+/// cold path — type confusion per operand kind, null and out-of-bounds
+/// memory, negative `alloca`, failing intrinsics — must carry the
+/// walker's message at the walker's step count, whether the op runs in
+/// the entry frame or two frames deep. Each case runs after a 4 x f64
+/// setup allocation: memory holds 40 bytes and `P(8)` is the array.
+#[test]
+fn faults_agree_bitwise_through_frames() {
+    use Value::{F, I, P};
+    let load_f64 = "%a = getelementptr double, double* %p, i64 %i\n  \
+                    %v = load double, double* %a\n  ret double %v";
+    let store_f64 = "store double %x, double* %p\n  ret void";
+    let cases: Vec<(&str, &str, &str, Vec<Value>, &str)> = vec![
+        // store: value, address and bounds.
+        (
+            "double %x, double* %p",
+            "void",
+            store_f64,
+            vec![I(3), P(8)],
+            "expected float, got I(3)",
+        ),
+        (
+            "double %x, double* %p",
+            "void",
+            store_f64,
+            vec![F(1.0), I(8)],
+            "expected pointer, got I(8)",
+        ),
+        (
+            "double %x, double* %p",
+            "void",
+            store_f64,
+            vec![F(1.0), P(0)],
+            "null pointer access",
+        ),
+        (
+            "double %x, double* %p",
+            "void",
+            store_f64,
+            vec![F(1.0), P(1 << 20)],
+            "out-of-bounds access at 1048576 (+8)",
+        ),
+        (
+            "i64 %x, i64* %p",
+            "void",
+            "store i64 %x, i64* %p\n  ret void",
+            vec![P(8), P(8)],
+            "expected integer, got P(8)",
+        ),
+        (
+            "i32 %x, i32* %p",
+            "void",
+            "store i32 %x, i32* %p\n  ret void",
+            vec![I(1), P(38)],
+            "out-of-bounds access at 38 (+4)",
+        ),
+        (
+            "double* %x, double** %p",
+            "void",
+            "store double* %x, double** %p\n  ret void",
+            vec![F(1.0), P(8)],
+            "expected pointer, got F(1.0)",
+        ),
+        // select and br conditions.
+        (
+            "i1 %c, i64 %a, i64 %b",
+            "i64",
+            "%r = select i1 %c, i64 %a, %b\n  ret i64 %r",
+            vec![F(1.0), I(1), I(2)],
+            "expected integer, got F(1.0)",
+        ),
+        (
+            "i1 %c",
+            "i64",
+            "br i1 %c, label %t, label %f\nt:\n  ret i64 1\nf:\n  ret i64 2",
+            vec![P(8)],
+            "expected integer, got P(8)",
+        ),
+        // getelementptr and loads.
+        (
+            "double* %p, i64 %i",
+            "double",
+            load_f64,
+            vec![I(8), I(0)],
+            "expected pointer, got I(8)",
+        ),
+        (
+            "double* %p, i64 %i",
+            "double",
+            load_f64,
+            vec![P(8), F(0.0)],
+            "expected integer, got F(0.0)",
+        ),
+        (
+            "double* %p, i64 %i",
+            "double",
+            load_f64,
+            vec![P(0), I(0)],
+            "null pointer access",
+        ),
+        (
+            "double* %p, i64 %i",
+            "double",
+            load_f64,
+            vec![P(8), I(4)],
+            "out-of-bounds access at 40 (+8)",
+        ),
+        (
+            "i32* %p",
+            "i32",
+            "%v = load i32, i32* %p\n  ret i32 %v",
+            vec![P(38)],
+            "out-of-bounds access at 38 (+4)",
+        ),
+        (
+            "i64* %p",
+            "i64",
+            "%v = load i64, i64* %p\n  ret i64 %v",
+            vec![F(8.0)],
+            "expected pointer, got F(8.0)",
+        ),
+        // alloca.
+        (
+            "i64 %n",
+            "double*",
+            "%b = alloca double, i64 %n\n  ret double* %b",
+            vec![I(-1)],
+            "negative alloca size",
+        ),
+        (
+            "i64 %n",
+            "double*",
+            "%b = alloca double, i64 %n\n  ret double* %b",
+            vec![F(2.0)],
+            "expected integer, got F(2.0)",
+        ),
+        // arithmetic, comparisons and casts.
+        (
+            "i64 %a, i64 %b",
+            "i64",
+            "%r = add i64 %a, %b\n  ret i64 %r",
+            vec![I(1), F(2.0)],
+            "expected integer, got F(2.0)",
+        ),
+        (
+            "double %a, double %b",
+            "double",
+            "%r = fmul double %a, %b\n  ret double %r",
+            vec![P(8), F(2.0)],
+            "expected float, got P(8)",
+        ),
+        (
+            "i64 %a, i64 %b",
+            "i1",
+            "%r = icmp eq i64 %a, %b\n  ret i1 %r",
+            vec![P(8), I(8)],
+            "expected integer, got P(8)",
+        ),
+        (
+            "double %a, double %b",
+            "i1",
+            "%r = fcmp olt double %a, %b\n  ret i1 %r",
+            vec![F(1.0), I(2)],
+            "expected float, got I(2)",
+        ),
+        (
+            "i64 %a",
+            "double",
+            "%r = sitofp i64 %a to double\n  ret double %r",
+            vec![F(1.0)],
+            "expected integer, got F(1.0)",
+        ),
+        (
+            "double %a",
+            "i64",
+            "%r = fptosi double %a to i64\n  ret i64 %r",
+            vec![I(1)],
+            "expected float, got I(1)",
+        ),
+        (
+            "double %a",
+            "float",
+            "%r = fptrunc double %a to float\n  ret float %r",
+            vec![P(8)],
+            "expected float, got P(8)",
+        ),
+        // failing intrinsics and an unknown callee.
+        (
+            "double %x",
+            "double",
+            "%r = call double @sqrt(double %x)\n  ret double %r",
+            vec![I(4)],
+            "expected float, got I(4)",
+        ),
+        (
+            "double %x",
+            "double",
+            "%r = call double @pow(double %x)\n  ret double %r",
+            vec![F(2.0)],
+            "binary math intrinsic expects 2 arguments",
+        ),
+        (
+            "double %x",
+            "double",
+            "%r = call double @nope(double %x)\n  ret double %r",
+            vec![F(2.0)],
+            "call to unknown function \"nope\"",
+        ),
+    ];
+    for (sig, ret, body, args, message) in cases {
+        let m = case_module(sig, ret, body);
+        let setup = |mem: &mut Memory, _: u64| {
+            mem.alloc_f64_slice(&[1.0; 4]);
+            args.clone()
+        };
+        for entry in ["case", "top"] {
+            let ctx = format!("@{entry} over `{body}` with {args:?}");
+            let t = assert_parity(&m, entry, &setup, 0, None, &ctx);
+            let e = t.result.expect_err(&ctx);
+            assert!(e.contains(message), "{ctx}: {e}");
+        }
+    }
+}
+
+/// A step-limit cut-off inside a callee two frames deep: sweep the
+/// budget over a loop that calls `mid`, which calls `leaf`, so the cut
+/// lands on every instruction of every frame (calls, returns and phi
+/// moves included).
+#[test]
+fn step_limit_cutoffs_agree_two_frames_deep() {
+    let src = "double leaf(double* x, int i) { return x[i] * 2.0; }
+        double mid(double* x, int i) { return leaf(x, i) + 1.0; }
+        double top(double* x, int n) {
+            double s = 0.0;
+            for (int i = 0; i < n; i++) s += mid(x, i);
+            return s;
+        }";
+    let m = idiomatch::minicc::compile(src, "chain").unwrap();
+    let setup = |mem: &mut Memory, _seed: u64| {
+        let p = mem.alloc_f64_slice(&[1.0, 2.0, 3.0]);
+        vec![Value::P(p), Value::I(3)]
+    };
+    let full = assert_parity(&m, "top", &setup, 0, None, "chain unlimited");
+    assert!(full.result.is_ok());
+    for budget in 1..full.steps {
+        let t = assert_parity(
+            &m,
+            "top",
+            &setup,
+            0,
+            Some(budget),
+            &format!("chain budget {budget}"),
+        );
+        let e = t.result.expect_err("a short budget cuts off");
+        assert!(e.contains("step limit exceeded"), "budget {budget}: {e}");
+    }
+}
+
+/// Profiles agree through frames: a caller, a device loop and the kernel
+/// it calls once per element (the shape of an outlined Lift/Halide
+/// replacement), then the real ones in the transformed `histo` and
+/// `stencil` benchmarks.
+#[test]
+fn profiles_agree_through_a_device_loop_chain() {
+    fn check(m: &ssair::Module, entry: &str, args: &[Value], mem: &Memory, ctx: &str) {
+        let mut walker = Machine::new(m);
+        register_all(&mut walker);
+        walker.mem = mem.clone();
+        let wr = walker.run(entry, args).map(value_bits);
+        let code = compile_module(m);
+        let mut vm = Vm::new(&code);
+        register_all(&mut vm);
+        vm.set_profiling(true);
+        vm.mem = mem.clone();
+        let vr = vm.run(entry, args).map(value_bits);
+        assert_eq!(wr, vr, "{ctx}: result diverged");
+        assert_eq!(walker.steps(), vm.steps(), "{ctx}: step counter diverged");
+        let vp = vm.profile();
+        let mut counted = 0;
+        for f in &m.functions {
+            for v in f.value_ids() {
+                let n = walker.profile.count(&f.name, v);
+                assert_eq!(n, vp.count(&f.name, v), "{ctx}: @{} {v} count", f.name);
+                counted += n;
+            }
+        }
+        assert_eq!(counted, walker.steps(), "{ctx}: every step is profiled");
+    }
+    let m = idiomatch::ssair::parser::parse_module(
+        r#"
+define void @kernel(double* %p, i64 %i) {
+entry:
+  %a = getelementptr double, double* %p, i64 %i
+  %x = load double, double* %a
+  %y = fmul double %x, 2.0
+  store double %y, double* %a
+  ret void
+}
+
+define void @device(double* %p, i64 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %body ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  call void @kernel(double* %p, i64 %i)
+  %i.next = add i64 %i, 1
+  br label %header
+exit:
+  ret void
+}
+
+define double @main(double* %p, i64 %n) {
+entry:
+  call void @device(double* %p, i64 %n)
+  %last = getelementptr double, double* %p, i64 3
+  %v = load double, double* %last
+  ret double %v
+}
+"#,
+    )
+    .unwrap();
+    let mut mem = Memory::new();
+    let p = mem.alloc_f64_slice(&[1.0, 2.0, 3.0, 4.0]);
+    check(
+        &m,
+        "main",
+        &[Value::P(p), Value::I(4)],
+        &mem,
+        "hand-written chain",
+    );
+    for b in benchsuite::all() {
+        if !matches!(b.name, "histo" | "stencil") {
+            continue;
+        }
+        let m = idiomatch::minicc::compile(b.source, b.name).unwrap();
+        let xf = idiomatch::xform::transform_module(&m);
+        let mut mem = Memory::new();
+        let args = (b.setup)(&mut mem, benchsuite::CANONICAL_SEED);
+        check(&xf.module, b.entry, &args, &mem, b.name);
+    }
+}
+
 /// Verified IR is the VM's whole contract: every module that passes
 /// `verify_module` compiles in full — the 21 benchmarks and a progen
 /// sweep, each as the original, the transformed module and every

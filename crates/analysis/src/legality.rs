@@ -61,17 +61,6 @@ impl std::fmt::Display for LegalityError {
     }
 }
 
-/// The memory footprint of a block region, at base-object granularity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionSummary {
-    /// Address roots of every load in the region.
-    pub read_roots: BTreeSet<ValueId>,
-    /// Address roots of every store in the region.
-    pub write_roots: BTreeSet<ValueId>,
-    /// Call instructions targeting non-whitelisted callees.
-    pub impure_calls: Vec<ValueId>,
-}
-
 /// Follows `gep` chains to the underlying object pointer.
 #[must_use]
 pub fn address_root(f: &Function, mut v: ValueId) -> ValueId {
@@ -81,40 +70,6 @@ pub fn address_root(f: &Function, mut v: ValueId) -> ValueId {
             _ => return v,
         }
     }
-}
-
-/// Summarizes the memory behaviour of `blocks`.
-#[must_use]
-pub fn region_memory_summary(f: &Function, blocks: &[BlockId]) -> RegionSummary {
-    let mut s = RegionSummary {
-        read_roots: BTreeSet::new(),
-        write_roots: BTreeSet::new(),
-        impure_calls: Vec::new(),
-    };
-    for &b in blocks {
-        for &v in &f.block(b).instrs {
-            let Some(i) = f.instr(v) else { continue };
-            match i.opcode {
-                Opcode::Load => {
-                    s.read_roots.insert(address_root(f, i.operands[0]));
-                }
-                Opcode::Store => {
-                    s.write_roots.insert(address_root(f, i.operands[1]));
-                }
-                Opcode::Call => {
-                    let pure = i
-                        .callee
-                        .as_deref()
-                        .is_some_and(|c| solver::PURE_CALLS.contains(&c));
-                    if !pure {
-                        s.impure_calls.push(v);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    s
 }
 
 /// Verifies that the region is pure outside its reported objects:

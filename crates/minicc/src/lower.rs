@@ -24,7 +24,9 @@
 use crate::ast::*;
 use crate::CompileError;
 use ssair::pass::{remove_instruction, replace_all_uses};
-use ssair::{BlockId, FCmpPred, Function, ICmpPred, Module, Opcode, Type, ValueId};
+use ssair::{
+    BlockId, FCmpPred, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId,
+};
 use std::collections::HashMap;
 
 type Result<T> = std::result::Result<T, CompileError>;
@@ -218,13 +220,11 @@ impl<'a> FuncLower<'a> {
     }
 
     fn preds(&self, block: BlockId) -> Vec<BlockId> {
-        let mut ps = Vec::new();
-        for b in self.f.block_ids() {
-            if self.f.successors(b).contains(&block) {
-                ps.push(b);
-            }
-        }
-        ps
+        let branches_here = |b: BlockId| {
+            let term = self.f.terminator(b).and_then(|t| self.f.instr(t));
+            term.is_some_and(|t| t.targets.contains(&block))
+        };
+        self.f.block_ids().filter(|&b| branches_here(b)).collect()
     }
 
     fn read_var_recursive(&mut self, internal: &str, block: BlockId) -> ValueId {
@@ -273,15 +273,7 @@ impl<'a> FuncLower<'a> {
             same = Some(op);
         }
         let Some(same) = same else { return phi };
-        // Collect phi users before rewiring.
-        let du = ssair::analysis::DefUse::new(&self.f);
-        let users: Vec<ValueId> = du
-            .users(phi)
-            .iter()
-            .copied()
-            .filter(|&u| u != phi && self.f.opcode(u) == Some(Opcode::Phi))
-            .collect();
-        replace_all_uses(&mut self.f, phi, same);
+        let users = replace_all_uses(&mut self.f, phi, same);
         remove_instruction(&mut self.f, phi);
         // Fix definition tables that still point at the removed phi.
         for per_block in self.defs.values_mut() {
@@ -293,7 +285,7 @@ impl<'a> FuncLower<'a> {
         }
         for u in users {
             // A user phi may have become trivial in turn.
-            if self.f.opcode(u) == Some(Opcode::Phi) {
+            if u != phi && self.f.opcode(u) == Some(Opcode::Phi) {
                 self.try_remove_trivial_phi(u);
             }
         }
@@ -501,27 +493,10 @@ impl<'a> FuncLower<'a> {
             // Allocas live in the entry block, like clang's.
             let entry = BlockId(0);
             let ptr_ty = ir_type(ty).ptr_to();
-            let alloca = {
-                // Insert before the entry terminator if one exists already.
-                let v = self
-                    .f
-                    .append_simple(entry, ptr_ty, Opcode::Alloca, vec![count]);
-                let instrs = &mut self.f.block_mut(entry).instrs;
-                if instrs.len() >= 2 {
-                    let last = instrs.len() - 1;
-                    if let Some(&term) = instrs.get(last - 1) {
-                        let term_is_terminator = matches!(
-                            self.f.opcode(term),
-                            Some(op) if op.is_terminator()
-                        );
-                        if term_is_terminator {
-                            let instrs = &mut self.f.block_mut(entry).instrs;
-                            instrs.swap(last - 1, last);
-                        }
-                    }
-                }
-                v
-            };
+            let alloca = Instr::simple(Opcode::Alloca, vec![count]);
+            let alloca = self
+                .f
+                .insert(entry, InsertPoint::BeforeTerminator, ptr_ty, alloca);
             self.f.set_name(alloca, internal.clone());
             self.vars.insert(
                 internal,

@@ -15,10 +15,19 @@
 //!
 //! All passes preserve the verifier invariants; `optimize_module` asserts
 //! this in debug builds.
+//!
+//! Each pass builds the analyses it needs once per call. Folding, CSE and
+//! load elimination collect their rewrites and hand them to one
+//! [`rewrite_uses`], which also removes the dead code. LICM and promotion
+//! add and move instructions but never change a block or an edge, so the
+//! CFG, dominators and loop forest built on entry stay valid for the whole
+//! pass; only instruction placement is kept up to date.
 
-use ssair::analysis::{Analyses, Cfg, DomTree, Layout};
-use ssair::pass::{eliminate_dead_code, replace_all_uses};
-use ssair::{BlockId, Function, ICmpPred, Module, Opcode, Type, ValueId, ValueKind};
+use ssair::analysis::{Cfg, DomTree, Layout, Loop, LoopForest};
+use ssair::pass::{eliminate_dead_code, remove_instruction, replace_all_uses, rewrite_uses};
+use ssair::{
+    BlockId, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind,
+};
 
 /// Runs the full pass pipeline over every function.
 pub fn optimize_module(m: &mut Module) {
@@ -78,15 +87,7 @@ pub fn eliminate_redundant_loads(f: &mut Function) -> usize {
             }
         }
     }
-    let n = rewrites.len();
-    for (from, to) in rewrites {
-        replace_all_uses(f, from, to);
-        ssair::pass::remove_instruction(f, from);
-    }
-    if n > 0 {
-        eliminate_dead_code(f);
-    }
-    n
+    rewrite_uses(f, &rewrites)
 }
 
 /// Dominance-based common subexpression elimination over pure instructions
@@ -105,17 +106,6 @@ pub fn common_subexpression_elimination(f: &mut Function) -> usize {
     let layout = Layout::new(f);
     let cfg = Cfg::new(f);
     let dom = DomTree::dominators(&cfg);
-    let strictly_dominates = |a: ValueId, b: ValueId| {
-        let (Some(ba), Some(bb)) = (layout.block_of(a), layout.block_of(b)) else {
-            return false;
-        };
-        a != b
-            && if ba == bb {
-                layout.position(a) <= layout.position(b)
-            } else {
-                dom.dominates(ba, bb)
-            }
-    };
     let mut table: std::collections::HashMap<(Opcode, &Type, Vec<ValueId>), Vec<ValueId>> =
         std::collections::HashMap::new();
     let mut rewrites: Vec<(ValueId, ValueId)> = Vec::new();
@@ -129,21 +119,17 @@ pub fn common_subexpression_elimination(f: &mut Function) -> usize {
             }
             let key = (i.opcode, &f.value(v).ty, i.operands.clone());
             let entry = table.entry(key).or_default();
-            if let Some(&prior) = entry.iter().find(|&&p| strictly_dominates(p, v)) {
+            if let Some(&prior) = entry
+                .iter()
+                .find(|&&p| p != v && dominates(&layout, &dom, p, v))
+            {
                 rewrites.push((v, prior));
             } else {
                 entry.push(v);
             }
         }
     }
-    let n = rewrites.len();
-    for (from, to) in rewrites {
-        replace_all_uses(f, from, to);
-    }
-    if n > 0 {
-        eliminate_dead_code(f);
-    }
-    n
+    rewrite_uses(f, &rewrites)
 }
 
 fn const_int_of(f: &Function, v: ValueId) -> Option<i64> {
@@ -163,7 +149,7 @@ fn const_float_of(f: &Function, v: ValueId) -> Option<f64> {
 /// One round of constant folding + algebraic identities. Returns the number
 /// of rewrites performed.
 pub fn fold_constants(f: &mut Function) -> usize {
-    let mut rewrites: Vec<(ValueId, Replacement)> = Vec::new();
+    let mut folds: Vec<(ValueId, Replacement)> = Vec::new();
     enum Replacement {
         Int(i64),
         Float(f64),
@@ -259,96 +245,105 @@ pub fn fold_constants(f: &mut Function) -> usize {
                 _ => None,
             };
             if let Some(r) = repl {
-                rewrites.push((v, r));
+                folds.push((v, r));
             }
         }
     }
-    let n = rewrites.len();
-    for (v, r) in rewrites {
-        let ty = f.value(v).ty.clone();
-        let to = match r {
-            Replacement::Int(c) => f.const_int(ty, c),
-            Replacement::Float(c) => f.const_float(ty, c),
-            Replacement::Value(w) => w,
-        };
-        replace_all_uses(f, v, to);
-    }
-    if n > 0 {
-        eliminate_dead_code(f);
-    }
-    n
+    let rewrites: Vec<(ValueId, ValueId)> = folds
+        .into_iter()
+        .map(|(v, r)| {
+            let ty = f.value(v).ty.clone();
+            let to = match r {
+                Replacement::Int(c) => f.const_int(ty, c),
+                Replacement::Float(c) => f.const_float(ty, c),
+                Replacement::Value(w) => w,
+            };
+            (v, to)
+        })
+        .collect();
+    rewrite_uses(f, &rewrites)
 }
 
 /// Hoists loop-invariant pure instructions into loop preheaders, innermost
-/// loops first, iterating until nothing moves. Division is not hoisted
+/// loops first. Each round moves the loop's instructions whose operands
+/// are all defined outside it; rounds repeat until nothing moves, so a
+/// chain of invariants leaves one link per round. Division is not hoisted
 /// (speculative traps); memory operations are never moved.
 pub fn hoist_loop_invariants(f: &mut Function) {
-    loop {
-        let an = Analyses::new(f);
-        let mut moved = false;
-        // Innermost first: process deeper loops before their parents.
-        let mut loop_order: Vec<usize> = (0..an.loops.loops.len()).collect();
-        loop_order.sort_by_key(|&i| std::cmp::Reverse(an.loops.loops[i].depth));
-        for &li in &loop_order {
-            let l = &an.loops.loops[li];
-            let Some(preheader) = unique_preheader(f, &an, l) else {
-                continue;
-            };
-            // Candidates: pure instructions in the loop whose operands are
-            // all defined outside the loop.
+    let cfg = Cfg::new(f);
+    let dom = DomTree::dominators(&cfg);
+    let forest = LoopForest::new(&cfg, &dom);
+    // Placement by value id, updated as instructions move.
+    let mut block_of: Vec<Option<BlockId>> = vec![None; f.num_values()];
+    for b in f.block_ids() {
+        for &v in &f.block(b).instrs {
+            block_of[v.0 as usize] = Some(b);
+        }
+    }
+    let mut innermost_first: Vec<&Loop> = forest.loops.iter().collect();
+    innermost_first.sort_by_key(|l| std::cmp::Reverse(l.depth));
+    for l in innermost_first {
+        let Some(preheader) = unique_preheader(&cfg, l) else {
+            continue;
+        };
+        loop {
             let mut to_move: Vec<ValueId> = Vec::new();
             for &b in &l.blocks {
                 for &v in &f.block(b).instrs {
                     let Some(i) = f.instr(v) else { continue };
                     let hoistable = (i.opcode.is_pure_arith() || i.opcode == Opcode::Gep)
                         && !matches!(i.opcode, Opcode::SDiv | Opcode::SRem);
-                    if !hoistable {
-                        continue;
-                    }
-                    let invariant = i.operands.iter().all(|&op| {
-                        match an.layout.block_of(op) {
-                            Some(ob) => !l.contains(ob),
-                            None => true, // constants / arguments
-                        }
-                    });
-                    if invariant {
+                    // Constants and arguments have no block.
+                    let invariant = || {
+                        i.operands
+                            .iter()
+                            .all(|&op| block_of[op.0 as usize].is_none_or(|ob| !l.contains(ob)))
+                    };
+                    if hoistable && invariant() {
                         to_move.push(v);
                     }
                 }
             }
             if to_move.is_empty() {
-                continue;
+                break;
             }
             for v in to_move {
-                // Remove from current block, insert before preheader terminator.
-                for b in f.block_ids().collect::<Vec<_>>() {
-                    f.block_mut(b).instrs.retain(|&x| x != v);
-                }
-                let instrs = &mut f.block_mut(preheader).instrs;
-                let at = instrs.len().saturating_sub(1); // before the terminator
-                instrs.insert(at, v);
-                moved = true;
+                let from = block_of[v.0 as usize].expect("loop instructions are placed");
+                f.block_mut(from).instrs.retain(|&x| x != v);
+                f.place(preheader, InsertPoint::BeforeTerminator, v);
+                block_of[v.0 as usize] = Some(preheader);
             }
-            if moved {
-                break; // recompute analyses after structural change
-            }
-        }
-        if !moved {
-            return;
         }
     }
 }
 
 /// The unique predecessor of the loop header outside the loop, if the loop
 /// is in canonical form (one preheader, one latch).
-fn unique_preheader(f: &Function, an: &Analyses, l: &ssair::analysis::Loop) -> Option<BlockId> {
-    let _ = f;
-    let preds = an.cfg.preds(l.header);
-    let outside: Vec<BlockId> = preds.iter().copied().filter(|p| !l.contains(*p)).collect();
+fn unique_preheader(cfg: &Cfg, l: &Loop) -> Option<BlockId> {
+    let outside: Vec<BlockId> = cfg
+        .preds(l.header)
+        .iter()
+        .copied()
+        .filter(|p| !l.contains(*p))
+        .collect();
     if outside.len() == 1 && l.latches.len() == 1 {
         Some(outside[0])
     } else {
         None
+    }
+}
+
+/// Instruction-granularity dominance (reflexive): `a` dominates `b` when
+/// both are placed and `a` comes first in their block or its block
+/// dominates `b`'s.
+fn dominates(layout: &Layout, dom: &DomTree, a: ValueId, b: ValueId) -> bool {
+    let (Some(ba), Some(bb)) = (layout.block_of(a), layout.block_of(b)) else {
+        return false;
+    };
+    if ba == bb {
+        layout.position(a) <= layout.position(b)
+    } else {
+        dom.dominates(ba, bb)
     }
 }
 
@@ -374,30 +369,33 @@ fn address_root(f: &Function, mut v: ValueId) -> ValueId {
 /// store sunk to the exit block. Soundness relies on the frontend's
 /// restrict-parameter model: addresses rooted at distinct parameters or
 /// allocas do not alias.
+///
+/// Promotions repeat until none applies; each rescans the loops from the
+/// outermost, because a store sunk out of an inner loop can be promoted
+/// out of its parent.
 pub fn promote_read_modify_write(f: &mut Function) {
-    loop {
-        if !promote_one(f) {
-            return;
-        }
-    }
+    let cfg = Cfg::new(f);
+    let dom = DomTree::dominators(&cfg);
+    let forest = LoopForest::new(&cfg, &dom);
+    while promote_one(f, &cfg, &dom, &forest) {}
 }
 
-fn promote_one(f: &mut Function) -> bool {
-    let an = Analyses::new(f);
-    for l in &an.loops.loops {
-        let Some(preheader) = unique_preheader(f, &an, l) else {
+fn promote_one(f: &mut Function, cfg: &Cfg, dom: &DomTree, forest: &LoopForest) -> bool {
+    // The previous promotion added and removed instructions.
+    let layout = Layout::new(f);
+    for l in &forest.loops {
+        let Some(preheader) = unique_preheader(cfg, l) else {
             continue;
         };
         let latch = l.latches[0];
         // Canonical single exit from the header.
-        let exits: Vec<BlockId> = an
-            .cfg
+        let exits: Vec<BlockId> = cfg
             .succs(l.header)
             .iter()
             .copied()
             .filter(|s| !l.contains(*s))
             .collect();
-        let exit_ok = exits.len() == 1 && an.cfg.preds(exits[0]).len() == 1;
+        let exit_ok = exits.len() == 1 && cfg.preds(exits[0]).len() == 1;
         if !exit_ok {
             continue;
         }
@@ -430,13 +428,13 @@ fn promote_one(f: &mut Function) -> bool {
         for &store in &stores {
             let addr = f.instr(store).expect("store").operands[1];
             // Address must be defined outside the loop.
-            if an.layout.block_of(addr).is_some_and(|b| l.contains(b)) {
+            if layout.block_of(addr).is_some_and(|b| l.contains(b)) {
                 continue;
             }
             let root = address_root(f, addr);
             // The store must execute every iteration.
-            let sb = an.layout.block_of(store).expect("placed");
-            if !an.dom.dominates(sb, latch) {
+            let sb = layout.block_of(store).expect("placed");
+            if !dom.dominates(sb, latch) {
                 continue;
             }
             // No other store in the loop may alias; same-root loads must use
@@ -464,14 +462,15 @@ fn promote_one(f: &mut Function) -> bool {
             // — guaranteed in SSA by dominance of uses; the rotation below
             // is value-accurate regardless of order because the phi carries
             // the latest value.
-            let header_preds = an.cfg.preds(l.header);
+            let header_preds = cfg.preds(l.header);
             if header_preds.len() != 2 {
                 continue;
             }
             let stored_value = f.instr(store).expect("store").operands[0];
             // The stored value must dominate the latch terminator.
             let latch_term = f.terminator(latch).expect("terminated");
-            if f.is_instruction(stored_value) && !an.inst_dominates(stored_value, latch_term) {
+            if f.is_instruction(stored_value) && !dominates(&layout, dom, stored_value, latch_term)
+            {
                 continue;
             }
             let ty = f
@@ -482,35 +481,20 @@ fn promote_one(f: &mut Function) -> bool {
                 .clone();
 
             // --- transform ---
-            let init = f.append_simple(preheader, ty.clone(), Opcode::Load, vec![addr]);
-            // Move the load before the preheader terminator.
-            {
-                let instrs = &mut f.block_mut(preheader).instrs;
-                let v = instrs.pop().expect("just appended");
-                let at = instrs.len().saturating_sub(1);
-                instrs.insert(at, v);
-            }
-            let phi = f.append_phi(l.header, ty.clone());
+            let load = Instr::simple(Opcode::Load, vec![addr]);
+            let init = f.insert(preheader, InsertPoint::BeforeTerminator, ty.clone(), load);
+            let phi = f.append_phi(l.header, ty);
             f.set_name(phi, "promoted");
             f.add_phi_incoming(phi, init, preheader);
             f.add_phi_incoming(phi, stored_value, latch);
             for ld in same_addr_loads {
                 replace_all_uses(f, ld, phi);
-                ssair::pass::remove_instruction(f, ld);
+                remove_instruction(f, ld);
             }
-            ssair::pass::remove_instruction(f, store);
+            remove_instruction(f, store);
             // Store the final value at the exit (its single pred is the header).
-            let sunk = f.append_simple(exit, Type::Void, Opcode::Store, vec![phi, addr]);
-            let v = f.block_mut(exit).instrs.pop().expect("just appended");
-            debug_assert_eq!(v, sunk);
-            // Insert after any phis at the block head.
-            let mut at = 0;
-            while at < f.block(exit).instrs.len()
-                && matches!(f.opcode(f.block(exit).instrs[at]), Some(Opcode::Phi))
-            {
-                at += 1;
-            }
-            f.block_mut(exit).instrs.insert(at, sunk);
+            let sunk = Instr::simple(Opcode::Store, vec![phi, addr]);
+            f.insert(exit, InsertPoint::AfterPhis, Type::Void, sunk);
             return true;
         }
     }
@@ -520,7 +504,7 @@ fn promote_one(f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use crate::{compile, compile_unoptimized};
-    use ssair::{Opcode, ValueKind};
+    use ssair::{Opcode, ValueId, ValueKind};
 
     #[test]
     fn folds_constant_arithmetic() {
@@ -640,6 +624,96 @@ mod tests {
             .filter(|&&v| f.opcode(v) == Some(Opcode::Phi))
             .count();
         assert_eq!(phis, 2);
+    }
+
+    #[test]
+    fn load_forwarding_follows_a_forwarded_load() {
+        // `u` forwards to `t`, then the reload of `b[0]` forwards to `u`:
+        // both stores must end up storing the one load that remains.
+        let src = "double f(double* a, double* b) { double t = a[0]; double u = a[0]; b[0] = u; a[1] = b[0]; return t; }";
+        let m = compile(src, "t").unwrap();
+        ssair::verify::verify_module(&m).expect("optimized IR verifies");
+        let f = m.function("f").unwrap();
+        let of = |op: Opcode| -> Vec<ssair::ValueId> {
+            f.block(ssair::BlockId(0))
+                .instrs
+                .iter()
+                .copied()
+                .filter(|&v| f.opcode(v) == Some(op))
+                .collect()
+        };
+        let loads = of(Opcode::Load);
+        assert_eq!(loads.len(), 1, "{f}");
+        let stored: Vec<_> = of(Opcode::Store)
+            .iter()
+            .map(|&s| f.instr(s).unwrap().operands[0])
+            .collect();
+        assert_eq!(stored, vec![loads[0], loads[0]], "{f}");
+    }
+
+    #[test]
+    fn licm_hoists_a_chain_out_of_a_nest_in_one_call() {
+        // `s * 3.0 + 1.0` is invariant in both loops, and the add needs
+        // the multiply hoisted first.
+        let src = "void f(double* a, double s, int n, int m) {
+            for (int i = 0; i < n; i++) for (int j = 0; j < m; j++) a[j] = a[j] * (s * 3.0 + 1.0);
+        }";
+        let mut m = compile_unoptimized(src, "t").unwrap();
+        let f = m.function_mut("f").unwrap();
+        let user = |f: &ssair::Function, op: Opcode, of: ValueId| {
+            f.block_ids()
+                .flat_map(|b| f.block(b).instrs.clone())
+                .find(|&v| f.opcode(v) == Some(op) && f.instr(v).unwrap().operands[0] == of)
+                .unwrap()
+        };
+        let mul = user(f, Opcode::FMul, f.params[1]);
+        let add = user(f, Opcode::FAdd, mul);
+        let entry = ssair::BlockId(0);
+        assert!(
+            !f.block(entry).instrs.contains(&mul),
+            "starts in the inner loop"
+        );
+        super::hoist_loop_invariants(f);
+        ssair::verify::verify_function(f).expect("hoisted IR verifies");
+        // Both left the inner loop and then the outer one: they sit in
+        // the entry block, the outer preheader, in dependence order.
+        let at = |v: ValueId| f.block(entry).instrs.iter().position(|&x| x == v);
+        let (Some(mul_at), Some(add_at)) = (at(mul), at(add)) else {
+            panic!("chain not hoisted to the entry block:\n{f}");
+        };
+        assert!(mul_at < add_at, "{f}");
+    }
+
+    #[test]
+    fn promotion_handles_sibling_loops_in_one_call() {
+        let src = "void f(double* a, double* b, double* x, int i, int n) {
+            for (int k = 0; k < n; k++) a[i] = a[i] + x[k];
+            for (int k = 0; k < n; k++) b[i] = b[i] * x[k];
+        }";
+        let mut m = compile_unoptimized(src, "t").unwrap();
+        let f = m.function_mut("f").unwrap();
+        while super::fold_constants(f) > 0 {}
+        while super::common_subexpression_elimination(f) > 0 {}
+        while super::eliminate_redundant_loads(f) > 0 {}
+        super::hoist_loop_invariants(f);
+        super::promote_read_modify_write(f);
+        ssair::verify::verify_function(f).expect("promoted IR verifies");
+        let promoted = f
+            .block_ids()
+            .flat_map(|b| f.block(b).instrs.clone())
+            .filter(|&v| f.value(v).name.as_deref() == Some("promoted"))
+            .count();
+        assert_eq!(promoted, 2, "one accumulator per loop:\n{f}");
+        let cfg = ssair::analysis::Cfg::new(f);
+        let dom = ssair::analysis::DomTree::dominators(&cfg);
+        let loops = ssair::analysis::LoopForest::new(&cfg, &dom);
+        let stores_in_loops = f
+            .block_ids()
+            .filter(|&b| loops.innermost_containing(b).is_some())
+            .flat_map(|b| f.block(b).instrs.clone())
+            .filter(|&v| f.opcode(v) == Some(Opcode::Store))
+            .count();
+        assert_eq!(stores_in_loops, 0, "{f}");
     }
 
     #[test]

@@ -392,21 +392,9 @@ impl<'f> Solver<'f> {
     }
 
     /// Solves `tree` starting from a partial assignment (used for `collect`
-    /// sub-searches, where context variables are pre-bound). `symbols` is
-    /// the owning constraint's table (`tree` must index into it).
-    #[must_use]
-    pub fn solve_with(
-        &self,
-        tree: &CTree,
-        symbols: &SymbolTable,
-        initial: Assignment,
-        opts: &SolveOptions,
-    ) -> Vec<Solution> {
-        self.solve_with_outcome(tree, symbols, initial, opts)
-            .solutions
-    }
-
-    /// [`Solver::solve_with`], also reporting completeness and steps.
+    /// sub-searches, where context variables are pre-bound), reporting
+    /// completeness and steps. `symbols` is the owning constraint's table
+    /// (`tree` must index into it).
     #[must_use]
     pub fn solve_with_outcome(
         &self,

@@ -87,29 +87,17 @@ pub fn all_data_flow_passes_through(
     true
 }
 
-/// `true` iff every backward data-flow path from `sink` terminates at one
-/// of `killers`, a constant, or a function argument, traversing only pure
-/// arithmetic instructions (and calls to the pure math intrinsics in
-/// `pure_calls`).
-///
-/// This implements the varlist atomic `all flow to {sink} is killed by
-/// {killers}` used by the `KernelFunction` building block: it guarantees
-/// the kernel value is a detachable pure function of its declared inputs,
-/// which is what makes histogram/reduction/stencil kernels extractable
-/// (§4.2, §6.2 of the paper).
-#[must_use]
-pub fn backward_slice_killed_by(
-    f: &Function,
-    sink: ValueId,
-    killers: &[ValueId],
-    pure_calls: &[&str],
-) -> bool {
-    kernel_slice(f, sink, killers, pure_calls).is_some()
-}
-
 /// The pure backward slice of `sink` up to `killers` (exclusive), in
 /// arbitrary order, or `None` if the slice is not a pure function of the
 /// killers. `sink` itself is included unless it is a killer.
+///
+/// `Some` means every backward data-flow path from `sink` ends at a
+/// killer, a constant or an argument, through pure arithmetic and calls
+/// to the math intrinsics in `pure_calls`. That is the varlist atomic
+/// `all flow to {sink} is killed by {killers}` of the `KernelFunction`
+/// building block: the kernel value is a detachable pure function of its
+/// declared inputs, which is what makes histogram/reduction/stencil
+/// kernels extractable (§4.2, §6.2 of the paper).
 #[must_use]
 pub fn kernel_slice(
     f: &Function,

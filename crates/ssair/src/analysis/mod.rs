@@ -19,10 +19,7 @@ pub use affine::{AffineAddr, AffineIndex, AffineMap, Bound, Coeff, IndVar, VRang
 pub use cfg::Cfg;
 pub use defuse::DefUse;
 pub use dom::DomTree;
-pub use flow::{
-    all_control_flow_passes_through, all_data_flow_passes_through, backward_slice_killed_by,
-    kernel_slice,
-};
+pub use flow::{all_control_flow_passes_through, all_data_flow_passes_through, kernel_slice};
 pub use layout::Layout;
 pub use loops::{Loop, LoopForest};
 

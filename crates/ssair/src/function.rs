@@ -294,13 +294,26 @@ pub struct Instr {
 }
 
 impl Instr {
-    fn simple(opcode: Opcode, operands: Vec<ValueId>) -> Instr {
+    /// An instruction with operands only: no incoming blocks, targets or
+    /// callee.
+    #[must_use]
+    pub fn simple(opcode: Opcode, operands: Vec<ValueId>) -> Instr {
         Instr {
             opcode,
             operands,
             incoming: Vec::new(),
             targets: Vec::new(),
             callee: None,
+        }
+    }
+
+    /// A `call` of `callee` with `args`.
+    #[must_use]
+    pub fn call(callee: impl Into<String>, args: Vec<ValueId>) -> Instr {
+        let callee = Some(callee.into());
+        Instr {
+            callee,
+            ..Instr::simple(Opcode::Call, args)
         }
     }
 }
@@ -319,6 +332,17 @@ pub enum ValueKind {
     ConstFloat(f64),
     /// An instruction; the payload holds opcode and operands.
     Instr(Instr),
+}
+
+/// Where [`Function::place`] puts an instruction inside its block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InsertPoint {
+    /// At the end of the block.
+    End,
+    /// After the phis at the block head.
+    AfterPhis,
+    /// In front of the terminator, or at the end while the block has none.
+    BeforeTerminator,
 }
 
 /// A value in the function arena.
@@ -536,13 +560,7 @@ impl Function {
 
     /// Appends an instruction to `block` and returns its value id.
     pub fn append(&mut self, block: BlockId, ty: Type, instr: Instr) -> ValueId {
-        let id = self.push_value(ValueData {
-            ty,
-            kind: ValueKind::Instr(instr),
-            name: None,
-        });
-        self.blocks[block.0 as usize].instrs.push(id);
-        id
+        self.insert(block, InsertPoint::End, ty, instr)
     }
 
     /// Appends a simple (non-control, non-phi) instruction.
@@ -556,32 +574,40 @@ impl Function {
         self.append(block, ty, Instr::simple(opcode, operands))
     }
 
-    /// Appends a `phi` with no incoming edges yet (see [`Function::add_phi_incoming`]).
+    /// Adds a `phi` with no incoming edges yet (see
+    /// [`Function::add_phi_incoming`]) after the block's other phis.
     pub fn append_phi(&mut self, block: BlockId, ty: Type) -> ValueId {
-        let instr = Instr {
-            opcode: Opcode::Phi,
-            operands: Vec::new(),
-            incoming: Vec::new(),
-            targets: Vec::new(),
-            callee: None,
-        };
-        // Phis must precede non-phi instructions in their block.
+        let phi = Instr::simple(Opcode::Phi, Vec::new());
+        self.insert(block, InsertPoint::AfterPhis, ty, phi)
+    }
+
+    /// Creates an instruction and places it in `block` at `at`; see
+    /// [`Function::place`].
+    pub fn insert(&mut self, block: BlockId, at: InsertPoint, ty: Type, instr: Instr) -> ValueId {
         let id = self.push_value(ValueData {
             ty,
             kind: ValueKind::Instr(instr),
             name: None,
         });
-        let blk = &mut self.blocks[block.0 as usize];
-        let pos = blk
-            .instrs
-            .iter()
-            .position(|&v| {
-                !matches!(&self.values[v.0 as usize].kind,
-                    ValueKind::Instr(i) if i.opcode == Opcode::Phi)
-            })
-            .unwrap_or(blk.instrs.len());
-        blk.instrs.insert(pos, id);
+        self.place(block, at, id);
         id
+    }
+
+    /// Places the instruction `v`, which no block holds, in `block` at
+    /// `at`. The builders and the passes place through here: appends,
+    /// phis, inserts in front of a terminator and LICM's moves into a
+    /// preheader.
+    pub fn place(&mut self, block: BlockId, at: InsertPoint, v: ValueId) {
+        let instrs = &self.blocks[block.0 as usize].instrs;
+        let pos = match at {
+            InsertPoint::End => None,
+            InsertPoint::AfterPhis => instrs
+                .iter()
+                .position(|&i| self.opcode(i) != Some(Opcode::Phi)),
+            InsertPoint::BeforeTerminator => self.terminator(block).map(|_| instrs.len() - 1),
+        };
+        let instrs = &mut self.blocks[block.0 as usize].instrs;
+        instrs.insert(pos.unwrap_or(instrs.len()), v);
     }
 
     /// Adds an incoming (value, predecessor-block) pair to a phi.
@@ -599,17 +625,12 @@ impl Function {
 
     /// Appends an unconditional branch.
     pub fn append_br(&mut self, block: BlockId, target: BlockId) -> ValueId {
-        self.append(
-            block,
-            Type::Void,
-            Instr {
-                opcode: Opcode::Br,
-                operands: Vec::new(),
-                incoming: Vec::new(),
-                targets: vec![target],
-                callee: None,
-            },
-        )
+        let targets = vec![target];
+        let br = Instr {
+            targets,
+            ..Instr::simple(Opcode::Br, Vec::new())
+        };
+        self.append(block, Type::Void, br)
     }
 
     /// Appends a conditional branch (`on_true` taken when `cond` is 1).
@@ -620,32 +641,18 @@ impl Function {
         on_true: BlockId,
         on_false: BlockId,
     ) -> ValueId {
-        self.append(
-            block,
-            Type::Void,
-            Instr {
-                opcode: Opcode::CondBr,
-                operands: vec![cond],
-                incoming: Vec::new(),
-                targets: vec![on_true, on_false],
-                callee: None,
-            },
-        )
+        let targets = vec![on_true, on_false];
+        let br = Instr {
+            targets,
+            ..Instr::simple(Opcode::CondBr, vec![cond])
+        };
+        self.append(block, Type::Void, br)
     }
 
     /// Appends a return (with optional value).
     pub fn append_ret(&mut self, block: BlockId, value: Option<ValueId>) -> ValueId {
-        self.append(
-            block,
-            Type::Void,
-            Instr {
-                opcode: Opcode::Ret,
-                operands: value.into_iter().collect(),
-                incoming: Vec::new(),
-                targets: Vec::new(),
-                callee: None,
-            },
-        )
+        let ret = Instr::simple(Opcode::Ret, value.into_iter().collect());
+        self.append(block, Type::Void, ret)
     }
 
     /// Appends a call to `callee`.
@@ -656,17 +663,7 @@ impl Function {
         callee: impl Into<String>,
         args: Vec<ValueId>,
     ) -> ValueId {
-        self.append(
-            block,
-            ty,
-            Instr {
-                opcode: Opcode::Call,
-                operands: args,
-                incoming: Vec::new(),
-                targets: Vec::new(),
-                callee: Some(callee.into()),
-            },
-        )
+        self.append(block, ty, Instr::call(callee, args))
     }
 
     /// The terminator instruction of `block`, if the block is terminated.
@@ -858,6 +855,53 @@ mod tests {
             "late phi inserted before non-phi instructions"
         );
         assert_eq!(instrs[2], add);
+    }
+
+    #[test]
+    fn placement_goes_before_the_terminator_or_at_the_end() {
+        let mut f = Function::new("p", &[("a".into(), Type::I64)], Type::I64);
+        let entry = BlockId(0);
+        let a = f.params[0];
+        let at = InsertPoint::BeforeTerminator;
+        // No terminator yet: at the end.
+        let x = f.insert(entry, at, Type::I64, Instr::simple(Opcode::Add, vec![a, a]));
+        let y = f.insert(entry, at, Type::I64, Instr::simple(Opcode::Mul, vec![x, a]));
+        let ret = f.append_ret(entry, Some(y));
+        // Terminated: in front of the terminator.
+        let z = f.insert(entry, at, Type::I64, Instr::simple(Opcode::Sub, vec![a, a]));
+        assert_eq!(f.block(entry).instrs, vec![x, y, z, ret]);
+        // Moving an existing instruction: take it out, then place it.
+        f.block_mut(entry).instrs.retain(|&v| v != x);
+        let next = f.add_block("next");
+        f.append_br(next, entry);
+        f.place(next, at, x);
+        assert_eq!(f.block(next).instrs[0], x);
+        assert_eq!(f.terminator(next), f.block(next).instrs.last().copied());
+    }
+
+    #[test]
+    fn placement_after_phis_skips_the_phis() {
+        let mut f = Function::new("q", &[], Type::Void);
+        let header = f.add_block("header");
+        let one = f.const_int(Type::I64, 1);
+        let phi = f.append_phi(header, Type::I64);
+        let add = f.append_simple(header, Type::I64, Opcode::Add, vec![phi, one]);
+        let at = InsertPoint::AfterPhis;
+        let s = f.insert(
+            header,
+            at,
+            Type::I64,
+            Instr::simple(Opcode::Mul, vec![phi, one]),
+        );
+        assert_eq!(f.block(header).instrs, vec![phi, s, add]);
+        let empty = f.add_block("empty");
+        let t = f.insert(
+            empty,
+            at,
+            Type::I64,
+            Instr::simple(Opcode::Mul, vec![one, one]),
+        );
+        assert_eq!(f.block(empty).instrs, vec![t]);
     }
 
     #[test]

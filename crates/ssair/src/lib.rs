@@ -28,8 +28,8 @@
 //!   the instruction-granularity flow queries IDL atomics need.
 //! * [`verify`] — structural SSA well-formedness checks.
 //! * [`pass`] — small transformation utilities (dead-code elimination,
-//!   value replacement) used by the frontend optimizer and by the idiom
-//!   replacement phase.
+//!   the batch use-rewrite, value replacement) used by the frontend
+//!   optimizer and by the idiom replacement phase.
 
 pub mod analysis;
 pub mod function;
@@ -40,6 +40,8 @@ pub mod printer;
 pub mod types;
 pub mod verify;
 
-pub use function::{BlockId, FCmpPred, Function, ICmpPred, Instr, Opcode, ValueId, ValueKind};
+pub use function::{
+    BlockId, FCmpPred, Function, ICmpPred, InsertPoint, Instr, Opcode, ValueId, ValueKind,
+};
 pub use module::Module;
 pub use types::Type;

@@ -4,23 +4,79 @@
 //! The paper's replacement scheme (§6.1) deletes only the anchoring store
 //! of a matched idiom "and the remaining cleanup is left to the standard
 //! dead code elimination pass" — [`eliminate_dead_code`] is that pass.
+//!
+//! Use rewriting has one owner. A pass that found a whole set of
+//! redundant values hands them to [`rewrite_uses`] as `(from, to)` pairs:
+//! one scan rewrites every operand, a `to` that is itself rewritten is
+//! followed to the end of its chain, and dead-code elimination then
+//! removes what lost its last user. [`replace_all_uses`] is the
+//! single-value form and reports the instructions it rewrote, so a caller
+//! can revisit exactly those. Placing an instruction inside a block goes
+//! through [`Function::place`] (see [`crate::function::InsertPoint`]).
 
 use crate::analysis::DefUse;
-use crate::function::{Function, Opcode, ValueId, ValueKind};
+use crate::function::{Function, Opcode, ValueId};
 use std::collections::HashSet;
 
-/// Replaces every use of `from` with `to` in `f`.
-pub fn replace_all_uses(f: &mut Function, from: ValueId, to: ValueId) {
-    for v in f.value_ids().collect::<Vec<_>>() {
-        if let ValueKind::Instr(_) = f.value(v).kind {
-            let instr = f.instr_mut(v).expect("instruction");
-            for op in &mut instr.operands {
-                if *op == from {
-                    *op = to;
-                }
+/// Replaces every use of `from` with `to` in `f` and returns the
+/// instructions whose operands changed, in value order.
+pub fn replace_all_uses(f: &mut Function, from: ValueId, to: ValueId) -> Vec<ValueId> {
+    let mut users = Vec::new();
+    for v in (0..f.num_values()).map(|i| ValueId(i as u32)) {
+        let Some(instr) = f.instr_mut(v) else {
+            continue;
+        };
+        let mut used = false;
+        for op in &mut instr.operands {
+            if *op == from {
+                *op = to;
+                used = true;
+            }
+        }
+        if used {
+            users.push(v);
+        }
+    }
+    users
+}
+
+/// Applies a whole set of `(from, to)` use rewrites in one scan, then
+/// removes dead code. A `to` that is itself a `from` is followed to the
+/// end of its chain, so `[(b, c), (a, b)]` sends the users of both `a`
+/// and `b` to `c` whatever the order of the pairs. Returns the number of
+/// pairs; with none, `f` is left untouched.
+pub fn rewrite_uses(f: &mut Function, rewrites: &[(ValueId, ValueId)]) -> usize {
+    if rewrites.is_empty() {
+        return 0;
+    }
+    // Dense by value id: one lookup per operand.
+    let mut to: Vec<Option<ValueId>> = vec![None; f.num_values()];
+    for &(from, target) in rewrites {
+        to[from.0 as usize] = Some(target);
+    }
+    let resolve = |mut v: ValueId| {
+        // A chain is at most as long as the set; the bound also stops a
+        // (malformed) cycle.
+        for _ in 0..rewrites.len() {
+            match to[v.0 as usize] {
+                Some(next) => v = next,
+                None => break,
+            }
+        }
+        v
+    };
+    for v in (0..f.num_values()).map(|i| ValueId(i as u32)) {
+        let Some(instr) = f.instr_mut(v) else {
+            continue;
+        };
+        for op in &mut instr.operands {
+            if to[op.0 as usize].is_some() {
+                *op = resolve(*op);
             }
         }
     }
+    eliminate_dead_code(f);
+    rewrites.len()
 }
 
 /// Removes the instruction `v` from its block (its value-arena slot is
@@ -71,7 +127,8 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
 /// Removes blocks unreachable from the entry, compacting block ids and
 /// rewriting branch targets and phi incoming lists. Phi edges from removed
 /// predecessors are dropped; phis left with a single incoming value are
-/// replaced by that value. Used after idiom replacement excises a loop.
+/// replaced by that value (and removed with the rest of the dead code).
+/// Used after idiom replacement excises a loop.
 pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
     use crate::function::BlockId;
     // Reachability.
@@ -126,10 +183,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
             }
         }
     }
-    for (phi, val) in simplify {
-        replace_all_uses(f, phi, val);
-        remove_instruction(f, phi);
-    }
+    rewrite_uses(f, &simplify);
     // Rebuild block vector and rewrite ids.
     f.retain_blocks(
         |b| reach[b.0 as usize],
@@ -197,6 +251,77 @@ entry:
         replace_all_uses(&mut f, a, b);
         let x = f.block(crate::BlockId(0)).instrs[0];
         assert_eq!(f.instr(x).unwrap().operands, vec![b, b]);
+    }
+
+    #[test]
+    fn replace_all_uses_reports_the_def_use_users() {
+        let mut f = parse_function_text(
+            r#"
+define i32 @u(i32 %a, i32 %b) {
+entry:
+  %x = add i32 %a, %a
+  %y = add i32 %x, %a
+  %z = mul i32 %b, %b
+  %s = add i32 %y, %z
+  ret i32 %s
+}
+"#,
+        )
+        .unwrap();
+        let a = f.params[0];
+        let b = f.params[1];
+        let expected = DefUse::new(&f).users(a).to_vec();
+        assert_eq!(expected.len(), 2, "x and y");
+        assert_eq!(replace_all_uses(&mut f, a, b), expected);
+        assert!(DefUse::new(&f).is_unused(a));
+    }
+
+    /// Load forwarding's shape: `u` is forwarded to `t`, and a reload
+    /// of what was stored from `u` is forwarded to `u`.
+    const FORWARD_CHAIN: &str = r#"
+define double @c(double* %a, double* %b) {
+entry:
+  %t = load double, double* %a
+  %u = load double, double* %a
+  store double %u, double* %b
+  %w = load double, double* %b
+  %a1 = getelementptr double, double* %a, i64 1
+  store double %w, double* %a1
+  ret double %t
+}
+"#;
+
+    #[test]
+    fn rewrite_uses_follows_a_two_link_chain_in_either_order() {
+        for reversed in [false, true] {
+            let mut f = parse_function_text(FORWARD_CHAIN).unwrap();
+            let [t, u, w] = ["t", "u", "w"].map(|n| f.named(n).unwrap());
+            let mut rewrites = vec![(u, t), (w, u)];
+            if reversed {
+                rewrites.reverse();
+            }
+            assert_eq!(rewrite_uses(&mut f, &rewrites), 2);
+            crate::verify::verify_function(&f).expect("rewritten IR verifies");
+            let entry = &f.block(crate::BlockId(0)).instrs;
+            assert!(!entry.contains(&u) && !entry.contains(&w), "DCE ran");
+            let stored: Vec<ValueId> = entry
+                .iter()
+                .filter(|&&v| f.opcode(v) == Some(Opcode::Store))
+                .map(|&v| f.instr(v).unwrap().operands[0])
+                .collect();
+            assert_eq!(stored, vec![t, t], "reversed: {reversed}");
+        }
+    }
+
+    #[test]
+    fn rewrite_uses_without_pairs_leaves_dead_code() {
+        let mut f = parse_function_text(
+            "define i32 @d(i32 %a) {\nentry:\n  %dead = add i32 %a, 1\n  ret i32 %a\n}\n",
+        )
+        .unwrap();
+        let before = f.clone();
+        assert_eq!(rewrite_uses(&mut f, &[]), 0);
+        assert_eq!(f, before);
     }
 
     #[test]

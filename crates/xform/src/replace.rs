@@ -15,7 +15,7 @@ use analysis::{LegalityVerdict, ParamAliasFacts, SafetyCertificate, VerdictKind}
 use idioms::{IdiomInstance, IdiomKind};
 use ssair::analysis::{AffineMap, Analyses};
 use ssair::pass::{eliminate_dead_code, remove_unreachable_blocks, replace_all_uses};
-use ssair::{Function, ICmpPred, Module, Opcode, Type, ValueId, ValueKind};
+use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind};
 
 /// A transformation failure. `Unsupported` marks idiom shapes the backend
 /// cannot express (detection stands, no rewrite happens); `Unsound` marks
@@ -345,12 +345,8 @@ fn excise_and_call(
             )));
         }
     }
-    let call = f.append_call(pre_block, ret_ty, callee, args);
-    // Move the call before the terminator.
-    let v = f.block_mut(pre_block).instrs.pop().expect("just appended");
-    debug_assert_eq!(v, call);
-    let at = f.block(pre_block).instrs.len().saturating_sub(1);
-    f.block_mut(pre_block).instrs.insert(at, call);
+    let call = Instr::call(callee, args);
+    let call = f.insert(pre_block, InsertPoint::BeforeTerminator, ret_ty, call);
     if let Some(old) = result_replaces {
         replace_all_uses(f, old, call);
         // The call itself must not consume the replaced value.

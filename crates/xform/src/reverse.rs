@@ -16,7 +16,7 @@
 //! coverage gap, never a wrong answer).
 
 use ssair::analysis::{Analyses, IndVar};
-use ssair::{Function, ICmpPred, Module, Opcode, ValueId};
+use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode, ValueId};
 
 /// Rewrites the counted loop of the induction variable `iv` (a header
 /// phi) in place so its iterations run in reverse order:
@@ -94,8 +94,11 @@ pub fn reverse_loop(f: &mut Function, iv: ValueId) -> Result<(), String> {
     // and the frontend CSEs that use with the increment. The reversed
     // loop gets a *fresh* decrement feeding the phi instead.
     let minus_one = f.const_int(ty.clone(), -1);
-    let last = insert_before_terminator(f, preheader, ty.clone(), vec![end, minus_one]);
-    let dec = insert_before_terminator(f, latch, ty, vec![iv, minus_one]);
+    let before_term = InsertPoint::BeforeTerminator;
+    let last = Instr::simple(Opcode::Add, vec![end, minus_one]);
+    let last = f.insert(preheader, before_term, ty.clone(), last);
+    let dec = Instr::simple(Opcode::Add, vec![iv, minus_one]);
+    let dec = f.insert(latch, before_term, ty, dec);
     let init = {
         let phi = f.instr_mut(iv).expect("ivs are phis");
         let init = phi.operands[init_idx];
@@ -107,22 +110,6 @@ pub fn reverse_loop(f: &mut Function, iv: ValueId) -> Result<(), String> {
     cmp.opcode = Opcode::ICmp(ICmpPred::Sge);
     cmp.operands = vec![iv, init];
     Ok(())
-}
-
-/// Appends `add operands` to `block`, then moves it in front of the
-/// block terminator.
-fn insert_before_terminator(
-    f: &mut Function,
-    block: ssair::BlockId,
-    ty: ssair::Type,
-    operands: Vec<ValueId>,
-) -> ValueId {
-    let v = f.append_simple(block, ty, Opcode::Add, operands);
-    let instrs = &mut f.block_mut(block).instrs;
-    let appended = instrs.pop().expect("just appended");
-    let at = instrs.len() - 1;
-    instrs.insert(at, appended);
-    v
 }
 
 /// Clones `m` and reverses the loop of `iv` inside function `func`.

@@ -672,7 +672,11 @@ fn witness(
         if cert.safety != idioms::ParallelSafety::IndependentIterations {
             continue;
         }
-        match xform::reverse::reversed_module(module, &inst.function, iv) {
+        // `classify_region` certifies only an induction variable's loop.
+        let Some(info) = map.iv(iv) else {
+            continue;
+        };
+        match xform::reverse::reversed_module(module, &inst.function, info, &an.dom) {
             Ok(reversed) => {
                 validate_against(forward, &reversed, entry, setup, seeds)?;
                 oracle.checked += 1;

@@ -2,7 +2,8 @@
 //! detected idiom replacement in a module, not just a hand-picked first
 //! instance.
 //!
-//! Two problems make this more than a loop over [`apply_replacement`]:
+//! Two problems make this more than a loop over
+//! [`apply_replacement`](crate::apply_replacement):
 //!
 //! 1. **Overlaps.** Detected instances can claim the same loop blocks —
 //!    the dot-product loop inside a GEMM nest is itself a scalar
@@ -23,12 +24,13 @@
 //!    region on its outer iterator phi ([`IdiomInstance::refresh_blocks`])
 //!    immediately before its own soundness check and rewrite.
 //!
-//! Failures are isolated: each replacement is applied to a scratch clone
-//! of the module and only committed on success, so an [`XformError`]
-//! (unsupported shape, §6.3 unsoundness) never leaves half-rewritten
-//! functions or orphan generated kernels behind for later instances.
+//! Failures are isolated by the replacement itself: every check runs in
+//! its side-effect-free plan, and its commit swaps in the one edited
+//! function only once it verifies, so an [`XformError`] (unsupported
+//! shape, §6.3 unsoundness) never leaves half-rewritten functions or
+//! orphan generated kernels behind for later instances.
 
-use crate::replace::{apply_replacement_with, Replacement, XformError};
+use crate::replace::{replace, Replacement, XformError};
 use analysis::ParamAliasFacts;
 use idioms::{IdiomInstance, IdiomKind};
 use ssair::Module;
@@ -181,11 +183,8 @@ pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> Mo
             outcomes[i] = Some(Outcome::Shadowed { by: w });
             continue;
         }
-        // Scratch clone: a refused rewrite must not leave partially
-        // generated functions in the committed module.
-        let mut trial = out.clone();
         let mut fresh = instances[i].clone();
-        let refreshed = trial
+        let refreshed = out
             .function(&fresh.function)
             .is_some_and(|f| fresh.refresh_blocks(f));
         outcomes[i] = Some(if !refreshed {
@@ -193,10 +192,9 @@ pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> Mo
                 "instance region no longer exists after earlier replacements".into(),
             ))
         } else {
-            match apply_replacement_with(&mut trial, &fresh, uid, Some(&facts)) {
+            match replace(&mut out, &fresh, uid, Some(&facts)) {
                 Ok(rep) => {
                     uid += 1;
-                    out = trial;
                     replaced_idx.push(i);
                     Outcome::Replaced(rep)
                 }
@@ -470,8 +468,8 @@ mod tests {
             .any(|o| matches!(o.outcome, Outcome::Failed(XformError::Unsupported(_)))));
         assert_eq!(xf.replaced(), 0);
         assert_eq!(
-            xf.module.functions.len(),
-            module.functions.len(),
+            ssair::printer::print_module(&xf.module),
+            ssair::printer::print_module(&module),
             "no generated functions may leak from failed attempts"
         );
     }

@@ -15,10 +15,15 @@
 //!   the OpenCL that Lift/Halide would emit), and the original loop is
 //!   replaced with a call to the generated code.
 //!
-//! Before any rewrite, [`check_soundness`] re-validates the §6.3 side
-//! conditions natively (no unmatched side effects inside the replaced
-//! region, operands available at the call site); the tests exercise the
-//! rejection paths.
+//! Each rewrite ([`apply_replacement`]) is planned, then committed (see
+//! [`replace`]). The plan reads the function and changes nothing: it
+//! re-validates the §6.3 side conditions natively (no unmatched side
+//! effects or live-outs in the replaced region, a legal region, operands
+//! available at the call site), checks the backend's shape, outlines the
+//! kernel and parses and verifies the generated device program. The
+//! commit edits a clone of the one target function and swaps it in only
+//! once it verifies, so a refused rewrite leaves the module untouched;
+//! the tests exercise the rejection paths.
 //!
 //! [`transform_module`] scales the rewrite to the paper's actual claim —
 //! *all* detected instances of a module — resolving overlapping matches
@@ -38,9 +43,6 @@ pub mod tocsrc;
 
 pub use driver::{transform_instances, transform_module, InstanceOutcome, ModuleXform, Outcome};
 pub use outline::{outline_kernel, OutlinedKernel};
-pub use replace::{
-    apply_replacement, apply_replacement_with, check_soundness, check_soundness_with, Replacement,
-    XformError,
-};
+pub use replace::{apply_replacement, Replacement, XformError};
 pub use reverse::{reverse_loop, reversed_module};
 pub use tocsrc::ir_to_c;

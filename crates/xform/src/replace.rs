@@ -1,21 +1,33 @@
 //! Idiom replacement (paper §6.1/§6.2) with native soundness checks
-//! (§6.3).
+//! (§6.3), in two steps.
 //!
-//! The matched loop nest is excised: the preheader branch is retargeted to
-//! the loop's successor block, a call is inserted before it, and the
-//! now-unreachable loop blocks are removed. For the library path the call
-//! targets a fixed-function API entry point (`gemm_f64`, `csrmv_f64` —
-//! installed by the `hetero` crate); for the DSL path this crate first
-//! *generates* the device program (an IR function standing in for the
-//! OpenCL that Lift/Halide would emit) around the outlined kernel, and the
-//! call targets the generated code.
+//! **Plan.** `plan` reads the target function and never changes it.
+//! Every fallible step happens here, on one set of analyses: the §6.3
+//! soundness and legality checks (which yield the verdict and
+//! certificate), the backend's shape checks, kernel outlining, parsing
+//! and verifying the generated device program, and the check that every
+//! call argument is available at the call site. For the library path the
+//! call targets a fixed-function API entry point (`gemm_f64`,
+//! `csrmv_f64` — installed by the `hetero` crate); for the DSL path the
+//! plan carries the *generated* device program (an IR function standing
+//! in for the OpenCL that Lift/Halide would emit) around the outlined
+//! kernel, and the call targets it.
+//!
+//! **Commit.** `commit` excises the matched loop nest on a clone of the
+//! one target function: it inserts the call before the preheader branch,
+//! retargets that branch to the loop's successor block, removes the
+//! now-unreachable loop blocks and verifies the result. Only a verified
+//! function is swapped in, followed by the generated functions, so a
+//! refused rewrite leaves the module exactly as it was.
 
 use crate::outline::outline_kernel;
 use analysis::{LegalityVerdict, ParamAliasFacts, SafetyCertificate, VerdictKind};
 use idioms::{IdiomInstance, IdiomKind};
 use ssair::analysis::{AffineMap, Analyses};
 use ssair::pass::{eliminate_dead_code, remove_unreachable_blocks, replace_all_uses};
-use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind};
+use ssair::{
+    BlockId, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind,
+};
 
 /// A transformation failure. `Unsupported` marks idiom shapes the backend
 /// cannot express (detection stands, no rewrite happens); `Unsound` marks
@@ -60,25 +72,81 @@ pub struct Replacement {
     pub certificate: SafetyCertificate,
 }
 
-/// The kind/callee/generated description of a committed rewrite; verdict
-/// and certificate are stamped on by [`apply_replacement_with`] from the
-/// admission check that already ran before the per-kind backend.
-fn base_replacement(kind: IdiomKind, callee: String, generated: Vec<String>) -> Replacement {
-    Replacement {
-        kind,
-        callee,
-        generated,
-        verdict: LegalityVerdict {
-            kind: VerdictKind::Rejected,
-            evidence: vec!["verdict not yet stamped".into()],
-        },
-        certificate: SafetyCertificate::serial("certificate not yet stamped"),
+/// One argument of the call a plan inserts: an existing value, or an
+/// `i64`/`f64` constant that [`commit`] interns in argument order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arg {
+    Value(ValueId),
+    Int(i64),
+    Float(f64),
+}
+
+/// The call a backend builds to replace its instance's loop nest.
+struct Call {
+    /// The API entry point, or the name of the generated device program.
+    callee: String,
+    ret_ty: Type,
+    args: Vec<Arg>,
+    /// The value whose uses the call's result takes over, if any.
+    result: Option<ValueId>,
+    /// Outlined kernels, then the device program, parsed and verified;
+    /// empty for library calls.
+    generated: Vec<Function>,
+}
+
+impl Call {
+    /// A call to a fixed-function library entry point.
+    fn library(callee: &str, args: Vec<Arg>) -> Call {
+        Call {
+            callee: callee.into(),
+            ret_ty: Type::Void,
+            args,
+            result: None,
+            generated: Vec::new(),
+        }
     }
+
+    /// A call to the device program `dev`, linked after `kernels`.
+    fn device(kernels: Vec<Function>, dev: Function, ret_ty: Type, args: Vec<Arg>) -> Call {
+        let mut generated = kernels;
+        let callee = dev.name.clone();
+        generated.push(dev);
+        Call {
+            callee,
+            ret_ty,
+            args,
+            result: None,
+            generated,
+        }
+    }
+}
+
+/// A replacement that passed every check, computed from the target
+/// function without changing it; [`commit`] applies it.
+struct Plan {
+    kind: IdiomKind,
+    call: Call,
+    /// The preheader branch the call goes in front of.
+    precursor: ValueId,
+    pre_block: BlockId,
+    /// The loop header the branch leaves, and the successor it takes.
+    header_block: BlockId,
+    exit_block: BlockId,
+    verdict: LegalityVerdict,
+    certificate: SafetyCertificate,
 }
 
 fn bind(inst: &IdiomInstance, name: &str) -> Result<ValueId> {
     inst.value(name)
         .ok_or_else(|| XformError::Unsupported(format!("missing binding {name:?}")))
+}
+
+/// Binds `names` in order as call arguments.
+fn bind_args(inst: &IdiomInstance, names: &[&str]) -> Result<Vec<Arg>> {
+    names
+        .iter()
+        .map(|n| bind(inst, n).map(Arg::Value))
+        .collect()
 }
 
 fn const_f64(f: &Function, v: ValueId) -> Option<f64> {
@@ -140,22 +208,17 @@ fn region_live_outs(f: &Function, an: &Analyses, inst: &IdiomInstance) -> Vec<Va
 /// Re-validates the §6.3 side conditions for replacing `inst` in `f`:
 /// the region must contain no memory writes or impure calls beyond the
 /// matched ones, and no values other than the matched result may flow out
-/// of the region.
-pub fn check_soundness(f: &Function, inst: &IdiomInstance) -> Result<()> {
-    check_soundness_with(f, inst, None).map(|_| ())
-}
-
-/// [`check_soundness`] upgraded with module-level call-site alias facts:
+/// of the region. Module-level call-site alias facts refine the verdict;
 /// returns the evidence-carrying legality verdict that admits the
-/// replacement plus the region's refined parallel-safety certificate.
-/// A [`VerdictKind::Rejected`] verdict surfaces as
-/// [`XformError::Unsound`] — nothing is committed for it.
-pub fn check_soundness_with(
+/// replacement plus the region's parallel-safety certificate. A
+/// [`VerdictKind::Rejected`] verdict surfaces as [`XformError::Unsound`].
+fn check_soundness(
     f: &Function,
+    an: &Analyses,
+    map: &AffineMap,
     inst: &IdiomInstance,
     facts: Option<&ParamAliasFacts>,
 ) -> Result<(LegalityVerdict, SafetyCertificate)> {
-    let an = Analyses::new(f);
     let (stores, calls) = region_side_effects(f, inst);
     if !calls.is_empty() {
         return Err(XformError::Unsound(
@@ -195,7 +258,7 @@ pub fn check_soundness_with(
         )));
     }
     // Live-outs: only the matched result value may escape.
-    for v in region_live_outs(f, &an, inst) {
+    for v in region_live_outs(f, an, inst) {
         if Some(v) == allowed_result {
             continue;
         }
@@ -221,18 +284,9 @@ pub fn check_soundness_with(
         IdiomKind::Stencil1D | IdiomKind::Stencil2D => vec![bind(inst, "write.base_pointer")?],
         IdiomKind::Spmv | IdiomKind::Gemm => vec![bind(inst, "output.base_pointer")?],
     };
-    let map = AffineMap::new(f, &an);
     let outer_iv = inst.value(inst.kind.outer_iterator_var());
-    let verdict = analysis::check_region_legality(
-        f,
-        &an,
-        &map,
-        &inst.blocks,
-        &reads,
-        &writes,
-        outer_iv,
-        facts,
-    );
+    let verdict =
+        analysis::check_region_legality(f, an, map, &inst.blocks, &reads, &writes, outer_iv, facts);
     if verdict.kind == VerdictKind::Rejected {
         return Err(XformError::Unsound(format!(
             "legality rejected: {}",
@@ -240,7 +294,7 @@ pub fn check_soundness_with(
         )));
     }
     let certificate = match outer_iv {
-        Some(iv) => analysis::classify_region(f, &an, &map, &inst.blocks, iv, facts),
+        Some(iv) => analysis::classify_region(f, an, map, &inst.blocks, iv, facts),
         None => SafetyCertificate::serial("no outer iterator binding"),
     };
     Ok((verdict, certificate))
@@ -255,27 +309,21 @@ fn address_root(f: &Function, mut v: ValueId) -> ValueId {
     }
 }
 
-/// Whether `v` dominates the instruction `site` (constants/arguments
-/// always qualify).
-fn available_at(f: &Function, an: &Analyses, v: ValueId, site: ValueId) -> bool {
-    !f.is_instruction(v) || an.inst_strictly_dominates(v, site)
-}
-
 /// Applies the best available replacement of `inst` inside
-/// `module.functions[..]` (looked up by `inst.function`). Appends any
-/// generated functions to the module. `uid` disambiguates generated names.
+/// `module.functions[..]` (looked up by `inst.function`) and appends any
+/// generated functions to the module. `uid` disambiguates generated
+/// names. The rewrite is transactional: on `Err` the module is unchanged.
 pub fn apply_replacement(
     module: &mut Module,
     inst: &IdiomInstance,
     uid: usize,
 ) -> Result<Replacement> {
-    apply_replacement_with(module, inst, uid, None)
+    replace(module, inst, uid, None)
 }
 
 /// [`apply_replacement`] with module-level call-site alias facts folded
-/// into the admission check; the returned [`Replacement`] carries the
-/// verdict and refined certificate that admitted it.
-pub fn apply_replacement_with(
+/// into the admission check.
+pub(crate) fn replace(
     module: &mut Module,
     inst: &IdiomInstance,
     uid: usize,
@@ -286,97 +334,131 @@ pub fn apply_replacement_with(
         .iter()
         .position(|f| f.name == inst.function)
         .ok_or_else(|| XformError::Unsupported("function not in module".into()))?;
-    let (verdict, certificate) = {
-        let f = &module.functions[fidx];
-        check_soundness_with(f, inst, facts)?
-    };
-    let mut rep = match inst.kind {
-        IdiomKind::Gemm => replace_gemm(module, fidx, inst),
-        IdiomKind::Spmv => replace_spmv(module, fidx, inst),
-        IdiomKind::Reduction => replace_reduction(module, fidx, inst, uid),
-        IdiomKind::Histogram => replace_histogram(module, fidx, inst, uid),
-        IdiomKind::Stencil1D => replace_stencil1d(module, fidx, inst, uid),
-        IdiomKind::Stencil2D => replace_stencil2d(module, fidx, inst, uid),
-    }?;
-    rep.verdict = verdict;
-    rep.certificate = certificate;
-    Ok(rep)
+    let plan = plan(&module.functions[fidx], inst, uid, facts)?;
+    commit(module, fidx, plan)
 }
 
-/// Inserts `call @callee(args...)` immediately before the `precursor`
-/// branch, retargets that branch from the loop header to the loop
-/// successor block, removes the dead loop blocks and cleans up.
-/// If `result_replaces` is given, all uses of that value are rewired to
-/// the call's result first.
-#[allow(clippy::too_many_arguments)]
-fn excise_and_call(
-    f: &mut Function,
+/// Plans the replacement of `inst` in `f` on one build of the analyses:
+/// soundness first, then the kind's backend, then the call site.
+fn plan(
+    f: &Function,
     inst: &IdiomInstance,
-    precursor_var: &str,
-    header_iter_var: &str,
-    successor_var: &str,
-    callee: &str,
-    ret_ty: Type,
-    args: Vec<ValueId>,
-    result_replaces: Option<ValueId>,
-) -> Result<()> {
+    uid: usize,
+    facts: Option<&ParamAliasFacts>,
+) -> Result<Plan> {
     let an = Analyses::new(f);
-    let precursor = bind(inst, precursor_var)?;
-    let header_phi = bind(inst, header_iter_var)?;
-    let successor = bind(inst, successor_var)?;
-    let pre_block = an
-        .layout
-        .block_of(precursor)
-        .ok_or_else(|| XformError::Unsupported("precursor not placed".into()))?;
-    let header_block = an
-        .layout
-        .block_of(header_phi)
-        .ok_or_else(|| XformError::Unsupported("iterator not placed".into()))?;
-    let exit_block = an
-        .layout
-        .block_of(successor)
-        .ok_or_else(|| XformError::Unsupported("successor not placed".into()))?;
+    let map = AffineMap::new(f, &an);
+    let (verdict, certificate) = check_soundness(f, &an, &map, inst, facts)?;
+    let call = match inst.kind {
+        IdiomKind::Gemm => plan_gemm(f, inst),
+        IdiomKind::Spmv => plan_spmv(f, inst),
+        IdiomKind::Reduction => plan_reduction(f, inst, uid),
+        IdiomKind::Histogram => plan_histogram(f, &an, inst, uid),
+        IdiomKind::Stencil1D => plan_stencil1d(f, inst, uid),
+        IdiomKind::Stencil2D => plan_stencil2d(f, inst, uid),
+    }?;
+    // The outer loop's precursor/iterator/successor share one prefix.
+    let iterator = inst.kind.outer_iterator_var();
+    let prefix = iterator.trim_end_matches("iterator");
+    let precursor = bind(inst, &format!("{prefix}precursor"))?;
+    let header_phi = bind(inst, iterator)?;
+    let successor = bind(inst, &format!("{prefix}successor"))?;
+    let placed = |v: ValueId, what: &str| {
+        an.layout
+            .block_of(v)
+            .ok_or_else(|| XformError::Unsupported(format!("{what} not placed")))
+    };
+    let pre_block = placed(precursor, "precursor")?;
+    let header_block = placed(header_phi, "iterator")?;
+    let exit_block = placed(successor, "successor")?;
     // All call operands must be available before the precursor.
-    for &a in &args {
-        if !available_at(f, &an, a, precursor) {
-            return Err(XformError::Unsupported(format!(
-                "call argument {} is not available at the call site",
-                f.display_name(a)
-            )));
+    for &a in &call.args {
+        if let Arg::Value(v) = a {
+            if f.is_instruction(v) && !an.inst_strictly_dominates(v, precursor) {
+                return Err(XformError::Unsupported(format!(
+                    "call argument {} is not available at the call site",
+                    f.display_name(v)
+                )));
+            }
         }
     }
-    let call = Instr::call(callee, args);
-    let call = f.insert(pre_block, InsertPoint::BeforeTerminator, ret_ty, call);
-    if let Some(old) = result_replaces {
-        replace_all_uses(f, old, call);
-        // The call itself must not consume the replaced value.
-        let instr = f.instr_mut(call).expect("call");
-        for op in &mut instr.operands {
-            debug_assert_ne!(*op, old, "result value used as call argument");
-        }
+    debug_assert!(
+        call.result
+            .is_none_or(|r| !call.args.contains(&Arg::Value(r))),
+        "result value used as call argument"
+    );
+    Ok(Plan {
+        kind: inst.kind,
+        call,
+        precursor,
+        pre_block,
+        header_block,
+        exit_block,
+        verdict,
+        certificate,
+    })
+}
+
+/// Applies `plan` to `module.functions[fidx]`: inserts the call before
+/// the precursor branch, retargets that branch from the loop header to
+/// the loop successor, removes the dead loop blocks and cleans up — all
+/// on a clone of the one function. Only when the edited clone verifies
+/// is it swapped in and are the generated functions appended.
+fn commit(module: &mut Module, fidx: usize, plan: Plan) -> Result<Replacement> {
+    let Plan {
+        kind,
+        call,
+        precursor,
+        pre_block,
+        header_block,
+        exit_block,
+        verdict,
+        certificate,
+    } = plan;
+    let mut f = module.functions[fidx].clone();
+    let args = call
+        .args
+        .iter()
+        .map(|&a| match a {
+            Arg::Value(v) => v,
+            Arg::Int(c) => f.const_int(Type::I64, c),
+            Arg::Float(c) => f.const_float(Type::F64, c),
+        })
+        .collect();
+    let instr = Instr::call(&call.callee, args);
+    let result = f.insert(pre_block, InsertPoint::BeforeTerminator, call.ret_ty, instr);
+    if let Some(old) = call.result {
+        replace_all_uses(&mut f, old, result);
     }
-    // Retarget the precursor branch.
-    let instr = f.instr_mut(precursor).expect("branch");
-    for t in &mut instr.targets {
+    let branch = f.instr_mut(precursor).expect("branch");
+    for t in &mut branch.targets {
         if *t == header_block {
             *t = exit_block;
         }
     }
-    remove_unreachable_blocks(f);
-    eliminate_dead_code(f);
-    ssair::verify::verify_function(f).map_err(|es| {
+    remove_unreachable_blocks(&mut f);
+    eliminate_dead_code(&mut f);
+    ssair::verify::verify_function(&f).map_err(|es| {
         XformError::Unsound(format!(
             "excision produced invalid IR: {}",
             es.first().map(ToString::to_string).unwrap_or_default()
         ))
     })?;
-    Ok(())
+    module.functions[fidx] = f;
+    let generated = call.generated.iter().map(|g| g.name.clone()).collect();
+    module.functions.extend(call.generated);
+    Ok(Replacement {
+        kind,
+        callee: call.callee,
+        generated,
+        verdict,
+        certificate,
+    })
 }
 
 // ----- library path -----
 
-fn replace_gemm(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn plan_gemm(f: &Function, inst: &IdiomInstance) -> Result<Call> {
     // Bounds must start at zero for the fixed-function entry point.
     for lo in [
         "loop[0].iter_begin",
@@ -404,52 +486,35 @@ fn replace_gemm(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Resul
             "GEMM epilogue with alpha/beta scaling is not offloaded".into(),
         ));
     }
-    let row_scaled = |mat: &str, row_var: &str| -> Result<i64> {
-        Ok(i64::from(
+    let row_scaled = |mat: &str, row_var: &str| {
+        Arg::Int(i64::from(
             inst.value(&format!("{mat}.addr.mulidx")) == inst.value(row_var),
         ))
     };
-    let ar = row_scaled("input1", "iterator[2]")?;
-    let br = row_scaled("input2", "iterator[2]")?;
-    let cr = row_scaled("output", "iterator[1]")?;
-    let f = &mut module.functions[fidx];
-    let (c1, c0) = (f.const_int(Type::I64, 1), f.const_int(Type::I64, 0));
-    let _ = (c1, c0);
-    let ar = f.const_int(Type::I64, ar);
-    let br = f.const_int(Type::I64, br);
-    let cr = f.const_int(Type::I64, cr);
-    let beta = f.const_float(Type::F64, beta);
-    let args = vec![
-        bind(inst, "input1.base_pointer")?,
-        bind(inst, "input2.base_pointer")?,
-        bind(inst, "output.base_pointer")?,
-        bind(inst, "loop[0].iter_end")?,
-        bind(inst, "loop[1].iter_end")?,
-        bind(inst, "loop[2].iter_end")?,
-        bind(inst, "input1.addr.stride")?,
-        bind(inst, "input2.addr.stride")?,
-        bind(inst, "output.addr.stride")?,
-        ar,
-        br,
-        cr,
-        beta,
-    ];
-    excise_and_call(
-        &mut module.functions[fidx],
+    let mut args = bind_args(
         inst,
-        "loop[0].precursor",
-        "loop[0].iterator",
-        "loop[0].successor",
-        "gemm_f64",
-        Type::Void,
-        args,
-        None,
+        &[
+            "input1.base_pointer",
+            "input2.base_pointer",
+            "output.base_pointer",
+            "loop[0].iter_end",
+            "loop[1].iter_end",
+            "loop[2].iter_end",
+            "input1.addr.stride",
+            "input2.addr.stride",
+            "output.addr.stride",
+        ],
     )?;
-    Ok(base_replacement(IdiomKind::Gemm, "gemm_f64".into(), vec![]))
+    args.extend([
+        row_scaled("input1", "iterator[2]"),
+        row_scaled("input2", "iterator[2]"),
+        row_scaled("output", "iterator[1]"),
+        Arg::Float(beta),
+    ]);
+    Ok(Call::library("gemm_f64", args))
 }
 
-fn replace_spmv(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn plan_spmv(f: &Function, inst: &IdiomInstance) -> Result<Call> {
     if const_i64(f, bind(inst, "iter_begin")?) != Some(0) {
         return Err(XformError::Unsupported(
             "SPMV outer loop must start at 0".into(),
@@ -460,48 +525,21 @@ fn replace_spmv(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Resul
             "SPMV accumulator must start at 0.0".into(),
         ));
     }
-    let width = |v: ValueId| -> i64 {
-        module.functions[fidx]
-            .value(v)
-            .ty
-            .pointee()
-            .map_or(8, |t| t.size_bytes() as i64)
-    };
+    let width =
+        |v: ValueId| -> i64 { f.value(v).ty.pointee().map_or(8, |t| t.size_bytes() as i64) };
     let rowptr = bind(inst, "ranges.base_pointer")?;
     let colidx = bind(inst, "idx_read.base_pointer")?;
-    let (rw, cw) = (width(rowptr), width(colidx));
-    let f = &mut module.functions[fidx];
-    let rw = f.const_int(Type::I64, rw);
-    let cw = f.const_int(Type::I64, cw);
-    let args = vec![
-        bind(inst, "seq_read.base_pointer")?,
-        rowptr,
-        colidx,
-        bind(inst, "indir_read.base_pointer")?,
-        bind(inst, "output.base_pointer")?,
-        bind(inst, "iter_end")?,
-        rw,
-        cw,
-    ];
-    excise_and_call(
-        &mut module.functions[fidx],
+    let mut args = bind_args(inst, &["seq_read.base_pointer"])?;
+    args.extend([Arg::Value(rowptr), Arg::Value(colidx)]);
+    args.extend(bind_args(
         inst,
-        "precursor",
-        "iterator",
-        "successor",
-        "csrmv_f64",
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Spmv,
-        "csrmv_f64".into(),
-        vec![],
-    ))
+        &["indir_read.base_pointer", "output.base_pointer", "iter_end"],
+    )?);
+    args.extend([Arg::Int(width(rowptr)), Arg::Int(width(colidx))]);
+    Ok(Call::library("csrmv_f64", args))
 }
 
-// ----- DSL path: generate device code as IR text, then link it in -----
+// ----- DSL path: generate device code as IR text, then parse it -----
 
 fn ty_str(t: &Type) -> String {
     format!("{t}")
@@ -558,7 +596,8 @@ fn check_step_and_cmp(f: &Function, inst: &IdiomInstance, prefix: &str) -> Resul
     }
 }
 
-fn parse_and_push(module: &mut Module, text: &str) -> Result<String> {
+/// Parses and verifies a generated device program.
+fn parse_device(text: &str) -> Result<Function> {
     let func = ssair::parser::parse_function_text(text).map_err(|e| {
         XformError::Unsupported(format!(
             "generated device code failed to parse: {e}\n{text}"
@@ -570,18 +609,10 @@ fn parse_and_push(module: &mut Module, text: &str) -> Result<String> {
             es.first().map(ToString::to_string).unwrap_or_default()
         ))
     })?;
-    let name = func.name.clone();
-    module.add_function(func);
-    Ok(name)
+    Ok(func)
 }
 
-fn replace_reduction(
-    module: &mut Module,
-    fidx: usize,
-    inst: &IdiomInstance,
-    uid: usize,
-) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
     check_step_and_cmp(f, inst, "")?;
     let acc = bind(inst, "acc")?;
     let update = bind(inst, "update")?;
@@ -632,43 +663,21 @@ fn replace_reduction(
         params.join(", "),
         kargs.join(", ")
     );
-    module.add_function(outlined.function);
-    let devgen = parse_and_push(module, &text)?;
+    let dev = parse_device(&text)?;
 
-    let mut args: Vec<ValueId> = bases.iter().map(|(b, _)| *b).collect();
-    args.push(bind(inst, "iter_begin")?);
-    args.push(bind(inst, "iter_end")?);
-    args.push(bind(inst, "init")?);
-    args.extend(extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        &devgen,
-        aty,
-        args,
-        Some(acc),
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Reduction,
-        devgen.clone(),
-        vec![kname, devgen],
-    ))
+    let mut args: Vec<Arg> = bases.iter().map(|&(b, _)| Arg::Value(b)).collect();
+    args.extend(bind_args(inst, &["iter_begin", "iter_end", "init"])?);
+    args.extend(extras.into_iter().map(Arg::Value));
+    Ok(Call {
+        result: Some(acc),
+        ..Call::device(vec![outlined.function], dev, aty, args)
+    })
 }
 
-fn replace_histogram(
-    module: &mut Module,
-    fidx: usize,
-    inst: &IdiomInstance,
-    uid: usize,
-) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize) -> Result<Call> {
     check_step_and_cmp(f, inst, "")?;
     // The update must run every iteration (conditional histograms would
     // need a guarded device kernel; see DESIGN.md).
-    let an = Analyses::new(f);
     let store = bind(inst, "store")?;
     let latch_term = bind(inst, "backedge")?;
     let sb = an.layout.block_of(store).unwrap();
@@ -748,32 +757,14 @@ fn replace_histogram(
         ikargs.join(", "),
         vkargs.join(", ")
     );
-    module.add_function(vk.function);
-    module.add_function(ik.function);
-    let devgen = parse_and_push(module, &text)?;
+    let dev = parse_device(&text)?;
 
-    let mut args: Vec<ValueId> = vec![bins];
-    args.extend(bases.iter().map(|(b, _)| *b));
-    args.push(bind(inst, "iter_begin")?);
-    args.push(bind(inst, "iter_end")?);
-    args.extend(i_extras);
-    args.extend(v_extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        &devgen,
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Histogram,
-        devgen.clone(),
-        vec![vk_name, ik_name, devgen],
-    ))
+    let mut args: Vec<Arg> = vec![Arg::Value(bins)];
+    args.extend(bases.iter().map(|&(b, _)| Arg::Value(b)));
+    args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
+    args.extend(i_extras.into_iter().chain(v_extras).map(Arg::Value));
+    let kernels = vec![vk.function, ik.function];
+    Ok(Call::device(kernels, dev, Type::Void, args))
 }
 
 /// Constant offset of `idx` relative to `center` (`i`, `i±c`), or `None`.
@@ -802,13 +793,7 @@ fn offset_from(f: &Function, idx: ValueId, center: ValueId) -> Option<i64> {
     }
 }
 
-fn replace_stencil1d(
-    module: &mut Module,
-    fidx: usize,
-    inst: &IdiomInstance,
-    uid: usize,
-) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
     check_step_and_cmp(f, inst, "")?;
     let reads = inst.family("read_value");
     let center = bind(inst, "iterator")?;
@@ -862,38 +847,15 @@ fn replace_stencil1d(
         params.join(", "),
         kargs.join(", ")
     );
-    module.add_function(outlined.function);
-    let devgen = parse_and_push(module, &text)?;
-    let mut args: Vec<ValueId> = vec![out_base];
-    args.extend(bases.iter().map(|(b, _, _)| *b));
-    args.push(bind(inst, "iter_begin")?);
-    args.push(bind(inst, "iter_end")?);
-    args.extend(extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        &devgen,
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Stencil1D,
-        devgen.clone(),
-        vec![kname, devgen],
-    ))
+    let dev = parse_device(&text)?;
+    let mut args: Vec<Arg> = vec![Arg::Value(out_base)];
+    args.extend(bases.iter().map(|&(b, _, _)| Arg::Value(b)));
+    args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
+    args.extend(extras.into_iter().map(Arg::Value));
+    Ok(Call::device(vec![outlined.function], dev, Type::Void, args))
 }
 
-fn replace_stencil2d(
-    module: &mut Module,
-    fidx: usize,
-    inst: &IdiomInstance,
-    uid: usize,
-) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
     check_step_and_cmp(f, inst, "loop[0].")?;
     check_step_and_cmp(f, inst, "loop[1].")?;
     let reads = inst.family("read_value");
@@ -1001,32 +963,20 @@ fn replace_stencil2d(
         params.join(", "),
         kargs.join(", ")
     );
-    module.add_function(outlined.function);
-    let devgen = parse_and_push(module, &text)?;
-    let mut args: Vec<ValueId> = vec![out_base, out_stride];
+    let dev = parse_device(&text)?;
+    let mut args: Vec<Arg> = vec![Arg::Value(out_base), Arg::Value(out_stride)];
     for rd in &rs {
-        args.push(rd.base);
-        args.push(rd.stride);
+        args.extend([Arg::Value(rd.base), Arg::Value(rd.stride)]);
     }
-    args.push(bind(inst, "loop[0].iter_begin")?);
-    args.push(bind(inst, "loop[0].iter_end")?);
-    args.push(bind(inst, "loop[1].iter_begin")?);
-    args.push(bind(inst, "loop[1].iter_end")?);
-    args.extend(extras);
-    excise_and_call(
-        &mut module.functions[fidx],
+    args.extend(bind_args(
         inst,
-        "loop[0].precursor",
-        "loop[0].iterator",
-        "loop[0].successor",
-        &devgen,
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Stencil2D,
-        devgen.clone(),
-        vec![kname, devgen],
-    ))
+        &[
+            "loop[0].iter_begin",
+            "loop[0].iter_end",
+            "loop[1].iter_begin",
+            "loop[1].iter_end",
+        ],
+    )?);
+    args.extend(extras.into_iter().map(Arg::Value));
+    Ok(Call::device(vec![outlined.function], dev, Type::Void, args))
 }

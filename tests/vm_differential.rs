@@ -8,6 +8,8 @@
 use idiomatch::benchsuite;
 use idiomatch::hetero::hosts::register_all;
 use idiomatch::interp::{compile_module, Machine, Memory, Value, Vm};
+use idiomatch::ssair::analysis::{AffineMap, Analyses};
+use idiomatch::xform::reverse::reversed_module;
 use proptest::prelude::*;
 
 /// Everything one execution produces, in comparable form.
@@ -596,7 +598,13 @@ fn verified_modules_compile_fully() {
             let Some(iv) = inst.value(inst.kind.outer_iterator_var()) else {
                 continue;
             };
-            if let Ok(r) = idiomatch::xform::reverse::reversed_module(m, &inst.function, iv) {
+            let f = m.function(&inst.function).expect("instance function");
+            let an = Analyses::new(f);
+            let map = AffineMap::new(f, &an);
+            let Some(info) = map.iv(iv) else {
+                continue;
+            };
+            if let Ok(r) = reversed_module(m, &inst.function, info, &an.dom) {
                 add(check(&r, ctx));
             }
         }

@@ -558,7 +558,8 @@ fn compare_runs(o: &Run, t: &Run) -> Result<usize, ValidationError> {
 
 /// Differential validation of `transformed` against `original`: runs
 /// `entry` on both modules under every seed in `seeds` and compares the
-/// runs seed by seed ([`compare_runs`]).
+/// runs seed by seed: return values, memory sizes and every element of
+/// the arrays the setup allocated, bitwise.
 pub fn validate_transform(
     original: &Module,
     transformed: &Module,

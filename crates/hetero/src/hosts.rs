@@ -7,7 +7,7 @@
 //! [`crate::exec`]).
 //!
 //! All element addressing goes through checked signed arithmetic
-//! ([`elem_addr`]): a negative index or stride — a corrupted `rowptr`,
+//! (`elem_addr`): a negative index or stride — a corrupted `rowptr`,
 //! or hostile layout facts from a bad replacement — fails with a
 //! descriptive error instead of wrapping to a huge `u64` offset.
 

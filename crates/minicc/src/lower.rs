@@ -23,11 +23,10 @@
 
 use crate::ast::*;
 use crate::CompileError;
-use ssair::pass::{remove_instruction, replace_all_uses};
 use ssair::{
     BlockId, FCmpPred, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 type Result<T> = std::result::Result<T, CompileError>;
 
@@ -99,17 +98,46 @@ enum VarKind {
     },
 }
 
+/// Dense id of a declared variable, in declaration order.
+type VarId = usize;
+
+/// A declared variable: its unique internal name (the source name, plus a
+/// `.N` suffix when an outer declaration already took it) and its kind.
+struct Var {
+    name: String,
+    kind: VarKind,
+}
+
+/// A phi placed by SSA construction and not (yet) found trivial.
+struct LivePhi {
+    block: BlockId,
+    /// Phis that take this one as an incoming value, possibly repeated.
+    users: Vec<ValueId>,
+}
+
 struct FuncLower<'a> {
     f: Function,
     signatures: &'a HashMap<String, (Vec<CType>, CType)>,
-    /// Scope stack: source name → unique internal name.
-    scopes: Vec<HashMap<String, String>>,
-    /// Internal name → kind.
-    vars: HashMap<String, VarKind>,
-    /// SSA defs: internal name → per-block value.
-    defs: HashMap<String, HashMap<BlockId, ValueId>>,
+    /// Scope stack: source name → variable.
+    scopes: Vec<HashMap<String, VarId>>,
+    vars: Vec<Var>,
+    /// Source names declared so far in the function.
+    declared: HashSet<String>,
+    /// SSA defs: the value of a variable at the end of a block. It may
+    /// name a removed trivial phi; [`FuncLower::resolve`] forwards it.
+    defs: HashMap<(BlockId, VarId), ValueId>,
+    /// Predecessors of each block in ascending order, kept up to date as
+    /// branches are appended.
+    preds: Vec<Vec<BlockId>>,
     sealed: Vec<bool>,
-    incomplete: HashMap<BlockId, Vec<(String, ValueId)>>,
+    /// Per block: the phis placed while it was unsealed.
+    incomplete: Vec<Vec<(VarId, ValueId)>>,
+    /// By value id: the phis placed by SSA construction and still live.
+    phis: Vec<Option<LivePhi>>,
+    /// By value id: the value that replaces a removed trivial phi.
+    /// Operands are rewritten through it once, when the function is
+    /// finished.
+    replaced: Vec<Option<ValueId>>,
     /// Current insertion block; `None` after a terminator.
     cur: Option<BlockId>,
     unique: u32,
@@ -128,20 +156,23 @@ impl<'a> FuncLower<'a> {
             f,
             signatures,
             scopes: vec![HashMap::new()],
-            vars: HashMap::new(),
+            vars: Vec::new(),
+            declared: HashSet::new(),
             defs: HashMap::new(),
+            preds: vec![Vec::new()],
             sealed: vec![true], // entry block has no predecessors
-            incomplete: HashMap::new(),
+            incomplete: vec![Vec::new()],
+            phis: Vec::new(),
+            replaced: Vec::new(),
             cur: Some(BlockId(0)),
             unique: 0,
             ret: def.ret.clone(),
         };
         for (i, (pname, pty)) in def.params.iter().enumerate() {
-            let internal = this.declare(pname, def.line)?;
-            this.vars
-                .insert(internal.clone(), VarKind::Scalar(pty.clone()));
+            let internal = this.fresh_name(pname, def.line)?;
+            let var = this.bind(pname, internal, VarKind::Scalar(pty.clone()));
             let arg = this.f.params[i];
-            this.write_var(&internal, BlockId(0), arg);
+            this.write_var(var, BlockId(0), arg);
         }
         Ok(this)
     }
@@ -161,33 +192,56 @@ impl<'a> FuncLower<'a> {
                 }
             }
         }
+        if self.replaced.iter().any(Option::is_some) {
+            for v in self.f.value_ids().collect::<Vec<_>>() {
+                let Some(i) = self.f.instr_mut(v) else {
+                    continue;
+                };
+                let mut ops = std::mem::take(&mut i.operands);
+                for op in &mut ops {
+                    *op = self.resolve(*op);
+                }
+                self.f.instr_mut(v).expect("instruction").operands = ops;
+            }
+        }
         Ok(self.f)
     }
 
     // ----- naming & scopes -----
 
-    fn declare(&mut self, name: &str, line: usize) -> Result<String> {
-        let scope = self.scopes.last_mut().expect("scope stack never empty");
+    /// The internal name for a declaration of `name` in the current scope.
+    fn fresh_name(&mut self, name: &str, line: usize) -> Result<String> {
+        let scope = self.scopes.last().expect("scope stack never empty");
         if scope.contains_key(name) {
             return Err(CompileError {
                 line,
                 message: format!("redeclaration of {name:?} in the same scope"),
             });
         }
-        let internal = if self.vars.contains_key(name) || self.defs.contains_key(name) {
+        Ok(if self.declared.insert(name.to_owned()) {
+            name.to_owned()
+        } else {
             self.unique += 1;
             format!("{name}.{}", self.unique)
-        } else {
-            name.to_owned()
-        };
-        scope.insert(name.to_owned(), internal.clone());
-        Ok(internal)
+        })
     }
 
-    fn resolve(&self, name: &str, line: usize) -> Result<String> {
+    /// Declares `name` in the current scope as a new variable.
+    fn bind(&mut self, name: &str, internal: String, kind: VarKind) -> VarId {
+        let var = self.vars.len();
+        self.vars.push(Var {
+            name: internal,
+            kind,
+        });
+        let scope = self.scopes.last_mut().expect("scope stack never empty");
+        scope.insert(name.to_owned(), var);
+        var
+    }
+
+    fn resolve_var(&self, name: &str, line: usize) -> Result<VarId> {
         for scope in self.scopes.iter().rev() {
-            if let Some(internal) = scope.get(name) {
-                return Ok(internal.clone());
+            if let Some(&var) = scope.get(name) {
+                return Ok(var);
             }
         }
         Err(CompileError {
@@ -198,72 +252,94 @@ impl<'a> FuncLower<'a> {
 
     // ----- SSA construction (Braun et al.) -----
 
-    fn scalar_type(&self, internal: &str) -> CType {
-        match &self.vars[internal] {
+    fn scalar_type(&self, var: VarId) -> CType {
+        match &self.vars[var].kind {
             VarKind::Scalar(t) => t.clone(),
             VarKind::Array { .. } => unreachable!("arrays are not SSA variables"),
         }
     }
 
-    fn write_var(&mut self, internal: &str, block: BlockId, value: ValueId) {
-        self.defs
-            .entry(internal.to_owned())
-            .or_default()
-            .insert(block, value);
+    fn write_var(&mut self, var: VarId, block: BlockId, value: ValueId) {
+        self.defs.insert((block, var), value);
     }
 
-    fn read_var(&mut self, internal: &str, block: BlockId) -> ValueId {
-        if let Some(&v) = self.defs.get(internal).and_then(|m| m.get(&block)) {
-            return v;
+    fn read_var(&mut self, var: VarId, block: BlockId) -> ValueId {
+        match self.defs.get(&(block, var)) {
+            Some(&v) => self.resolve(v),
+            None => self.read_var_recursive(var, block),
         }
-        self.read_var_recursive(internal, block)
     }
 
-    fn preds(&self, block: BlockId) -> Vec<BlockId> {
-        let branches_here = |b: BlockId| {
-            let term = self.f.terminator(b).and_then(|t| self.f.instr(t));
-            term.is_some_and(|t| t.targets.contains(&block))
-        };
-        self.f.block_ids().filter(|&b| branches_here(b)).collect()
+    /// `v`, or what replaced it if it is a removed trivial phi. Compresses
+    /// the forwarding path it walks.
+    fn resolve(&mut self, v: ValueId) -> ValueId {
+        let next = |r: &[Option<ValueId>], v: ValueId| r.get(v.0 as usize).copied().flatten();
+        let mut end = v;
+        while let Some(n) = next(&self.replaced, end) {
+            end = n;
+        }
+        let mut at = v;
+        while let Some(n) = next(&self.replaced, at) {
+            self.replaced[at.0 as usize] = Some(end);
+            at = n;
+        }
+        end
     }
 
-    fn read_var_recursive(&mut self, internal: &str, block: BlockId) -> ValueId {
-        let ty = ir_type(&self.scalar_type(internal));
-        let val = if !self.sealed[block.0 as usize] {
-            let phi = self.f.append_phi(block, ty);
-            self.f.set_name(phi, internal);
-            self.incomplete
-                .entry(block)
-                .or_default()
-                .push((internal.to_owned(), phi));
+    fn live_phi(&mut self, v: ValueId) -> Option<&mut LivePhi> {
+        self.phis.get_mut(v.0 as usize)?.as_mut()
+    }
+
+    fn read_var_recursive(&mut self, var: VarId, block: BlockId) -> ValueId {
+        let b = block.0 as usize;
+        let val = if !self.sealed[b] {
+            let phi = self.new_phi(var, block);
+            self.incomplete[b].push((var, phi));
             phi
+        } else if let [pred] = self.preds[b][..] {
+            self.read_var(var, pred)
         } else {
-            let preds = self.preds(block);
-            if preds.len() == 1 {
-                self.read_var(internal, preds[0])
-            } else {
-                let phi = self.f.append_phi(block, ty);
-                self.f.set_name(phi, internal);
-                self.write_var(internal, block, phi);
-                self.add_phi_operands(internal, phi, block)
-            }
+            let phi = self.new_phi(var, block);
+            self.write_var(var, block, phi);
+            self.add_phi_operands(var, phi, block)
         };
-        self.write_var(internal, block, val);
+        self.write_var(var, block, val);
         val
     }
 
-    fn add_phi_operands(&mut self, internal: &str, phi: ValueId, block: BlockId) -> ValueId {
-        for pred in self.preds(block) {
-            let v = self.read_var(internal, pred);
+    fn new_phi(&mut self, var: VarId, block: BlockId) -> ValueId {
+        let ty = ir_type(&self.scalar_type(var));
+        let phi = self.f.append_phi(block, ty);
+        self.f.set_name(phi, self.vars[var].name.clone());
+        let slot = phi.0 as usize;
+        self.phis
+            .resize_with(self.phis.len().max(slot + 1), || None);
+        self.phis[slot] = Some(LivePhi {
+            block,
+            users: Vec::new(),
+        });
+        phi
+    }
+
+    fn add_phi_operands(&mut self, var: VarId, phi: ValueId, block: BlockId) -> ValueId {
+        for pred in self.preds[block.0 as usize].clone() {
+            let v = self.read_var(var, pred);
             self.f.add_phi_incoming(phi, v, pred);
+            if let Some(p) = self.live_phi(v) {
+                p.users.push(phi);
+            }
         }
         self.try_remove_trivial_phi(phi)
     }
 
     fn try_remove_trivial_phi(&mut self, phi: ValueId) -> ValueId {
+        if self.live_phi(phi).is_none() {
+            return phi; // already removed further up the cascade
+        }
         let operands = self.f.instr(phi).expect("phi").operands.clone();
         let mut same: Option<ValueId> = None;
         for op in operands {
+            let op = self.resolve(op);
             if op == phi || Some(op) == same {
                 continue;
             }
@@ -273,19 +349,25 @@ impl<'a> FuncLower<'a> {
             same = Some(op);
         }
         let Some(same) = same else { return phi };
-        let users = replace_all_uses(&mut self.f, phi, same);
-        remove_instruction(&mut self.f, phi);
-        // Fix definition tables that still point at the removed phi.
-        for per_block in self.defs.values_mut() {
-            for v in per_block.values_mut() {
-                if *v == phi {
-                    *v = same;
-                }
-            }
+        let removed = self.phis[phi.0 as usize].take().expect("live phi");
+        self.f.block_mut(removed.block).instrs.retain(|&v| v != phi);
+        let payload = self.f.instr_mut(phi).expect("phi");
+        payload.operands.clear();
+        payload.incoming.clear();
+        let slot = phi.0 as usize;
+        self.replaced
+            .resize(self.replaced.len().max(slot + 1), None);
+        self.replaced[slot] = Some(same);
+        // The users now use `same`; one of them may have become trivial in
+        // turn. Visit them in value order, as a scan of the function would.
+        let mut users = removed.users;
+        if let Some(p) = self.live_phi(same) {
+            p.users.extend_from_slice(&users);
         }
+        users.sort_unstable();
+        users.dedup();
         for u in users {
-            // A user phi may have become trivial in turn.
-            if u != phi && self.f.opcode(u) == Some(Opcode::Phi) {
+            if u != phi {
                 self.try_remove_trivial_phi(u);
             }
         }
@@ -293,20 +375,52 @@ impl<'a> FuncLower<'a> {
     }
 
     fn seal_block(&mut self, block: BlockId) {
-        if self.sealed[block.0 as usize] {
+        let b = block.0 as usize;
+        if self.sealed[b] {
             return;
         }
-        self.sealed[block.0 as usize] = true;
-        for (name, phi) in self.incomplete.remove(&block).unwrap_or_default() {
-            self.add_phi_operands(&name, phi, block);
+        self.sealed[b] = true;
+        for (var, phi) in std::mem::take(&mut self.incomplete[b]) {
+            self.add_phi_operands(var, phi, block);
         }
     }
 
     fn new_block(&mut self, name: &str, sealed: bool) -> BlockId {
         let b = self.f.add_block(name);
+        self.preds.push(Vec::new());
         self.sealed.push(sealed);
+        self.incomplete.push(Vec::new());
         debug_assert_eq!(self.sealed.len(), self.f.num_blocks());
         b
+    }
+
+    fn add_edge(&mut self, from: BlockId, to: BlockId) {
+        let preds = &mut self.preds[to.0 as usize];
+        if let Err(at) = preds.binary_search(&from) {
+            preds.insert(at, from);
+        }
+    }
+
+    fn br(&mut self, from: BlockId, to: BlockId) {
+        self.f.append_br(from, to);
+        self.add_edge(from, to);
+    }
+
+    fn condbr(&mut self, from: BlockId, c: ValueId, on_true: BlockId, on_false: BlockId) {
+        self.f.append_condbr(from, c, on_true, on_false);
+        self.add_edge(from, on_true);
+        self.add_edge(from, on_false);
+    }
+
+    /// Points the false edge of the conditional branch ending `from` at
+    /// `to`. The old false target stays a predecessor's target: `if`
+    /// lowering starts both edges at the `then` block.
+    fn retarget_false_edge(&mut self, from: BlockId, to: BlockId) {
+        let condbr = self.f.terminator(from).expect("from ends in its condbr");
+        let targets = &mut self.f.instr_mut(condbr).expect("condbr").targets;
+        debug_assert_eq!(targets[0], targets[1], "the false edge is patched once");
+        targets[1] = to;
+        self.add_edge(from, to);
     }
 
     // ----- constants & conversions -----
@@ -467,10 +581,9 @@ impl<'a> FuncLower<'a> {
         init: &Option<Expr>,
         line: usize,
     ) -> Result<()> {
-        let internal = self.declare(name, line)?;
+        let internal = self.fresh_name(name, line)?;
         if dims.is_empty() {
-            self.vars
-                .insert(internal.clone(), VarKind::Scalar(ty.clone()));
+            let var = self.bind(name, internal, VarKind::Scalar(ty.clone()));
             let value = match init {
                 Some(e) => {
                     let (v, vty) = self.expr(e, line)?;
@@ -479,7 +592,7 @@ impl<'a> FuncLower<'a> {
                 None => self.zero_const(ty.clone()),
             };
             let b = self.block(line)?;
-            self.write_var(&internal, b, value);
+            self.write_var(var, b, value);
         } else {
             // The element count must fit the alloca's i64 operand.
             let total = dims
@@ -498,14 +611,12 @@ impl<'a> FuncLower<'a> {
                 .f
                 .insert(entry, InsertPoint::BeforeTerminator, ptr_ty, alloca);
             self.f.set_name(alloca, internal.clone());
-            self.vars.insert(
-                internal,
-                VarKind::Array {
-                    alloca,
-                    elem: ty.clone(),
-                    dims: dims.to_vec(),
-                },
-            );
+            let kind = VarKind::Array {
+                alloca,
+                elem: ty.clone(),
+                dims: dims.to_vec(),
+            };
+            self.bind(name, internal, kind);
             if init.is_some() {
                 return Err(CompileError {
                     line,
@@ -524,8 +635,8 @@ impl<'a> FuncLower<'a> {
         indices: &[Expr],
         line: usize,
     ) -> Result<(ValueId, CType)> {
-        let internal = self.resolve(base, line)?;
-        let kind = self.vars[&internal].clone();
+        let var = self.resolve_var(base, line)?;
+        let kind = self.vars[var].kind.clone();
         match kind {
             VarKind::Scalar(CType::Ptr(elem)) => {
                 if indices.len() != 1 {
@@ -537,7 +648,7 @@ impl<'a> FuncLower<'a> {
                 let (iv, ity) = self.expr(&indices[0], line)?;
                 let idx = self.index_to_i64(iv, &ity, line)?;
                 let b = self.block(line)?;
-                let ptr = self.read_var(&internal, b);
+                let ptr = self.read_var(var, b);
                 let ptr_ty = self.f.value(ptr).ty.clone();
                 let gep = self.f.append_simple(b, ptr_ty, Opcode::Gep, vec![ptr, idx]);
                 Ok((gep, (*elem).clone()))
@@ -606,14 +717,14 @@ impl<'a> FuncLower<'a> {
     ) -> Result<()> {
         match target {
             LValue::Var(name) => {
-                let internal = self.resolve(name, line)?;
-                if matches!(self.vars[&internal], VarKind::Array { .. }) {
+                let var = self.resolve_var(name, line)?;
+                if matches!(self.vars[var].kind, VarKind::Array { .. }) {
                     return Err(CompileError {
                         line,
                         message: format!("cannot assign to array {name:?}"),
                     });
                 }
-                let ty = self.scalar_type(&internal);
+                let ty = self.scalar_type(var);
                 let new_value = match op {
                     None => {
                         let (v, vty) = self.expr(value, line)?;
@@ -621,7 +732,7 @@ impl<'a> FuncLower<'a> {
                     }
                     Some(binop) => {
                         let b = self.block(line)?;
-                        let old = self.read_var(&internal, b);
+                        let old = self.read_var(var, b);
                         let (rhs, rty) = self.expr(value, line)?;
                         self.binary_values(binop, old, &Ty::C(ty.clone()), rhs, &rty, line)?
                             .0
@@ -638,11 +749,12 @@ impl<'a> FuncLower<'a> {
                     }
                 };
                 let b = self.block(line)?;
-                self.write_var(&internal, b, final_value);
+                self.write_var(var, b, final_value);
                 if let Some(n) = self.f.value(final_value).name.clone() {
                     let _ = n; // keep any existing name
                 } else {
-                    self.f.set_name(final_value, format!("{internal}.v"));
+                    let name = format!("{}.v", self.vars[var].name);
+                    self.f.set_name(final_value, name);
                 }
                 Ok(())
             }
@@ -719,7 +831,7 @@ impl<'a> FuncLower<'a> {
         // The false edge is patched below once we know whether an else block
         // or a merge block receives it (both targets temporarily point at
         // then_bb; duplicate targets to one block yield a single CFG edge).
-        let condbr = self.f.append_condbr(b, c, then_bb, then_bb);
+        self.condbr(b, c, then_bb, then_bb);
         self.cur = Some(then_bb);
         self.scoped_stmts(then)?;
         let then_end = self.cur;
@@ -727,7 +839,7 @@ impl<'a> FuncLower<'a> {
             None
         } else {
             let else_bb = self.new_block("if.else", true);
-            self.f.instr_mut(condbr).expect("condbr").targets[1] = else_bb;
+            self.retarget_false_edge(b, else_bb);
             self.cur = Some(else_bb);
             self.scoped_stmts(other)?;
             self.cur
@@ -740,13 +852,13 @@ impl<'a> FuncLower<'a> {
         }
         let merge_bb = self.new_block("if.end", false);
         if false_edge_needs_merge {
-            self.f.instr_mut(condbr).expect("condbr").targets[1] = merge_bb;
+            self.retarget_false_edge(b, merge_bb);
         }
         if let Some(end) = then_end {
-            self.f.append_br(end, merge_bb);
+            self.br(end, merge_bb);
         }
         if let Some(end) = else_end {
-            self.f.append_br(end, merge_bb);
+            self.br(end, merge_bb);
         }
         self.seal_block(merge_bb);
         self.cur = Some(merge_bb);
@@ -771,7 +883,7 @@ impl<'a> FuncLower<'a> {
         let line = 0;
         let pre = self.block(line)?;
         let header = self.new_block("loop.header", false);
-        self.f.append_br(pre, header);
+        self.br(pre, header);
         self.cur = Some(header);
         let c = match cond {
             Some(e) => self.condition(e, line)?,
@@ -781,13 +893,13 @@ impl<'a> FuncLower<'a> {
         let body_bb = self.new_block("loop.body", false);
         let latch = self.new_block("loop.latch", false);
         let exit = self.new_block("loop.exit", false);
-        self.f.append_condbr(header_end, c, body_bb, exit);
+        self.condbr(header_end, c, body_bb, exit);
         self.seal_block(body_bb); // single pred: the header chain
         self.cur = Some(body_bb);
         self.scoped_stmts(body)?;
         match self.cur {
             Some(end) => {
-                self.f.append_br(end, latch);
+                self.br(end, latch);
             }
             None => {
                 return Err(CompileError {
@@ -806,7 +918,7 @@ impl<'a> FuncLower<'a> {
             self.scopes.pop();
         }
         let latch_end = self.block(line)?;
-        self.f.append_br(latch_end, header);
+        self.br(latch_end, header);
         self.seal_block(header);
         self.seal_block(exit);
         self.cur = Some(exit);
@@ -901,12 +1013,12 @@ impl<'a> FuncLower<'a> {
                 Ok((self.f.const_float(ty, *v), Ty::C(cty)))
             }
             Expr::Var(name) => {
-                let internal = self.resolve(name, line)?;
-                match &self.vars[&internal] {
+                let var = self.resolve_var(name, line)?;
+                match &self.vars[var].kind {
                     VarKind::Scalar(ty) => {
                         let ty = ty.clone();
                         let b = self.block(line)?;
-                        let v = self.read_var(&internal, b);
+                        let v = self.read_var(var, b);
                         Ok((v, Ty::C(ty)))
                     }
                     VarKind::Array { alloca, elem, .. } => {

@@ -16,18 +16,22 @@
 //! All passes preserve the verifier invariants; `optimize_module` asserts
 //! this in debug builds.
 //!
-//! Each pass builds the analyses it needs once per call. Folding, CSE and
-//! load elimination collect their rewrites and hand them to one
-//! [`rewrite_uses`], which also removes the dead code. LICM and promotion
-//! add and move instructions but never change a block or an edge, so the
-//! CFG, dominators and loop forest built on entry stay valid for the whole
-//! pass; only instruction placement is kept up to date.
+//! No pass adds, removes or retargets a block or an edge, so
+//! [`optimize_function`] builds the CFG, dominator tree and loop forest
+//! once per function and hands them to CSE, LICM and promotion in both
+//! rounds (a debug assertion checks that the edges are unchanged). The
+//! public pass functions are thin wrappers that build their own analyses.
+//! Folding, CSE and load elimination collect their rewrites and hand them
+//! to one [`rewrite_uses`], which also removes the dead code. LICM and
+//! promotion add and move instructions; only instruction placement is
+//! kept up to date while they run.
 
 use ssair::analysis::{Cfg, DomTree, Layout, Loop, LoopForest};
 use ssair::pass::{eliminate_dead_code, remove_instruction, replace_all_uses, rewrite_uses};
 use ssair::{
     BlockId, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind,
 };
+use std::collections::HashMap;
 
 /// Runs the full pass pipeline over every function.
 pub fn optimize_module(m: &mut Module) {
@@ -38,15 +42,19 @@ pub fn optimize_module(m: &mut Module) {
 
 /// Runs the full pass pipeline over one function.
 pub fn optimize_function(f: &mut Function) {
+    let cfg = Cfg::new(f);
+    let dom = DomTree::dominators(&cfg);
+    let forest = LoopForest::new(&cfg, &dom);
     // Two rounds reach a fixpoint on all benchmark inputs: promotion can
     // expose new folding opportunities and vice versa.
     for _ in 0..2 {
         while fold_constants(f) > 0 {}
-        while common_subexpression_elimination(f) > 0 {}
+        cse(f, &cfg, &dom);
         while eliminate_redundant_loads(f) > 0 {}
-        hoist_loop_invariants(f);
-        promote_read_modify_write(f);
+        hoist(f, &cfg, &forest);
+        promote(f, &cfg, &dom, &forest);
         eliminate_dead_code(f);
+        debug_assert_eq!(Cfg::new(f).succs, cfg.succs, "a pass changed the CFG");
     }
 }
 
@@ -99,33 +107,51 @@ pub fn eliminate_redundant_loads(f: &mut Function) -> usize {
 /// frontend lowers every `C[i][j]` occurrence to a fresh gep chain, and
 /// read-modify-write promotion needs the load and store of `C[i][j] += x`
 /// to share one address value.
+///
+/// One call reaches the fixpoint: blocks are visited in reverse post-order
+/// (dominators first, for the reducible CFGs the frontend produces) and
+/// each operand is mapped to its leader before the key is built, so an
+/// instruction whose operands were merged earlier in the walk is merged
+/// too.
 pub fn common_subexpression_elimination(f: &mut Function) -> usize {
-    // Only placement and forward dominance are queried, so build just
-    // those (the full `Analyses` bundle also pays for post-dominators,
-    // def-use chains and the loop forest on every fixpoint iteration).
-    let layout = Layout::new(f);
     let cfg = Cfg::new(f);
-    let dom = DomTree::dominators(&cfg);
-    let mut table: std::collections::HashMap<(Opcode, &Type, Vec<ValueId>), Vec<ValueId>> =
-        std::collections::HashMap::new();
+    cse(f, &cfg, &DomTree::dominators(&cfg))
+}
+
+/// What makes two pure instructions congruent: opcode (with predicate),
+/// result type and operand leaders, padded with `ValueId(u32::MAX)`.
+type CseKey<'a> = (Opcode, &'a Type, [ValueId; 3]);
+
+fn cse(f: &mut Function, cfg: &Cfg, dom: &DomTree) -> usize {
+    // Each value's leader: itself, or the congruent instruction that
+    // replaces it.
+    let mut leader: Vec<ValueId> = f.value_ids().collect();
+    // Candidates in visit order, with their blocks: a candidate from the
+    // current block comes earlier in it, so it dominates.
+    let mut table: HashMap<CseKey, Vec<(BlockId, ValueId)>> = HashMap::new();
     let mut rewrites: Vec<(ValueId, ValueId)> = Vec::new();
-    // Reverse post-order guarantees dominators are visited before their
-    // dominated blocks (for reducible CFGs, which the frontend produces).
     for &b in &cfg.rpo {
         for &v in &f.block(b).instrs {
             let Some(i) = f.instr(v) else { continue };
             if !(i.opcode.is_pure_arith() || i.opcode == Opcode::Gep) {
                 continue;
             }
-            let key = (i.opcode, &f.value(v).ty, i.operands.clone());
-            let entry = table.entry(key).or_default();
-            if let Some(&prior) = entry
+            // Verified pure instructions and geps take at most three
+            // operands.
+            let mut ops = [ValueId(u32::MAX); 3];
+            for (k, op) in i.operands.iter().enumerate() {
+                ops[k] = leader[op.0 as usize];
+            }
+            let entry = table.entry((i.opcode, &f.value(v).ty, ops)).or_default();
+            match entry
                 .iter()
-                .find(|&&p| p != v && dominates(&layout, &dom, p, v))
+                .find(|&&(pb, _)| pb == b || dom.dominates(pb, b))
             {
-                rewrites.push((v, prior));
-            } else {
-                entry.push(v);
+                Some(&(_, prior)) => {
+                    leader[v.0 as usize] = prior;
+                    rewrites.push((v, prior));
+                }
+                None => entry.push((b, v)),
             }
         }
     }
@@ -271,8 +297,11 @@ pub fn fold_constants(f: &mut Function) -> usize {
 /// (speculative traps); memory operations are never moved.
 pub fn hoist_loop_invariants(f: &mut Function) {
     let cfg = Cfg::new(f);
-    let dom = DomTree::dominators(&cfg);
-    let forest = LoopForest::new(&cfg, &dom);
+    let forest = LoopForest::new(&cfg, &DomTree::dominators(&cfg));
+    hoist(f, &cfg, &forest);
+}
+
+fn hoist(f: &mut Function, cfg: &Cfg, forest: &LoopForest) {
     // Placement by value id, updated as instructions move.
     let mut block_of: Vec<Option<BlockId>> = vec![None; f.num_values()];
     for b in f.block_ids() {
@@ -283,7 +312,7 @@ pub fn hoist_loop_invariants(f: &mut Function) {
     let mut innermost_first: Vec<&Loop> = forest.loops.iter().collect();
     innermost_first.sort_by_key(|l| std::cmp::Reverse(l.depth));
     for l in innermost_first {
-        let Some(preheader) = unique_preheader(&cfg, l) else {
+        let Some(preheader) = unique_preheader(cfg, l) else {
             continue;
         };
         loop {
@@ -377,7 +406,11 @@ pub fn promote_read_modify_write(f: &mut Function) {
     let cfg = Cfg::new(f);
     let dom = DomTree::dominators(&cfg);
     let forest = LoopForest::new(&cfg, &dom);
-    while promote_one(f, &cfg, &dom, &forest) {}
+    promote(f, &cfg, &dom, &forest);
+}
+
+fn promote(f: &mut Function, cfg: &Cfg, dom: &DomTree, forest: &LoopForest) {
+    while promote_one(f, cfg, dom, forest) {}
 }
 
 fn promote_one(f: &mut Function, cfg: &Cfg, dom: &DomTree, forest: &LoopForest) -> bool {

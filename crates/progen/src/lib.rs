@@ -20,8 +20,9 @@
 //! * [`shrink`] greedily minimizes any failing spec (drop functions,
 //!   drop filler, unwrap loops, simplify kernels, re-check) so the
 //!   regression corpus stores small reproducers;
-//! * [`corpus`] persists minimized cases as plain `.c` files with
-//!   `// progen:` expectation directives, replayed by `cargo test`.
+//! * the corpus module persists minimized cases as plain `.c` files with
+//!   `// progen:` expectation directives ([`to_corpus`]), replayed by
+//!   `cargo test` ([`replay_case`]).
 //!
 //! Everything is seeded and deterministic: the same seed generates the
 //! same source, data and verdict on every run, so a failing fuzz seed is

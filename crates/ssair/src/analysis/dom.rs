@@ -15,6 +15,12 @@ pub struct DomTree {
     /// The tree's root: block 0 for dominators, `VIRTUAL` for
     /// post-dominators.
     root: u32,
+    /// Entry and exit times of a depth-first walk of the tree, by node
+    /// (the virtual exit is node `idom.len()`); `u32::MAX` for nodes
+    /// outside the tree. `a` dominates `b` iff `a`'s interval encloses
+    /// `b`'s, so a query costs O(1) however deep the tree is.
+    enter: Vec<u32>,
+    exit: Vec<u32>,
 }
 
 /// Node id of the virtual exit.
@@ -29,7 +35,7 @@ impl DomTree {
         let order: Vec<u32> = cfg.rpo.iter().map(|b| b.0).collect();
         let preds = |b: u32| -> Vec<u32> { cfg.preds(BlockId(b)).iter().map(|p| p.0).collect() };
         let idom = compute_idoms(n, 0, &order, preds);
-        DomTree { idom, root: 0 }
+        DomTree::with_intervals(idom, 0)
     }
 
     /// Builds the post-dominator tree of `cfg`.
@@ -74,9 +80,42 @@ impl DomTree {
             ps
         };
         let idom = compute_idoms(n, VIRTUAL, &order, preds);
+        DomTree::with_intervals(idom, VIRTUAL)
+    }
+
+    fn with_intervals(idom: Vec<Option<u32>>, root: u32) -> DomTree {
+        let n = idom.len();
+        let node = |b: u32| if b == VIRTUAL { n } else { b as usize };
+        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
+        for (b, p) in idom.iter().enumerate() {
+            if let Some(p) = *p {
+                children[node(p)].push(b as u32);
+            }
+        }
+        let mut enter = vec![u32::MAX; n + 1];
+        let mut exit = vec![u32::MAX; n + 1];
+        let mut clock = 0u32;
+        enter[node(root)] = clock;
+        let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            clock += 1;
+            match children[node(b)].get(*next) {
+                Some(&c) => {
+                    *next += 1;
+                    enter[node(c)] = clock;
+                    stack.push((c, 0));
+                }
+                None => {
+                    exit[node(b)] = clock;
+                    stack.pop();
+                }
+            }
+        }
         DomTree {
             idom,
-            root: VIRTUAL,
+            root,
+            enter,
+            exit,
         }
     }
 
@@ -87,19 +126,16 @@ impl DomTree {
         if a == b {
             return self.is_processed(b);
         }
-        let mut cur = b.0;
-        loop {
-            match self.idom_raw(cur) {
-                Some(VIRTUAL) => return a.0 == VIRTUAL,
-                Some(p) => {
-                    if p == a.0 {
-                        return true;
-                    }
-                    cur = p;
-                }
-                None => return false,
-            }
-        }
+        let time = |times: &[u32], b: BlockId| {
+            let node = if b.0 == VIRTUAL {
+                self.idom.len()
+            } else {
+                b.0 as usize
+            };
+            times.get(node).copied().unwrap_or(u32::MAX)
+        };
+        let (ea, eb) = (time(&self.enter, a), time(&self.enter, b));
+        ea != u32::MAX && eb != u32::MAX && ea <= eb && time(&self.exit, b) <= time(&self.exit, a)
     }
 
     /// Strict (post-)dominance.

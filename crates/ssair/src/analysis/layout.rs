@@ -2,40 +2,41 @@
 //! position. Computed once so that dominance and flow queries are O(1).
 
 use crate::function::{BlockId, Function, ValueId};
-use std::collections::HashMap;
 
-/// Instruction placement lookup.
+/// Instruction placement lookup, dense by value id.
 pub struct Layout {
-    block_of: HashMap<ValueId, BlockId>,
-    position: HashMap<ValueId, usize>,
+    block_of: Vec<Option<BlockId>>,
+    position: Vec<usize>,
 }
 
 impl Layout {
     /// Builds the placement tables for `f`.
     #[must_use]
     pub fn new(f: &Function) -> Layout {
-        let mut block_of = HashMap::new();
-        let mut position = HashMap::new();
+        let mut block_of = vec![None; f.num_values()];
+        let mut position = vec![0; f.num_values()];
         for b in f.block_ids() {
             for (pos, &v) in f.block(b).instrs.iter().enumerate() {
-                block_of.insert(v, b);
-                position.insert(v, pos);
+                block_of[v.0 as usize] = Some(b);
+                position[v.0 as usize] = pos;
             }
         }
         Layout { block_of, position }
     }
 
-    /// The block containing instruction `v`, or `None` for non-instructions.
+    /// The block containing instruction `v`, or `None` for non-instructions
+    /// (and for values created after the layout was built).
     #[must_use]
     pub fn block_of(&self, v: ValueId) -> Option<BlockId> {
-        self.block_of.get(&v).copied()
+        self.block_of.get(v.0 as usize).copied().flatten()
     }
 
     /// Position of `v` within its block (0 = first). Panics on
     /// non-instructions; call [`Layout::block_of`] first.
     #[must_use]
     pub fn position(&self, v: ValueId) -> usize {
-        self.position[&v]
+        assert!(self.block_of(v).is_some(), "{v} is not placed");
+        self.position[v.0 as usize]
     }
 }
 

@@ -7,6 +7,7 @@
 //! LLVM `Value*`s.
 
 use crate::types::Type;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a value (argument, constant or instruction) within a function.
@@ -140,7 +141,7 @@ pub enum Opcode {
     FMul,
     /// Floating-point division.
     FDiv,
-    /// Integer comparison; predicate stored in [`Instr::icmp_pred`].
+    /// Integer comparison; the payload is its [`ICmpPred`].
     ICmp(ICmpPred),
     /// Floating-point comparison.
     FCmp(FCmpPred),
@@ -380,6 +381,29 @@ pub struct Function {
     values: Vec<ValueData>,
     /// All basic blocks; `BlockId(0)` is the entry block.
     blocks: Vec<BlockData>,
+    /// Interned constants: the first arena slot holding each `(type,
+    /// constant)`. Constants enter the arena only through
+    /// [`Function::const_int`] and [`Function::const_float`] and the arena
+    /// never shrinks, so the table is a function of `values`.
+    consts: HashMap<(Type, ConstBits), ValueId>,
+}
+
+/// The interning key of a constant: integers by value, floats by bit
+/// pattern (so `0.0` and `-0.0` stay distinct).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ConstBits {
+    Int(i64),
+    Float(u64),
+}
+
+impl ConstBits {
+    fn of(kind: &ValueKind) -> Option<ConstBits> {
+        match *kind {
+            ValueKind::ConstInt(c) => Some(ConstBits::Int(c)),
+            ValueKind::ConstFloat(c) => Some(ConstBits::Float(c.to_bits())),
+            _ => None,
+        }
+    }
 }
 
 impl Function {
@@ -396,6 +420,7 @@ impl Function {
                 instrs: Vec::new(),
                 name: Some("entry".to_owned()),
             }],
+            consts: HashMap::new(),
         };
         for (i, (pname, pty)) in params.iter().enumerate() {
             let id = f.push_value(ValueData {
@@ -523,39 +548,32 @@ impl Function {
 
     /// Interns an integer constant of the given type (deduplicated).
     pub fn const_int(&mut self, ty: Type, v: i64) -> ValueId {
-        for (i, vd) in self.values.iter().enumerate() {
-            if vd.ty == ty {
-                if let ValueKind::ConstInt(c) = vd.kind {
-                    if c == v {
-                        return ValueId(i as u32);
-                    }
-                }
-            }
-        }
-        self.push_value(ValueData {
-            ty,
-            kind: ValueKind::ConstInt(v),
-            name: None,
-        })
+        self.intern(ty, ConstBits::Int(v), ValueKind::ConstInt(v))
     }
 
     /// Interns a floating-point constant of the given type (deduplicated,
     /// by bit pattern).
     pub fn const_float(&mut self, ty: Type, v: f64) -> ValueId {
-        for (i, vd) in self.values.iter().enumerate() {
-            if vd.ty == ty {
-                if let ValueKind::ConstFloat(c) = vd.kind {
-                    if c.to_bits() == v.to_bits() {
-                        return ValueId(i as u32);
-                    }
-                }
-            }
+        self.intern(ty, ConstBits::Float(v.to_bits()), ValueKind::ConstFloat(v))
+    }
+
+    /// The slot of an interned constant, creating it on first use: the
+    /// same id a scan of the arena for the first equal constant returns.
+    fn intern(&mut self, ty: Type, bits: ConstBits, kind: ValueKind) -> ValueId {
+        if let Some(&id) = self.consts.get(&(ty.clone(), bits)) {
+            debug_assert!(
+                self.value(id).ty == ty && ConstBits::of(&self.value(id).kind) == Some(bits),
+                "constant slot {id} was rewritten after interning"
+            );
+            return id;
         }
-        self.push_value(ValueData {
-            ty,
-            kind: ValueKind::ConstFloat(v),
+        let id = self.push_value(ValueData {
+            ty: ty.clone(),
+            kind,
             name: None,
-        })
+        });
+        self.consts.insert((ty, bits), id);
+        id
     }
 
     /// Appends an instruction to `block` and returns its value id.
@@ -821,6 +839,36 @@ mod tests {
         let f1 = f.const_float(Type::F64, 0.0);
         let f2 = f.const_float(Type::F64, -0.0);
         assert_ne!(f1, f2, "0.0 and -0.0 are distinct bit patterns");
+    }
+
+    #[test]
+    fn interning_returns_the_first_equal_constant_of_a_scan() {
+        let mut f = sample();
+        let floats = [0.0, -0.0, f64::NAN, 1.5, 0.0, f64::NAN];
+        let mut interned = Vec::new();
+        for (k, &x) in floats.iter().enumerate() {
+            let ty = if k % 2 == 0 { Type::F64 } else { Type::F32 };
+            interned.push((ty.clone(), ValueKind::ConstFloat(x), f.const_float(ty, x)));
+            let c = k as i64 % 3;
+            interned.push((Type::I64, ValueKind::ConstInt(c), f.const_int(Type::I64, c)));
+            let a = f.params[0];
+            f.append_simple(BlockId(0), Type::I32, Opcode::Add, vec![a, a]);
+        }
+        let mut g = f.clone();
+        for (ty, kind, id) in interned {
+            let bits = ConstBits::of(&kind);
+            let scan = f
+                .value_ids()
+                .find(|&v| f.value(v).ty == ty && ConstBits::of(&f.value(v).kind) == bits);
+            assert_eq!(Some(id), scan, "{ty:?} {kind:?}");
+            let again = match kind {
+                ValueKind::ConstFloat(x) => g.const_float(ty, x),
+                ValueKind::ConstInt(c) => g.const_int(ty, c),
+                _ => unreachable!(),
+            };
+            assert_eq!(again, id, "a clone interns to the same slot");
+        }
+        assert_eq!(g.num_values(), f.num_values());
     }
 
     #[test]

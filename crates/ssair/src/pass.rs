@@ -14,9 +14,7 @@
 //! can revisit exactly those. Placing an instruction inside a block goes
 //! through [`Function::place`] (see [`crate::function::InsertPoint`]).
 
-use crate::analysis::DefUse;
 use crate::function::{Function, Opcode, ValueId};
-use std::collections::HashSet;
 
 /// Replaces every use of `from` with `to` in `f` and returns the
 /// instructions whose operands changed, in value order.
@@ -94,34 +92,69 @@ pub fn remove_instruction(f: &mut Function, v: ValueId) {
     }
 }
 
-/// Iteratively removes instructions that have no users and no side effects.
-/// Returns the number of removed instructions.
+/// Removes instructions that have no users and no side effects, and then
+/// those that lose their last user to that removal. Returns the number of
+/// removed instructions.
+///
+/// Uses are counted once over the placed instructions (retired arena
+/// slots do not count); each dead instruction then gives back the counts
+/// of its operands, so a dead chain goes in one sweep and the blocks are
+/// compacted by one `retain` each. A value used only by itself — a
+/// self-referential phi, or a phi cycle — keeps a use and stays.
 pub fn eliminate_dead_code(f: &mut Function) -> usize {
-    let mut removed_total = 0;
-    loop {
-        let du = DefUse::new(f);
-        let mut dead: Vec<ValueId> = Vec::new();
-        for b in f.block_ids() {
-            for &v in &f.block(b).instrs {
-                let Some(i) = f.instr(v) else { continue };
-                let side_effecting = matches!(
-                    i.opcode,
-                    Opcode::Store | Opcode::Ret | Opcode::Br | Opcode::CondBr | Opcode::Call
-                );
-                if !side_effecting && du.is_unused(v) {
-                    dead.push(v);
+    let n = f.num_values();
+    let mut uses = vec![0u32; n];
+    let mut placed = vec![false; n];
+    for b in f.block_ids() {
+        for &v in &f.block(b).instrs {
+            if std::mem::replace(&mut placed[v.0 as usize], true) {
+                continue;
+            }
+            if let Some(i) = f.instr(v) {
+                for &op in &i.operands {
+                    uses[op.0 as usize] += 1;
                 }
             }
         }
-        if dead.is_empty() {
-            return removed_total;
-        }
-        let dead_set: HashSet<ValueId> = dead.iter().copied().collect();
-        for b in f.block_ids().collect::<Vec<_>>() {
-            f.block_mut(b).instrs.retain(|i| !dead_set.contains(i));
-        }
-        removed_total += dead.len();
     }
+    let removable = |f: &Function, v: ValueId| {
+        f.instr(v).is_some_and(|i| {
+            !matches!(
+                i.opcode,
+                Opcode::Store | Opcode::Ret | Opcode::Br | Opcode::CondBr | Opcode::Call
+            )
+        })
+    };
+    let mut work: Vec<ValueId> = f
+        .block_ids()
+        .flat_map(|b| f.block(b).instrs.iter().copied())
+        .filter(|&v| uses[v.0 as usize] == 0 && removable(f, v))
+        .collect();
+    let mut dead = vec![false; n];
+    let mut removed = 0;
+    while let Some(v) = work.pop() {
+        if std::mem::replace(&mut dead[v.0 as usize], true) {
+            continue;
+        }
+        removed += 1;
+        for &op in &f
+            .instr(v)
+            .expect("removable values are instructions")
+            .operands
+        {
+            let k = op.0 as usize;
+            uses[k] -= 1;
+            if uses[k] == 0 && placed[k] && removable(f, op) {
+                work.push(op);
+            }
+        }
+    }
+    if removed > 0 {
+        for b in f.block_ids().collect::<Vec<_>>() {
+            f.block_mut(b).instrs.retain(|v| !dead[v.0 as usize]);
+        }
+    }
+    removed
 }
 
 /// Removes blocks unreachable from the entry, compacting block ids and
@@ -195,6 +228,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::DefUse;
     use crate::parser::parse_function_text;
 
     #[test]
@@ -231,6 +265,104 @@ entry:
         .unwrap();
         assert_eq!(eliminate_dead_code(&mut f), 0);
         assert_eq!(f.block(crate::BlockId(0)).instrs.len(), 3);
+    }
+
+    #[test]
+    fn dce_removes_a_branching_dead_chain_in_one_call() {
+        let mut f = parse_function_text(
+            r#"
+define i32 @c(i32 %a) {
+entry:
+  %d1 = add i32 %a, 1
+  %d2 = mul i32 %d1, %d1
+  %d3 = sub i32 %d1, %a
+  %d4 = add i32 %d2, %d3
+  %d5 = icmp slt i32 %d4, %a
+  ret i32 %a
+}
+"#,
+        )
+        .unwrap();
+        assert_eq!(eliminate_dead_code(&mut f), 5);
+        assert_eq!(f.block(crate::BlockId(0)).instrs.len(), 1, "only ret");
+        assert_eq!(
+            eliminate_dead_code(&mut f),
+            0,
+            "one call reaches the fixpoint"
+        );
+    }
+
+    #[test]
+    fn dce_keeps_dead_phi_cycles_and_self_referential_phis() {
+        let text = r#"
+define void @p(i64 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %header ]
+  %self = phi i64 [ 0, %entry ], [ %self, %header ]
+  %i.next = add i64 %i, 1
+  %cond = icmp slt i64 %i.next, %n
+  %dead = add i64 %self, 1
+  br i1 %cond, label %header, label %exit
+exit:
+  ret void
+}
+"#;
+        let mut f = parse_function_text(text).unwrap();
+        let dead = f.named("dead").unwrap();
+        assert_eq!(eliminate_dead_code(&mut f), 1, "only %dead goes");
+        let header = &f.block(crate::BlockId(1)).instrs;
+        assert!(!header.contains(&dead));
+        for kept in ["i", "self", "i.next", "cond"] {
+            assert!(header.contains(&f.named(kept).unwrap()), "%{kept} stays");
+        }
+    }
+
+    #[test]
+    fn dce_never_removes_stores_calls_or_terminators() {
+        let mut f = parse_function_text(
+            r#"
+define void @e(double* %p, i1 %c) {
+entry:
+  store double 1.0, double* %p
+  %r = call double @sqrt(double 2.0)
+  br i1 %c, label %next, label %out
+next:
+  br label %out
+out:
+  ret void
+}
+"#,
+        )
+        .unwrap();
+        let before = f.clone();
+        assert_eq!(eliminate_dead_code(&mut f), 0);
+        assert_eq!(f, before);
+    }
+
+    #[test]
+    fn dce_ignores_retired_arena_slots() {
+        let mut f = parse_function_text(
+            r#"
+define i32 @r(i32 %a) {
+entry:
+  %x = add i32 %a, 1
+  %y = mul i32 %x, 2
+  %z = add i32 %y, %a
+  ret i32 %a
+}
+"#,
+        )
+        .unwrap();
+        let [x, y, z] = ["x", "y", "z"].map(|n| f.named(n).unwrap());
+        // Retire %z without clearing its operands: it no longer counts as
+        // a user of %y, and is not counted as removed itself.
+        f.block_mut(crate::BlockId(0)).instrs.retain(|&v| v != z);
+        assert_eq!(eliminate_dead_code(&mut f), 2, "%y and %x");
+        let entry = &f.block(crate::BlockId(0)).instrs;
+        assert!(!entry.contains(&x) && !entry.contains(&y));
+        assert_eq!(entry.len(), 1, "only ret");
     }
 
     #[test]

@@ -11,10 +11,17 @@
 //! so a change that is meant to keep the optimizer's output byte-identical
 //! (a refactor, a speed-up) proves it. Changing a pinned constant needs a
 //! stated reason.
+//!
+//! Two more properties pin the frontend's shape and cost: `minicc::compile`
+//! output is a fixpoint of every repeatable pass (so one CSE call is
+//! enough inside `optimize_function`), and an `if` ladder compiles in time
+//! linear in its length.
 
 use idiomatch::core::validate_transform;
 use idiomatch::interp::{Memory, Value};
 use idiomatch::{benchsuite, minicc, progen, ssair};
+use minicc::opt::{common_subexpression_elimination, eliminate_redundant_loads, fold_constants};
+use ssair::pass::eliminate_dead_code;
 
 /// FNV-1a over the printed optimized IR of the 21 suite benchmarks, in
 /// `benchsuite::all()` order.
@@ -109,4 +116,80 @@ fn optimized_suite_and_progen_ir_is_unchanged() {
         h = fnv1a(h, ssair::printer::print_module(&m).as_bytes());
     }
     assert_eq!(h, SUITE_AND_PROGEN_IR_HASH, "optimized IR drifted");
+}
+
+#[test]
+fn optimized_ir_is_a_fixpoint_of_each_pass() {
+    type Pass = fn(&mut ssair::Function) -> usize;
+    let passes: [(&str, Pass); 4] = [
+        ("cse", common_subexpression_elimination),
+        ("fold", fold_constants),
+        ("loads", eliminate_redundant_loads),
+        ("dce", eliminate_dead_code),
+    ];
+    let suite = benchsuite::all()
+        .into_iter()
+        .map(|b| (b.source.to_owned(), b.name.to_owned()));
+    let generated =
+        (0..200).map(|seed| (progen::generate(seed).render(), format!("progen-{seed}")));
+    for (source, name) in suite.chain(generated) {
+        let m = minicc::compile(&source, &name).expect("compiles");
+        for f in &m.functions {
+            for (pass, run) in passes {
+                let mut g = f.clone();
+                assert_eq!(run(&mut g), 0, "{name}: {pass} changes @{}", f.name);
+            }
+        }
+    }
+}
+
+/// `n` ifs in a row, each guarding one update of an accumulator: every
+/// arm adds a block, an edge and a merge phi.
+fn if_ladder(n: usize) -> String {
+    let mut src =
+        String::from("double ladder(double* a, double* out, long n) {\n  double x = 0.0;\n");
+    for i in 0..n {
+        src += &format!("  if (n > {i}) {{ x = x + a[{}]; }}\n", i % 16);
+    }
+    src + "  out[0] = x;\n  return x;\n}\n"
+}
+
+#[test]
+fn optimizer_preserves_an_if_ladder() {
+    let setup = |mem: &mut Memory, seed: u64| {
+        let a = benchsuite::fill_f64(mem, 16, benchsuite::mix(seed, 1));
+        let out = benchsuite::zeros_f64(mem, 1);
+        vec![
+            Value::P(a),
+            Value::P(out),
+            Value::I((seed * 53 % 260) as i64),
+        ]
+    };
+    check_optimizer(&if_ladder(200), "ladder", "ladder", setup, &[0, 1, 2, 3]);
+}
+
+/// Release only: the frontend is linear in the ladder's length. Lowering
+/// used to rescan the function on every SSA edit (8 s for 5,000 ifs).
+#[cfg(not(debug_assertions))]
+#[test]
+#[ignore = "timing; run with --include-ignored in release"]
+fn if_ladder_compiles_in_linear_time() {
+    let time = |src: &str| {
+        let t = std::time::Instant::now();
+        minicc::compile(src, "ladder").expect("compiles");
+        t.elapsed().as_secs_f64()
+    };
+    let (src5, src10) = (if_ladder(5_000), if_ladder(10_000));
+    // The fastest of three alternating runs, so that a stall of the box
+    // (or a test running beside this one) does not count.
+    let (mut t5, mut t10) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        t5 = t5.min(time(&src5));
+        t10 = t10.min(time(&src10));
+    }
+    assert!(t5 < 2.0, "5,000 ifs took {t5:.3} s");
+    assert!(
+        t10 <= 3.0 * t5,
+        "10,000 ifs took {t10:.3} s, 5,000 took {t5:.3} s"
+    );
 }

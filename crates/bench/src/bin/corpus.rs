@@ -1,8 +1,9 @@
 //! The corpus-scale batch analysis driver: runs the `corpus` service
 //! over a directory of `.c` files or a seeded progen corpus and condenses
-//! the per-module JSONL records into `BENCH_corpus.json` — throughput,
-//! p50/p95/p99 per-module latency, instance totals and the full failure
-//! taxonomy.
+//! the per-module JSONL records into `BENCH_corpus.json` — instance
+//! totals, legality and certificate censuses, solver steps and the full
+//! failure taxonomy. Every field is deterministic (no timings, no worker
+//! count), so CI regenerates the file and fails on any `git diff`.
 //!
 //! Usage:
 //! `cargo run --release -p idiomatch-bench --bin corpus -- [flags]`
@@ -15,22 +16,15 @@
 //! * `--state DIR` — where `records.jsonl` + `checkpoint.json` live
 //!   (default `target/corpus`); `--resume` continues from the checkpoint
 //!   there instead of starting fresh;
-//! * `--out PATH` — artifact path (default `BENCH_corpus.json`);
-//! * `--check` — CI drift guard: re-runs the default 500-program smoke
-//!   corpus in a scratch directory and verifies the committed artifact's
-//!   stable fields (totals, taxonomy — timings exempt) still match.
+//! * `--out PATH` — artifact path (default `BENCH_corpus.json`).
 //!
 //! For a progen corpus the run is also a gate: any non-`ok` record,
 //! recall loss or near-miss false positive exits non-zero.
 
 use corpus::{run, RunConfig, RunSummary, Source, Taxonomy};
-use idiomatch_bench::report::{nested_object, percentile, Json, Report};
+use idiomatch_bench::report::{nested_object, Json, Report};
 
-/// The fixed smoke configuration behind the committed artifact and
-/// `--check`: 500 progen programs from seed 0, shard size 32.
-const SMOKE_COUNT: usize = 500;
-
-fn summarize(summary: &RunSummary, source: &Source, cfg: &RunConfig) -> Report {
+fn summarize(summary: &RunSummary, cfg: &RunConfig) -> Report {
     let recs = &summary.records;
     let mut by_kind: std::collections::BTreeMap<&str, u64> = Default::default();
     let mut by_cert: std::collections::BTreeMap<&str, u64> = Default::default();
@@ -50,60 +44,40 @@ fn summarize(summary: &RunSummary, source: &Source, cfg: &RunConfig) -> Report {
         .map(|(t, n)| (t.as_str(), n))
         .collect();
     let sum = |f: fn(&corpus::ModuleRecord) -> u64| recs.iter().map(f).sum::<u64>();
-    let sum_f = |f: fn(&corpus::ModuleRecord) -> f64| recs.iter().map(f).sum::<f64>();
-    let latencies: Vec<f64> = recs.iter().map(|r| r.latency_ms).collect();
-    let exec_ms: Vec<f64> = recs.iter().map(|r| r.exec_ms).collect();
     Report::new()
-        .stable("bench", Json::S("corpus_batch".into()))
-        .stable("source", Json::S(source.descriptor()))
-        .stable("modules", Json::U(recs.len() as u64))
-        .stable("shard_size", Json::U(cfg.shard_size as u64))
-        .stable("shards", Json::U(summary.total_shards as u64))
-        .stable("complete", Json::B(summary.complete))
-        .stable("instances_by_kind", nested_object(&kind_pairs))
-        .stable("detected", Json::U(sum(|r| r.detected)))
-        .stable("replaced", Json::U(sum(|r| r.replaced)))
-        .stable("legality_proven", Json::U(sum(|r| r.legality_proven)))
-        .stable("legality_assumed", Json::U(sum(|r| r.legality_assumed)))
-        .stable("certificates", nested_object(&cert_pairs))
-        .stable("planted", Json::U(sum(|r| r.planted)))
-        .stable("planted_hit", Json::U(sum(|r| r.planted_hit)))
-        .stable("false_positives", Json::U(sum(|r| r.false_positives)))
-        .stable(
+        .field("bench", Json::S("corpus_batch".into()))
+        .field("source", Json::S(cfg.source.descriptor()))
+        .field("modules", Json::U(recs.len() as u64))
+        .field("shard_size", Json::U(cfg.shard_size as u64))
+        .field("shards", Json::U(summary.total_shards as u64))
+        .field("complete", Json::B(summary.complete))
+        .field("instances_by_kind", nested_object(&kind_pairs))
+        .field("detected", Json::U(sum(|r| r.detected)))
+        .field("replaced", Json::U(sum(|r| r.replaced)))
+        .field("legality_proven", Json::U(sum(|r| r.legality_proven)))
+        .field("legality_assumed", Json::U(sum(|r| r.legality_assumed)))
+        .field("certificates", nested_object(&cert_pairs))
+        .field("planted", Json::U(sum(|r| r.planted)))
+        .field("planted_hit", Json::U(sum(|r| r.planted_hit)))
+        .field("false_positives", Json::U(sum(|r| r.false_positives)))
+        .field(
             "validated_modules",
             Json::U(recs.iter().filter(|r| r.validated).count() as u64),
         )
-        .bounded_up("total_solve_steps", sum(|r| r.solve_steps), 0.05)
-        .stable("pruned_pairs", Json::U(sum(|r| r.pruned_pairs)))
-        .stable("taxonomy", nested_object(&tax_pairs))
-        .stable(
+        .field("total_solve_steps", Json::U(sum(|r| r.solve_steps)))
+        .field("pruned_pairs", Json::U(sum(|r| r.pruned_pairs)))
+        .field("taxonomy", nested_object(&tax_pairs))
+        .field(
             "abandoned_threads",
             Json::U(summary.abandoned_threads as u64),
         )
-        .volatile("workers", Json::U(cfg.workers as u64))
-        .volatile("timeout_ms", Json::U(cfg.timeout.as_millis() as u64))
-        .volatile("analyzed_this_run", Json::U(summary.analyzed as u64))
-        .volatile("resumed_records", Json::U(summary.resumed_records as u64))
-        .rate(
-            "elapsed_s",
-            "modules_per_sec",
-            summary.analyzed as u64,
-            summary.wall_s,
-        )
-        .volatile("p50_latency_ms", Json::F(percentile(&latencies, 50.0), 3))
-        .volatile("p95_latency_ms", Json::F(percentile(&latencies, 95.0), 3))
-        .volatile("p99_latency_ms", Json::F(percentile(&latencies, 99.0), 3))
-        // Per-module latency splits: frontend compile and (bytecode VM)
-        // multi-seed validation, so artifact diffs show which stage moved.
-        .volatile("compile_ms_total", Json::F(sum_f(|r| r.compile_ms), 3))
-        .volatile("exec_ms_total", Json::F(sum_f(|r| r.exec_ms), 3))
-        .volatile("p50_exec_ms", Json::F(percentile(&exec_ms, 50.0), 3))
-        .volatile("p95_exec_ms", Json::F(percentile(&exec_ms, 95.0), 3))
+        .field("analyzed_this_run", Json::U(summary.analyzed as u64))
+        .field("resumed_records", Json::U(summary.resumed_records as u64))
 }
 
 fn main() {
     let mut source: Option<Source> = None;
-    let mut progen_count: usize = SMOKE_COUNT;
+    let mut progen_count: usize = 500;
     let mut seed_start: u64 = 0;
     let mut cfg_workers: Option<usize> = None;
     let mut shard_size: usize = 32;
@@ -111,7 +85,6 @@ fn main() {
     let mut state_dir = String::from("target/corpus");
     let mut resume = false;
     let mut out_path = String::from("BENCH_corpus.json");
-    let mut check = false;
 
     let mut args = std::env::args().skip(1);
     let parse = |v: Option<String>, flag: &str| -> u64 {
@@ -132,26 +105,8 @@ fn main() {
             "--state" => state_dir = args.next().expect("--state takes a path"),
             "--resume" => resume = true,
             "--out" => out_path = args.next().expect("--out takes a path"),
-            "--check" => check = true,
             other => panic!("unknown argument {other:?}"),
         }
-    }
-
-    if check {
-        // Re-run the smoke corpus in scratch state and compare stable
-        // fields against the committed artifact.
-        let scratch = std::env::temp_dir().join(format!("corpus_check_{}", std::process::id()));
-        let mut cfg = RunConfig::new(Source::progen(SMOKE_COUNT, 0), &scratch);
-        cfg.progress = true;
-        let summary = run(&cfg).unwrap_or_else(|e| panic!("corpus run failed: {e}"));
-        let report = summarize(&summary, &cfg.source, &cfg);
-        let _ = std::fs::remove_dir_all(&scratch);
-        if let Err(e) = report.check_drift(&out_path) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        eprintln!("{out_path}: stable fields match the current code");
-        return;
     }
 
     let source = source.unwrap_or_else(|| Source::progen(progen_count, seed_start));
@@ -166,7 +121,7 @@ fn main() {
     cfg.progress = true;
 
     let summary = run(&cfg).unwrap_or_else(|e| panic!("corpus run failed: {e}"));
-    let report = summarize(&summary, &cfg.source, &cfg);
+    let report = summarize(&summary, &cfg);
     report.write(&out_path);
     print!("{}", report.render());
 

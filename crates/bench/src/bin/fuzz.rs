@@ -3,7 +3,8 @@
 //! the full pipeline oracle on each (detect → assert planted ⊆ detected
 //! and no near-miss false positives → transform → multi-seed
 //! differential validation), and writes `BENCH_fuzz.json` with recall,
-//! false-positive and validation-failure counts plus throughput.
+//! false-positive and validation-failure counts. Every field is
+//! deterministic, so CI regenerates the file and fails on any `git diff`.
 //!
 //! Any failing program is greedily shrunk to a minimal reproducer; the
 //! reproducer is printed in corpus format and, when run from the repo
@@ -18,7 +19,6 @@
 
 use idiomatch_bench::report::{object_array, Json, Report};
 use progen::{check, generate, shrink, to_corpus, Canary, Failure, Spec};
-use std::time::Instant;
 
 fn failure_class(f: &Failure) -> &'static str {
     match f {
@@ -108,11 +108,7 @@ fn main() {
     let mut replaced = 0u64;
     let mut reversal_checked = 0u64;
     let mut solve_steps = 0u64;
-    let mut detect_s = 0f64;
-    let mut detect_replace_s = 0f64;
-    let mut execute_s = 0f64;
     let mut failures: Vec<(u64, &'static str)> = Vec::new();
-    let t0 = Instant::now();
     for seed in seed_start..seed_start + count {
         let spec = generate(seed);
         planted += spec.expected().len() as u64;
@@ -124,9 +120,6 @@ fn main() {
                 replaced += c.replaced as u64;
                 reversal_checked += c.reversal_checked as u64;
                 solve_steps += c.solve_steps;
-                detect_s += c.detect_s;
-                detect_replace_s += c.detect_replace_s;
-                execute_s += c.execute_s;
             }
             Err(f) => {
                 failures.push((seed, failure_class(&f)));
@@ -134,7 +127,6 @@ fn main() {
             }
         }
     }
-    let elapsed = t0.elapsed().as_secs_f64();
     let recall = planted_ok as f64 / (planted.max(1)) as f64;
 
     let count_class = |cls: &str| failures.iter().filter(|(_, c)| *c == cls).count() as u64;
@@ -143,28 +135,28 @@ fn main() {
         .map(|(seed, cls)| format!("{{\"seed\": {seed}, \"class\": \"{cls}\"}}"))
         .collect();
     let report = Report::new()
-        .stable("bench", Json::S("progen_fuzz".into()))
-        .stable("programs", Json::U(count))
-        .stable("seed_start", Json::U(seed_start))
-        .stable("canary", Json::B(canary != Canary::None))
-        .stable("planted", Json::U(planted))
-        .stable("planted_recall", Json::F(recall, 4))
-        .stable("near_misses", Json::U(near_misses))
-        .stable("detected", Json::U(detected))
-        .stable("replaced", Json::U(replaced))
-        .stable("missed_plants", Json::U(count_class("missed_plant")))
-        .stable("false_positives", Json::U(count_class("false_positive")))
-        .stable(
+        .field("bench", Json::S("progen_fuzz".into()))
+        .field("programs", Json::U(count))
+        .field("seed_start", Json::U(seed_start))
+        .field("canary", Json::B(canary != Canary::None))
+        .field("planted", Json::U(planted))
+        .field("planted_recall", Json::F(recall, 4))
+        .field("near_misses", Json::U(near_misses))
+        .field("detected", Json::U(detected))
+        .field("replaced", Json::U(replaced))
+        .field("missed_plants", Json::U(count_class("missed_plant")))
+        .field("false_positives", Json::U(count_class("false_positive")))
+        .field(
             "adversary_certified",
             Json::U(count_class("adversary_certified")),
         )
-        .stable("reversal_checked", Json::U(reversal_checked))
-        .stable(
+        .field("reversal_checked", Json::U(reversal_checked))
+        .field(
             "reversal_diverged",
             Json::U(count_class("reversal_diverged")),
         )
-        .stable("validation_failures", Json::U(count_class("validation")))
-        .stable(
+        .field("validation_failures", Json::U(count_class("validation")))
+        .field(
             "other_failures",
             Json::U(
                 failures.len() as u64
@@ -175,23 +167,8 @@ fn main() {
                     - count_class("validation"),
             ),
         )
-        .stable("solve_steps", Json::U(solve_steps))
-        // `elapsed_s` (and the headline `programs_per_sec`) folds in
-        // program generation, lowering and multi-seed validation; the
-        // detect-only and detect+replace splits measure the compiler
-        // pipeline itself, and the execute split isolates the bytecode
-        // VM (multi-seed validation + reversal oracle) — together these
-        // are what the perf trajectory tracks across PRs.
-        .rate("elapsed_s", "programs_per_sec", count, elapsed)
-        .rate("detect_s", "detect_programs_per_sec", count, detect_s)
-        .rate(
-            "detect_replace_s",
-            "detect_replace_programs_per_sec",
-            count,
-            detect_replace_s,
-        )
-        .rate("execute_s", "execute_programs_per_sec", count, execute_s)
-        .stable("failures", object_array(&failures_json));
+        .field("solve_steps", Json::U(solve_steps))
+        .field("failures", object_array(&failures_json));
     report.write(&out_path);
     print!("{}", report.render());
 

@@ -12,14 +12,17 @@
 //! | Figure 18 | `fig18` | speedup vs sequential per platform (± lazy copy) |
 //! | Figure 19 | `fig19` | IDL best vs handwritten OpenMP/OpenCL |
 //!
-//! Beyond the paper artifacts, three binaries write machine-readable
-//! `BENCH_*.json` trajectory data via the shared [`report`] helper:
-//! `bench_json` (detection perf + solver steps, with a `--check` drift
-//! guard), `table_replace` (suite-wide replacement coverage) and `fuzz`
-//! (the `progen` differential fuzz driver).
+//! Beyond the paper artifacts, five binaries write machine-readable
+//! `BENCH_*.json` artifacts via the shared [`report`] renderer:
+//! `bench_json` (detection census and solver steps), `table_replace`
+//! (suite-wide replacement coverage), `fuzz` (the `progen` differential
+//! fuzz driver), `corpus` (the batch analysis service) and `offload`
+//! (the thread-pool backend's bitwise sweep). Each artifact holds only
+//! what the code computes — no timings — so CI regenerates it and fails
+//! on any `git diff`; wall-clock performance belongs to the repository
+//! benchmark (`perfbench/`).
 //!
-//! The shared measurement logic lives here so the binaries stay thin and
-//! the Criterion benches (`benches/`) can reuse it.
+//! The shared measurement logic lives here so the binaries stay thin.
 
 pub mod report;
 

@@ -1,35 +1,14 @@
 //! Shared machine-readable benchmark reports (`BENCH_*.json`).
 //!
-//! Every bench binary used to hand-roll its own JSON string and its own
-//! artifact-drift policy; this module centralizes both:
-//!
-//! * [`Report`] renders a flat, deterministic-key-order JSON object
-//!   (hand-rolled on purpose — the workspace has no networked
-//!   dependencies), with each field marked **stable** (deterministic
-//!   output of the code, guarded against drift in CI) or **volatile**
-//!   (timings, throughput — expected to differ per machine);
-//! * [`Report::write`] persists the artifact;
-//! * [`Report::check_drift`] verifies that a committed artifact still
-//!   contains exactly the stable fields the current code produces, so a
-//!   code change that alters instance counts, solver steps or coverage
-//!   without regenerating the artifact fails CI — without false alarms
-//!   from machine-dependent timings.
+//! [`Report`] renders a flat JSON object in field order (hand-rolled on
+//! purpose — the workspace has no networked dependencies) and
+//! [`Report::write`] persists it. Every field is a pure function of the
+//! code: no wall-clock time, core count or worker count goes into an
+//! artifact, so each file regenerates byte-identically and CI gates it
+//! with `git diff --exit-code`. Timings belong to the repository
+//! benchmark (`perfbench/`).
 
 use std::fmt::Write as _;
-
-/// The `p`-th percentile (nearest-rank) of a sample set. Sorts a copy —
-/// callers pass raw latency vectors. An empty set yields `0.0`; a
-/// single-element set yields that element for every `p`.
-#[must_use]
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
 
 /// Renders a list of pre-rendered JSON objects as a nested array value
 /// (`[]` when empty), matching the report's 2-space top-level indent.
@@ -87,32 +66,10 @@ impl Json {
     }
 }
 
-/// Drift policy of one field.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Policy {
-    /// Deterministic output of the code: the committed fragment must
-    /// match exactly.
-    Stable,
-    /// Machine-dependent (timings, throughput): never compared.
-    Volatile,
-    /// Deterministic but perf-tracked: the current value may drift
-    /// *downward* freely (improvements don't force a regeneration), but
-    /// must not exceed the committed value by more than the given
-    /// fraction (e.g. `0.05` = +5%) — the ratchet that keeps solver-step
-    /// wins from being silently given back.
-    BoundedUp(f64),
-}
-
-struct Field {
-    key: &'static str,
-    value: Json,
-    policy: Policy,
-}
-
-/// A flat JSON report with per-field drift policy.
+/// A flat JSON report whose fields render in insertion order.
 #[derive(Default)]
 pub struct Report {
-    fields: Vec<Field>,
+    fields: Vec<(&'static str, Json)>,
 }
 
 impl Report {
@@ -122,68 +79,22 @@ impl Report {
         Report::default()
     }
 
-    /// Adds a stable (drift-guarded) field.
+    /// Appends a field.
     #[must_use]
-    pub fn stable(mut self, key: &'static str, value: Json) -> Report {
-        self.fields.push(Field {
-            key,
-            value,
-            policy: Policy::Stable,
-        });
+    pub fn field(mut self, key: &'static str, value: Json) -> Report {
+        self.fields.push((key, value));
         self
-    }
-
-    /// Adds a volatile (machine-dependent) field.
-    #[must_use]
-    pub fn volatile(mut self, key: &'static str, value: Json) -> Report {
-        self.fields.push(Field {
-            key,
-            value,
-            policy: Policy::Volatile,
-        });
-        self
-    }
-
-    /// Adds the volatile elapsed/throughput pair every batch driver
-    /// reports: `secs_key` (seconds, 3 decimals) and `rate_key`
-    /// (`count` per second, 1 decimal) — machine-dependent, never
-    /// drift-compared.
-    #[must_use]
-    pub fn rate(
-        self,
-        secs_key: &'static str,
-        rate_key: &'static str,
-        count: u64,
-        secs: f64,
-    ) -> Report {
-        self.volatile(secs_key, Json::F(secs, 3))
-            .volatile(rate_key, Json::F(count as f64 / secs.max(1e-9), 1))
-    }
-
-    /// Adds a perf-ratchet field: drift-guarded against *upward*
-    /// regression beyond `tolerance` (a fraction, e.g. `0.05`), while
-    /// downward movement passes without regenerating the artifact.
-    #[must_use]
-    pub fn bounded_up(mut self, key: &'static str, value: u64, tolerance: f64) -> Report {
-        self.fields.push(Field {
-            key,
-            value: Json::U(value),
-            policy: Policy::BoundedUp(tolerance),
-        });
-        self
-    }
-
-    /// The rendered fragment of one field, exactly as it appears in the
-    /// artifact (used both for writing and for drift comparison).
-    fn fragment(f: &Field) -> String {
-        format!("  \"{}\": {}", f.key, f.value.render())
     }
 
     /// Renders the whole artifact.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
-        let body: Vec<String> = self.fields.iter().map(Self::fragment).collect();
+        let body: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(key, value)| format!("  \"{key}\": {}", value.render()))
+            .collect();
         let _ = write!(out, "{}", body.join(",\n"));
         out.push_str("\n}\n");
         out
@@ -198,138 +109,11 @@ impl Report {
         std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("{path} not writable: {e}"));
         eprintln!("wrote {path}");
     }
-
-    /// Checks the committed artifact at `path` against this report's
-    /// stable fields.
-    ///
-    /// # Errors
-    /// Lists every stable field whose rendered fragment is missing from
-    /// the committed file (meaning the artifact was not regenerated
-    /// after a behaviour change), or an IO problem.
-    pub fn check_drift(&self, path: &str) -> Result<(), String> {
-        let committed =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        // A fragment only counts as present when followed by a field
-        // separator or the closing brace: a bare substring check would
-        // accept a current value that is a prefix of the committed one
-        // (e.g. 1644 matching inside 16443).
-        let present = |frag: &String| {
-            committed.contains(&format!("{frag},\n")) || committed.contains(&format!("{frag}\n}}"))
-        };
-        let missing: Vec<String> = self
-            .fields
-            .iter()
-            .filter(|f| f.policy == Policy::Stable)
-            .map(Self::fragment)
-            .filter(|frag| !present(frag))
-            .collect();
-        // Perf-ratchet fields: compare numerically against the committed
-        // value with one-sided headroom.
-        let mut regressed: Vec<String> = Vec::new();
-        for f in &self.fields {
-            let Policy::BoundedUp(tol) = f.policy else {
-                continue;
-            };
-            let Json::U(current) = f.value else {
-                continue;
-            };
-            let prefix = format!("  \"{}\": ", f.key);
-            let old: Option<u64> = committed
-                .lines()
-                .find_map(|l| l.strip_prefix(&prefix))
-                .and_then(|rest| rest.trim_end_matches(',').trim().parse().ok());
-            match old {
-                None => regressed.push(format!(
-                    "  \"{}\": missing from the committed artifact",
-                    f.key
-                )),
-                Some(old) => {
-                    let ceiling = (old as f64 * (1.0 + tol)).floor() as u64;
-                    if current > ceiling {
-                        regressed.push(format!(
-                            "  \"{}\": {current} regressed above committed {old} (+{:.0}% ceiling {ceiling})",
-                            f.key,
-                            tol * 100.0
-                        ));
-                    }
-                }
-            }
-        }
-        // The reverse direction: every top-level key in the committed
-        // artifact must still be one the current code emits, or a field
-        // deleted from the report would survive in the artifact forever.
-        let known: Vec<String> = self
-            .fields
-            .iter()
-            .map(|f| format!("  \"{}\":", f.key))
-            .collect();
-        let stale: Vec<&str> = committed
-            .lines()
-            .filter(|l| l.starts_with("  \"")) // top-level keys only (nested lines indent deeper)
-            .filter(|l| !known.iter().any(|k| l.starts_with(k.as_str())))
-            .collect();
-        if missing.is_empty() && stale.is_empty() && regressed.is_empty() {
-            Ok(())
-        } else {
-            let mut msg = format!("{path} drifted from the current code;");
-            if !missing.is_empty() {
-                msg.push_str(&format!(" stale stable fields:\n{}", missing.join("\n")));
-            }
-            if !regressed.is_empty() {
-                msg.push_str(&format!(
-                    "\nperf-ratchet fields regressed:\n{}",
-                    regressed.join("\n")
-                ));
-            }
-            if !stale.is_empty() {
-                msg.push_str(&format!(
-                    "\ncommitted fields the code no longer emits:\n{}",
-                    stale.join("\n")
-                ));
-            }
-            msg.push_str("\nregenerate the artifact and commit it");
-            Err(msg)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Report {
-        Report::new()
-            .stable("bench", Json::S("x".into()))
-            .stable("count", Json::U(60))
-            .volatile("mean_ms", Json::F(12.3456, 3))
-            .stable("complete", Json::B(true))
-            .stable("by_kind", Json::Raw("{\n    \"A\": 1\n  }".into()))
-    }
-
-    /// Nearest-rank percentiles, including the edge cases that bite:
-    /// the empty set, a single element (every percentile is it), and an
-    /// even-count set (p50 is the lower middle under nearest-rank — no
-    /// interpolation).
-    #[test]
-    fn percentile_nearest_rank_edge_cases() {
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        // One element: p50, p95 and p99 all collapse onto it.
-        for p in [50.0, 95.0, 99.0] {
-            assert_eq!(percentile(&[7.5], p), 7.5);
-        }
-        // Even count (unsorted input is fine — the helper sorts).
-        let even = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&even, 50.0), 2.0, "lower middle, not 2.5");
-        assert_eq!(percentile(&even, 75.0), 3.0);
-        assert_eq!(percentile(&even, 100.0), 4.0);
-        // Odd count: p50 is the true middle.
-        assert_eq!(percentile(&[5.0, 1.0, 3.0], 50.0), 3.0);
-        // A 100-element 1..=100 sample pins the classic ranks.
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 50.0), 50.0);
-        assert_eq!(percentile(&v, 95.0), 95.0);
-        assert_eq!(percentile(&v, 99.0), 99.0);
-    }
 
     #[test]
     fn object_array_and_nested_object_render_report_indented() {
@@ -341,93 +125,16 @@ mod tests {
     }
 
     #[test]
-    fn rate_fields_are_volatile() {
-        let dir = std::env::temp_dir().join("bench_report_rate_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r.json");
-        let path = path.to_str().unwrap();
-        let with = |count, secs| Report::new().rate("elapsed_s", "per_sec", count, secs);
-        assert_eq!(
-            with(100, 2.0).render(),
-            "{\n  \"elapsed_s\": 2.000,\n  \"per_sec\": 50.0\n}\n"
-        );
-        std::fs::write(path, with(100, 2.0).render()).unwrap();
-        // A wildly different timing never trips the drift guard.
-        assert!(with(100, 9000.0).check_drift(path).is_ok());
-        // Zero elapsed must not divide by zero.
-        assert!(with(5, 0.0).render().contains("per_sec"));
-    }
-
-    #[test]
     fn renders_flat_deterministic_json() {
+        let report = Report::new()
+            .field("bench", Json::S("x".into()))
+            .field("count", Json::U(60))
+            .field("ratio", Json::F(12.3456, 3))
+            .field("complete", Json::B(true))
+            .field("by_kind", Json::Raw("{\n    \"A\": 1\n  }".into()));
         assert_eq!(
-            sample().render(),
-            "{\n  \"bench\": \"x\",\n  \"count\": 60,\n  \"mean_ms\": 12.346,\n  \"complete\": true,\n  \"by_kind\": {\n    \"A\": 1\n  }\n}\n"
-        );
-    }
-
-    #[test]
-    fn drift_guard_ignores_volatile_but_catches_stable_changes() {
-        let dir = std::env::temp_dir().join("bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r.json");
-        let path = path.to_str().unwrap();
-        std::fs::write(path, sample().render()).unwrap();
-
-        // Different timing: no drift.
-        let retimed = Report::new()
-            .stable("bench", Json::S("x".into()))
-            .stable("count", Json::U(60))
-            .volatile("mean_ms", Json::F(99.9, 3))
-            .stable("complete", Json::B(true))
-            .stable("by_kind", Json::Raw("{\n    \"A\": 1\n  }".into()));
-        assert!(retimed.check_drift(path).is_ok());
-
-        // A field the code no longer emits must be flagged, even though
-        // every currently-emitted fragment is present in the artifact.
-        let shrunk = Report::new()
-            .stable("bench", Json::S("x".into()))
-            .stable("count", Json::U(60))
-            .volatile("mean_ms", Json::F(99.9, 3))
-            .stable("complete", Json::B(true));
-        let err = shrunk.check_drift(path).unwrap_err();
-        assert!(err.contains("by_kind"), "stale committed key: {err}");
-
-        // Different stable count: drift.
-        let changed = Report::new().stable("count", Json::U(61));
-        let err = changed.check_drift(path).unwrap_err();
-        assert!(err.contains("\"count\": 61"), "{err}");
-
-        // A current value that is a string PREFIX of the committed one
-        // (60 → 6) is still drift — the match is separator-anchored.
-        let prefix = Report::new().stable("count", Json::U(6));
-        assert!(prefix.check_drift(path).is_err(), "prefix must not pass");
-    }
-
-    #[test]
-    fn bounded_up_ratchet_allows_improvement_but_catches_regression() {
-        let dir = std::env::temp_dir().join("bench_report_ratchet_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r.json");
-        let path = path.to_str().unwrap();
-        std::fs::write(path, Report::new().bounded_up("steps", 1000, 0.05).render()).unwrap();
-        let with = |v: u64| Report::new().bounded_up("steps", v, 0.05);
-        assert!(with(1000).check_drift(path).is_ok(), "unchanged passes");
-        assert!(
-            with(400).check_drift(path).is_ok(),
-            "improvement passes without regeneration"
-        );
-        assert!(with(1050).check_drift(path).is_ok(), "within +5% headroom");
-        let err = with(1051).check_drift(path).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        // The key must exist in the committed artifact at all.
-        let err = Report::new()
-            .bounded_up("other", 1, 0.05)
-            .check_drift(path)
-            .unwrap_err();
-        assert!(
-            err.contains("missing") || err.contains("no longer emits"),
-            "{err}"
+            report.render(),
+            "{\n  \"bench\": \"x\",\n  \"count\": 60,\n  \"ratio\": 12.346,\n  \"complete\": true,\n  \"by_kind\": {\n    \"A\": 1\n  }\n}\n"
         );
     }
 }

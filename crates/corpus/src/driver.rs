@@ -512,8 +512,9 @@ mod tests {
     }
 
     /// A run that blows every budget reports exactly how many sandbox
-    /// threads it abandoned — a clean run reports zero (checked by the
-    /// worker-count test above via `BENCH_corpus.json`'s stable field).
+    /// threads it abandoned — a clean run reports zero (the
+    /// `abandoned_threads` field of `BENCH_corpus.json`, which CI
+    /// regenerates and diffs).
     #[test]
     fn abandoned_sandbox_threads_are_counted() {
         let dir = std::env::temp_dir().join(format!("corpus_driver_leak_{}", std::process::id()));

@@ -82,15 +82,6 @@ pub struct Checked {
     pub replaced: usize,
     /// Total solver assignment steps.
     pub solve_steps: u64,
-    /// Wall-clock seconds spent in idiom detection alone.
-    pub detect_s: f64,
-    /// Wall-clock seconds in detection + transformation (the compiler
-    /// pipeline, excluding generation/lowering and validation).
-    pub detect_replace_s: f64,
-    /// Wall-clock seconds executing programs: the multi-seed differential
-    /// validation plus the reversed-iteration oracle runs (everything
-    /// that goes through the bytecode VM / interpreter).
-    pub execute_s: f64,
     /// Independent-iterations regions whose certificate was witnessed by
     /// the reversed-iteration oracle.
     pub reversal_checked: usize,
@@ -321,9 +312,6 @@ pub(crate) fn check_source(
         detected: out.xform.outcomes.len(),
         replaced: out.xform.replaced(),
         solve_steps: out.solve_steps,
-        detect_s: out.times.detect_s,
-        detect_replace_s: out.times.detect_s + out.times.transform_s,
-        execute_s: out.times.validate_s + out.times.witness_s,
         reversal_checked: reversal.checked,
         validation,
     })

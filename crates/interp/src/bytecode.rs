@@ -17,23 +17,28 @@
 //!   resolved at compile time into typed [`Op`] variants;
 //! * call sites are pre-bound: the callee is interned to a symbol id (host
 //!   lookup becomes a slot load, not a `HashMap<String, _>` probe) and
-//!   statically resolved to an intrinsic or a module function index.
+//!   statically resolved to an intrinsic or a module function index;
+//! * the runs that dominate the executed op mix dispatch once: a peephole
+//!   rewrites the head of each `IntCast→Gep→Load`, `IntCast→Gep`,
+//!   `Gep→Load` and `ICmp→CondJump` run, and each `Jump` into a phi-move
+//!   snippet, into a superinstruction (see [`Op`]).
 //!
 //! **Verified IR in, bytecode out.** The tree-walking [`crate::Machine`]
 //! is the reference semantics, quirks included, and the VM must match it
 //! bit-for-bit (same results, same `ExecError` messages, same step
-//! accounting). Every function that passes [`ssair::verify`] compiles.
-//! The compiler does not run the verifier itself (it is several times
-//! the cost of compiling); its own cheap shape checks are the guard.
-//! A function that fails them — entry-block or mid-block phis, misplaced
-//! terminators, phis not covering every predecessor edge, void
-//! loads/stores, operands not provably defined on every path — is left
-//! uncompiled (`None`), and calling it is an `ExecError` naming it.
-//! Compilation itself never fails.
+//! accounting, same profile). Every function that passes
+//! [`ssair::verify`] compiles. The compiler does not run the verifier
+//! itself (it is several times the cost of compiling); its own cheap
+//! shape checks are the guard. A function that fails them — entry-block
+//! or mid-block phis, misplaced terminators, phis not covering every
+//! predecessor edge, void loads/stores, operands not provably defined on
+//! every path — is left uncompiled (`None`), and calling it is an
+//! `ExecError` naming it. Compilation itself never fails.
 
 use crate::machine::Value;
 use ssair::{BlockId, FCmpPred, Function, ICmpPred, Module, Opcode, Type, ValueId, ValueKind};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Marker for "no source value" in [`CompiledFunction::vids`].
 pub(crate) const NO_VID: u32 = u32::MAX;
@@ -205,8 +210,25 @@ pub(crate) struct PhiMove {
     pub(crate) src: u32,
 }
 
-/// A bytecode instruction. One [`Op`] executes per walker step, so step
-/// accounting stays identical by construction.
+/// A bytecode instruction. A plain op is one walker step.
+///
+/// A superinstruction (the last five variants) replaces the *head* of a
+/// run of plain ops inside one block body and executes the whole run in
+/// one dispatch. The run's other ops stay in `code` behind the head as
+/// plain ops, which makes the fusion exact by construction:
+///
+/// * the fused op runs its constituents in order and writes every
+///   intermediate register, billing and profiling each constituent's
+///   step (`vids[pc + i]`) as the plain op would;
+/// * when constituent `i > 0` fails its type or bounds check, or the step
+///   budget is spent before it, the fused op bills nothing for it and
+///   resumes at its plain op (`pc + i`), which faults or stops there
+///   exactly as unfused code does;
+/// * when the head fails, the VM's cold path replays it as its plain op.
+///
+/// The peephole fuses a run only where each later op reads the earlier
+/// op's result, so that register (`cast`, `gep`, the compare's `dst`) is
+/// stored once and the fused op hands the value on without reloading it.
 #[derive(Debug)]
 pub(crate) enum Op {
     /// Integer binary op with compile-time result wrapping.
@@ -285,7 +307,56 @@ pub(crate) enum Op {
     /// destination (parallel-move semantics), then jump. Each move counts
     /// one step, exactly like one walker phi evaluation.
     PhiMoves { moves: Box<[PhiMove]>, target: u32 },
+    /// `IntCast→Gep→Load`: the gep indexes by the cast's result (`cast`)
+    /// and the load reads the gep's (`gep`).
+    CastGepLoad {
+        wrap: IntWrap,
+        kind: MemKind,
+        src: u32,
+        cast: u32,
+        base: u32,
+        gep: u32,
+        dst: u32,
+        elem: i64,
+    },
+    /// `IntCast→Gep`: the gep indexes by the cast's result (`cast`).
+    CastGep {
+        wrap: IntWrap,
+        src: u32,
+        cast: u32,
+        base: u32,
+        dst: u32,
+        elem: i64,
+    },
+    /// `Gep→Load`: the load reads the gep's result (`gep`).
+    GepLoad {
+        kind: MemKind,
+        base: u32,
+        idx: u32,
+        gep: u32,
+        dst: u32,
+        elem: i64,
+    },
+    /// `ICmp→CondJump` on the comparison's result (`dst`).
+    CmpJump {
+        pred: ICmpPred,
+        dst: u32,
+        a: u32,
+        b: u32,
+        on_true: u32,
+        on_false: u32,
+    },
+    /// A `Jump` into the phi-move snippet at `snippet`: runs its moves in
+    /// place and continues at the snippet's `target`.
+    JumpMoves {
+        moves: Box<[PhiMove]>,
+        snippet: u32,
+        target: u32,
+    },
 }
+
+// Every dispatch touches one `Op`: keep it to half a cache line.
+const _: () = assert!(std::mem::size_of::<Op>() <= 32);
 
 /// One function lowered to bytecode.
 #[derive(Debug)]
@@ -562,6 +633,11 @@ fn compile_function(
         }
     }
 
+    for (&start, shape) in body_start.iter().zip(&shapes) {
+        let start = start as usize;
+        fuse(&mut code, start..start + shape.body.len());
+    }
+
     // Register-file template: constants prefilled.
     let mut init_regs = vec![Value::I(0); f.num_values()];
     for v in f.value_ids() {
@@ -581,6 +657,127 @@ fn compile_function(
         vids,
         sites,
     })
+}
+
+/// The peephole: rewrites the head of every fusible run in the block body
+/// at `body` into its superinstruction (see [`Op`]) and leaves the run's
+/// other ops in place. Runs never overlap; a `Jump` fuses with the
+/// phi-move snippet it targets, which lies outside every body.
+fn fuse(code: &mut [Op], body: Range<usize>) {
+    let mut pc = body.start;
+    while pc < body.end {
+        let next = |k: usize| code[..body.end].get(pc + k);
+        let fused = match (&code[pc], next(1), next(2)) {
+            (
+                &Op::IntCast {
+                    wrap,
+                    dst: cast,
+                    src,
+                },
+                Some(&Op::Gep {
+                    dst: gep,
+                    base,
+                    idx,
+                    elem,
+                }),
+                Some(&Op::Load { kind, dst, addr }),
+            ) if idx == cast && addr == gep => Some((
+                Op::CastGepLoad {
+                    wrap,
+                    kind,
+                    src,
+                    cast,
+                    base,
+                    gep,
+                    dst,
+                    elem,
+                },
+                3,
+            )),
+            (
+                &Op::IntCast {
+                    wrap,
+                    dst: cast,
+                    src,
+                },
+                Some(&Op::Gep {
+                    dst,
+                    base,
+                    idx,
+                    elem,
+                }),
+                _,
+            ) if idx == cast => Some((
+                Op::CastGep {
+                    wrap,
+                    src,
+                    cast,
+                    base,
+                    dst,
+                    elem,
+                },
+                2,
+            )),
+            (
+                &Op::Gep {
+                    dst: gep,
+                    base,
+                    idx,
+                    elem,
+                },
+                Some(&Op::Load { kind, dst, addr }),
+                _,
+            ) if addr == gep => Some((
+                Op::GepLoad {
+                    kind,
+                    base,
+                    idx,
+                    gep,
+                    dst,
+                    elem,
+                },
+                2,
+            )),
+            (
+                &Op::ICmp { pred, dst, a, b },
+                Some(&Op::CondJump {
+                    cond,
+                    on_true,
+                    on_false,
+                }),
+                _,
+            ) if cond == dst => Some((
+                Op::CmpJump {
+                    pred,
+                    dst,
+                    a,
+                    b,
+                    on_true,
+                    on_false,
+                },
+                2,
+            )),
+            (&Op::Jump { target: snippet }, ..) => match &code[snippet as usize] {
+                Op::PhiMoves { moves, target } => Some((
+                    Op::JumpMoves {
+                        moves: moves.clone(),
+                        snippet,
+                        target: *target,
+                    },
+                    1,
+                )),
+                _ => None,
+            },
+            _ => None,
+        };
+        match fused {
+            Some((op, len)) => {
+                code[pc] = op;
+                pc += len;
+            }
+            None => pc += 1,
+        }
+    }
 }
 
 /// Operand/target-count and result-type checks for one body instruction:
@@ -947,6 +1144,46 @@ exit:
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn the_suite_emits_every_superinstruction() {
+        // [CastGepLoad, CastGep, GepLoad, CmpJump, JumpMoves]
+        let mut seen = [0usize; 5];
+        for b in benchsuite::all() {
+            let m = minicc::compile(b.source, b.name).expect("suite compiles");
+            let c = compile_module(&m);
+            for cf in c.funcs.iter().flatten() {
+                for (pc, op) in cf.code.iter().enumerate() {
+                    let k = match op {
+                        Op::CastGepLoad { .. } => 0,
+                        Op::CastGep { .. } => 1,
+                        Op::GepLoad { .. } => 2,
+                        Op::CmpJump { .. } => 3,
+                        Op::JumpMoves { snippet, .. } => {
+                            let snippet = &cf.code[*snippet as usize];
+                            assert!(matches!(snippet, Op::PhiMoves { .. }));
+                            4
+                        }
+                        _ => continue,
+                    };
+                    seen[k] += 1;
+                    // The constituents after the head stay plain ops.
+                    let plain = |i: usize| &cf.code[pc + i];
+                    match op {
+                        Op::CastGepLoad { .. } => {
+                            assert!(matches!(plain(1), Op::Gep { .. }));
+                            assert!(matches!(plain(2), Op::Load { .. }));
+                        }
+                        Op::CastGep { .. } => assert!(matches!(plain(1), Op::Gep { .. })),
+                        Op::GepLoad { .. } => assert!(matches!(plain(1), Op::Load { .. })),
+                        Op::CmpJump { .. } => assert!(matches!(plain(1), Op::CondJump { .. })),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "fused ops per kind: {seen:?}");
     }
 
     #[test]

@@ -32,9 +32,17 @@
 //! [`Memory::load_f64`], …) and returns exactly the walker's error.
 //! Profiling is a `const` parameter of the loop, so the unprofiled
 //! instantiation carries no counter code at all.
+//!
+//! **Superinstructions.** A fused op ([`Op`] documents the contract) bills
+//! and profiles its head like any op, then each later constituent in
+//! turn. A constituent whose check fails, or that the budget no longer
+//! covers, is not run: the loop resumes at its plain op, which sits right
+//! behind the head, so a fault or a step-limit stop lands on the same op
+//! at the same count as without fusion.
 
 use crate::bytecode::{
-    CallSite, CallTarget, CompiledFunction, CompiledModule, FloatOp, IntOp, MemKind, Op, NO_VID,
+    CallSite, CallTarget, CompiledFunction, CompiledModule, FloatOp, IntOp, MemKind, Op, PhiMove,
+    NO_VID,
 };
 use crate::machine::{ExecError, HostFn, HostRegistry, Value};
 use crate::memory::Memory;
@@ -232,32 +240,6 @@ impl<'c> Vm<'c> {
             let code = &cf.code[..];
             'exec: loop {
                 let op = &code[pc];
-                if let Op::PhiMoves { moves, target } = op {
-                    let n = moves.len() as u64;
-                    if steps + n > max_steps {
-                        // The budget runs out inside the snippet: the
-                        // moves that fit still count (and profile).
-                        let fit = max_steps.saturating_sub(steps) as usize;
-                        if PROFILE {
-                            for mv in &moves[..fit] {
-                                bump(counts, compiled, fidx, mv.dst);
-                            }
-                        }
-                        steps = max_steps + 1;
-                        break 'exec;
-                    }
-                    steps += n;
-                    scratch.clear();
-                    scratch.extend(moves.iter().map(|mv| r[mv.src as usize]));
-                    for (mv, &val) in moves.iter().zip(scratch.iter()) {
-                        r[mv.dst as usize] = val;
-                        if PROFILE {
-                            bump(counts, compiled, fidx, mv.dst);
-                        }
-                    }
-                    pc = *target as usize;
-                    continue;
-                }
                 steps += 1;
                 if steps > max_steps {
                     break 'exec;
@@ -267,6 +249,28 @@ impl<'c> Vm<'c> {
                     if vid != NO_VID {
                         bump(counts, compiled, fidx, vid);
                     }
+                }
+                // Constituent `$k` of the superinstruction at `pc`, whose
+                // message-free check gave `$checked`: bills and profiles
+                // its step and yields the checked value. A failed check or
+                // a spent budget bills nothing and resumes at the
+                // constituent's own plain op, which faults or stops there.
+                macro_rules! then {
+                    ($k:expr, $checked:expr) => {
+                        match $checked {
+                            Some(x) if steps < max_steps => {
+                                steps += 1;
+                                if PROFILE {
+                                    bump(counts, compiled, fidx, cf.vids[pc + $k]);
+                                }
+                                x
+                            }
+                            _ => {
+                                pc += $k;
+                                continue;
+                            }
+                        }
+                    };
                 }
                 match op {
                     Op::IntBin {
@@ -317,18 +321,8 @@ impl<'c> Vm<'c> {
                         pc += 1;
                     }
                     Op::ICmp { pred, dst, a, b } => {
-                        let (a, b) = match (r[*a as usize], r[*b as usize]) {
-                            (Value::P(x), Value::P(y)) => (x as i64, y as i64),
-                            (Value::I(x), Value::I(y)) => (x, y),
-                            _ => break 'exec,
-                        };
-                        let v = match pred {
-                            ICmpPred::Eq => a == b,
-                            ICmpPred::Ne => a != b,
-                            ICmpPred::Slt => a < b,
-                            ICmpPred::Sle => a <= b,
-                            ICmpPred::Sgt => a > b,
-                            ICmpPred::Sge => a >= b,
+                        let Some(v) = icmp(*pred, r[*a as usize], r[*b as usize]) else {
+                            break 'exec;
                         };
                         r[*dst as usize] = Value::I(i64::from(v));
                         pc += 1;
@@ -371,27 +365,12 @@ impl<'c> Vm<'c> {
                         else {
                             break 'exec;
                         };
-                        r[*dst as usize] =
-                            Value::P((p as i64).wrapping_add(i.wrapping_mul(*elem)) as u64);
+                        r[*dst as usize] = Value::P(gep(p, i, *elem));
                         pc += 1;
                     }
                     Op::Load { kind, dst, addr } => {
-                        let Some(p) = ptr(r[*addr as usize]) else {
-                            break 'exec;
-                        };
-                        let v = match kind {
-                            MemKind::I8 => mem.read(p).map(|[b]| Value::I(i64::from(b))),
-                            MemKind::I32 => mem
-                                .read(p)
-                                .map(|b| Value::I(i64::from(i32::from_le_bytes(b)))),
-                            MemKind::I64 => mem.read(p).map(|b| Value::I(i64::from_le_bytes(b))),
-                            MemKind::F32 => mem
-                                .read(p)
-                                .map(|b| Value::F(f64::from(f32::from_le_bytes(b)))),
-                            MemKind::F64 => mem.read(p).map(|b| Value::F(f64::from_le_bytes(b))),
-                            MemKind::Ptr => mem.read(p).map(|b| Value::P(u64::from_le_bytes(b))),
-                        };
-                        let Some(v) = v else {
+                        let Some(v) = ptr(r[*addr as usize]).and_then(|p| load(mem, *kind, p))
+                        else {
                             break 'exec;
                         };
                         r[*dst as usize] = v;
@@ -529,7 +508,121 @@ impl<'c> Vm<'c> {
                         regs[base + caller.dst as usize] = v;
                         continue 'run;
                     }
-                    Op::PhiMoves { .. } => unreachable!("handled above"),
+                    Op::PhiMoves { moves, target } => {
+                        // The loop billed the first move (a snippet is
+                        // never empty); bill the rest.
+                        let rest = moves.len() as u64 - 1;
+                        if steps + rest > max_steps {
+                            // The budget runs out inside the snippet: the
+                            // moves that fit still count (and profile).
+                            let fit = (max_steps + 1 - steps) as usize;
+                            if PROFILE {
+                                for mv in &moves[..fit] {
+                                    bump(counts, compiled, fidx, mv.dst);
+                                }
+                            }
+                            steps = max_steps + 1;
+                            break 'exec;
+                        }
+                        steps += rest;
+                        move_phis(moves, r, scratch);
+                        if PROFILE {
+                            for mv in moves.iter() {
+                                bump(counts, compiled, fidx, mv.dst);
+                            }
+                        }
+                        pc = *target as usize;
+                    }
+                    Op::CastGepLoad {
+                        wrap,
+                        kind,
+                        src,
+                        cast,
+                        base,
+                        gep: g,
+                        dst,
+                        elem,
+                    } => {
+                        let Some(i) = int(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        let i = wrap.apply(i);
+                        r[*cast as usize] = Value::I(i);
+                        let p = then!(1, ptr(r[*base as usize]));
+                        let p = gep(p, i, *elem);
+                        r[*g as usize] = Value::P(p);
+                        r[*dst as usize] = then!(2, load(mem, *kind, p));
+                        pc += 3;
+                    }
+                    Op::CastGep {
+                        wrap,
+                        src,
+                        cast,
+                        base,
+                        dst,
+                        elem,
+                    } => {
+                        let Some(i) = int(r[*src as usize]) else {
+                            break 'exec;
+                        };
+                        let i = wrap.apply(i);
+                        r[*cast as usize] = Value::I(i);
+                        let p = then!(1, ptr(r[*base as usize]));
+                        r[*dst as usize] = Value::P(gep(p, i, *elem));
+                        pc += 2;
+                    }
+                    Op::GepLoad {
+                        kind,
+                        base,
+                        idx,
+                        gep: g,
+                        dst,
+                        elem,
+                    } => {
+                        let (Some(p), Some(i)) = (ptr(r[*base as usize]), int(r[*idx as usize]))
+                        else {
+                            break 'exec;
+                        };
+                        let p = gep(p, i, *elem);
+                        r[*g as usize] = Value::P(p);
+                        r[*dst as usize] = then!(1, load(mem, *kind, p));
+                        pc += 2;
+                    }
+                    Op::CmpJump {
+                        pred,
+                        dst,
+                        a,
+                        b,
+                        on_true,
+                        on_false,
+                    } => {
+                        let Some(v) = icmp(*pred, r[*a as usize], r[*b as usize]) else {
+                            break 'exec;
+                        };
+                        r[*dst as usize] = Value::I(i64::from(v));
+                        // The branch reads the comparison: always an integer.
+                        then!(1, Some(()));
+                        pc = if v { *on_true } else { *on_false } as usize;
+                    }
+                    Op::JumpMoves {
+                        moves,
+                        snippet,
+                        target,
+                    } => {
+                        if steps + moves.len() as u64 > max_steps {
+                            // The snippet's own op stops at the budget.
+                            pc = *snippet as usize;
+                            continue;
+                        }
+                        steps += moves.len() as u64;
+                        move_phis(moves, r, scratch);
+                        if PROFILE {
+                            for mv in moves.iter() {
+                                bump(counts, compiled, fidx, mv.dst);
+                            }
+                        }
+                        pc = *target as usize;
+                    }
                 }
             }
             // A message-free check refused the op at `pc`.
@@ -549,6 +642,68 @@ fn push_frame(regs: &mut Vec<Value>, cf: &CompiledFunction) -> Option<usize> {
     }
     regs.extend_from_slice(&cf.init_regs);
     Some(base)
+}
+
+/// Runs one edge's phi moves with parallel-move semantics: every source
+/// is read before any destination is written.
+#[inline(always)]
+fn move_phis(moves: &[PhiMove], r: &mut [Value], scratch: &mut Vec<Value>) {
+    match moves {
+        [mv] => r[mv.dst as usize] = r[mv.src as usize],
+        [x, y] => {
+            let (vx, vy) = (r[x.src as usize], r[y.src as usize]);
+            r[x.dst as usize] = vx;
+            r[y.dst as usize] = vy;
+        }
+        _ => {
+            scratch.clear();
+            scratch.extend(moves.iter().map(|mv| r[mv.src as usize]));
+            for (mv, &val) in moves.iter().zip(scratch.iter()) {
+                r[mv.dst as usize] = val;
+            }
+        }
+    }
+}
+
+/// The address `elem`-byte element `i` past `p` (wrapping, like the walker).
+#[inline(always)]
+fn gep(p: u64, i: i64, elem: i64) -> u64 {
+    (p as i64).wrapping_add(i.wrapping_mul(elem)) as u64
+}
+
+/// A typed load, or `None` where [`Memory::offset`] refuses it.
+#[inline(always)]
+fn load(mem: &Memory, kind: MemKind, p: u64) -> Option<Value> {
+    match kind {
+        MemKind::I8 => mem.read(p).map(|[b]| Value::I(i64::from(b))),
+        MemKind::I32 => mem
+            .read(p)
+            .map(|b| Value::I(i64::from(i32::from_le_bytes(b)))),
+        MemKind::I64 => mem.read(p).map(|b| Value::I(i64::from_le_bytes(b))),
+        MemKind::F32 => mem
+            .read(p)
+            .map(|b| Value::F(f64::from(f32::from_le_bytes(b)))),
+        MemKind::F64 => mem.read(p).map(|b| Value::F(f64::from_le_bytes(b))),
+        MemKind::Ptr => mem.read(p).map(|b| Value::P(u64::from_le_bytes(b))),
+    }
+}
+
+/// An integer or pointer comparison, or `None` on mixed or float operands.
+#[inline(always)]
+fn icmp(pred: ICmpPred, a: Value, b: Value) -> Option<bool> {
+    let (a, b) = match (a, b) {
+        (Value::P(x), Value::P(y)) => (x as i64, y as i64),
+        (Value::I(x), Value::I(y)) => (x, y),
+        _ => return None,
+    };
+    Some(match pred {
+        ICmpPred::Eq => a == b,
+        ICmpPred::Ne => a != b,
+        ICmpPred::Slt => a < b,
+        ICmpPred::Sle => a <= b,
+        ICmpPred::Sgt => a > b,
+        ICmpPred::Sge => a >= b,
+    })
 }
 
 #[inline(always)]
@@ -647,7 +802,7 @@ fn replay(op: &Op, r: &[Value], mem: &mut Memory) -> std::result::Result<(), Str
             reg(a).try_f()?;
             reg(b).try_f().map(drop)
         }
-        Op::ICmp { a, b, .. } => match (reg(a), reg(b)) {
+        Op::ICmp { a, b, .. } | Op::CmpJump { a, b, .. } => match (reg(a), reg(b)) {
             (Value::P(_), Value::P(_)) => Ok(()),
             (x, y) => {
                 x.try_i()?;
@@ -655,7 +810,7 @@ fn replay(op: &Op, r: &[Value], mem: &mut Memory) -> std::result::Result<(), Str
             }
         },
         Op::Select { cond, .. } | Op::CondJump { cond, .. } => reg(cond).try_i().map(drop),
-        Op::Gep { base, idx, .. } => {
+        Op::Gep { base, idx, .. } | Op::GepLoad { base, idx, .. } => {
             reg(base).try_p()?;
             reg(idx).try_i().map(drop)
         }
@@ -688,11 +843,18 @@ fn replay(op: &Op, r: &[Value], mem: &mut Memory) -> std::result::Result<(), Str
             }
             mem.try_alloc(elem, n as usize).map(drop)
         }
-        Op::IntCast { src, .. } | Op::SiToFp { src, .. } => reg(src).try_i().map(drop),
+        Op::IntCast { src, .. }
+        | Op::CastGep { src, .. }
+        | Op::CastGepLoad { src, .. }
+        | Op::SiToFp { src, .. } => reg(src).try_i().map(drop),
         Op::FpToSi { src, .. } | Op::FpExt { src, .. } | Op::FpTrunc { src, .. } => {
             reg(src).try_f().map(drop)
         }
-        Op::Call { .. } | Op::Jump { .. } | Op::Ret { .. } | Op::PhiMoves { .. } => Ok(()),
+        Op::Call { .. }
+        | Op::Jump { .. }
+        | Op::JumpMoves { .. }
+        | Op::Ret { .. }
+        | Op::PhiMoves { .. } => Ok(()),
     }
 }
 
@@ -897,6 +1059,33 @@ exit:
             assert_eq!(we.message, ve.message, "budget {budget}");
             assert_eq!(walker.steps(), vm.steps(), "budget {budget}");
         }
+    }
+
+    #[test]
+    fn swapping_phi_moves_read_before_they_write() {
+        // One- and two-move edges skip the scratch buffer; the swap on the
+        // back edge still needs both sources read first.
+        let m = compile_text(
+            r#"
+define i64 @swap(i64 %n) {
+entry:
+  br label %header
+header:
+  %a = phi i64 [ 1, %entry ], [ %b, %header ]
+  %b = phi i64 [ 2, %entry ], [ %a, %header ]
+  %d = sub i64 %a, %b
+  %c = icmp slt i64 %d, 0
+  br i1 %c, label %header, label %exit
+exit:
+  %t = mul i64 %a, 10
+  %r = add i64 %t, %b
+  ret i64 %r
+}
+"#,
+        );
+        assert_parity(&m, "swap", &[Value::I(0)]);
+        let code = compile_module(&m);
+        assert_eq!(Vm::new(&code).run("swap", &[Value::I(0)]), Ok(Value::I(21)));
     }
 
     #[test]

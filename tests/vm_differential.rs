@@ -448,6 +448,229 @@ fn faults_agree_bitwise_through_frames() {
     }
 }
 
+/// Every superinstruction the bytecode peephole emits, with each of its
+/// constituents in turn the one that fails: the fused op must fault with
+/// the walker's message at the walker's step count, whichever
+/// constituent stops it and however deep the frame. Memory is the same
+/// 4 x f64 setup array as in `faults_agree_bitwise_through_frames`.
+#[test]
+fn fused_op_faults_agree_bitwise_per_constituent() {
+    use Value::{F, I, P};
+    // IntCast→Gep→Load.
+    let cast_gep_load = "%j = sext i32 %i to i64\n  \
+                         %a = getelementptr double, double* %p, i64 %j\n  \
+                         %v = load double, double* %a\n  ret double %v";
+    // IntCast→Gep (a store follows, not a load).
+    let cast_gep = "%j = sext i32 %i to i64\n  \
+                    %a = getelementptr double, double* %p, i64 %j\n  \
+                    store double 2.0, double* %a\n  ret void";
+    // Gep→Load on an i32 array.
+    let gep_load = "%a = getelementptr i32, i32* %p, i64 %i\n  \
+                    %v = load i32, i32* %a\n  ret i32 %v";
+    // ICmp→CondJump.
+    let cmp_jump = "%c = icmp slt i64 %a, %b\n  \
+                    br i1 %c, label %t, label %f\nt:\n  ret i64 1\nf:\n  ret i64 2";
+    let cases: Vec<(&str, &str, &str, Vec<Value>, &str)> = vec![
+        // cast source, gep base, then the load: out of bounds and null.
+        (
+            "double* %p, i32 %i",
+            "double",
+            cast_gep_load,
+            vec![P(8), F(1.0)],
+            "expected integer, got F(1.0)",
+        ),
+        (
+            "double* %p, i32 %i",
+            "double",
+            cast_gep_load,
+            vec![I(8), I(0)],
+            "expected pointer, got I(8)",
+        ),
+        (
+            "double* %p, i32 %i",
+            "double",
+            cast_gep_load,
+            vec![P(8), I(4)],
+            "out-of-bounds access at 40 (+8)",
+        ),
+        (
+            "double* %p, i32 %i",
+            "double",
+            cast_gep_load,
+            vec![P(0), I(0)],
+            "null pointer access",
+        ),
+        (
+            "double* %p, i32 %i",
+            "double",
+            cast_gep_load,
+            vec![P(8), I(-2)],
+            "out-of-bounds access at 18446744073709551608",
+        ),
+        // cast source, gep base, then the plain store after the pair.
+        (
+            "double* %p, i32 %i",
+            "void",
+            cast_gep,
+            vec![P(8), P(8)],
+            "expected integer, got P(8)",
+        ),
+        (
+            "double* %p, i32 %i",
+            "void",
+            cast_gep,
+            vec![F(8.0), I(1)],
+            "expected pointer, got F(8.0)",
+        ),
+        (
+            "double* %p, i32 %i",
+            "void",
+            cast_gep,
+            vec![P(8), I(4)],
+            "out-of-bounds access at 40 (+8)",
+        ),
+        // gep base, gep index, then the load.
+        (
+            "i32* %p, i64 %i",
+            "i32",
+            gep_load,
+            vec![I(8), I(0)],
+            "expected pointer, got I(8)",
+        ),
+        (
+            "i32* %p, i64 %i",
+            "i32",
+            gep_load,
+            vec![P(8), F(0.0)],
+            "expected integer, got F(0.0)",
+        ),
+        (
+            "i32* %p, i64 %i",
+            "i32",
+            gep_load,
+            vec![P(8), I(8)],
+            "out-of-bounds access at 40 (+4)",
+        ),
+        (
+            "i32* %p, i64 %i",
+            "i32",
+            gep_load,
+            vec![P(0), I(0)],
+            "null pointer access",
+        ),
+        // a mixed-type compare before its branch, either operand order.
+        (
+            "i64 %a, i64 %b",
+            "i64",
+            cmp_jump,
+            vec![P(8), I(8)],
+            "expected integer, got P(8)",
+        ),
+        (
+            "i64 %a, i64 %b",
+            "i64",
+            cmp_jump,
+            vec![I(1), F(2.0)],
+            "expected integer, got F(2.0)",
+        ),
+    ];
+    for (sig, ret, body, args, message) in cases {
+        let m = case_module(sig, ret, body);
+        let setup = |mem: &mut Memory, _: u64| {
+            mem.alloc_f64_slice(&[1.0; 4]);
+            args.clone()
+        };
+        for entry in ["case", "top"] {
+            let ctx = format!("@{entry} over `{body}` with {args:?}");
+            let t = assert_parity(&m, entry, &setup, 0, None, &ctx);
+            let e = t.result.expect_err(&ctx);
+            assert!(e.contains(message), "{ctx}: {e}");
+        }
+    }
+}
+
+/// One loop holding every superinstruction — `IntCast→Gep→Load`,
+/// `IntCast→Gep`, `Gep→Load`, `ICmp→CondJump` and a `Jump` through a
+/// two-phi edge — under every step budget from 1 to its total: each
+/// cut-off, on every constituent of every fused op and on each phi move,
+/// must match the walker's message, step count, memory and profile.
+#[test]
+fn step_limit_cutoffs_agree_on_every_fused_constituent() {
+    let m = idiomatch::ssair::parser::parse_module(
+        r#"
+define double @mix(double* %p, i32* %q, i32 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %body ]
+  %s = phi double [ 0.0, %entry ], [ %s.next, %body ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %j = sext i32 %i to i64
+  %a = getelementptr double, double* %p, i64 %j
+  %x = load double, double* %a
+  %k = sext i32 %i to i64
+  %b = getelementptr i32, i32* %q, i64 %k
+  store i32 %i, i32* %b
+  %e = getelementptr i32, i32* %q, i64 %j
+  %y = load i32, i32* %e
+  %yf = sitofp i32 %y to double
+  %t = fadd double %x, %yf
+  %s.next = fadd double %s, %t
+  %i.next = add i32 %i, 1
+  br label %header
+exit:
+  ret double %s
+}
+"#,
+    )
+    .unwrap();
+    let setup = |mem: &mut Memory, _seed: u64| {
+        let p = mem.alloc_f64_slice(&[1.0, 2.0, 3.0]);
+        let q = mem.alloc_i32_slice(&[0; 3]);
+        vec![Value::P(p), Value::P(q), Value::I(3)]
+    };
+    let full = assert_parity(&m, "mix", &setup, 0, None, "mix unlimited");
+    assert!(full.result.is_ok());
+    for budget in 1..=full.steps {
+        let t = assert_parity(
+            &m,
+            "mix",
+            &setup,
+            0,
+            Some(budget),
+            &format!("mix budget {budget}"),
+        );
+        if budget < full.steps {
+            let e = t.result.expect_err("a short budget cuts off");
+            assert!(e.contains("step limit exceeded"), "budget {budget}: {e}");
+        } else {
+            assert_eq!(t.result, full.result, "the exact budget finishes");
+        }
+        // The profile agrees at every cut-off too.
+        let mut walker = Machine::new(&m);
+        walker.max_steps = budget;
+        let wargs = setup(&mut walker.mem, 0);
+        let _ = walker.run("mix", &wargs);
+        let code = compile_module(&m);
+        let mut vm = Vm::new(&code);
+        vm.max_steps = budget;
+        vm.set_profiling(true);
+        let vargs = setup(&mut vm.mem, 0);
+        let _ = vm.run("mix", &vargs);
+        let f = m.function("mix").unwrap();
+        let vp = vm.profile();
+        for v in f.value_ids() {
+            assert_eq!(
+                walker.profile.count("mix", v),
+                vp.count("mix", v),
+                "budget {budget}: {v} count"
+            );
+        }
+    }
+}
+
 /// A step-limit cut-off inside a callee two frames deep: sweep the
 /// budget over a loop that calls `mid`, which calls `leaf`, so the cut
 /// lands on every instruction of every frame (calls, returns and phi

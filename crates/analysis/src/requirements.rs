@@ -5,6 +5,14 @@
 //! intersection, while `collect` sub-searches contribute nothing (a
 //! collect may legitimately match zero instances).
 //!
+//! The derivation is one bottom-up pass (`Scope`): every subtree's
+//! facts are computed once, conjunctions are flattened into their scope
+//! (a conjunct adds no fact its conjunction lacks), and the shape
+//! predicates are evaluated only at the root and at `or` arms that add
+//! facts, each time over one `FactIndex` of the scope's facts (value
+//! classes, opcode classes per class and operand edges): one sort plus
+//! a few linear passes over the scope's facts.
+//!
 //! Soundness is what matters here: a requirement that is not actually
 //! necessary would make the fingerprint prepass drop real matches. The
 //! differential tests pin the prepass byte-identical to the unpruned
@@ -13,7 +21,7 @@
 use crate::FunctionFingerprint;
 use idl::ctree::{Atom, AtomKind, CTree, OpcodeClass};
 use idl::{CompiledConstraint, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Necessary conditions of one compiled idiom constraint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,14 +61,17 @@ impl IdiomRequirements {
             Some(_) => 1,
             None => 0,
         };
-        let root_facts = facts(&c.tree);
+        let root = Scope::of(&c.tree);
+        let index = FactIndex::new(&root.facts);
+        let shown = index.shapes();
+        let shapes = shown | root.implied(&root.facts, ALL_SHAPES & !shown);
         IdiomRequirements {
             required_opcodes: presence(&c.tree),
             min_loop_depth,
-            min_phis: min_distinct_phis(&root_facts),
-            needs_indirect_gep_index: implied(&c.tree, &BTreeSet::new(), &indirect_gep_index),
-            needs_rmw_gep: implied(&c.tree, &BTreeSet::new(), &rmw_gep),
-            needs_phi_indexed_store: implied(&c.tree, &BTreeSet::new(), &phi_indexed_store),
+            min_phis: index.min_distinct_phis(),
+            needs_indirect_gep_index: shapes & INDIRECT_GEP_INDEX != 0,
+            needs_rmw_gep: shapes & RMW_GEP != 0,
+            needs_phi_indexed_store: shapes & PHI_INDEXED_STORE != 0,
         }
     }
 
@@ -93,59 +104,293 @@ enum Fact {
     StrictDom(VarId, VarId),
 }
 
-fn atom_facts(a: &Atom, out: &mut BTreeSet<Fact>) {
+impl Fact {
+    /// The variables the fact is about (`Op` repeats its one variable).
+    fn vars(self) -> [VarId; 2] {
+        match self {
+            Fact::Op(v, _) => [v, v],
+            Fact::Arg(_, a, b) | Fact::Eq(a, b) | Fact::Distinct(a, b) | Fact::StrictDom(a, b) => {
+                [a, b]
+            }
+        }
+    }
+}
+
+fn atom_fact(a: &Atom) -> Option<Fact> {
     match &a.kind {
-        AtomKind::OpcodeIs(class) => {
-            out.insert(Fact::Op(a.vars[0], *class));
-        }
-        AtomKind::ArgumentOf { pos } => {
-            out.insert(Fact::Arg(*pos, a.vars[0], a.vars[1]));
-        }
+        AtomKind::OpcodeIs(class) => Some(Fact::Op(a.vars[0], *class)),
+        AtomKind::ArgumentOf { pos } => Some(Fact::Arg(*pos, a.vars[0], a.vars[1])),
         AtomKind::Same { negated } => {
             let (x, y) = (a.vars[0].min(a.vars[1]), a.vars[0].max(a.vars[1]));
-            out.insert(if *negated {
+            Some(if *negated {
                 Fact::Distinct(x, y)
             } else {
                 Fact::Eq(x, y)
-            });
+            })
         }
         AtomKind::Dominates {
             strict: true,
             negated: false,
             ..
-        } => {
-            out.insert(Fact::StrictDom(a.vars[0], a.vars[1]));
-        }
-        _ => {}
+        } => Some(Fact::StrictDom(a.vars[0], a.vars[1])),
+        _ => None,
     }
 }
 
-/// Facts guaranteed by every satisfying assignment of `tree`.
-fn facts(tree: &CTree) -> BTreeSet<Fact> {
-    match tree {
-        CTree::And(cs) => {
-            let mut out = BTreeSet::new();
-            for c in cs {
-                out.extend(facts(c));
+/// Some gep's index operand is a load or a sext of a load — the
+/// indirect-access shape of SPMV's column reads.
+const INDIRECT_GEP_INDEX: u8 = 1;
+/// Some gep is both a store's address (operand 1) and a load's address
+/// (operand 0).
+const RMW_GEP: u8 = 2;
+/// Some store's address is a gep whose index operand is a phi or a sext
+/// of a phi (the iterator's phi-ness comes from the inherited `For`
+/// atoms; the `iterator`-vs-`sext(iterator)` split is an `or` whose arms
+/// are checked one by one).
+const PHI_INDEXED_STORE: u8 = 4;
+const ALL_SHAPES: u8 = INDIRECT_GEP_INDEX | RMW_GEP | PHI_INDEXED_STORE;
+
+/// A subtree whose facts the shape predicates are checked against: the
+/// root and every `or` arm. Conjunctions are flattened into their scope
+/// (a conjunct guarantees no fact its conjunction lacks); a disjunction
+/// contributes the facts all its arms share.
+struct Scope {
+    /// Facts every satisfying assignment guarantees (sorted, deduplicated).
+    facts: Vec<Fact>,
+    /// The disjunctions on the scope's conjunctive spine, each as the
+    /// scopes of its arms (`collect` sub-searches guarantee nothing).
+    ors: Vec<Vec<Scope>>,
+}
+
+impl Scope {
+    fn of(tree: &CTree) -> Scope {
+        let mut s = Scope {
+            facts: Vec::new(),
+            ors: Vec::new(),
+        };
+        s.add(tree);
+        s.facts.sort_unstable();
+        s.facts.dedup();
+        s
+    }
+
+    fn add(&mut self, tree: &CTree) {
+        match tree {
+            CTree::And(cs) => cs.iter().for_each(|c| self.add(c)),
+            CTree::Or(cs) => {
+                let arms: Vec<Scope> = cs.iter().map(Scope::of).collect();
+                if let Some((first, rest)) = arms.split_first() {
+                    self.facts.extend(
+                        first
+                            .facts
+                            .iter()
+                            .filter(|f| rest.iter().all(|a| a.facts.binary_search(f).is_ok())),
+                    );
+                    self.ors.push(arms);
+                }
             }
-            out
+            CTree::Atom(a) => self.facts.extend(atom_fact(a)),
+            CTree::Collect { .. } => {}
         }
-        CTree::Or(cs) => {
-            let mut sets = cs.iter().map(facts);
-            let Some(mut out) = sets.next() else {
-                return BTreeSet::new();
-            };
-            for s in sets {
-                out = out.intersection(&s).copied().collect();
+    }
+
+    /// The shapes among `want` that hold in every satisfying assignment
+    /// of this scope, given the facts `ctx` (which include the scope's
+    /// own and show none of `want`): those every arm of some disjunction
+    /// on the spine implies.
+    fn implied(&self, ctx: &[Fact], want: u8) -> u8 {
+        let mut found = 0;
+        for arms in &self.ors {
+            let mut all = want & !found;
+            for arm in arms {
+                if all == 0 {
+                    break;
+                }
+                all &= arm.implied_in(ctx, all);
             }
-            out
+            found |= all;
+            if found == want {
+                break;
+            }
         }
-        CTree::Atom(a) => {
-            let mut out = BTreeSet::new();
-            atom_facts(a, &mut out);
-            out
+        found
+    }
+
+    /// The shapes among `want` this arm implies under `ctx`. An arm that
+    /// adds no fact to `ctx` shows nothing new on its own facts, so only
+    /// one that does is indexed and checked.
+    fn implied_in(&self, ctx: &[Fact], want: u8) -> u8 {
+        if self.facts.iter().all(|f| ctx.binary_search(f).is_ok()) {
+            return self.implied(ctx, want);
         }
-        CTree::Collect { .. } => BTreeSet::new(),
+        let mut here: Vec<Fact> = ctx.iter().chain(&self.facts).copied().collect();
+        here.sort_unstable();
+        here.dedup();
+        let shown = FactIndex::new(&here).shapes() & want;
+        shown | self.implied(&here, want & !shown)
+    }
+}
+
+/// The bit of `class` in a set of opcode classes.
+fn bit(class: OpcodeClass) -> u32 {
+    1 << class as u32
+}
+
+const _: () = assert!((OpcodeClass::Alloca as u32) < u32::BITS);
+
+/// One scope's facts indexed by value class: the `Eq` facts merge
+/// variables into classes, and every other fact is restated over class
+/// numbers, so value-equal variables are interchangeable.
+struct FactIndex {
+    /// Opcode-class bits per class (zero for a non-representative slot).
+    ops: Vec<u32>,
+    /// `(pos, operand, user)` per `Arg` fact.
+    args: Vec<(usize, usize, usize)>,
+    /// Class pairs of the `Distinct` facts.
+    distinct: Vec<(usize, usize)>,
+    /// Class pairs of the `StrictDom` facts.
+    dominates: Vec<(usize, usize)>,
+}
+
+impl FactIndex {
+    fn new(facts: &[Fact]) -> FactIndex {
+        let mut vars: Vec<VarId> = facts.iter().flat_map(|f| f.vars()).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let slot = |v: VarId| {
+            vars.binary_search(&v)
+                .expect("every fact variable has a slot")
+        };
+        let mut parent: Vec<usize> = (0..vars.len()).collect();
+        fn find(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        for f in facts {
+            if let Fact::Eq(a, b) = *f {
+                let (ra, rb) = (find(&mut parent, slot(a)), find(&mut parent, slot(b)));
+                parent[ra.max(rb)] = ra.min(rb);
+            }
+        }
+        let class: Vec<usize> = (0..vars.len()).map(|i| find(&mut parent, i)).collect();
+        let of = |v: VarId| class[slot(v)];
+        let mut index = FactIndex {
+            ops: vec![0; vars.len()],
+            args: Vec::new(),
+            distinct: Vec::new(),
+            dominates: Vec::new(),
+        };
+        for f in facts {
+            match *f {
+                Fact::Op(v, c) => index.ops[of(v)] |= bit(c),
+                Fact::Arg(pos, a, b) => index.args.push((pos, of(a), of(b))),
+                Fact::Eq(..) => {}
+                Fact::Distinct(a, b) => index.distinct.push((of(a), of(b))),
+                Fact::StrictDom(a, b) => index.dominates.push((of(a), of(b))),
+            }
+        }
+        index
+    }
+
+    fn has(&self, class: usize, op: OpcodeClass) -> bool {
+        self.ops[class] & bit(op) != 0
+    }
+
+    /// The shapes (`INDIRECT_GEP_INDEX`, `RMW_GEP`, `PHI_INDEXED_STORE`)
+    /// these facts show, in three passes over the operand edges.
+    fn shapes(&self) -> u8 {
+        use OpcodeClass::{Gep, Load, Phi, SExt, Store};
+        let n = self.ops.len();
+        // Per class: it has a load (a phi) as operand 0 — a sext of a
+        // load (of a phi) when the class is a sext; it is a load's address.
+        let (mut load_operand, mut phi_operand, mut load_address) =
+            (vec![false; n], vec![false; n], vec![false; n]);
+        for &(pos, x, user) in &self.args {
+            if pos == 0 {
+                load_operand[user] |= self.has(x, Load);
+                phi_operand[user] |= self.has(x, Phi);
+                load_address[x] |= self.has(user, Load);
+            }
+        }
+        // Per class: its operand 1 (a gep's index) is a phi or a sext of one.
+        let mut phi_indexed = vec![false; n];
+        for &(pos, i, g) in &self.args {
+            if pos == 1 && (self.has(i, Phi) || self.has(i, SExt) && phi_operand[i]) {
+                phi_indexed[g] = true;
+            }
+        }
+        let mut shapes = 0;
+        for &(pos, x, user) in &self.args {
+            if pos != 1 {
+                continue;
+            }
+            if self.has(user, Gep) && (self.has(x, Load) || self.has(x, SExt) && load_operand[x]) {
+                shapes |= INDIRECT_GEP_INDEX;
+            }
+            if self.has(x, Gep) && self.has(user, Store) {
+                if load_address[x] {
+                    shapes |= RMW_GEP;
+                }
+                if phi_indexed[x] {
+                    shapes |= PHI_INDEXED_STORE;
+                }
+            }
+        }
+        shapes
+    }
+
+    /// The largest set of classes that must all be phi instructions and
+    /// pairwise bind distinct values: a max clique over the distinctness
+    /// graph (`Distinct` facts plus strict dominance, transitively
+    /// closed). The graphs here have a handful of nodes, so exact search
+    /// is fine.
+    fn min_distinct_phis(&self) -> u32 {
+        let n = self.ops.len();
+        let phis: Vec<usize> = (0..n).filter(|&c| self.has(c, OpcodeClass::Phi)).collect();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(a, b) in &self.dominates {
+            succs[a].push(b);
+        }
+        // Per phi: the classes it strictly dominates, directly or through others.
+        let reach: Vec<Vec<bool>> = phis
+            .iter()
+            .map(|&p| {
+                let mut seen = vec![false; n];
+                let mut stack = succs[p].clone();
+                while let Some(c) = stack.pop() {
+                    if !std::mem::replace(&mut seen[c], true) {
+                        stack.extend(&succs[c]);
+                    }
+                }
+                seen
+            })
+            .collect();
+        let distinct = |i: usize, j: usize| {
+            let (a, b) = (phis[i], phis[j]);
+            self.distinct.contains(&(a, b))
+                || self.distinct.contains(&(b, a))
+                || reach[i][b]
+                || reach[j][a]
+        };
+        let adjacent: Vec<Vec<bool>> = (0..phis.len())
+            .map(|i| (0..phis.len()).map(|j| distinct(i, j)).collect())
+            .collect();
+        fn grow(adjacent: &[Vec<bool>], from: usize, clique: &mut Vec<usize>, best: &mut usize) {
+            *best = (*best).max(clique.len());
+            for v in from..adjacent.len() {
+                if clique.iter().all(|&w| adjacent[v][w]) {
+                    clique.push(v);
+                    grow(adjacent, v + 1, clique, best);
+                    clique.pop();
+                }
+            }
+        }
+        let mut best = 0;
+        grow(&adjacent, 0, &mut Vec::new(), &mut best);
+        u32::try_from(best).unwrap_or(u32::MAX)
     }
 }
 
@@ -175,191 +420,4 @@ fn presence(tree: &CTree) -> BTreeSet<OpcodeClass> {
         },
         CTree::Collect { .. } => BTreeSet::new(),
     }
-}
-
-/// `true` when `pred` holds under every satisfying assignment of `tree`
-/// given the already-established `ctx` facts: the predicate is checked
-/// against the node's guaranteed facts, descending through conjunction
-/// children and requiring *all* branches of a disjunction to imply it.
-fn implied(tree: &CTree, ctx: &BTreeSet<Fact>, pred: &dyn Fn(&BTreeSet<Fact>) -> bool) -> bool {
-    let mut here = ctx.clone();
-    here.extend(facts(tree));
-    if pred(&here) {
-        return true;
-    }
-    match tree {
-        CTree::And(cs) => cs.iter().any(|c| implied(c, &here, pred)),
-        CTree::Or(cs) => !cs.is_empty() && cs.iter().all(|c| implied(c, &here, pred)),
-        _ => false,
-    }
-}
-
-/// Union-find over the `Eq` facts of a set, so value-equal variables are
-/// interchangeable in the predicates.
-struct Classes {
-    rep: BTreeMap<VarId, VarId>,
-}
-
-impl Classes {
-    fn new(set: &BTreeSet<Fact>) -> Classes {
-        let mut c = Classes {
-            rep: BTreeMap::new(),
-        };
-        for f in set {
-            if let Fact::Eq(a, b) = *f {
-                let (ra, rb) = (c.find(a), c.find(b));
-                if ra != rb {
-                    c.rep.insert(ra.max(rb), ra.min(rb));
-                }
-            }
-        }
-        c
-    }
-
-    fn find(&self, mut v: VarId) -> VarId {
-        while let Some(&p) = self.rep.get(&v) {
-            if p == v {
-                break;
-            }
-            v = p;
-        }
-        v
-    }
-}
-
-fn has_op(set: &BTreeSet<Fact>, uf: &Classes, v: VarId, class: OpcodeClass) -> bool {
-    let rv = uf.find(v);
-    set.iter()
-        .any(|f| matches!(*f, Fact::Op(w, c) if c == class && uf.find(w) == rv))
-}
-
-/// Some gep's index operand is a load or a sext of a load.
-fn indirect_gep_index(set: &BTreeSet<Fact>) -> bool {
-    let uf = Classes::new(set);
-    set.iter().any(|f| {
-        let Fact::Arg(1, w, g) = *f else { return false };
-        if !has_op(set, &uf, g, OpcodeClass::Gep) {
-            return false;
-        }
-        if has_op(set, &uf, w, OpcodeClass::Load) {
-            return true;
-        }
-        has_op(set, &uf, w, OpcodeClass::SExt)
-            && set.iter().any(|f2| {
-                matches!(*f2, Fact::Arg(0, u, w2)
-                    if uf.find(w2) == uf.find(w) && has_op(set, &uf, u, OpcodeClass::Load))
-            })
-    })
-}
-
-/// Some store's address is a gep whose index operand is a phi or a sext
-/// of a phi (the iterator's phi-ness comes from the inherited `For`
-/// atoms; the `iterator`-vs-`sext(iterator)` split is an `or` the
-/// `implied` driver pushes through branch by branch).
-fn phi_indexed_store(set: &BTreeSet<Fact>) -> bool {
-    let uf = Classes::new(set);
-    set.iter().any(|f| {
-        let Fact::Arg(1, g, s) = *f else { return false };
-        if !has_op(set, &uf, g, OpcodeClass::Gep) || !has_op(set, &uf, s, OpcodeClass::Store) {
-            return false;
-        }
-        set.iter().any(|f2| {
-            let Fact::Arg(1, i, g2) = *f2 else {
-                return false;
-            };
-            if uf.find(g2) != uf.find(g) {
-                return false;
-            }
-            if has_op(set, &uf, i, OpcodeClass::Phi) {
-                return true;
-            }
-            has_op(set, &uf, i, OpcodeClass::SExt)
-                && set.iter().any(|f3| {
-                    matches!(*f3, Fact::Arg(0, p, i2)
-                        if uf.find(i2) == uf.find(i) && has_op(set, &uf, p, OpcodeClass::Phi))
-                })
-        })
-    })
-}
-
-/// Some gep is both a store's address (operand 1) and a load's address
-/// (operand 0).
-fn rmw_gep(set: &BTreeSet<Fact>) -> bool {
-    let uf = Classes::new(set);
-    set.iter().any(|f| {
-        let Fact::Arg(1, g, s) = *f else { return false };
-        has_op(set, &uf, g, OpcodeClass::Gep)
-            && has_op(set, &uf, s, OpcodeClass::Store)
-            && set.iter().any(|f2| {
-                matches!(*f2, Fact::Arg(0, g2, l)
-                    if uf.find(g2) == uf.find(g) && has_op(set, &uf, l, OpcodeClass::Load))
-            })
-    })
-}
-
-/// The largest set of variables that must all be phi instructions and
-/// pairwise bind distinct values: a max clique over the distinctness
-/// graph (strict dominance is transitively closed first). The graphs
-/// here have a handful of nodes, so exact search is fine.
-fn min_distinct_phis(set: &BTreeSet<Fact>) -> u32 {
-    let uf = Classes::new(set);
-    let mut phis: Vec<VarId> = Vec::new();
-    for f in set {
-        if let Fact::Op(v, OpcodeClass::Phi) = *f {
-            let r = uf.find(v);
-            if !phis.contains(&r) {
-                phis.push(r);
-            }
-        }
-    }
-    // Transitive closure of strict dominance over representatives.
-    let mut dom: BTreeSet<(VarId, VarId)> = set
-        .iter()
-        .filter_map(|f| match *f {
-            Fact::StrictDom(a, b) => Some((uf.find(a), uf.find(b))),
-            _ => None,
-        })
-        .collect();
-    loop {
-        let mut grew = false;
-        let pairs: Vec<(VarId, VarId)> = dom.iter().copied().collect();
-        for &(a, b) in &pairs {
-            for &(c, d) in &pairs {
-                if b == c && dom.insert((a, d)) {
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    let distinct = |a: VarId, b: VarId| {
-        set.iter().any(|f| {
-            matches!(*f, Fact::Distinct(x, y)
-                if (uf.find(x), uf.find(y)) == (a.min(b), a.max(b))
-                    || (uf.find(x), uf.find(y)) == (a.max(b), a.min(b)))
-        }) || dom.contains(&(a, b))
-            || dom.contains(&(b, a))
-    };
-    fn grow(
-        phis: &[VarId],
-        from: usize,
-        clique: &mut Vec<VarId>,
-        best: &mut usize,
-        distinct: &dyn Fn(VarId, VarId) -> bool,
-    ) {
-        *best = (*best).max(clique.len());
-        for i in from..phis.len() {
-            let v = phis[i];
-            if clique.iter().all(|&w| distinct(v, w)) {
-                clique.push(v);
-                grow(phis, i + 1, clique, best, distinct);
-                clique.pop();
-            }
-        }
-    }
-    let mut best = 0usize;
-    grow(&phis, 0, &mut Vec::new(), &mut best, &distinct);
-    u32::try_from(best).unwrap_or(u32::MAX)
 }

@@ -224,10 +224,11 @@ fn chain_info(kind: IdiomKind) -> Option<&'static ChainInfo> {
 }
 
 /// The standalone-compiled skeleton chains the idiom library shares,
-/// compiled once process-wide. Each entry is the chain's clause text
-/// re-parsed against the building-block library as
-/// `Constraint __Skeleton ( <clauses> ) End` — the expansion is the same
-/// subtree the idiom embeds, under the same flattened variable names.
+/// compiled once process-wide. Each entry is the wrapper
+/// `Constraint __Skeleton ( <clauses> ) End` over the chain's clause
+/// text, compiled against the already parsed [`library`] — the
+/// expansion is the same subtree the idiom embeds, under the same
+/// flattened variable names.
 pub fn skeleton_constraints() -> &'static BTreeMap<SkeletonKey, CompiledConstraint> {
     static CACHE: OnceLock<BTreeMap<SkeletonKey, CompiledConstraint>> = OnceLock::new();
     CACHE.get_or_init(|| {
@@ -242,9 +243,7 @@ pub fn skeleton_constraints() -> &'static BTreeMap<SkeletonKey, CompiledConstrai
             if map.contains_key(&key) {
                 continue;
             }
-            let src = format!("{BUILDING_BLOCKS_IDL}\nConstraint __Skeleton ( {key} ) End");
-            let lib = idl::parse_library(&src).expect("skeleton wrapper parses");
-            let sc = idl::compile(&lib, "__Skeleton").expect("skeleton wrapper compiles");
+            let sc = compile_chain(&key);
             map.insert(key, sc);
         }
         // Also ship every composite chain's leading clause as its own
@@ -259,13 +258,20 @@ pub fn skeleton_constraints() -> &'static BTreeMap<SkeletonKey, CompiledConstrai
             .filter(|k| !map.contains_key(k))
             .collect();
         for key in prefixes {
-            let src = format!("{BUILDING_BLOCKS_IDL}\nConstraint __Skeleton ( {key} ) End");
-            let lib = idl::parse_library(&src).expect("skeleton prefix parses");
-            let sc = idl::compile(&lib, "__Skeleton").expect("skeleton prefix compiles");
+            let sc = compile_chain(&key);
             map.insert(key, sc);
         }
         map
     })
+}
+
+/// Compiles the wrapper `Constraint __Skeleton ( <key> ) End` against
+/// the idiom library: only the one-line wrapper is parsed, and every
+/// block it inherits resolves to the library's building-block definition.
+fn compile_chain(key: &str) -> CompiledConstraint {
+    let wrapper = idl::parse_library(&format!("Constraint __Skeleton ( {key} ) End"))
+        .expect("skeleton wrapper parses");
+    idl::compile_definition(library(), &wrapper.defs[0]).expect("skeleton wrapper compiles")
 }
 
 /// Number of distinct skeleton cache keys across the idiom library (the

@@ -1,7 +1,7 @@
 //! IDL abstract syntax (pre-expansion).
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A compile-time calculation: identifiers (template parameters or
 /// quantifier indices) combined with `+`/`-` and integer literals.
@@ -72,9 +72,7 @@ impl VarName {
             }
             out.push_str(&seg.name);
             for idx in &seg.indices {
-                out.push('[');
-                out.push_str(&idx.eval(env)?.to_string());
-                out.push(']');
+                write!(out, "[{}]", idx.eval(env)?).expect("writing to a String cannot fail");
             }
         }
         Ok(out)

@@ -303,21 +303,21 @@ impl CTree {
     /// variables internal to `collect` bodies).
     #[must_use]
     pub fn variables(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
+        let mut out = FirstSeen::default();
         self.walk_vars(&mut out, true);
-        out
+        out.order
     }
 
     /// All variables including collect-internal ones (used to align
     /// collect instances positionally).
     #[must_use]
     pub fn variables_deep(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
+        let mut out = FirstSeen::default();
         self.walk_vars(&mut out, false);
-        out
+        out.order
     }
 
-    fn walk_vars(&self, out: &mut Vec<VarId>, skip_collect: bool) {
+    fn walk_vars(&self, out: &mut FirstSeen, skip_collect: bool) {
         match self {
             CTree::And(cs) | CTree::Or(cs) => {
                 for c in cs {
@@ -329,9 +329,7 @@ impl CTree {
                 // are resolved against the assignment at evaluation time;
                 // they are NOT search variables.
                 for &v in &a.vars {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
+                    out.push(v);
                 }
             }
             CTree::Collect { instances } => {
@@ -349,12 +347,12 @@ impl CTree {
     /// order. This is the id universe a compacting remap must cover.
     #[must_use]
     pub fn all_symbols(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
+        let mut out = FirstSeen::default();
         self.walk_symbols(&mut out);
-        out
+        out.order
     }
 
-    fn walk_symbols(&self, out: &mut Vec<VarId>) {
+    fn walk_symbols(&self, out: &mut FirstSeen) {
         match self {
             CTree::And(cs) | CTree::Or(cs) => {
                 for c in cs {
@@ -363,9 +361,7 @@ impl CTree {
             }
             CTree::Atom(a) => {
                 for &v in a.vars.iter().chain(&a.families) {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
+                    out.push(v);
                 }
             }
             CTree::Collect { instances } => {
@@ -404,6 +400,25 @@ impl CTree {
             CTree::And(cs) | CTree::Or(cs) => cs.iter().map(CTree::atom_count).sum(),
             CTree::Atom(_) => 1,
             CTree::Collect { instances } => instances.first().map_or(0, CTree::atom_count),
+        }
+    }
+}
+
+/// Ids in first-occurrence order, deduplicated through a dense
+/// seen-set (ids are small slot indices).
+#[derive(Default)]
+struct FirstSeen {
+    order: Vec<VarId>,
+    seen: Vec<bool>,
+}
+
+impl FirstSeen {
+    fn push(&mut self, v: VarId) {
+        if v.index() >= self.seen.len() {
+            self.seen.resize(v.index() + 1, false);
+        }
+        if !std::mem::replace(&mut self.seen[v.index()], true) {
+            self.order.push(v);
         }
     }
 }

@@ -59,6 +59,14 @@ pub fn compile(lib: &Library, name: &str) -> Result<CompiledConstraint> {
     let def = lib.get(name).ok_or_else(|| ExpandError {
         message: format!("no definition named {name:?}"),
     })?;
+    compile_definition(lib, def)
+}
+
+/// Compiles `def` into a solver-ready constraint, resolving what it
+/// inherits against `lib` (which need not contain `def` itself) — so a
+/// small wrapper definition compiles against a library parsed once.
+pub fn compile_definition(lib: &Library, def: &Definition) -> Result<CompiledConstraint> {
+    let name = def.name.as_str();
     let mut cx = Cx {
         lib,
         stack: vec![name.to_owned()],
@@ -213,27 +221,20 @@ impl Rewrite {
     }
 }
 
+/// Applies `rw` to every id in `tree`, rewriting each distinct id once
+/// (new names are interned at their first occurrence, in tree order).
 fn rewrite_tree(tree: &mut CTree, rw: &Rewrite, syms: &mut SymbolTable) {
-    match tree {
-        CTree::And(cs) | CTree::Or(cs) => {
-            for c in cs {
-                rewrite_tree(c, rw, syms);
+    let mut done: HashMap<VarId, VarId> = HashMap::new();
+    tree.remap_symbols(&mut |v| {
+        *done.entry(v).or_insert_with(|| {
+            let new = rw.apply(syms.name(v));
+            if syms.name(v) == new {
+                v
+            } else {
+                syms.intern(&new)
             }
-        }
-        CTree::Atom(a) => {
-            for v in a.vars.iter_mut().chain(a.families.iter_mut()) {
-                let new = rw.apply(syms.name(*v));
-                if syms.name(*v) != new {
-                    *v = syms.intern(&new);
-                }
-            }
-        }
-        CTree::Collect { instances } => {
-            for i in instances {
-                rewrite_tree(i, rw, syms);
-            }
-        }
-    }
+        })
+    });
 }
 
 impl<'l> Cx<'l> {
@@ -352,8 +353,8 @@ impl<'l> Cx<'l> {
                 if self.stack.contains(name) {
                     return Err(self.err(format!("cyclic inheritance of {name:?}")));
                 }
-                let def = self
-                    .lib
+                let lib = self.lib;
+                let def = lib
                     .get(name)
                     .ok_or_else(|| self.err(format!("no definition named {name:?}")))?;
                 // Inner environment: only the declared parameters.
@@ -362,8 +363,7 @@ impl<'l> Cx<'l> {
                     inner_env.insert(pname.clone(), calc.eval(env).map_err(|e| self.err(e))?);
                 }
                 self.stack.push(name.clone());
-                let body = def.body.clone();
-                let mut tree = self.expand(&body, &inner_env)?;
+                let mut tree = self.expand(&def.body, &inner_env)?;
                 self.stack.pop();
                 let rw = self.build_rewrite_mixed(adapt, env, &inner_env)?;
                 rewrite_tree(&mut tree, &rw, &mut self.syms);

@@ -1,15 +1,16 @@
 //! IDL lexer.
 
-/// IDL tokens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// IDL tokens. Words and brace contents borrow from the lexed source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
     /// Bare word (keywords, idiom names, opcode mnemonics).
-    Word(String),
+    Word(&'a str),
     /// Integer literal.
     Num(i64),
-    /// `{`-delimited variable reference content, raw (parsed further by
-    /// the parser), e.g. `loop[N-1].iterator` or `a, b, c` for varlists.
-    Braced(String),
+    /// `{`-delimited variable reference content, raw and trimmed (parsed
+    /// further by the parser), e.g. `loop[N-1].iterator` or `a, b, c` for
+    /// varlists.
+    Braced(&'a str),
     /// `(`.
     LParen,
     /// `)`.
@@ -29,132 +30,84 @@ pub enum Tok {
 }
 
 /// A token with a 1-based line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Source line.
     pub line: usize,
 }
 
 /// Lexes IDL source (with `#`- or `--`-style comments to end of line).
-pub fn lex(src: &str) -> Result<Vec<Spanned>, (usize, String)> {
-    let chars: Vec<char> = src.chars().collect();
+///
+/// Scans byte offsets into `src` without copying it: words and brace
+/// contents are borrowed slices, while character classes
+/// (`is_whitespace`, `is_alphabetic`) are still tested on decoded
+/// `char`s, so non-ASCII letters and spaces lex as they always did.
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, (usize, String)> {
+    let bytes = src.as_bytes();
     let mut out = Vec::new();
-    let mut i = 0;
     let mut line = 1;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
+    let mut i = 0;
+    // The offset of the first byte at or after `from` that fails `keep`
+    // (or the end of the source).
+    let scan = |from: usize, keep: fn(char) -> bool| {
+        src[from..]
+            .find(|c: char| !keep(c))
+            .map_or(src.len(), |k| from + k)
+    };
+    while let Some(c) = src[i..].chars().next() {
+        let next = bytes.get(i + 1).copied();
+        let (tok, end) = match c {
             '\n' => {
                 line += 1;
                 i += 1;
+                continue;
             }
-            _ if c.is_whitespace() => i += 1,
+            _ if c.is_whitespace() => {
+                i += c.len_utf8();
+                continue;
+            }
             '#' => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+                i = scan(i, |c| c != '\n');
+                continue;
             }
-            '-' if i + 1 < chars.len() && chars[i + 1] == '-' => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+            '-' if next == Some(b'-') => {
+                i = scan(i, |c| c != '\n');
+                continue;
             }
             '{' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < chars.len() && chars[j] != '}' {
-                    if chars[j] == '\n' {
-                        line += 1;
-                    }
-                    j += 1;
-                }
-                if j >= chars.len() {
+                let Some(len) = src[i + 1..].find('}') else {
+                    line += bytes[i + 1..].iter().filter(|&&b| b == b'\n').count();
                     return Err((line, "unterminated variable brace".into()));
-                }
-                let content: String = chars[start..j].iter().collect();
-                out.push(Spanned {
-                    tok: Tok::Braced(content.trim().to_owned()),
-                    line,
-                });
-                i = j + 1;
+                };
+                let content = &src[i + 1..i + 1 + len];
+                line += content.bytes().filter(|&b| b == b'\n').count();
+                (Tok::Braced(content.trim()), i + len + 2)
             }
-            '(' => {
-                out.push(Spanned {
-                    tok: Tok::LParen,
-                    line,
-                });
-                i += 1;
-            }
-            ')' => {
-                out.push(Spanned {
-                    tok: Tok::RParen,
-                    line,
-                });
-                i += 1;
-            }
-            '=' => {
-                out.push(Spanned {
-                    tok: Tok::Equals,
-                    line,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    line,
-                });
-                i += 1;
-            }
-            '+' => {
-                out.push(Spanned {
-                    tok: Tok::Plus,
-                    line,
-                });
-                i += 1;
-            }
-            '-' => {
-                out.push(Spanned {
-                    tok: Tok::Minus,
-                    line,
-                });
-                i += 1;
-            }
-            '.' if i + 1 < chars.len() && chars[i + 1] == '.' => {
-                out.push(Spanned {
-                    tok: Tok::DotDot,
-                    line,
-                });
-                i += 2;
-            }
+            '(' => (Tok::LParen, i + 1),
+            ')' => (Tok::RParen, i + 1),
+            '=' => (Tok::Equals, i + 1),
+            ',' => (Tok::Comma, i + 1),
+            '+' => (Tok::Plus, i + 1),
+            '-' => (Tok::Minus, i + 1),
+            '.' if next == Some(b'.') => (Tok::DotDot, i + 2),
             _ if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
+                let end = scan(i, |c| c.is_ascii_digit());
+                let text = &src[i..end];
                 let n: i64 = text
                     .parse()
                     .map_err(|_| (line, format!("bad number {text:?}")))?;
-                out.push(Spanned {
-                    tok: Tok::Num(n),
-                    line,
-                });
+                (Tok::Num(n), end)
             }
             _ if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                out.push(Spanned {
-                    tok: Tok::Word(chars[start..i].iter().collect()),
-                    line,
-                });
+                let end = scan(i, |c| c.is_alphanumeric() || c == '_');
+                (Tok::Word(&src[i..end]), end)
             }
             other => return Err((line, format!("unexpected character {other:?}"))),
-        }
+        };
+        out.push(Spanned { tok, line });
+        i = end;
     }
     out.push(Spanned {
         tok: Tok::Eof,
@@ -171,9 +124,9 @@ mod tests {
     fn lexes_constraint_header_and_braces() {
         let toks = lex("Constraint X\n( {sum} is add instruction )\nEnd").unwrap();
         let kinds: Vec<&Tok> = toks.iter().map(|t| &t.tok).collect();
-        assert!(matches!(kinds[0], Tok::Word(w) if w == "Constraint"));
+        assert!(matches!(kinds[0], Tok::Word("Constraint")));
         assert!(matches!(kinds[2], Tok::LParen));
-        assert!(matches!(kinds[3], Tok::Braced(b) if b == "sum"));
+        assert!(matches!(kinds[3], Tok::Braced("sum")));
     }
 
     #[test]
@@ -184,13 +137,13 @@ mod tests {
         assert!(toks.iter().any(|t| matches!(&t.tok, Tok::Num(3))));
         assert!(!toks
             .iter()
-            .any(|t| matches!(&t.tok, Tok::Word(w) if w == "comment" || w == "trailing")));
+            .any(|t| matches!(&t.tok, Tok::Word("comment" | "trailing"))));
     }
 
     #[test]
     fn brace_content_is_raw() {
         let toks = lex("{loop[N-1].iterator}").unwrap();
-        assert!(matches!(&toks[0].tok, Tok::Braced(b) if b == "loop[N-1].iterator"));
+        assert!(matches!(&toks[0].tok, Tok::Braced("loop[N-1].iterator")));
     }
 
     #[test]

@@ -66,6 +66,6 @@ pub use ctree::{
     order_variables, order_variables_seeded, Atom, AtomKind, CTree, CompiledConstraint, DomKind,
     EdgeKind, IndexedKind, IndexedNode, OpcodeClass, SkeletonRef, TreeIndex, TypeClass,
 };
-pub use expand::{compile, ExpandError};
+pub use expand::{compile, compile_definition, ExpandError};
 pub use intern::{SymbolTable, VarId};
 pub use parser::{parse_library, ParseError};

@@ -34,8 +34,8 @@ pub fn parse_library(src: &str) -> Result<Library> {
     Ok(lib)
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'a> {
+    toks: Vec<Spanned<'a>>,
     pos: usize,
 }
 
@@ -45,12 +45,12 @@ const OPCODE_WORDS: &[&str] = &[
     "fptosi", "fpext", "fptrunc", "call", "alloca",
 ];
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos].tok
     }
 
-    fn peek_at(&self, k: usize) -> &Tok {
+    fn peek_at(&self, k: usize) -> &Tok<'a> {
         &self.toks[(self.pos + k).min(self.toks.len() - 1)].tok
     }
 
@@ -65,8 +65,8 @@ impl Parser {
         }
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -74,7 +74,7 @@ impl Parser {
     }
 
     fn eat_word(&mut self, w: &str) -> bool {
-        if matches!(self.peek(), Tok::Word(x) if x == w) {
+        if matches!(self.peek(), Tok::Word(x) if *x == w) {
             self.bump();
             true
         } else {
@@ -105,7 +105,7 @@ impl Parser {
     fn word(&mut self) -> Result<String> {
         let line = self.line();
         match self.bump() {
-            Tok::Word(w) => Ok(w),
+            Tok::Word(w) => Ok(w.to_owned()),
             other => Err(ParseError {
                 line,
                 message: format!("expected word, got {other:?}"),
@@ -113,7 +113,7 @@ impl Parser {
         }
     }
 
-    fn braced(&mut self) -> Result<String> {
+    fn braced(&mut self) -> Result<&'a str> {
         let line = self.line();
         match self.bump() {
             Tok::Braced(b) => Ok(b),
@@ -127,7 +127,7 @@ impl Parser {
     fn var(&mut self) -> Result<VarName> {
         let line = self.line();
         let raw = self.braced()?;
-        parse_varname(&raw).map_err(|message| ParseError { line, message })
+        parse_varname(raw).map_err(|message| ParseError { line, message })
     }
 
     /// A braced variable list: `{a, b.c, d}` or a single `{family}`.
@@ -152,7 +152,7 @@ impl Parser {
         let line = self.line();
         let mut lhs = match self.bump() {
             Tok::Num(n) => Calc::Num(n),
-            Tok::Word(w) => Calc::Name(w),
+            Tok::Word(w) => Calc::Name(w.to_owned()),
             Tok::Minus => match self.bump() {
                 Tok::Num(n) => Calc::Num(-n),
                 other => {
@@ -190,7 +190,7 @@ impl Parser {
         let line = self.line();
         match self.bump() {
             Tok::Num(n) => Ok(Calc::Num(n)),
-            Tok::Word(w) => Ok(Calc::Name(w)),
+            Tok::Word(w) => Ok(Calc::Name(w.to_owned())),
             other => Err(ParseError {
                 line,
                 message: format!("expected calculation term, got {other:?}"),
@@ -202,7 +202,7 @@ impl Parser {
     fn constraint(&mut self) -> Result<Constraint> {
         let mut c = self.primary()?;
         loop {
-            if matches!(self.peek(), Tok::Word(w) if w == "for") {
+            if matches!(self.peek(), Tok::Word("for")) {
                 // `for all` / `for some` / `for <name> = <calc>`
                 self.bump();
                 if self.eat_word("all") {
@@ -239,7 +239,7 @@ impl Parser {
                         value,
                     };
                 }
-            } else if matches!(self.peek(), Tok::Word(w) if w == "with" || w == "at") {
+            } else if matches!(self.peek(), Tok::Word("with" | "at")) {
                 let adapt = self.adaptation()?;
                 c = match c {
                     Constraint::Inherits {
@@ -288,9 +288,9 @@ impl Parser {
                 adapt.renames.push((outer, inner));
                 // `and` continues the rename list only when followed by
                 // `{var} as`; otherwise it is the enclosing conjunction.
-                let more = matches!(self.peek(), Tok::Word(w) if w == "and")
+                let more = matches!(self.peek(), Tok::Word("and"))
                     && matches!(self.peek_at(1), Tok::Braced(_))
-                    && matches!(self.peek_at(2), Tok::Word(w) if w == "as");
+                    && matches!(self.peek_at(2), Tok::Word("as"));
                 if more {
                     self.bump();
                 } else {
@@ -305,7 +305,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Constraint> {
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::LParen => {
                 self.bump();
                 let first = self.constraint()?;
@@ -341,7 +341,7 @@ impl Parser {
                     Some(false) => Constraint::Or(items),
                 })
             }
-            Tok::Word(w) if w == "inherits" => {
+            Tok::Word("inherits") => {
                 self.bump();
                 let name = self.word()?;
                 let mut params = Vec::new();
@@ -371,7 +371,7 @@ impl Parser {
                     adapt: Adaptation::default(),
                 })
             }
-            Tok::Word(w) if w == "if" => {
+            Tok::Word("if") => {
                 self.bump();
                 let a = self.calc()?;
                 self.expect_equals()?;
@@ -388,7 +388,7 @@ impl Parser {
                     other: Box::new(other),
                 })
             }
-            Tok::Word(w) if w == "collect" => {
+            Tok::Word("collect") => {
                 self.bump();
                 let index = self.word()?;
                 let max = match self.peek() {
@@ -406,7 +406,7 @@ impl Parser {
                     body: Box::new(body),
                 })
             }
-            Tok::Word(w) if w == "all" => self.all_flow_atom(),
+            Tok::Word("all") => self.all_flow_atom(),
             Tok::Braced(_) => self.var_atom(),
             other => Err(self.err(format!("unexpected token {other:?}"))),
         }

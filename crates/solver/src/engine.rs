@@ -214,12 +214,8 @@ impl<'f> Solver<'f> {
         let mut constants = Vec::new();
         let mut arguments = Vec::new();
         // Only instructions currently placed in blocks participate.
-        let mut placed: HashSet<ValueId> = HashSet::new();
         for b in f.block_ids() {
-            for &v in &f.block(b).instrs {
-                placed.insert(v);
-                instructions.push(v);
-            }
+            instructions.extend_from_slice(&f.block(b).instrs);
         }
         for v in f.value_ids() {
             match f.value(v).kind {

@@ -5,6 +5,10 @@
 //! later), the second pass resolves operands. It accepts exactly the
 //! printer's output language, which keeps the grammar small while letting
 //! tests, examples and documentation express IR as text.
+//!
+//! This is the text front door for tests, examples and tools; no pipeline
+//! stage calls it. The stages build IR with the [`Function`] builder
+//! methods (`add_block`, `append_*`, `const_int`, `set_name`).
 
 use crate::function::{BlockId, FCmpPred, Function, ICmpPred, Instr, Opcode, ValueId};
 use crate::module::Module;

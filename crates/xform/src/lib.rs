@@ -20,7 +20,7 @@
 //! re-validates the §6.3 side conditions natively (no unmatched side
 //! effects or live-outs in the replaced region, a legal region, operands
 //! available at the call site), checks the backend's shape, outlines the
-//! kernel and parses and verifies the generated device program. The
+//! kernel and builds and verifies the generated device program. The
 //! commit edits a clone of the one target function and swaps it in only
 //! once it verifies, so a refused rewrite leaves the module untouched;
 //! the tests exercise the rejection paths.

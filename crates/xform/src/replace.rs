@@ -4,7 +4,7 @@
 //! **Plan.** `plan` reads the target function and never changes it.
 //! Every fallible step happens here, on one set of analyses: the §6.3
 //! soundness and legality checks (which yield the verdict and
-//! certificate), the backend's shape checks, kernel outlining, parsing
+//! certificate), the backend's shape checks, kernel outlining, building
 //! and verifying the generated device program, and the check that every
 //! call argument is available at the call site. For the library path the
 //! call targets a fixed-function API entry point (`gemm_f64`,
@@ -89,8 +89,8 @@ struct Call {
     args: Vec<Arg>,
     /// The value whose uses the call's result takes over, if any.
     result: Option<ValueId>,
-    /// Outlined kernels, then the device program, parsed and verified;
-    /// empty for library calls.
+    /// Outlined kernels, then the verified device program; empty for
+    /// library calls.
     generated: Vec<Function>,
 }
 
@@ -106,18 +106,25 @@ impl Call {
         }
     }
 
-    /// A call to the device program `dev`, linked after `kernels`.
-    fn device(kernels: Vec<Function>, dev: Function, ret_ty: Type, args: Vec<Arg>) -> Call {
+    /// A call to the device program `dev`, linked after `kernels`. A
+    /// device program that fails to verify refuses the rewrite.
+    fn device(kernels: Vec<Function>, dev: Function, ret_ty: Type, args: Vec<Arg>) -> Result<Call> {
+        ssair::verify::verify_function(&dev).map_err(|es| {
+            XformError::Unsupported(format!(
+                "generated device code failed to verify: {}",
+                es.first().map(ToString::to_string).unwrap_or_default()
+            ))
+        })?;
         let mut generated = kernels;
         let callee = dev.name.clone();
         generated.push(dev);
-        Call {
+        Ok(Call {
             callee,
             ret_ty,
             args,
             result: None,
             generated,
-        }
+        })
     }
 }
 
@@ -134,6 +141,14 @@ struct Plan {
     exit_block: BlockId,
     verdict: LegalityVerdict,
     certificate: SafetyCertificate,
+}
+
+/// The block holding the instruction bound as `what`; a binding that no
+/// block holds (an argument, a constant) refuses the rewrite.
+fn placed(an: &Analyses, v: ValueId, what: &str) -> Result<BlockId> {
+    an.layout
+        .block_of(v)
+        .ok_or_else(|| XformError::Unsupported(format!("{what} not placed")))
 }
 
 fn bind(inst: &IdiomInstance, name: &str) -> Result<ValueId> {
@@ -363,14 +378,9 @@ fn plan(
     let precursor = bind(inst, &format!("{prefix}precursor"))?;
     let header_phi = bind(inst, iterator)?;
     let successor = bind(inst, &format!("{prefix}successor"))?;
-    let placed = |v: ValueId, what: &str| {
-        an.layout
-            .block_of(v)
-            .ok_or_else(|| XformError::Unsupported(format!("{what} not placed")))
-    };
-    let pre_block = placed(precursor, "precursor")?;
-    let header_block = placed(header_phi, "iterator")?;
-    let exit_block = placed(successor, "successor")?;
+    let pre_block = placed(&an, precursor, "precursor")?;
+    let header_block = placed(&an, header_phi, "iterator")?;
+    let exit_block = placed(&an, successor, "successor")?;
     // All call operands must be available before the precursor.
     for &a in &call.args {
         if let Arg::Value(v) = a {
@@ -539,45 +549,117 @@ fn plan_spmv(f: &Function, inst: &IdiomInstance) -> Result<Call> {
     Ok(Call::library("csrmv_f64", args))
 }
 
-// ----- DSL path: generate device code as IR text, then parse it -----
+// ----- DSL path: build the device program around the outlined kernel -----
+//
+// Value and block names, block order and instruction order are part of
+// the printed transformed IR that `tests/replace_suite.rs` pins by hash.
 
-fn ty_str(t: &Type) -> String {
-    format!("{t}")
+/// Appends `op` over `operands` to `block` as the value `%name`.
+fn emit(
+    d: &mut Function,
+    block: BlockId,
+    name: impl Into<String>,
+    ty: Type,
+    op: Opcode,
+    operands: Vec<ValueId>,
+) -> ValueId {
+    let v = d.append_simple(block, ty, op, operands);
+    d.set_name(v, name);
+    v
 }
 
-/// Emits the per-read address+load lines for index `%i` of type `ity`
-/// with a constant `offset`; returns the value name holding the load.
-fn emit_indexed_load(
-    text: &mut String,
-    r: usize,
-    base: &str,
-    elem: &Type,
-    ity: &Type,
-    offset: i64,
-) -> String {
-    let mut idx = "%i".to_owned();
-    if offset != 0 {
-        let _ = std::fmt::Write::write_fmt(
-            text,
-            format_args!("  %off{r} = add {ity} {idx}, {offset}\n"),
-        );
-        idx = format!("%off{r}");
+/// Adds one parameter `%{prefix}{k}` per host value in `values`, typed
+/// like it.
+fn add_params(d: &mut Function, f: &Function, prefix: &str, values: &[ValueId]) -> Vec<ValueId> {
+    (values.iter().enumerate())
+        .map(|(k, &v)| d.add_param(&format!("{prefix}{k}"), f.value(v).ty.clone()))
+        .collect()
+}
+
+/// `v + c` in `block` as `%name`, or `v` itself when `c` is zero.
+fn offset(d: &mut Function, block: BlockId, v: ValueId, c: i64, name: &str) -> ValueId {
+    if c == 0 {
+        return v;
     }
-    let wide = if *ity == Type::I32 {
-        let _ =
-            std::fmt::Write::write_fmt(text, format_args!("  %iw{r} = sext {ity} {idx} to i64\n"));
-        format!("%iw{r}")
+    let ty = d.value(v).ty.clone();
+    let c = d.const_int(ty.clone(), c);
+    emit(d, block, name, ty, Opcode::Add, vec![v, c])
+}
+
+/// The address of `base[idx]` in `block` as `%name`; an `i32` index is
+/// sign-extended to `i64` as `%wide` first.
+fn element_addr(
+    d: &mut Function,
+    block: BlockId,
+    base: ValueId,
+    idx: ValueId,
+    wide: &str,
+    name: &str,
+) -> ValueId {
+    let idx = if d.value(idx).ty == Type::I32 {
+        emit(d, block, wide, Type::I64, Opcode::SExt, vec![idx])
     } else {
         idx
     };
-    let e = ty_str(elem);
-    let _ = std::fmt::Write::write_fmt(
-        text,
-        format_args!(
-            "  %a{r} = getelementptr {e}, {e}* {base}, i64 {wide}\n  %v{r} = load {e}, {e}* %a{r}\n"
-        ),
-    );
-    format!("%v{r}")
+    let ty = d.value(base).ty.clone();
+    emit(d, block, name, ty, Opcode::Gep, vec![base, idx])
+}
+
+/// Loads `base[idx]` in `block` as `%v{r}` through the address `%a{r}`
+/// (an `i32` index widened as `%{wide}{r}`); returns the load.
+fn emit_indexed_load(
+    d: &mut Function,
+    block: BlockId,
+    r: usize,
+    base: ValueId,
+    idx: ValueId,
+    wide: &str,
+) -> ValueId {
+    let addr = element_addr(d, block, base, idx, &format!("{wide}{r}"), &format!("a{r}"));
+    // A base that is no pointer (only a forged binding can give one) loads
+    // `void`, which verification refuses.
+    let elem = d.value(base).ty.pointee().cloned().unwrap_or(Type::Void);
+    emit(d, block, format!("v{r}"), elem, Opcode::Load, vec![addr])
+}
+
+/// Enters the counted loop `for (iv = begin; iv < end; iv++)` from `pre`:
+/// `header` gets the induction phi `%{iv}` and the test `%{cond}`, which
+/// leaves to `body` or `exit`. Returns the phi; [`step_loop`] closes the
+/// loop once the body is built.
+fn enter_loop(
+    d: &mut Function,
+    [pre, header, body, exit]: [BlockId; 4],
+    [iv, cond]: [&str; 2],
+    begin: ValueId,
+    end: ValueId,
+) -> ValueId {
+    d.append_br(pre, header);
+    let phi = d.append_phi(header, d.value(begin).ty.clone());
+    d.set_name(phi, iv);
+    d.add_phi_incoming(phi, begin, pre);
+    let slt = Opcode::ICmp(ICmpPred::Slt);
+    let cond = emit(d, header, cond, Type::I1, slt, vec![phi, end]);
+    d.append_condbr(header, cond, body, exit);
+    phi
+}
+
+/// Adds the blocks `header`, `latch` (the body) and `exit` of a one-loop
+/// device program (Reduction, Histogram, Stencil1D) and enters its loop
+/// `%i` from `entry`; returns the blocks and `%i`.
+fn one_loop(d: &mut Function, begin: ValueId, end: ValueId) -> ([BlockId; 3], ValueId) {
+    let [header, latch, exit] = ["header", "latch", "exit"].map(|b| d.add_block(b));
+    let i = enter_loop(d, [BlockId(0), header, latch, exit], ["i", "c"], begin, end);
+    ([header, latch, exit], i)
+}
+
+/// Ends the body of the loop on `iv` at `latch`: steps `iv` as `%{next}`
+/// and branches back to `header`.
+fn step_loop(d: &mut Function, latch: BlockId, header: BlockId, iv: ValueId, next: &str) {
+    let ty = d.value(iv).ty.clone();
+    let one = d.const_int(ty.clone(), 1);
+    let stepped = emit(d, latch, next, ty, Opcode::Add, vec![iv, one]);
+    d.append_br(latch, header);
+    d.add_phi_incoming(iv, stepped, latch);
 }
 
 fn check_step_and_cmp(f: &Function, inst: &IdiomInstance, prefix: &str) -> Result<()> {
@@ -596,22 +678,6 @@ fn check_step_and_cmp(f: &Function, inst: &IdiomInstance, prefix: &str) -> Resul
     }
 }
 
-/// Parses and verifies a generated device program.
-fn parse_device(text: &str) -> Result<Function> {
-    let func = ssair::parser::parse_function_text(text).map_err(|e| {
-        XformError::Unsupported(format!(
-            "generated device code failed to parse: {e}\n{text}"
-        ))
-    })?;
-    ssair::verify::verify_function(&func).map_err(|es| {
-        XformError::Unsupported(format!(
-            "generated device code failed to verify: {}",
-            es.first().map(ToString::to_string).unwrap_or_default()
-        ))
-    })?;
-    Ok(func)
-}
-
 fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
     check_step_and_cmp(f, inst, "")?;
     let acc = bind(inst, "acc")?;
@@ -624,53 +690,40 @@ fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         .ok_or_else(|| XformError::Unsupported("reduction kernel is not pure".into()))?;
     let extras: Vec<ValueId> = outlined.inputs[kernel_inputs.len()..].to_vec();
 
-    // Collect read base pointers and element types.
-    let mut bases: Vec<(ValueId, Type)> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
-        let base = bind(inst, &format!("read[{r}].base_pointer"))?;
-        bases.push((base, f.value(rv).ty.clone()));
-    }
+    let bases = (0..reads.len())
+        .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
+        .collect::<Result<Vec<_>>>()?;
     let ity = f.value(bind(inst, "iterator")?).ty.clone();
     let aty = f.value(acc).ty.clone();
 
-    // Generate the device program (the "Lift output").
-    let devname = format!("lift_red_{uid}");
-    let mut params: Vec<String> = bases
-        .iter()
-        .enumerate()
-        .map(|(r, (_, e))| format!("{}* %b{r}", ty_str(e)))
+    // Build the device program (the "Lift output").
+    let mut d = Function::new(format!("lift_red_{uid}"), &[], aty.clone());
+    let ptrs = add_params(&mut d, f, "b", &bases);
+    let begin = d.add_param("begin", ity.clone());
+    let end = d.add_param("end", ity);
+    let init = d.add_param("init", aty.clone());
+    let xs = add_params(&mut d, f, "x", &extras);
+    let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
+    let dacc = d.append_phi(header, aty.clone());
+    d.set_name(dacc, "acc");
+    d.add_phi_incoming(dacc, init, BlockId(0));
+    let mut kargs: Vec<ValueId> = (ptrs.iter().enumerate())
+        .map(|(r, &b)| emit_indexed_load(&mut d, latch, r, b, i, "iw"))
         .collect();
-    params.push(format!("{} %begin", ty_str(&ity)));
-    params.push(format!("{} %end", ty_str(&ity)));
-    params.push(format!("{} %init", ty_str(&aty)));
-    for (k, &e) in extras.iter().enumerate() {
-        params.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let mut body = String::new();
-    let mut kargs: Vec<String> = Vec::new();
-    for (r, (_, e)) in bases.iter().enumerate() {
-        let v = emit_indexed_load(&mut body, r, &format!("%b{r}"), e, &ity, 0);
-        kargs.push(format!("{} {v}", ty_str(e)));
-    }
-    kargs.push(format!("{} %acc", ty_str(&aty)));
-    for (k, &e) in extras.iter().enumerate() {
-        kargs.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let ity_s = ty_str(&ity);
-    let aty_s = ty_str(&aty);
-    let text = format!(
-        "define {aty_s} @{devname}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity_s} [ %begin, %entry ], [ %inext, %latch ]\n  %acc = phi {aty_s} [ %init, %entry ], [ %nacc, %latch ]\n  %c = icmp slt {ity_s} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{body}  %nacc = call {aty_s} @{kname}({})\n  %inext = add {ity_s} %i, 1\n  br label %header\nexit:\n  ret {aty_s} %acc\n}}\n",
-        params.join(", "),
-        kargs.join(", ")
-    );
-    let dev = parse_device(&text)?;
+    kargs.push(dacc);
+    kargs.extend(xs);
+    let nacc = d.append_call(latch, aty.clone(), kname, kargs);
+    d.set_name(nacc, "nacc");
+    step_loop(&mut d, latch, header, i, "inext");
+    d.add_phi_incoming(dacc, nacc, latch);
+    d.append_ret(exit, Some(dacc));
 
-    let mut args: Vec<Arg> = bases.iter().map(|&(b, _)| Arg::Value(b)).collect();
+    let mut args: Vec<Arg> = bases.into_iter().map(Arg::Value).collect();
     args.extend(bind_args(inst, &["iter_begin", "iter_end", "init"])?);
     args.extend(extras.into_iter().map(Arg::Value));
     Ok(Call {
         result: Some(acc),
-        ..Call::device(vec![outlined.function], dev, aty, args)
+        ..Call::device(vec![outlined.function], d, aty, args)?
     })
 }
 
@@ -680,8 +733,8 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
     // need a guarded device kernel; see DESIGN.md).
     let store = bind(inst, "store")?;
     let latch_term = bind(inst, "backedge")?;
-    let sb = an.layout.block_of(store).unwrap();
-    let lb = an.layout.block_of(latch_term).unwrap();
+    let sb = placed(an, store, "store")?;
+    let lb = placed(an, latch_term, "backedge")?;
     if !an.dom.dominates(sb, lb) {
         return Err(XformError::Unsupported(
             "conditional histogram update".into(),
@@ -702,69 +755,41 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
     let v_extras: Vec<ValueId> = vk.inputs[val_inputs.len()..].to_vec();
     let i_extras: Vec<ValueId> = ik.inputs[reads.len()..].to_vec();
 
-    let mut bases: Vec<(ValueId, Type)> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
-        bases.push((
-            bind(inst, &format!("read[{r}].base_pointer"))?,
-            f.value(rv).ty.clone(),
-        ));
-    }
+    let bases = (0..reads.len())
+        .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
+        .collect::<Result<Vec<_>>>()?;
     let bins = bind(inst, "bins")?;
     let bty = f.value(old).ty.clone();
     let ity = f.value(bind(inst, "iterator")?).ty.clone();
     let xty = f.value(bin_idx).ty.clone();
 
-    let devname = format!("lift_histo_{uid}");
-    let mut params: Vec<String> = vec![format!("{}* %bins", ty_str(&bty))];
-    for (r, (_, e)) in bases.iter().enumerate() {
-        params.push(format!("{}* %b{r}", ty_str(e)));
-    }
-    params.push(format!("{} %begin", ty_str(&ity)));
-    params.push(format!("{} %end", ty_str(&ity)));
-    for (k, &e) in i_extras.iter().enumerate() {
-        params.push(format!("{} %ix{k}", ty_str(&f.value(e).ty)));
-    }
-    for (k, &e) in v_extras.iter().enumerate() {
-        params.push(format!("{} %vx{k}", ty_str(&f.value(e).ty)));
-    }
-    let mut body = String::new();
-    let mut read_args: Vec<String> = Vec::new();
-    for (r, (_, e)) in bases.iter().enumerate() {
-        let v = emit_indexed_load(&mut body, r, &format!("%b{r}"), e, &ity, 0);
-        read_args.push(format!("{} {v}", ty_str(e)));
-    }
-    let mut ikargs = read_args.clone();
-    for (k, &e) in i_extras.iter().enumerate() {
-        ikargs.push(format!("{} %ix{k}", ty_str(&f.value(e).ty)));
-    }
-    let xty_s = ty_str(&xty);
-    let bty_s = ty_str(&bty);
-    let ity_s = ty_str(&ity);
-    let idx_wide = if xty == Type::I32 {
-        "  %xw = sext i32 %xidx to i64\n"
-    } else {
-        ""
-    };
-    let xw = if xty == Type::I32 { "%xw" } else { "%xidx" };
-    let mut vkargs = read_args;
-    vkargs.push(format!("{bty_s} %old"));
-    for (k, &e) in v_extras.iter().enumerate() {
-        vkargs.push(format!("{} %vx{k}", ty_str(&f.value(e).ty)));
-    }
-    let text = format!(
-        "define void @{devname}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity_s} [ %begin, %entry ], [ %inext, %latch ]\n  %c = icmp slt {ity_s} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{body}  %xidx = call {xty_s} @{ik_name}({})\n{idx_wide}  %ba = getelementptr {bty_s}, {bty_s}* %bins, i64 {xw}\n  %old = load {bty_s}, {bty_s}* %ba\n  %new = call {bty_s} @{vk_name}({})\n  store {bty_s} %new, {bty_s}* %ba\n  %inext = add {ity_s} %i, 1\n  br label %header\nexit:\n  ret void\n}}\n",
-        params.join(", "),
-        ikargs.join(", "),
-        vkargs.join(", ")
-    );
-    let dev = parse_device(&text)?;
+    let mut d = Function::new(format!("lift_histo_{uid}"), &[], Type::Void);
+    let dbins = d.add_param("bins", bty.clone().ptr_to());
+    let ptrs = add_params(&mut d, f, "b", &bases);
+    let begin = d.add_param("begin", ity.clone());
+    let end = d.add_param("end", ity);
+    let ixs = add_params(&mut d, f, "ix", &i_extras);
+    let vxs = add_params(&mut d, f, "vx", &v_extras);
+    let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
+    let loads: Vec<ValueId> = (ptrs.iter().enumerate())
+        .map(|(r, &b)| emit_indexed_load(&mut d, latch, r, b, i, "iw"))
+        .collect();
+    let xidx = d.append_call(latch, xty, ik_name, [loads.as_slice(), &ixs].concat());
+    d.set_name(xidx, "xidx");
+    let ba = element_addr(&mut d, latch, dbins, xidx, "xw", "ba");
+    let dold = emit(&mut d, latch, "old", bty.clone(), Opcode::Load, vec![ba]);
+    let new = d.append_call(latch, bty, vk_name, [&loads[..], &[dold], &vxs].concat());
+    d.set_name(new, "new");
+    d.append_simple(latch, Type::Void, Opcode::Store, vec![new, ba]);
+    step_loop(&mut d, latch, header, i, "inext");
+    d.append_ret(exit, None);
 
     let mut args: Vec<Arg> = vec![Arg::Value(bins)];
-    args.extend(bases.iter().map(|&(b, _)| Arg::Value(b)));
+    args.extend(bases.into_iter().map(Arg::Value));
     args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
     args.extend(i_extras.into_iter().chain(v_extras).map(Arg::Value));
     let kernels = vec![vk.function, ik.function];
-    Ok(Call::device(kernels, dev, Type::Void, args))
+    Call::device(kernels, d, Type::Void, args)
 }
 
 /// Constant offset of `idx` relative to `center` (`i`, `i±c`), or `None`.
@@ -802,57 +827,45 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let outlined = outline_kernel(f, write_value, &reads, &kname)
         .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
     let extras: Vec<ValueId> = outlined.inputs[reads.len()..].to_vec();
-    let mut bases: Vec<(ValueId, Type, i64)> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
+    let (mut bases, mut offsets) = (Vec::new(), Vec::new());
+    for r in 0..reads.len() {
         let base = bind(inst, &format!("read[{r}].base_pointer"))?;
         let gep_idx = bind(inst, &format!("read[{r}].gep_idx"))?;
         let off = offset_from(f, gep_idx, center).ok_or_else(|| {
             XformError::Unsupported("stencil read offset is not a constant".into())
         })?;
-        bases.push((base, f.value(rv).ty.clone(), off));
+        bases.push(base);
+        offsets.push(off);
     }
     let out_base = bind(inst, "write.base_pointer")?;
     let oty = f.value(write_value).ty.clone();
     let ity = f.value(center).ty.clone();
 
-    let devname = format!("halide_st1_{uid}");
-    let mut params: Vec<String> = vec![format!("{}* %out", ty_str(&oty))];
-    for (r, (_, e, _)) in bases.iter().enumerate() {
-        params.push(format!("{}* %b{r}", ty_str(e)));
+    let mut d = Function::new(format!("halide_st1_{uid}"), &[], Type::Void);
+    let out = d.add_param("out", oty.clone().ptr_to());
+    let ptrs = add_params(&mut d, f, "b", &bases);
+    let begin = d.add_param("begin", ity.clone());
+    let end = d.add_param("end", ity);
+    let xs = add_params(&mut d, f, "x", &extras);
+    let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
+    let mut kargs = Vec::new();
+    for (r, (&b, &off)) in ptrs.iter().zip(&offsets).enumerate() {
+        let idx = offset(&mut d, latch, i, off, &format!("off{r}"));
+        kargs.push(emit_indexed_load(&mut d, latch, r, b, idx, "iw"));
     }
-    params.push(format!("{} %begin", ty_str(&ity)));
-    params.push(format!("{} %end", ty_str(&ity)));
-    for (k, &e) in extras.iter().enumerate() {
-        params.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let mut body = String::new();
-    let mut kargs: Vec<String> = Vec::new();
-    for (r, (_, e, off)) in bases.iter().enumerate() {
-        let v = emit_indexed_load(&mut body, r, &format!("%b{r}"), e, &ity, *off);
-        kargs.push(format!("{} {v}", ty_str(e)));
-    }
-    for (k, &e) in extras.iter().enumerate() {
-        kargs.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let ity_s = ty_str(&ity);
-    let oty_s = ty_str(&oty);
-    let wide = if ity == Type::I32 {
-        "  %ow = sext i32 %i to i64\n"
-    } else {
-        ""
-    };
-    let ow = if ity == Type::I32 { "%ow" } else { "%i" };
-    let text = format!(
-        "define void @{devname}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity_s} [ %begin, %entry ], [ %inext, %latch ]\n  %c = icmp slt {ity_s} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{body}  %res = call {oty_s} @{kname}({})\n{wide}  %oa = getelementptr {oty_s}, {oty_s}* %out, i64 {ow}\n  store {oty_s} %res, {oty_s}* %oa\n  %inext = add {ity_s} %i, 1\n  br label %header\nexit:\n  ret void\n}}\n",
-        params.join(", "),
-        kargs.join(", ")
-    );
-    let dev = parse_device(&text)?;
+    kargs.extend(xs);
+    let res = d.append_call(latch, oty, kname, kargs);
+    d.set_name(res, "res");
+    let oa = element_addr(&mut d, latch, out, i, "ow", "oa");
+    d.append_simple(latch, Type::Void, Opcode::Store, vec![res, oa]);
+    step_loop(&mut d, latch, header, i, "inext");
+    d.append_ret(exit, None);
+
     let mut args: Vec<Arg> = vec![Arg::Value(out_base)];
-    args.extend(bases.iter().map(|&(b, _, _)| Arg::Value(b)));
+    args.extend(bases.into_iter().map(Arg::Value));
     args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
     args.extend(extras.into_iter().map(Arg::Value));
-    Ok(Call::device(vec![outlined.function], dev, Type::Void, args))
+    Call::device(vec![outlined.function], d, Type::Void, args)
 }
 
 fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
@@ -874,13 +887,12 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let out_stride = bind(inst, "write.addr.stride")?;
     struct Read2 {
         base: ValueId,
-        elem: Type,
         roff: i64,
         coff: i64,
         stride: ValueId,
     }
     let mut rs: Vec<Read2> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
+    for r in 0..reads.len() {
         let rowexpr = bind(inst, &format!("read[{r}].rowexpr"))?;
         let colexpr = bind(inst, &format!("read[{r}].colexpr"))?;
         let roff = offset_from(f, rowexpr, row_iter)
@@ -890,7 +902,6 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         })?;
         rs.push(Read2 {
             base: bind(inst, &format!("read[{r}].base_pointer"))?,
-            elem: f.value(rv).ty.clone(),
             roff,
             coff,
             stride: bind(inst, &format!("read[{r}].stride"))?,
@@ -905,65 +916,41 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         ));
     }
 
-    let devname = format!("halide_st2_{uid}");
-    let ity_s = ty_str(&ity);
-    let oty_s = ty_str(&oty);
-    let mut params: Vec<String> = vec![format!("{oty_s}* %out"), format!("{ity_s} %sw")];
+    let mut d = Function::new(format!("halide_st2_{uid}"), &[], Type::Void);
+    let out = d.add_param("out", oty.clone().ptr_to());
+    let sw = d.add_param("sw", ity.clone());
+    let mut ptrs = Vec::new();
     for (r, rd) in rs.iter().enumerate() {
-        params.push(format!("{}* %b{r}", ty_str(&rd.elem)));
-        params.push(format!("{ity_s} %s{r}"));
+        let b = d.add_param(&format!("b{r}"), f.value(rd.base).ty.clone());
+        ptrs.push((b, d.add_param(&format!("s{r}"), ity.clone())));
     }
-    params.push(format!("{ity_s} %b0r"));
-    params.push(format!("{ity_s} %e0r"));
-    params.push(format!("{ity_s} %b1c"));
-    params.push(format!("{ity_s} %e1c"));
-    for (k, &e) in extras.iter().enumerate() {
-        params.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
+    let [b0r, e0r, b1c, e1c] = ["b0r", "e0r", "b1c", "e1c"].map(|p| d.add_param(p, ity.clone()));
+    let xs = add_params(&mut d, f, "x", &extras);
+    let blocks = ["h0", "pre1", "h1", "l1", "x1", "l0", "x0"];
+    let [h0, pre1, h1, l1, x1, l0, x0] = blocks.map(|b| d.add_block(b));
+    let i = enter_loop(&mut d, [BlockId(0), h0, pre1, x0], ["i", "c0"], b0r, e0r);
+    let j = enter_loop(&mut d, [pre1, h1, l1, x1], ["j", "c1"], b1c, e1c);
+    let mut kargs = Vec::new();
+    for (r, (rd, &(b, s))) in rs.iter().zip(&ptrs).enumerate() {
+        let row = offset(&mut d, l1, i, rd.roff, &format!("ro{r}"));
+        let col = offset(&mut d, l1, j, rd.coff, &format!("co{r}"));
+        let [m_name, f_name] = [format!("m{r}"), format!("f{r}")];
+        let m = emit(&mut d, l1, m_name, ity.clone(), Opcode::Mul, vec![row, s]);
+        let flat = emit(&mut d, l1, f_name, ity.clone(), Opcode::Add, vec![m, col]);
+        kargs.push(emit_indexed_load(&mut d, l1, r, b, flat, "fw"));
     }
-    let mut body = String::new();
-    let mut kargs: Vec<String> = Vec::new();
-    use std::fmt::Write as _;
-    for (r, rd) in rs.iter().enumerate() {
-        let rexp = if rd.roff != 0 {
-            let _ = writeln!(body, "  %ro{r} = add {ity_s} %i, {}", rd.roff);
-            format!("%ro{r}")
-        } else {
-            "%i".to_owned()
-        };
-        let cexp = if rd.coff != 0 {
-            let _ = writeln!(body, "  %co{r} = add {ity_s} %j, {}", rd.coff);
-            format!("%co{r}")
-        } else {
-            "%j".to_owned()
-        };
-        let _ = writeln!(body, "  %m{r} = mul {ity_s} {rexp}, %s{r}");
-        let _ = writeln!(body, "  %f{r} = add {ity_s} %m{r}, {cexp}");
-        let wide = if ity == Type::I32 {
-            let _ = writeln!(body, "  %fw{r} = sext i32 %f{r} to i64");
-            format!("%fw{r}")
-        } else {
-            format!("%f{r}")
-        };
-        let e = ty_str(&rd.elem);
-        let _ = writeln!(body, "  %a{r} = getelementptr {e}, {e}* %b{r}, i64 {wide}");
-        let _ = writeln!(body, "  %v{r} = load {e}, {e}* %a{r}");
-        kargs.push(format!("{e} %v{r}"));
-    }
-    for (k, &e) in extras.iter().enumerate() {
-        kargs.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let widen_out = if ity == Type::I32 {
-        "  %fow = sext i32 %fo to i64\n"
-    } else {
-        ""
-    };
-    let fow = if ity == Type::I32 { "%fow" } else { "%fo" };
-    let text = format!(
-        "define void @{devname}({}) {{\nentry:\n  br label %h0\nh0:\n  %i = phi {ity_s} [ %b0r, %entry ], [ %inext, %l0 ]\n  %c0 = icmp slt {ity_s} %i, %e0r\n  br i1 %c0, label %pre1, label %x0\npre1:\n  br label %h1\nh1:\n  %j = phi {ity_s} [ %b1c, %pre1 ], [ %jnext, %l1 ]\n  %c1 = icmp slt {ity_s} %j, %e1c\n  br i1 %c1, label %l1, label %x1\nl1:\n{body}  %res = call {oty_s} @{kname}({})\n  %mo = mul {ity_s} %i, %sw\n  %fo = add {ity_s} %mo, %j\n{widen_out}  %oa = getelementptr {oty_s}, {oty_s}* %out, i64 {fow}\n  store {oty_s} %res, {oty_s}* %oa\n  %jnext = add {ity_s} %j, 1\n  br label %h1\nx1:\n  br label %l0\nl0:\n  %inext = add {ity_s} %i, 1\n  br label %h0\nx0:\n  ret void\n}}\n",
-        params.join(", "),
-        kargs.join(", ")
-    );
-    let dev = parse_device(&text)?;
+    kargs.extend(xs);
+    let res = d.append_call(l1, oty, kname, kargs);
+    d.set_name(res, "res");
+    let mo = emit(&mut d, l1, "mo", ity.clone(), Opcode::Mul, vec![i, sw]);
+    let fo = emit(&mut d, l1, "fo", ity, Opcode::Add, vec![mo, j]);
+    let oa = element_addr(&mut d, l1, out, fo, "fow", "oa");
+    d.append_simple(l1, Type::Void, Opcode::Store, vec![res, oa]);
+    step_loop(&mut d, l1, h1, j, "jnext");
+    d.append_br(x1, l0);
+    step_loop(&mut d, l0, h0, i, "inext");
+    d.append_ret(x0, None);
+
     let mut args: Vec<Arg> = vec![Arg::Value(out_base), Arg::Value(out_stride)];
     for rd in &rs {
         args.extend([Arg::Value(rd.base), Arg::Value(rd.stride)]);
@@ -978,5 +965,5 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         ],
     )?);
     args.extend(extras.into_iter().map(Arg::Value));
-    Ok(Call::device(vec![outlined.function], dev, Type::Void, args))
+    Call::device(vec![outlined.function], d, Type::Void, args)
 }

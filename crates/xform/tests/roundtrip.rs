@@ -4,7 +4,8 @@
 
 use idioms::{detect, IdiomInstance, IdiomKind};
 use interp::{Machine, Value};
-use ssair::printer::print_module;
+use ssair::parser::{parse_function_text, parse_module};
+use ssair::printer::{print_function, print_module};
 use ssair::Module;
 use std::sync::Arc;
 
@@ -462,15 +463,74 @@ fn late_refusal_leaves_the_module_unchanged() {
 }
 
 #[test]
+fn forged_bindings_are_refused() {
+    // A caller-supplied instance with a binding forged to the argument `n`:
+    // a `backedge` that no block holds, and a read base that is no pointer
+    // (the other read still roots the loads, so legality admits it). Each
+    // must refuse, not panic or link an ill-typed device program.
+    let cases = [
+        ("void histo(int* img, int* bins, int n) { for (int i = 0; i < n; i++) bins[img[i]] = bins[img[i]] + 1; }", "histo", IdiomKind::Histogram, "backedge", "backedge not placed"),
+        ("void st(double* o, double* a, int n) { for (int i = 1; i < n - 1; i++) o[i] = a[i-1] + a[i+1]; }", "st", IdiomKind::Stencil1D, "read[0].base_pointer", "failed to verify"),
+    ];
+    for (src, fname, kind, binding, why) in cases {
+        let m = compile(src);
+        let f = m.function(fname).unwrap();
+        let mut forged = detect(f)
+            .into_iter()
+            .find(|i| i.kind == kind)
+            .expect("detected");
+        forged.bindings.insert(binding.into(), f.params[2]);
+        let err = refused(&m, &forged, 24);
+        assert!(
+            matches!(&err, xform::XformError::Unsupported(msg) if msg.contains(why)),
+            "{binding}: got {err:?}"
+        );
+    }
+}
+
+/// A histogram whose `getelementptr` takes the `int` bin index unwidened,
+/// which minicc never emits: the device program must widen it itself.
+const INT_BIN_INDEX_HISTOGRAM: &str = "define void @h(i32* %k, i32* %b, i32 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i32 [ 0, %entry ], [ %inext, %latch ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %iw = sext i32 %i to i64
+  %ka = getelementptr i32, i32* %k, i64 %iw
+  %x = load i32, i32* %ka
+  %ba = getelementptr i32, i32* %b, i32 %x
+  %old = load i32, i32* %ba
+  %new = add i32 %old, %x
+  store i32 %new, i32* %ba
+  br label %latch
+latch:
+  %inext = add i32 %i, 1
+  br label %header
+exit:
+  ret void
+}
+";
+
+#[test]
 fn generated_device_code_always_verifies() {
     // Each DSL-path replacement links generated IR; the generator refuses
-    // rather than linking unverifiable code. Spot-check across kinds.
+    // rather than linking unverifiable code. Every device builder and its
+    // index-widening paths are covered, and the text front door must read
+    // back what the builder built.
     let cases = [
-        ("double s(double* x, double* y, int n) { double a = 1.0; for (int i = 0; i < n; i++) a = a * (x[i] + y[i]); return a; }", "s", IdiomKind::Reduction),
-        ("void h(int* k, int* b, int n) { for (int i = 0; i < n; i++) b[k[i]] = b[k[i]] + k[i]; }", "h", IdiomKind::Histogram),
+        (compile("double s(double* x, double* y, int n) { double a = 1.0; for (int i = 0; i < n; i++) a = a * (x[i] + y[i]); return a; }"), "s", IdiomKind::Reduction),
+        // `w` becomes an extra scalar kernel parameter.
+        (compile("double s(double* x, double w, int n) { double a = 0.0; for (int i = 0; i < n; i++) a = a + w * x[i]; return a; }"), "s", IdiomKind::Reduction),
+        (compile("void h(int* k, int* b, int n) { for (int i = 0; i < n; i++) b[k[i]] = b[k[i]] + k[i]; }"), "h", IdiomKind::Histogram),
+        (parse_module(INT_BIN_INDEX_HISTOGRAM).expect("parses"), "h", IdiomKind::Histogram),
+        (compile("void st(double* o, double* a, int n) { for (int i = 1; i < n - 1; i++) o[i] = a[i-1] + a[i] + a[i+1]; }"), "st", IdiomKind::Stencil1D),
+        (compile("void st(double* o, double* a, long n) { for (long i = 1; i < n - 1; i++) o[i] = a[i-1] - a[i+1]; }"), "st", IdiomKind::Stencil1D),
+        (compile("void j(double* o, double* a, int n) { for (int i = 1; i < n - 1; i++) for (int k = 1; k < n - 1; k++) o[i*n+k] = a[(i-1)*n+k] + a[i*n+(k+1)]; }"), "j", IdiomKind::Stencil2D),
     ];
-    for (src, fname, kind) in cases {
-        let m = compile(src);
+    for (m, fname, kind) in cases {
         let insts = detect(m.function(fname).unwrap());
         let inst = insts.iter().find(|i| i.kind == kind).expect("detected");
         let mut t = m.clone();
@@ -478,6 +538,9 @@ fn generated_device_code_always_verifies() {
         for g in &rep.generated {
             let f = t.function(g).expect("linked");
             ssair::verify::verify_function(f).expect("generated code verifies");
+            let text = print_function(f);
+            let reparsed = parse_function_text(&text).expect("generated code parses");
+            assert_eq!(print_function(&reparsed), text, "{g} does not round-trip");
         }
     }
 }

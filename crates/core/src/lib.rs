@@ -827,7 +827,8 @@ pub struct Transformed {
     /// replaced/shadowed/failed records.
     pub xform: xform::ModuleXform,
     /// Structural IR errors of the honest transformed module
-    /// (`ssair::verify::verify_module`, generated kernels included).
+    /// (`ssair::verify::verify_module`, generated device programs and
+    /// every call to them included).
     /// Always empty for a correct backend.
     pub verify_errors: Vec<String>,
 }

@@ -111,4 +111,30 @@ mod tests {
         .unwrap();
         assert!(m.function("dot").is_some());
     }
+
+    /// `return x + x + … ;` with `terms` terms, compiled on a thread with
+    /// the 2 MiB stack test threads get.
+    fn compile_chain(terms: usize) -> Result<ssair::Module, super::CompileError> {
+        let body = vec!["x"; terms].join(" + ");
+        let src = format!("double f(double x) {{ return {body}; }}");
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || super::compile(&src, "chain"))
+            .expect("spawns")
+            .join()
+            .expect("no panic")
+    }
+
+    #[test]
+    fn a_long_operator_chain_is_an_error_not_a_stack_overflow() {
+        // Each `+` nests the tree one level, and lowering recurses per level.
+        compile_chain(100).expect("within the nesting cap");
+        for terms in [300, 40_000] {
+            let err = compile_chain(terms).unwrap_err();
+            assert_eq!(
+                err.message, "nesting deeper than 128 levels",
+                "{terms} terms"
+            );
+        }
+    }
 }

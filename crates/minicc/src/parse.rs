@@ -9,14 +9,21 @@ struct Parser {
     pos: usize,
     /// Open recursive-descent levels (see [`MAX_NESTING`]).
     depth: usize,
+    /// The deepest level reached since [`Parser::chain`] last reset it,
+    /// binary-operator links included.
+    peak: usize,
 }
 
-/// Deepest nesting of statements, parenthesised (sub)expressions and
-/// prefix operators the parser accepts. Every level is a chain of native
-/// stack frames in the parser (and later in lowering), so an unbounded
-/// depth lets a few kilobytes of source overflow a thread's stack — an
-/// abort no caller can contain. Deeper input is a [`CompileError`].
+/// Deepest nesting of statements, parenthesised (sub)expressions, prefix
+/// operators and binary-operator links the parser accepts. Every level is
+/// a chain of native stack frames in the parser and in every AST walker
+/// after it (lowering, printing), so an unbounded depth lets a few
+/// kilobytes of source overflow a thread's stack — an abort no caller can
+/// contain. Deeper input is a [`CompileError`].
 const MAX_NESTING: usize = 128;
+
+/// Builds a binary node from its operands.
+type Link = fn(Box<Expr>, Box<Expr>) -> Expr;
 
 type Result<T> = std::result::Result<T, CompileError>;
 
@@ -27,6 +34,7 @@ pub fn parse_program(source: &str) -> Result<Program> {
         toks,
         pos: 0,
         depth: 0,
+        peak: 0,
     };
     let mut prog = Program::default();
     while !matches!(p.peek(), Tok::Eof) {
@@ -57,15 +65,46 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> CompileError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
     /// Runs `f` one nesting level deeper, refusing past [`MAX_NESTING`].
     fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         if self.depth == MAX_NESTING {
-            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let r = f(self);
         self.depth -= 1;
         r
+    }
+
+    /// Parses the left-associative chain `operand (op operand)*`, where
+    /// `ops` pairs each operator with the node it builds (the first match
+    /// wins, so `<=` must come before `<`). `a + b + c` nests its first
+    /// operand one node deeper per link, so the height of the tree built
+    /// so far counts against [`MAX_NESTING`] like any other nesting.
+    fn chain(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<Expr>,
+        ops: &[(&str, Link)],
+    ) -> Result<Expr> {
+        let outer_peak = std::mem::replace(&mut self.peak, self.depth);
+        let mut lhs = operand(self)?;
+        let mut height = self.peak - self.depth;
+        while let Some(&(_, link)) = ops.iter().find(|(op, _)| self.eat_punct(op)) {
+            self.peak = self.depth;
+            let rhs = operand(self)?;
+            height = 1 + height.max(self.peak - self.depth);
+            if self.depth + height > MAX_NESTING {
+                return Err(self.too_deep());
+            }
+            lhs = link(Box::new(lhs), Box::new(rhs));
+        }
+        self.peak = outer_peak.max(self.depth + height);
+        Ok(lhs)
     }
 
     fn bump(&mut self) -> Tok {
@@ -411,87 +450,54 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_punct("||") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::and_expr, &[("||", Expr::Or)])
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.equality()?;
-        while self.eat_punct("&&") {
-            let rhs = self.equality()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::equality, &[("&&", Expr::And)])
     }
 
     fn equality(&mut self) -> Result<Expr> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = if self.eat_punct("==") {
-                CmpOp::Eq
-            } else if self.eat_punct("!=") {
-                CmpOp::Ne
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.relational()?;
-            lhs = Expr::Cmp(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.chain(
+            Self::relational,
+            &[
+                ("==", |l, r| Expr::Cmp(CmpOp::Eq, l, r)),
+                ("!=", |l, r| Expr::Cmp(CmpOp::Ne, l, r)),
+            ],
+        )
     }
 
     fn relational(&mut self) -> Result<Expr> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = if self.eat_punct("<=") {
-                CmpOp::Le
-            } else if self.eat_punct(">=") {
-                CmpOp::Ge
-            } else if self.eat_punct("<") {
-                CmpOp::Lt
-            } else if self.eat_punct(">") {
-                CmpOp::Gt
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.additive()?;
-            lhs = Expr::Cmp(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.chain(
+            Self::additive,
+            &[
+                ("<=", |l, r| Expr::Cmp(CmpOp::Le, l, r)),
+                (">=", |l, r| Expr::Cmp(CmpOp::Ge, l, r)),
+                ("<", |l, r| Expr::Cmp(CmpOp::Lt, l, r)),
+                (">", |l, r| Expr::Cmp(CmpOp::Gt, l, r)),
+            ],
+        )
     }
 
     fn additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = if self.eat_punct("+") {
-                BinOp::Add
-            } else if self.eat_punct("-") {
-                BinOp::Sub
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.chain(
+            Self::multiplicative,
+            &[
+                ("+", |l, r| Expr::Bin(BinOp::Add, l, r)),
+                ("-", |l, r| Expr::Bin(BinOp::Sub, l, r)),
+            ],
+        )
     }
 
     fn multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = if self.eat_punct("*") {
-                BinOp::Mul
-            } else if self.eat_punct("/") {
-                BinOp::Div
-            } else if self.eat_punct("%") {
-                BinOp::Rem
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.unary()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.chain(
+            Self::unary,
+            &[
+                ("*", |l, r| Expr::Bin(BinOp::Mul, l, r)),
+                ("/", |l, r| Expr::Bin(BinOp::Div, l, r)),
+                ("%", |l, r| Expr::Bin(BinOp::Rem, l, r)),
+            ],
+        )
     }
 
     fn unary(&mut self) -> Result<Expr> {
@@ -681,6 +687,8 @@ mod tests {
             |k: usize| format!("{}return 1.0;{}", "{".repeat(k), "}".repeat(k)),
             |k: usize| format!("{}return 1.0;", "if (n) ".repeat(k)),
             |k: usize| format!("return {}1.0;", "n ? 1.0 : ".repeat(k)),
+            |k: usize| format!("return 1.0{};", " * 1.0".repeat(k)),
+            |k: usize| format!("return n{};", " || n".repeat(k)),
         ];
         for shape in shapes {
             let src = |k| format!("double f(int n) {{ {} }}", shape(k));
@@ -693,6 +701,23 @@ mod tests {
                 shape(1)
             );
         }
+    }
+
+    /// A chain's links nest on top of whatever its first operand holds:
+    /// `((1.0) + 1.0) + 1.0` is two levels per parenthesis.
+    #[test]
+    fn chain_links_count_on_top_of_their_operands() {
+        let src = |k: usize| {
+            let e = format!("{}1.0{}", "(".repeat(k), ") + 1.0".repeat(k));
+            format!("double f(int n) {{ return {e}; }}")
+        };
+        let within = (MAX_NESTING - 2) / 2;
+        parse_program(&src(within)).expect("within the cap");
+        let err = parse_program(&src(within + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_NESTING} levels")
+        );
     }
 
     #[test]

@@ -10,6 +10,8 @@ use crate::analysis::Analyses;
 use crate::function::{BlockId, Function, Instr, Opcode};
 use crate::module::Module;
 use crate::types::Type;
+use crate::ValueId;
+use std::collections::HashMap;
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +30,34 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verifies every function of `m`.
+/// Verifies every function of `m`, and every call to a function defined
+/// in `m` against that function's signature: argument count, argument
+/// types and return type. Calls to symbols `m` does not define (vendor
+/// hosts, intrinsics such as `sqrt`) are not checked.
 pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
+    let mut defined: HashMap<&str, &Function> = HashMap::new();
+    for f in &m.functions {
+        defined.entry(f.name.as_str()).or_insert(f);
+    }
     for f in &m.functions {
         if let Err(mut es) = verify_function(f) {
             errors.append(&mut es);
+            continue; // the call checks index operands the shape check vouches for
+        }
+        for b in f.block_ids() {
+            for &v in &f.block(b).instrs {
+                let i = f.instr(v).expect("verified");
+                let Some(g) = i.callee.as_deref().and_then(|c| defined.get(c)) else {
+                    continue;
+                };
+                if let Err(message) = check_call(f, v, i, g) {
+                    errors.push(VerifyError {
+                        function: f.name.clone(),
+                        message,
+                    });
+                }
+            }
         }
     }
     if errors.is_empty() {
@@ -166,6 +190,38 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
     }
 }
 
+/// The call `v` (instruction `i`) in `f` against the signature of the
+/// module function `g` it calls.
+fn check_call(f: &Function, v: ValueId, i: &Instr, g: &Function) -> Result<(), String> {
+    let call = format!("call {} to @{}", f.display_name(v), g.name);
+    if i.operands.len() != g.params.len() {
+        return Err(format!(
+            "{call} passes {} arguments, @{} takes {}",
+            i.operands.len(),
+            g.name,
+            g.params.len()
+        ));
+    }
+    for (k, (&a, &p)) in i.operands.iter().zip(&g.params).enumerate() {
+        let (have, want) = (&f.value(a).ty, &g.value(p).ty);
+        if have != want {
+            return Err(format!(
+                "{call}: argument {k} is {have}, @{} takes {want}",
+                g.name
+            ));
+        }
+    }
+    if f.value(v).ty != g.ret_ty {
+        return Err(format!(
+            "{call} has type {}, @{} returns {}",
+            f.value(v).ty,
+            g.name,
+            g.ret_ty
+        ));
+    }
+    Ok(())
+}
+
 /// Operand and target counts, id ranges and the callee of one
 /// instruction — everything later checks index without bounds checks.
 fn verify_shape(f: &Function, i: &Instr) -> Result<(), String> {
@@ -235,7 +291,7 @@ fn verify_shape(f: &Function, i: &Instr) -> Result<(), String> {
 // Collapsing the per-opcode checks into match guards would make failing
 // arms fall through to `_`, losing the per-opcode error messages.
 #[allow(clippy::collapsible_match)]
-fn verify_types(f: &Function, v: crate::ValueId, errors: &mut Vec<VerifyError>) {
+fn verify_types(f: &Function, v: ValueId, errors: &mut Vec<VerifyError>) {
     let i = f.instr(v).expect("instruction");
     let ty = &f.value(v).ty;
     macro_rules! err {
@@ -474,6 +530,74 @@ exit:
         g.append_simple(BlockId(0), Type::F64, Opcode::Alloca, vec![four]);
         g.append_ret(BlockId(0), None);
         assert_rejects(&g, "alloca");
+    }
+
+    /// A module of `@g(i64 %n, double* %p) -> double` and a caller
+    /// `@main(i64 %n, double* %p)` whose only call `build` appends.
+    fn caller_of_g(build: impl Fn(&mut Function) -> crate::ValueId) -> Module {
+        let params = [
+            ("n".to_owned(), Type::I64),
+            ("p".to_owned(), Type::F64.ptr_to()),
+        ];
+        let mut m = Module::new("calls");
+        let mut g = Function::new("g", &params, Type::F64);
+        let zero = g.const_float(Type::F64, 0.0);
+        g.append_ret(BlockId(0), Some(zero));
+        m.add_function(g);
+        let mut main = Function::new("main", &params, Type::Void);
+        build(&mut main);
+        main.append_ret(BlockId(0), None);
+        m.add_function(main);
+        m
+    }
+
+    /// Verifies `m` and asserts one error, in `@main`, mentioning `needle`.
+    fn assert_module_rejects(m: &Module, needle: &str) {
+        let errs = verify_module(m).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].function, "main");
+        assert!(
+            errs[0].message.contains(needle),
+            "expected {needle:?}, got {errs:?}"
+        );
+    }
+
+    #[test]
+    fn accepts_calls_matching_the_callee_signature() {
+        let m = caller_of_g(|f| {
+            let args = f.params.clone();
+            f.append_call(BlockId(0), Type::F64, "g", args);
+            // Symbols the module does not define are not checked.
+            f.append_call(BlockId(0), Type::I32, "host", vec![f.params[1]])
+        });
+        verify_module(&m).expect("verifies");
+    }
+
+    #[test]
+    fn rejects_a_call_with_the_wrong_arity() {
+        let m = caller_of_g(|f| {
+            let (n, p) = (f.params[0], f.params[1]);
+            f.append_call(BlockId(0), Type::F64, "g", vec![n, p, n])
+        });
+        assert_module_rejects(&m, "passes 3 arguments, @g takes 2");
+    }
+
+    #[test]
+    fn rejects_a_call_with_a_wrong_argument_type() {
+        let m = caller_of_g(|f| {
+            let p = f.params[1];
+            f.append_call(BlockId(0), Type::F64, "g", vec![p, p])
+        });
+        assert_module_rejects(&m, "argument 0 is double*, @g takes i64");
+    }
+
+    #[test]
+    fn rejects_a_call_with_the_wrong_return_type() {
+        let m = caller_of_g(|f| {
+            let args = f.params.clone();
+            f.append_call(BlockId(0), Type::I64, "g", args)
+        });
+        assert_module_rejects(&m, "has type i64, @g returns double");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! its side-effect-free plan, and its commit swaps in the one edited
 //! function only once it verifies, so an [`XformError`] (unsupported
 //! shape, §6.3 unsoundness) never leaves half-rewritten functions or
-//! orphan generated kernels behind for later instances.
+//! orphan device programs behind for later instances.
 
 use crate::replace::{replace, Replacement, XformError};
 use analysis::ParamAliasFacts;
@@ -139,7 +139,7 @@ pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> Mo
     // identical instances in different functions collide on every other
     // component — without it the tie fell through to input position and
     // shuffling the input order swapped the uids (and thus the names) of
-    // the generated device kernels.
+    // the generated device programs.
     let n = instances.len();
     let mut priority: Vec<usize> = (0..n).collect();
     priority.sort_by(|&x, &y| {
@@ -454,7 +454,7 @@ mod tests {
     fn failed_replacements_leave_no_orphan_functions() {
         // A strided reduction is detected but Unsupported; the committed
         // module must be byte-identical to the input (no half-generated
-        // kernels).
+        // device program).
         let src = "double s(double* x, int n) {
             double a = 0.0;
             for (int i = 0; i < n; i += 3) a += x[i];

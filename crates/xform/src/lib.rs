@@ -9,18 +9,20 @@
 //!   straight out of the constraint solution, exactly like the paper's
 //!   Figure 6 (`cusparseDcsrmv(...)`).
 //! * **DSL path** (§6.2; Halide/Lift-style): the kernel function or
-//!   reduction operator is *outlined* from the constraint solution's
-//!   backward slice into a fresh IR function, a device program is
-//!   generated around it (here: a regenerated IR function, standing in for
-//!   the OpenCL that Lift/Halide would emit), and the original loop is
-//!   replaced with a call to the generated code.
+//!   reduction operator is the constraint solution's pure backward slice
+//!   ([`outline::KernelSlice`]). A device program is generated (here: an IR
+//!   function, standing in for the OpenCL that Lift/Halide would emit)
+//!   with that slice emitted straight into its loop body, as the device
+//!   compiler would inline it, and the original loop is replaced with a
+//!   call to the generated code. The device loop calls nothing per
+//!   element.
 //!
 //! Each rewrite ([`apply_replacement`]) is planned, then committed (see
 //! [`replace`]). The plan reads the function and changes nothing: it
 //! re-validates the §6.3 side conditions natively (no unmatched side
 //! effects or live-outs in the replaced region, a legal region, operands
-//! available at the call site), checks the backend's shape, outlines the
-//! kernel and builds and verifies the generated device program. The
+//! available at the call site), checks the backend's shape, slices out
+//! the kernel and builds and verifies the generated device program. The
 //! commit edits a clone of the one target function and swaps it in only
 //! once it verifies, so a refused rewrite leaves the module untouched;
 //! the tests exercise the rejection paths.
@@ -31,8 +33,9 @@
 //! replaced/shadowed/failed outcome (see [`driver`]).
 //!
 //! [`ir_to_c`] is the paper's "rudimentary LLVM IR to C backend" used to
-//! hand kernels to Lift; [`dsl`] renders Lift and Halide surface programs
-//! for the extracted idioms (what the paper ships to the DSL compilers).
+//! hand kernels ([`outline_kernel`]) to Lift; [`dsl`] renders Lift and
+//! Halide surface programs for the extracted idioms (what the paper ships
+//! to the DSL compilers).
 
 pub mod driver;
 pub mod dsl;

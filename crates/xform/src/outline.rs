@@ -1,14 +1,110 @@
-//! Kernel outlining: materialize the pure backward slice of a matched
-//! kernel output as a standalone IR function.
+//! Kernel slicing: the pure backward slice of a matched kernel output,
+//! cloned wherever the backend needs it.
 //!
 //! The paper cuts the kernel function / reduction operator out of the loop
-//! body and hands it to the DSL backend (§6.2). Here the slice becomes a
-//! fresh [`Function`] whose parameters are the declared kernel inputs; the
-//! generated device program calls it per element.
+//! body and hands it to the DSL backend (§6.2), whose device compiler
+//! inlines it into the loop it generates. Here [`KernelSlice::new`]
+//! computes the slice and its inputs, and [`KernelSlice::emit`] clones it
+//! into a block of another function: `xform::replace` emits it straight
+//! into the body of the generated device loop, so that loop makes no call
+//! per element. [`outline_kernel`] emits the same slice as a standalone
+//! function, the form the IR-to-C backend prints for Lift.
 
 use ssair::analysis::kernel_slice;
 use ssair::{BlockId, Function, Instr, Type, ValueId, ValueKind};
 use std::collections::HashMap;
+
+/// The pure slice computing one kernel output, ready to be emitted.
+#[derive(Debug)]
+pub struct KernelSlice<'f> {
+    src: &'f Function,
+    /// The slice's instructions in program order (value id order matches
+    /// creation order inside a function).
+    instrs: Vec<ValueId>,
+    output: ValueId,
+    /// The declared inputs, then every free argument the slice reads
+    /// (loop-invariant scalars like `alpha`), in first-use order.
+    pub inputs: Vec<ValueId>,
+}
+
+impl<'f> KernelSlice<'f> {
+    /// The slice computing `output` from `inputs` in `src`. Returns `None`
+    /// when the slice is impure (which detection should already have
+    /// excluded).
+    #[must_use]
+    pub fn new(src: &'f Function, output: ValueId, inputs: &[ValueId]) -> Option<KernelSlice<'f>> {
+        let mut instrs = kernel_slice(src, output, inputs, solver::PURE_CALLS)?;
+        instrs.sort_unstable();
+        let mut all = inputs.to_vec();
+        for &v in &instrs {
+            for &op in &src.instr(v).expect("slice instruction").operands {
+                let free = src.is_argument(op) || instrs.binary_search(&op).is_err();
+                if free && !src.is_constant(op) && !all.contains(&op) {
+                    all.push(op);
+                }
+            }
+        }
+        Some(KernelSlice {
+            src,
+            instrs,
+            output,
+            inputs: all,
+        })
+    }
+
+    /// Clones the slice onto the end of `block` in `dst`, reading
+    /// `args[k]` for `self.inputs[k]` and interning its constants in
+    /// `dst`; returns the image of the output, named `%name` unless it is
+    /// one of `args` or a constant (the kernel returns an input as is).
+    ///
+    /// # Panics
+    /// Panics unless `args` has one value per input.
+    pub fn emit(
+        &self,
+        dst: &mut Function,
+        block: BlockId,
+        args: &[ValueId],
+        name: &str,
+    ) -> ValueId {
+        assert_eq!(args.len(), self.inputs.len(), "one argument per input");
+        let src = self.src;
+        let mut map: HashMap<ValueId, ValueId> = self
+            .inputs
+            .iter()
+            .copied()
+            .zip(args.iter().copied())
+            .collect();
+        let remap = |map: &HashMap<ValueId, ValueId>, dst: &mut Function, v: ValueId| {
+            if let Some(&m) = map.get(&v) {
+                return m;
+            }
+            let ty = src.value(v).ty.clone();
+            match src.value(v).kind {
+                ValueKind::ConstInt(c) => dst.const_int(ty, c),
+                ValueKind::ConstFloat(c) => dst.const_float(ty, c),
+                ValueKind::Argument { .. } => unreachable!("free arguments are inputs"),
+                ValueKind::Instr(_) => unreachable!("slice is topologically ordered"),
+            }
+        };
+        for &v in &self.instrs {
+            let instr = src.instr(v).expect("slice instruction");
+            let operands = (instr.operands.iter())
+                .map(|&op| remap(&map, dst, op))
+                .collect();
+            let cloned = Instr {
+                callee: instr.callee.clone(),
+                ..Instr::simple(instr.opcode, operands)
+            };
+            let image = dst.append(block, src.value(v).ty.clone(), cloned);
+            map.insert(v, image);
+        }
+        let result = remap(&map, dst, self.output);
+        if dst.is_instruction(result) && !args.contains(&result) {
+            dst.set_name(result, name);
+        }
+        result
+    }
+}
 
 /// An outlined kernel: the new function plus its input signature.
 #[derive(Debug, Clone)]
@@ -20,8 +116,8 @@ pub struct OutlinedKernel {
 }
 
 /// Outlines the pure slice computing `output` from `inputs` in `src` as a
-/// new function named `name`. Returns `None` when the slice is impure
-/// (which detection should already have excluded).
+/// new function named `name`, whose parameters `%in{k}` are the slice's
+/// [`KernelSlice::inputs`]. Returns `None` when the slice is impure.
 #[must_use]
 pub fn outline_kernel(
     src: &Function,
@@ -29,93 +125,17 @@ pub fn outline_kernel(
     inputs: &[ValueId],
     name: &str,
 ) -> Option<OutlinedKernel> {
-    let pure_calls = solver::PURE_CALLS;
-    let slice = kernel_slice(src, output, inputs, pure_calls)?;
-    // Deterministic order: original program order (value id order matches
-    // creation order inside a function).
-    let mut slice = slice;
-    slice.sort();
-
-    let params: Vec<(String, Type)> = inputs
-        .iter()
-        .enumerate()
+    let slice = KernelSlice::new(src, output, inputs)?;
+    let params: Vec<(String, Type)> = (slice.inputs.iter().enumerate())
         .map(|(k, &v)| (format!("in{k}"), src.value(v).ty.clone()))
         .collect();
-    let ret_ty = src.value(output).ty.clone();
-    let mut out = Function::new(name, &params, ret_ty.clone());
-    let entry = BlockId(0);
-    let mut map: HashMap<ValueId, ValueId> = HashMap::new();
-    for (k, &v) in inputs.iter().enumerate() {
-        map.insert(v, out.params[k]);
-    }
-    let remap = |map: &HashMap<ValueId, ValueId>,
-                 out: &mut Function,
-                 src: &Function,
-                 v: ValueId|
-     -> ValueId {
-        if let Some(&m) = map.get(&v) {
-            return m;
-        }
-        match &src.value(v).kind {
-            ValueKind::ConstInt(c) => out.const_int(src.value(v).ty.clone(), *c),
-            ValueKind::ConstFloat(c) => out.const_float(src.value(v).ty.clone(), *c),
-            ValueKind::Argument { .. } => {
-                unreachable!("free arguments must be declared kernel inputs")
-            }
-            ValueKind::Instr(_) => unreachable!("slice is topologically ordered"),
-        }
-    };
-    // Arguments reachable from the slice that are not declared inputs are
-    // promoted to extra parameters (loop-invariant scalars like `alpha`).
-    let mut extra_inputs: Vec<ValueId> = Vec::new();
-    for &v in &slice {
-        let operands = src.instr(v).expect("slice instruction").operands.clone();
-        for op in operands {
-            if map.contains_key(&op) || src.is_constant(op) {
-                continue;
-            }
-            if src.is_argument(op) || !slice.contains(&op) {
-                // Free value: becomes an extra parameter.
-                let idx = out.params.len();
-                let p = {
-                    let ty = src.value(op).ty.clone();
-                    // Extend the signature.
-                    let name = format!("in{idx}");
-                    out.add_param(&name, ty)
-                };
-                map.insert(op, p);
-                extra_inputs.push(op);
-            }
-        }
-    }
-    for &v in &slice {
-        let instr = src.instr(v).expect("slice instruction").clone();
-        let operands: Vec<ValueId> = instr
-            .operands
-            .iter()
-            .map(|&op| remap(&map, &mut out, src, op))
-            .collect();
-        let cloned = Instr {
-            opcode: instr.opcode,
-            operands,
-            incoming: Vec::new(),
-            targets: Vec::new(),
-            callee: instr.callee.clone(),
-        };
-        let new_v = out.append(entry, src.value(v).ty.clone(), cloned);
-        map.insert(v, new_v);
-    }
-    let result = if let Some(&m) = map.get(&output) {
-        m
-    } else {
-        remap(&map, &mut out, src, output)
-    };
-    out.append_ret(entry, Some(result));
-    let mut inputs_all: Vec<ValueId> = inputs.to_vec();
-    inputs_all.extend(extra_inputs);
+    let mut function = Function::new(name, &params, src.value(output).ty.clone());
+    let args = function.params.clone();
+    let result = slice.emit(&mut function, BlockId(0), &args, "out");
+    function.append_ret(BlockId(0), Some(result));
     Some(OutlinedKernel {
-        function: out,
-        inputs: inputs_all,
+        function,
+        inputs: slice.inputs,
     })
 }
 

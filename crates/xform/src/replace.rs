@@ -4,23 +4,25 @@
 //! **Plan.** `plan` reads the target function and never changes it.
 //! Every fallible step happens here, on one set of analyses: the §6.3
 //! soundness and legality checks (which yield the verdict and
-//! certificate), the backend's shape checks, kernel outlining, building
+//! certificate), the backend's shape checks, kernel slicing, building
 //! and verifying the generated device program, and the check that every
 //! call argument is available at the call site. For the library path the
 //! call targets a fixed-function API entry point (`gemm_f64`,
 //! `csrmv_f64` — installed by the `hetero` crate); for the DSL path the
 //! plan carries the *generated* device program (an IR function standing
-//! in for the OpenCL that Lift/Halide would emit) around the outlined
-//! kernel, and the call targets it.
+//! in for the OpenCL that Lift/Halide would emit), and the call targets
+//! it. The kernel slice is emitted straight into the device loop's body,
+//! as the device compiler would inline it, so the loop calls nothing per
+//! element.
 //!
 //! **Commit.** `commit` excises the matched loop nest on a clone of the
 //! one target function: it inserts the call before the preheader branch,
 //! retargets that branch to the loop's successor block, removes the
 //! now-unreachable loop blocks and verifies the result. Only a verified
-//! function is swapped in, followed by the generated functions, so a
+//! function is swapped in, followed by the generated device program, so a
 //! refused rewrite leaves the module exactly as it was.
 
-use crate::outline::outline_kernel;
+use crate::outline::KernelSlice;
 use analysis::{LegalityVerdict, ParamAliasFacts, SafetyCertificate, VerdictKind};
 use idioms::{IdiomInstance, IdiomKind};
 use ssair::analysis::{AffineMap, Analyses};
@@ -60,8 +62,8 @@ pub struct Replacement {
     pub kind: IdiomKind,
     /// The API entry point or generated device function the call targets.
     pub callee: String,
-    /// Names of functions generated and appended to the module (outlined
-    /// kernels + device programs); empty for library calls.
+    /// Names of the functions generated and appended to the module: the
+    /// one device program for the DSL path, nothing for library calls.
     pub generated: Vec<String>,
     /// The legality verdict that admitted this replacement (never
     /// [`VerdictKind::Rejected`] — rejection aborts the rewrite as
@@ -89,9 +91,8 @@ struct Call {
     args: Vec<Arg>,
     /// The value whose uses the call's result takes over, if any.
     result: Option<ValueId>,
-    /// Outlined kernels, then the verified device program; empty for
-    /// library calls.
-    generated: Vec<Function>,
+    /// The verified device program; none for library calls.
+    generated: Option<Function>,
 }
 
 impl Call {
@@ -102,28 +103,25 @@ impl Call {
             ret_ty: Type::Void,
             args,
             result: None,
-            generated: Vec::new(),
+            generated: None,
         }
     }
 
-    /// A call to the device program `dev`, linked after `kernels`. A
-    /// device program that fails to verify refuses the rewrite.
-    fn device(kernels: Vec<Function>, dev: Function, ret_ty: Type, args: Vec<Arg>) -> Result<Call> {
+    /// A call to the device program `dev`, which gets linked. A device
+    /// program that fails to verify refuses the rewrite.
+    fn device(dev: Function, ret_ty: Type, args: Vec<Arg>) -> Result<Call> {
         ssair::verify::verify_function(&dev).map_err(|es| {
             XformError::Unsupported(format!(
                 "generated device code failed to verify: {}",
                 es.first().map(ToString::to_string).unwrap_or_default()
             ))
         })?;
-        let mut generated = kernels;
-        let callee = dev.name.clone();
-        generated.push(dev);
         Ok(Call {
-            callee,
+            callee: dev.name.clone(),
             ret_ty,
             args,
             result: None,
-            generated,
+            generated: Some(dev),
         })
     }
 }
@@ -326,7 +324,7 @@ fn address_root(f: &Function, mut v: ValueId) -> ValueId {
 
 /// Applies the best available replacement of `inst` inside
 /// `module.functions[..]` (looked up by `inst.function`) and appends any
-/// generated functions to the module. `uid` disambiguates generated
+/// generated device program to the module. `uid` disambiguates generated
 /// names. The rewrite is transactional: on `Err` the module is unchanged.
 pub fn apply_replacement(
     module: &mut Module,
@@ -413,7 +411,7 @@ fn plan(
 /// the precursor branch, retargets that branch from the loop header to
 /// the loop successor, removes the dead loop blocks and cleans up — all
 /// on a clone of the one function. Only when the edited clone verifies
-/// is it swapped in and are the generated functions appended.
+/// is it swapped in and is the generated device program appended.
 fn commit(module: &mut Module, fidx: usize, plan: Plan) -> Result<Replacement> {
     let Plan {
         kind,
@@ -549,7 +547,7 @@ fn plan_spmv(f: &Function, inst: &IdiomInstance) -> Result<Call> {
     Ok(Call::library("csrmv_f64", args))
 }
 
-// ----- DSL path: build the device program around the outlined kernel -----
+// ----- DSL path: build the device program around the kernel slice -----
 //
 // Value and block names, block order and instruction order are part of
 // the printed transformed IR that `tests/replace_suite.rs` pins by hash.
@@ -685,10 +683,9 @@ fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let reads = inst.family("read_value");
     let mut kernel_inputs: Vec<ValueId> = reads.clone();
     kernel_inputs.push(acc);
-    let kname = format!("red_kernel_{uid}");
-    let outlined = outline_kernel(f, update, &kernel_inputs, &kname)
+    let kernel = KernelSlice::new(f, update, &kernel_inputs)
         .ok_or_else(|| XformError::Unsupported("reduction kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = outlined.inputs[kernel_inputs.len()..].to_vec();
+    let extras: Vec<ValueId> = kernel.inputs[kernel_inputs.len()..].to_vec();
 
     let bases = (0..reads.len())
         .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
@@ -712,8 +709,7 @@ fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         .collect();
     kargs.push(dacc);
     kargs.extend(xs);
-    let nacc = d.append_call(latch, aty.clone(), kname, kargs);
-    d.set_name(nacc, "nacc");
+    let nacc = kernel.emit(&mut d, latch, &kargs, "nacc");
     step_loop(&mut d, latch, header, i, "inext");
     d.add_phi_incoming(dacc, nacc, latch);
     d.append_ret(exit, Some(dacc));
@@ -723,7 +719,7 @@ fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     args.extend(extras.into_iter().map(Arg::Value));
     Ok(Call {
         result: Some(acc),
-        ..Call::device(vec![outlined.function], d, aty, args)?
+        ..Call::device(d, aty, args)?
     })
 }
 
@@ -746,11 +742,9 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
     let bin_idx = bind(inst, "bin_idx")?;
     let mut val_inputs: Vec<ValueId> = reads.clone();
     val_inputs.push(old);
-    let vk_name = format!("histo_val_kernel_{uid}");
-    let vk = outline_kernel(f, new_value, &val_inputs, &vk_name)
+    let vk = KernelSlice::new(f, new_value, &val_inputs)
         .ok_or_else(|| XformError::Unsupported("histogram value kernel is not pure".into()))?;
-    let ik_name = format!("histo_idx_kernel_{uid}");
-    let ik = outline_kernel(f, bin_idx, &reads, &ik_name)
+    let ik = KernelSlice::new(f, bin_idx, &reads)
         .ok_or_else(|| XformError::Unsupported("histogram index kernel is not pure".into()))?;
     let v_extras: Vec<ValueId> = vk.inputs[val_inputs.len()..].to_vec();
     let i_extras: Vec<ValueId> = ik.inputs[reads.len()..].to_vec();
@@ -761,7 +755,6 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
     let bins = bind(inst, "bins")?;
     let bty = f.value(old).ty.clone();
     let ity = f.value(bind(inst, "iterator")?).ty.clone();
-    let xty = f.value(bin_idx).ty.clone();
 
     let mut d = Function::new(format!("lift_histo_{uid}"), &[], Type::Void);
     let dbins = d.add_param("bins", bty.clone().ptr_to());
@@ -774,12 +767,10 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
     let loads: Vec<ValueId> = (ptrs.iter().enumerate())
         .map(|(r, &b)| emit_indexed_load(&mut d, latch, r, b, i, "iw"))
         .collect();
-    let xidx = d.append_call(latch, xty, ik_name, [loads.as_slice(), &ixs].concat());
-    d.set_name(xidx, "xidx");
+    let xidx = ik.emit(&mut d, latch, &[&loads[..], &ixs].concat(), "xidx");
     let ba = element_addr(&mut d, latch, dbins, xidx, "xw", "ba");
     let dold = emit(&mut d, latch, "old", bty.clone(), Opcode::Load, vec![ba]);
-    let new = d.append_call(latch, bty, vk_name, [&loads[..], &[dold], &vxs].concat());
-    d.set_name(new, "new");
+    let new = vk.emit(&mut d, latch, &[&loads[..], &[dold], &vxs].concat(), "new");
     d.append_simple(latch, Type::Void, Opcode::Store, vec![new, ba]);
     step_loop(&mut d, latch, header, i, "inext");
     d.append_ret(exit, None);
@@ -788,8 +779,7 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
     args.extend(bases.into_iter().map(Arg::Value));
     args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
     args.extend(i_extras.into_iter().chain(v_extras).map(Arg::Value));
-    let kernels = vec![vk.function, ik.function];
-    Call::device(kernels, d, Type::Void, args)
+    Call::device(d, Type::Void, args)
 }
 
 /// Constant offset of `idx` relative to `center` (`i`, `i±c`), or `None`.
@@ -823,10 +813,9 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let reads = inst.family("read_value");
     let center = bind(inst, "iterator")?;
     let write_value = bind(inst, "write.value")?;
-    let kname = format!("halide_kernel_{uid}");
-    let outlined = outline_kernel(f, write_value, &reads, &kname)
+    let kernel = KernelSlice::new(f, write_value, &reads)
         .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = outlined.inputs[reads.len()..].to_vec();
+    let extras: Vec<ValueId> = kernel.inputs[reads.len()..].to_vec();
     let (mut bases, mut offsets) = (Vec::new(), Vec::new());
     for r in 0..reads.len() {
         let base = bind(inst, &format!("read[{r}].base_pointer"))?;
@@ -842,7 +831,7 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let ity = f.value(center).ty.clone();
 
     let mut d = Function::new(format!("halide_st1_{uid}"), &[], Type::Void);
-    let out = d.add_param("out", oty.clone().ptr_to());
+    let out = d.add_param("out", oty.ptr_to());
     let ptrs = add_params(&mut d, f, "b", &bases);
     let begin = d.add_param("begin", ity.clone());
     let end = d.add_param("end", ity);
@@ -854,8 +843,7 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         kargs.push(emit_indexed_load(&mut d, latch, r, b, idx, "iw"));
     }
     kargs.extend(xs);
-    let res = d.append_call(latch, oty, kname, kargs);
-    d.set_name(res, "res");
+    let res = kernel.emit(&mut d, latch, &kargs, "res");
     let oa = element_addr(&mut d, latch, out, i, "ow", "oa");
     d.append_simple(latch, Type::Void, Opcode::Store, vec![res, oa]);
     step_loop(&mut d, latch, header, i, "inext");
@@ -865,7 +853,7 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     args.extend(bases.into_iter().map(Arg::Value));
     args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
     args.extend(extras.into_iter().map(Arg::Value));
-    Call::device(vec![outlined.function], d, Type::Void, args)
+    Call::device(d, Type::Void, args)
 }
 
 fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
@@ -875,10 +863,9 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let row_iter = bind(inst, "loop[0].iterator")?;
     let col_iter = bind(inst, "loop[1].iterator")?;
     let write_value = bind(inst, "write.value")?;
-    let kname = format!("halide_kernel_{uid}");
-    let outlined = outline_kernel(f, write_value, &reads, &kname)
+    let kernel = KernelSlice::new(f, write_value, &reads)
         .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = outlined.inputs[reads.len()..].to_vec();
+    let extras: Vec<ValueId> = kernel.inputs[reads.len()..].to_vec();
 
     // Write side must be row-major (row in the scaled position).
     if inst.value("write.addr.mulidx") != Some(row_iter) {
@@ -917,7 +904,7 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     }
 
     let mut d = Function::new(format!("halide_st2_{uid}"), &[], Type::Void);
-    let out = d.add_param("out", oty.clone().ptr_to());
+    let out = d.add_param("out", oty.ptr_to());
     let sw = d.add_param("sw", ity.clone());
     let mut ptrs = Vec::new();
     for (r, rd) in rs.iter().enumerate() {
@@ -929,20 +916,37 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let blocks = ["h0", "pre1", "h1", "l1", "x1", "l0", "x0"];
     let [h0, pre1, h1, l1, x1, l0, x0] = blocks.map(|b| d.add_block(b));
     let i = enter_loop(&mut d, [BlockId(0), h0, pre1, x0], ["i", "c0"], b0r, e0r);
+    // The row terms depend only on `%i` and the strides: computed once
+    // per row, in the inner loop's preheader.
+    let mut rows = Vec::new();
+    for (r, (rd, &(_, s))) in rs.iter().zip(&ptrs).enumerate() {
+        let row = offset(&mut d, pre1, i, rd.roff, &format!("ro{r}"));
+        rows.push(emit(
+            &mut d,
+            pre1,
+            format!("m{r}"),
+            ity.clone(),
+            Opcode::Mul,
+            vec![row, s],
+        ));
+    }
+    let mo = emit(&mut d, pre1, "mo", ity.clone(), Opcode::Mul, vec![i, sw]);
     let j = enter_loop(&mut d, [pre1, h1, l1, x1], ["j", "c1"], b1c, e1c);
     let mut kargs = Vec::new();
-    for (r, (rd, &(b, s))) in rs.iter().zip(&ptrs).enumerate() {
-        let row = offset(&mut d, l1, i, rd.roff, &format!("ro{r}"));
+    for (r, ((rd, &(b, _)), &m)) in rs.iter().zip(&ptrs).zip(&rows).enumerate() {
         let col = offset(&mut d, l1, j, rd.coff, &format!("co{r}"));
-        let [m_name, f_name] = [format!("m{r}"), format!("f{r}")];
-        let m = emit(&mut d, l1, m_name, ity.clone(), Opcode::Mul, vec![row, s]);
-        let flat = emit(&mut d, l1, f_name, ity.clone(), Opcode::Add, vec![m, col]);
+        let flat = emit(
+            &mut d,
+            l1,
+            format!("f{r}"),
+            ity.clone(),
+            Opcode::Add,
+            vec![m, col],
+        );
         kargs.push(emit_indexed_load(&mut d, l1, r, b, flat, "fw"));
     }
     kargs.extend(xs);
-    let res = d.append_call(l1, oty, kname, kargs);
-    d.set_name(res, "res");
-    let mo = emit(&mut d, l1, "mo", ity.clone(), Opcode::Mul, vec![i, sw]);
+    let res = kernel.emit(&mut d, l1, &kargs, "res");
     let fo = emit(&mut d, l1, "fo", ity, Opcode::Add, vec![mo, j]);
     let oa = element_addr(&mut d, l1, out, fo, "fow", "oa");
     d.append_simple(l1, Type::Void, Opcode::Store, vec![res, oa]);
@@ -965,5 +969,5 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         ],
     )?);
     args.extend(extras.into_iter().map(Arg::Value));
-    Call::device(vec![outlined.function], d, Type::Void, args)
+    Call::device(d, Type::Void, args)
 }

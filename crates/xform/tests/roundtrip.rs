@@ -6,7 +6,7 @@ use idioms::{detect, IdiomInstance, IdiomKind};
 use interp::{Machine, Value};
 use ssair::parser::{parse_function_text, parse_module};
 use ssair::printer::{print_function, print_module};
-use ssair::Module;
+use ssair::{Module, Opcode, ValueId};
 use std::sync::Arc;
 
 fn compile(src: &str) -> Module {
@@ -535,12 +535,60 @@ fn generated_device_code_always_verifies() {
         let inst = insts.iter().find(|i| i.kind == kind).expect("detected");
         let mut t = m.clone();
         let rep = xform::apply_replacement(&mut t, inst, 22).expect("replaced");
+        let device = std::slice::from_ref(&rep.callee);
+        assert_eq!(rep.generated, device, "only the device program");
         for g in &rep.generated {
             let f = t.function(g).expect("linked");
             ssair::verify::verify_function(f).expect("generated code verifies");
+            // The kernel is emitted into the loop: no call per element.
+            let calls = f.value_ids().filter(|&v| f.opcode(v) == Some(Opcode::Call));
+            assert_eq!(calls.count(), 0, "{g} calls out");
             let text = print_function(f);
             let reparsed = parse_function_text(&text).expect("generated code parses");
             assert_eq!(print_function(&reparsed), text, "{g} does not round-trip");
         }
     }
+}
+
+#[test]
+fn verify_module_checks_calls_between_module_functions() {
+    // A Stencil1D read base forged to `i32 %n`: the device build refuses
+    // it, so no call with an ill-typed argument gets linked.
+    let m = compile("void st(double* o, double* a, int n) { for (int i = 1; i < n - 1; i++) o[i] = a[i-1] + a[i+1]; }");
+    let f = m.function("st").unwrap();
+    let n = f.params[2];
+    let inst = detect(f)
+        .into_iter()
+        .find(|i| i.kind == IdiomKind::Stencil1D)
+        .expect("detected");
+    let mut forged = inst.clone();
+    forged.bindings.insert("read[0].base_pointer".into(), n);
+    refused(&m, &forged, 25);
+
+    // The honest rewrite calls `@halide_st1_25(double* %out, double* %b0,
+    // ...)`. Edit that call site by hand: pass the `double*` base as
+    // `i32 %n`, or pass one argument too many. The caller still verifies
+    // on its own; only the callee's signature refuses the call.
+    let mut t = m.clone();
+    let rep = xform::apply_replacement(&mut t, &inst, 25).expect("replaced");
+    ssair::verify::verify_module(&t).expect("the honest module verifies");
+    let rejects = |edit: &dyn Fn(&mut Vec<ValueId>), why: &str| {
+        let mut bad = t.clone();
+        let st = bad.function_mut("st").unwrap();
+        let call = (st.value_ids())
+            .find(|&v| st.instr(v).and_then(|i| i.callee.as_deref()) == Some(&rep.callee))
+            .expect("call site");
+        edit(&mut st.instr_mut(call).unwrap().operands);
+        ssair::verify::verify_function(st).expect("the caller alone verifies");
+        let errs = ssair::verify::verify_module(&bad).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.message.contains(why)),
+            "{why}: got {errs:?}"
+        );
+    };
+    rejects(
+        &|args| args[1] = n,
+        "argument 1 is i32, @halide_st1_25 takes double*",
+    );
+    rejects(&|args| args.push(n), "arguments, @halide_st1_25 takes");
 }

@@ -12,15 +12,17 @@
 //! pinned constant needs a stated reason.
 
 use idiomatch::core as pipeline;
+use idiomatch::hetero::hosts::register_all;
+use idiomatch::interp::{compile_module, Vm};
 use idiomatch::xform::{InstanceOutcome, Outcome};
 use idiomatch::{benchsuite, progen, ssair};
 
 /// FNV-1a over the transformed modules and outcomes of the 21 suite
 /// benchmarks, in `benchsuite::all()` order.
-const SUITE_XFORM_HASH: u64 = 0xa3e3_03ff_2b87_cbf1;
+const SUITE_XFORM_HASH: u64 = 0xf66c_c310_2ad4_e52e;
 
 /// FNV-1a over the suite (as above) followed by progen seeds 0..2000.
-const SUITE_AND_PROGEN_XFORM_HASH: u64 = 0xbe55_5f5b_5b7f_136c;
+const SUITE_AND_PROGEN_XFORM_HASH: u64 = 0xf9c0_e412_42e0_a678;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -123,4 +125,35 @@ fn every_benchmark_transforms_fully_and_validates() {
     // transformation coverage.
     assert_eq!(detected, 60, "idiom population drifted");
     assert_eq!(replaced, 60, "replacement coverage drifted");
+}
+
+/// VM steps of `entry` in `m` on the canonical input, vendor hosts
+/// registered.
+fn canonical_steps(m: &ssair::Module, b: &benchsuite::Benchmark) -> u64 {
+    let code = compile_module(m);
+    let mut vm = Vm::new(&code);
+    register_all(&mut vm);
+    let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
+    vm.run(b.entry, &args)
+        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+    vm.steps()
+}
+
+#[test]
+fn replacement_costs_at_most_a_tenth_more_steps() {
+    // The device loops hold their kernels inline, so a replaced program
+    // pays at most a little loop bookkeeping over the original.
+    for b in benchsuite::all() {
+        let t = pipeline::compile(b.source, b.name)
+            .expect("compiles")
+            .detect()
+            .transform();
+        let original = canonical_steps(&t.module, &b);
+        let transformed = canonical_steps(&t.xform.module, &b);
+        assert!(
+            transformed * 10 <= original * 11,
+            "{}: {transformed} transformed steps against {original} original",
+            b.name
+        );
+    }
 }

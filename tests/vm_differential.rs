@@ -705,10 +705,11 @@ fn step_limit_cutoffs_agree_two_frames_deep() {
     }
 }
 
-/// Profiles agree through frames: a caller, a device loop and the kernel
-/// it calls once per element (the shape of an outlined Lift/Halide
-/// replacement), then the real ones in the transformed `histo` and
-/// `stencil` benchmarks.
+/// Profiles agree through frames: a caller, a device loop and a kernel
+/// it calls once per element (hand-written, since generated Lift/Halide
+/// device loops hold their kernels inline and call nothing per element),
+/// then the real caller → device program frames of the transformed
+/// `histo` and `stencil` benchmarks.
 #[test]
 fn profiles_agree_through_a_device_loop_chain() {
     fn check(m: &ssair::Module, entry: &str, args: &[Value], mem: &Memory, ctx: &str) {

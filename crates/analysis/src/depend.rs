@@ -18,8 +18,8 @@
 //! demoted to may-alias — which is how the "same array twice" adversary
 //! is kept off the parallel path.
 
-use crate::legality::{address_root, classify_base, MemoryBase};
-use ssair::analysis::{AffineIndex, AffineMap, Analyses, Bound, Coeff};
+use crate::legality::{classify_base, MemoryBase};
+use ssair::analysis::{address_root, AffineIndex, AffineMap, Analyses, Bound, Coeff};
 use ssair::{BlockId, Function, Module, Opcode, Type, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -39,7 +39,7 @@ pub struct FunctionFingerprint {
     /// Number of `call` instructions.
     pub calls: u32,
     /// `true` if some call targets a function outside the pure math
-    /// intrinsic whitelist ([`solver::PURE_CALLS`]).
+    /// intrinsics ([`ssair::MATH_INTRINSICS`]).
     pub has_impure_call: bool,
 }
 
@@ -71,9 +71,9 @@ impl FunctionFingerprint {
         }
         let mut load_addrs: Vec<ValueId> = Vec::new();
         let mut store_addrs: Vec<ValueId> = Vec::new();
-        // Walk placed instructions only: `remove_instruction` leaves
-        // operand-less orphan values behind, and the solver never binds
-        // them either.
+        // Walk placed instructions only: a pass that drops an instruction
+        // leaves its arena slot behind, and the solver never binds it
+        // either.
         let placed = f
             .block_ids()
             .flat_map(|b| f.block(b).instrs.iter().copied());
@@ -117,11 +117,7 @@ impl FunctionFingerprint {
                 }
                 Opcode::Call => {
                     fp.calls += 1;
-                    let pure = i
-                        .callee
-                        .as_deref()
-                        .is_some_and(|c| solver::PURE_CALLS.contains(&c));
-                    if !pure {
+                    if !i.is_math_call() {
                         fp.has_impure_call = true;
                     }
                 }

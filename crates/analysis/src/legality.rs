@@ -8,7 +8,7 @@
 //! idioms), and every call is a pure math intrinsic.
 
 use crate::depend::{classify_alias, disjoint_across, AliasClass, ParamAliasFacts};
-use ssair::analysis::{AffineMap, Analyses};
+use ssair::analysis::{address_root, AffineMap, Analyses, DefUse};
 use ssair::{BlockId, Function, Opcode, ValueId, ValueKind};
 use std::collections::BTreeSet;
 
@@ -61,17 +61,6 @@ impl std::fmt::Display for LegalityError {
     }
 }
 
-/// Follows `gep` chains to the underlying object pointer.
-#[must_use]
-pub fn address_root(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
 /// Verifies that the region is pure outside its reported objects:
 ///
 /// * no impure calls;
@@ -83,9 +72,11 @@ pub fn address_root(f: &Function, mut v: ValueId) -> ValueId {
 ///   cannot change behaviour.
 ///
 /// `reads` and `writes` are the base pointers the detected instance
-/// reports (already rooted or not — roots are taken here).
-pub fn check_region_purity(
+/// reports (already rooted or not — roots are taken here); `defuse` is
+/// `f`'s.
+fn check_region_purity(
     f: &Function,
+    defuse: &DefUse,
     blocks: &[BlockId],
     reads: &[ValueId],
     writes: &[ValueId],
@@ -98,17 +89,16 @@ pub fn check_region_purity(
             return Err(LegalityError::UnnamedObject(f.display_name(r)));
         }
     }
-    let has_users = {
-        let defuse = ssair::analysis::DefUse::new(f);
-        move |v: ValueId| !defuse.users(v).is_empty()
-    };
     for &b in blocks {
         for &v in &f.block(b).instrs {
             let Some(i) = f.instr(v) else { continue };
             match i.opcode {
                 Opcode::Load => {
                     let root = address_root(f, i.operands[0]);
-                    if !read_roots.contains(&root) && !write_roots.contains(&root) && has_users(v) {
+                    if !read_roots.contains(&root)
+                        && !write_roots.contains(&root)
+                        && !defuse.is_unused(v)
+                    {
                         return Err(LegalityError::UnreportedRead(f.display_name(v)));
                     }
                 }
@@ -118,16 +108,10 @@ pub fn check_region_purity(
                         return Err(LegalityError::UnreportedWrite(f.display_name(v)));
                     }
                 }
-                Opcode::Call => {
-                    let pure = i
-                        .callee
-                        .as_deref()
-                        .is_some_and(|c| solver::PURE_CALLS.contains(&c));
-                    if !pure {
-                        return Err(LegalityError::ImpureCall(
-                            i.callee.clone().unwrap_or_default(),
-                        ));
-                    }
+                Opcode::Call if !i.is_math_call() => {
+                    return Err(LegalityError::ImpureCall(
+                        i.callee.clone().unwrap_or_default(),
+                    ));
                 }
                 _ => {}
             }
@@ -182,12 +166,13 @@ impl LegalityVerdict {
 }
 
 /// Judges the legality of replacing `blocks` given the instance's
-/// reported `reads` and `writes` base pointers: purity first (as
-/// [`check_region_purity`]), then every write-object pair is classified —
-/// distinct objects must be proven or assumed disjoint, and a base both
-/// written and read must have its store/load pairs proven per-iteration
-/// disjoint across the loop of `outer_iv` (or be a same-address
-/// read-modify-write, the accumulating-idiom shape).
+/// reported `reads` and `writes` base pointers: purity first (no impure
+/// call, every reported base a named object, every store and live load
+/// rooted at a reported object), then every write-object pair is
+/// classified — distinct objects must be proven or assumed disjoint, and
+/// a base both written and read must have its store/load pairs proven
+/// per-iteration disjoint across the loop of `outer_iv` (or be a
+/// same-address read-modify-write, the accumulating-idiom shape).
 ///
 /// `facts` (module-wide call-site alias facts) upgrades parameter pairs
 /// from assumption to proof, or rejects pairs a call site shows aliased.
@@ -203,7 +188,7 @@ pub fn check_region_legality(
     outer_iv: Option<ValueId>,
     facts: Option<&ParamAliasFacts>,
 ) -> LegalityVerdict {
-    if let Err(e) = check_region_purity(f, blocks, reads, writes) {
+    if let Err(e) = check_region_purity(f, &an.defuse, blocks, reads, writes) {
         return LegalityVerdict::rejected(e.to_string());
     }
     let read_roots: BTreeSet<ValueId> = reads.iter().map(|&v| address_root(f, v)).collect();

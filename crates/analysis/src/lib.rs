@@ -33,8 +33,7 @@ pub use depend::{
 };
 pub use fingerprint::FunctionFingerprint;
 pub use legality::{
-    check_region_legality, check_region_purity, classify_base, LegalityError, LegalityVerdict,
-    MemoryBase, VerdictKind,
+    check_region_legality, classify_base, LegalityError, LegalityVerdict, MemoryBase, VerdictKind,
 };
 pub use lint::{lint_constraint, lint_constraints, Lint, LintRule};
 pub use requirements::IdiomRequirements;

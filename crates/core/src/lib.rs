@@ -173,7 +173,7 @@ pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
             continue;
         };
         let pure_arith = |out, killers: &[ssair::ValueId]| {
-            ssair::analysis::kernel_slice(f, out, killers, solver::PURE_CALLS).is_some_and(|sl| {
+            ssair::analysis::kernel_slice(f, out, killers).is_some_and(|sl| {
                 sl.iter().all(|&v| {
                     !matches!(
                         f.opcode(v),

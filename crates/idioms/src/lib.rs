@@ -643,9 +643,6 @@ pub struct DetectOptions {
     pub max_solutions: usize,
     /// Solver step budget per idiom per function.
     pub max_steps: u64,
-    /// Suppress lower-priority matches contained in higher-priority ones
-    /// (paper reports the most specific idiom per region).
-    pub suppress_contained: bool,
     /// Solve the shared loop-skeleton chains once per function and seed
     /// every idiom's search from the cached solutions. `false` selects
     /// the compatibility slow path (each idiom re-enumerates its loop
@@ -666,7 +663,6 @@ impl Default for DetectOptions {
         DetectOptions {
             max_solutions: 128,
             max_steps: 20_000_000,
-            suppress_contained: true,
             skeleton_prepass: true,
             fingerprint_prepass: true,
         }
@@ -778,11 +774,11 @@ pub fn detect_kinds_with(f: &Function, kinds: &[IdiomKind], opts: &DetectOptions
             if seen_anchor.contains(&inst.anchor) {
                 continue; // operand-order / transposition symmetry
             }
-            if opts.suppress_contained
-                && out.iter().any(|prev| {
-                    prev.kind != kind && inst.blocks.iter().all(|b| prev.blocks.contains(b))
-                })
-            {
+            // A lower-priority match contained in a higher-priority one is
+            // dropped: the paper reports the most specific idiom per region.
+            if out.iter().any(|prev| {
+                prev.kind != kind && inst.blocks.iter().all(|b| prev.blocks.contains(b))
+            }) {
                 continue; // e.g. the dot-product reduction inside a GEMM
             }
             seen_anchor.push(inst.anchor);

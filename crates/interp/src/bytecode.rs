@@ -1101,6 +1101,26 @@ mod tests {
     }
 
     #[test]
+    fn every_math_intrinsic_is_evaluated_with_its_arity() {
+        for &(name, arity) in ssair::MATH_INTRINSICS {
+            let intrinsic = Intrinsic::by_name(name).unwrap_or_else(|| panic!("{name}"));
+            assert!(
+                intrinsic.eval(&vec![Value::F(0.5); arity]).is_ok(),
+                "{name}"
+            );
+            let call = |n: usize| {
+                let args = vec!["double 0.5"; n].join(", ");
+                compile_text(&format!(
+                    "define double @f() {{\nentry:\n  %r = call double @{name}({args})\n  ret double %r\n}}\n"
+                ))
+            };
+            let walk = |m: &ssair::Module| crate::Machine::new(m).run("f", &[]);
+            assert!(walk(&call(arity)).is_ok(), "{name}/{arity}");
+            assert!(walk(&call(arity + 1)).is_err(), "{name}/{}", arity + 1);
+        }
+    }
+
+    #[test]
     fn straight_line_and_loop_functions_compile() {
         let m = compile_text(
             r#"

@@ -235,16 +235,6 @@ impl Memory {
         addr
     }
 
-    /// Allocates and fills an `f32` array; returns its address.
-    pub fn alloc_f32_slice(&mut self, data: &[f32]) -> u64 {
-        let addr = self.alloc(&Type::F32, data.len());
-        for (i, &v) in data.iter().enumerate() {
-            self.store_f32(addr + 4 * i as u64, f64::from(v))
-                .expect("in bounds");
-        }
-        addr
-    }
-
     /// Allocates and fills an `i32` array; returns its address.
     pub fn alloc_i32_slice(&mut self, data: &[i32]) -> u64 {
         let addr = self.alloc(&Type::I32, data.len());
@@ -259,13 +249,6 @@ impl Memory {
     pub fn read_f64_slice(&self, addr: u64, n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| self.load_f64(addr + 8 * i as u64).expect("in bounds"))
-            .collect()
-    }
-
-    /// Reads back an `f32` array (widened).
-    pub fn read_f32_slice(&self, addr: u64, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| self.load_f32(addr + 4 * i as u64).expect("in bounds"))
             .collect()
     }
 
@@ -671,7 +654,5 @@ mod tests {
         assert_eq!(m.read_f64_slice(a, 3), vec![1.0, 2.0, 3.0]);
         let b = m.alloc_i32_slice(&[-1, 5]);
         assert_eq!(m.read_i32_slice(b, 2), vec![-1, 5]);
-        let c = m.alloc_f32_slice(&[0.5]);
-        assert_eq!(m.read_f32_slice(c, 1), vec![0.5]);
     }
 }

@@ -25,24 +25,11 @@ use crate::ast::*;
 use crate::CompileError;
 use ssair::{
     BlockId, FCmpPred, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId,
+    MATH_INTRINSICS,
 };
 use std::collections::{HashMap, HashSet};
 
 type Result<T> = std::result::Result<T, CompileError>;
-
-/// Math intrinsics callable from minicc source. The interpreter and the
-/// kernel-extraction purity check both treat these as pure.
-pub const MATH_INTRINSICS: &[(&str, usize)] = &[
-    ("sqrt", 1),
-    ("fabs", 1),
-    ("exp", 1),
-    ("log", 1),
-    ("sin", 1),
-    ("cos", 1),
-    ("pow", 2),
-    ("fmin", 2),
-    ("fmax", 2),
-];
 
 /// Lowers a parsed program to an SSA module.
 pub fn lower_program(prog: &Program, name: &str) -> Result<Module> {

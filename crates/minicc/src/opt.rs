@@ -21,13 +21,14 @@
 //! once per function and hands them to CSE, LICM and promotion in both
 //! rounds (a debug assertion checks that the edges are unchanged). The
 //! public pass functions are thin wrappers that build their own analyses.
-//! Folding, CSE and load elimination collect their rewrites and hand them
-//! to one [`rewrite_uses`], which also removes the dead code. LICM and
-//! promotion add and move instructions; only instruction placement is
-//! kept up to date while they run.
+//! Folding, CSE, load elimination and promotion collect their rewrites and
+//! hand them to one [`rewrite_uses`], which also removes the dead code.
+//! LICM and promotion add and move instructions and keep a placement
+//! table up to date as they go; promotion is one sweep over the loops
+//! that revisits only a promoted loop and its ancestors.
 
-use ssair::analysis::{Cfg, DomTree, Layout, Loop, LoopForest};
-use ssair::pass::{eliminate_dead_code, remove_instruction, replace_all_uses, rewrite_uses};
+use ssair::analysis::{address_root, Cfg, DomTree, Loop, LoopForest};
+use ssair::pass::{eliminate_dead_code, rewrite_uses};
 use ssair::{
     BlockId, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind,
 };
@@ -302,13 +303,8 @@ pub fn hoist_loop_invariants(f: &mut Function) {
 }
 
 fn hoist(f: &mut Function, cfg: &Cfg, forest: &LoopForest) {
-    // Placement by value id, updated as instructions move.
-    let mut block_of: Vec<Option<BlockId>> = vec![None; f.num_values()];
-    for b in f.block_ids() {
-        for &v in &f.block(b).instrs {
-            block_of[v.0 as usize] = Some(b);
-        }
-    }
+    // Updated as instructions move.
+    let mut block_of = placement(f);
     let mut innermost_first: Vec<&Loop> = forest.loops.iter().collect();
     innermost_first.sort_by_key(|l| std::cmp::Reverse(l.depth));
     for l in innermost_first {
@@ -346,6 +342,19 @@ fn hoist(f: &mut Function, cfg: &Cfg, forest: &LoopForest) {
     }
 }
 
+/// Each value's block, by value id (`None` for arguments, constants and
+/// unplaced instructions). LICM and promotion keep it up to date as they
+/// move instructions.
+fn placement(f: &Function) -> Vec<Option<BlockId>> {
+    let mut block_of = vec![None; f.num_values()];
+    for b in f.block_ids() {
+        for &v in &f.block(b).instrs {
+            block_of[v.0 as usize] = Some(b);
+        }
+    }
+    block_of
+}
+
 /// The unique predecessor of the loop header outside the loop, if the loop
 /// is in canonical form (one preheader, one latch).
 fn unique_preheader(cfg: &Cfg, l: &Loop) -> Option<BlockId> {
@@ -362,31 +371,6 @@ fn unique_preheader(cfg: &Cfg, l: &Loop) -> Option<BlockId> {
     }
 }
 
-/// Instruction-granularity dominance (reflexive): `a` dominates `b` when
-/// both are placed and `a` comes first in their block or its block
-/// dominates `b`'s.
-fn dominates(layout: &Layout, dom: &DomTree, a: ValueId, b: ValueId) -> bool {
-    let (Some(ba), Some(bb)) = (layout.block_of(a), layout.block_of(b)) else {
-        return false;
-    };
-    if ba == bb {
-        layout.position(a) <= layout.position(b)
-    } else {
-        dom.dominates(ba, bb)
-    }
-}
-
-/// The root object of an address: the alloca or argument the gep chain
-/// starts from.
-fn address_root(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
 /// Promotes single-location read-modify-write loops to register
 /// accumulation:
 ///
@@ -397,11 +381,18 @@ fn address_root(f: &Function, mut v: ValueId) -> ValueId {
 /// becomes a phi accumulator with the load hoisted to the preheader and the
 /// store sunk to the exit block. Soundness relies on the frontend's
 /// restrict-parameter model: addresses rooted at distinct parameters or
-/// allocas do not alias.
+/// allocas do not alias. A loop that can also be left some other way
+/// (an early `return`) keeps its store, since that way skips the exit
+/// block.
 ///
-/// Promotions repeat until none applies; each rescans the loops from the
-/// outermost, because a store sunk out of an inner loop can be promoted
-/// out of its parent.
+/// One sweep visits the loops in forest order (every loop after its
+/// ancestors) and promotes each loop's stores in order. A promotion edits
+/// only its loop's header, preheader, exit and loads, so it can make only
+/// that loop and its ancestors promotable again (a store sunk out of an
+/// inner loop can be promoted out of its parent): the sweep rescans just
+/// those, outermost first. That is the order a restart from the first
+/// loop after every promotion would take. The promoted loads' users move
+/// to their phis in one [`rewrite_uses`] at the end.
 pub fn promote_read_modify_write(f: &mut Function) {
     let cfg = Cfg::new(f);
     let dom = DomTree::dominators(&cfg);
@@ -410,128 +401,215 @@ pub fn promote_read_modify_write(f: &mut Function) {
 }
 
 fn promote(f: &mut Function, cfg: &Cfg, dom: &DomTree, forest: &LoopForest) {
-    while promote_one(f, cfg, dom, forest) {}
+    // No pass changes the CFG, so each loop's shape is fixed.
+    let shapes: Vec<Option<Shape>> = forest.loops.iter().map(|l| Shape::of(cfg, l)).collect();
+    let mut sweep = Sweep::new(f);
+    for k in 0..forest.loops.len() {
+        // The loop and its ancestors, outermost first (forest order).
+        let mut chain = vec![k];
+        while let Some(parent) = forest.loops[chain[chain.len() - 1]].parent {
+            chain.push(parent);
+        }
+        chain.reverse();
+        // The ancestors were settled when the sweep passed them; only a
+        // promotion in the chain can reopen them.
+        let mut from = chain.len() - 1;
+        while let Some((shape, site)) = chain[from..].iter().find_map(|&i| {
+            let shape = shapes[i]?;
+            let site = sweep.find(f, dom, &forest.loops[i], shape)?;
+            Some((shape, site))
+        }) {
+            sweep.promote(f, shape, site);
+            from = 0;
+        }
+    }
+    debug_assert!(
+        (forest.loops.iter().zip(&shapes))
+            .all(|(l, shape)| shape.is_none_or(|shape| sweep.find(f, dom, l, shape).is_none())),
+        "the sweep left a promotable loop behind"
+    );
+    let rewrites: Vec<(ValueId, ValueId)> = (sweep.phi_of.iter().enumerate())
+        .filter_map(|(v, phi)| phi.map(|phi| (ValueId(v as u32), phi)))
+        .collect();
+    rewrite_uses(f, &rewrites);
 }
 
-fn promote_one(f: &mut Function, cfg: &Cfg, dom: &DomTree, forest: &LoopForest) -> bool {
-    // The previous promotion added and removed instructions.
-    let layout = Layout::new(f);
-    for l in &forest.loops {
-        let Some(preheader) = unique_preheader(cfg, l) else {
-            continue;
-        };
-        let latch = l.latches[0];
-        // Canonical single exit from the header.
-        let exits: Vec<BlockId> = cfg
-            .succs(l.header)
-            .iter()
-            .copied()
-            .filter(|s| !l.contains(*s))
+/// The blocks a promotion in a loop edits. Only a loop in canonical form
+/// has them: one preheader, one latch, and one exit edge, from the header
+/// to a block with no other predecessor. The sunk store goes there, so
+/// any other way out of the loop (an early `return`) would skip it.
+#[derive(Clone, Copy)]
+struct Shape {
+    header: BlockId,
+    preheader: BlockId,
+    latch: BlockId,
+    exit: BlockId,
+}
+
+impl Shape {
+    fn of(cfg: &Cfg, l: &Loop) -> Option<Shape> {
+        let preheader = unique_preheader(cfg, l)?;
+        let exits: Vec<(BlockId, BlockId)> = (l.blocks.iter())
+            .flat_map(|&b| cfg.succs(b).iter().map(move |&s| (b, s)))
+            .filter(|&(_, s)| !l.contains(s))
             .collect();
-        let exit_ok = exits.len() == 1 && cfg.preds(exits[0]).len() == 1;
-        if !exit_ok {
-            continue;
+        let [(from, exit)] = exits[..] else {
+            return None;
+        };
+        let canonical =
+            from == l.header && cfg.preds(exit).len() == 1 && cfg.preds(l.header).len() == 2;
+        canonical.then_some(Shape {
+            header: l.header,
+            preheader,
+            latch: l.latches[0],
+            exit,
+        })
+    }
+}
+
+/// A promotable store and what its promotion edits.
+struct Site {
+    store: ValueId,
+    addr: ValueId,
+    value: ValueId,
+    /// The loop's loads of `addr`.
+    loads: Vec<ValueId>,
+}
+
+/// The promotion sweep's view of `f` while it edits: placement, and the
+/// loads already promoted but not yet rewritten to their phis.
+struct Sweep {
+    /// Placement by value id, updated as instructions come and go.
+    block_of: Vec<Option<BlockId>>,
+    /// The accumulator phi replacing each promoted load, by value id.
+    phi_of: Vec<Option<ValueId>>,
+}
+
+impl Sweep {
+    fn new(f: &Function) -> Sweep {
+        Sweep {
+            block_of: placement(f),
+            phi_of: vec![None; f.num_values()],
         }
-        let exit = exits[0];
-        // Gather memory operations of the loop.
-        let mut loads: Vec<ValueId> = Vec::new();
-        let mut stores: Vec<ValueId> = Vec::new();
-        let mut has_call = false;
+    }
+
+    /// `v` as the finished sweep sees it: a promoted load is its phi.
+    fn resolve(&self, v: ValueId) -> ValueId {
+        self.phi_of[v.0 as usize].unwrap_or(v)
+    }
+
+    fn block_of(&self, v: ValueId) -> Option<BlockId> {
+        self.block_of[v.0 as usize]
+    }
+
+    /// The first store of `l`, of shape `shape`, that can be promoted.
+    fn find(&self, f: &Function, dom: &DomTree, l: &Loop, shape: Shape) -> Option<Site> {
+        // Memory operations of the loop with their resolved addresses and
+        // address roots; a call other than a math intrinsic rules it out.
+        let root = |addr: ValueId| self.resolve(address_root(f, addr));
+        let mut loads: Vec<(ValueId, ValueId, ValueId)> = Vec::new();
+        let mut stores: Vec<(ValueId, ValueId, ValueId)> = Vec::new();
         for &b in &l.blocks {
             for &v in &f.block(b).instrs {
-                match f.opcode(v) {
-                    Some(Opcode::Load) => loads.push(v),
-                    Some(Opcode::Store) => stores.push(v),
-                    Some(Opcode::Call) => {
-                        let callee = f.instr(v).and_then(|i| i.callee.clone());
-                        let pure = callee.as_deref().is_some_and(|c| {
-                            crate::lower::MATH_INTRINSICS.iter().any(|(n, _)| *n == c)
-                        });
-                        if !pure {
-                            has_call = true;
-                        }
+                let Some(i) = f.instr(v) else { continue };
+                match i.opcode {
+                    Opcode::Load => {
+                        let addr = self.resolve(i.operands[0]);
+                        loads.push((v, addr, root(addr)));
                     }
+                    Opcode::Store => {
+                        let addr = self.resolve(i.operands[1]);
+                        stores.push((v, addr, root(addr)));
+                    }
+                    Opcode::Call if !i.is_math_call() => return None,
                     _ => {}
                 }
             }
         }
-        if has_call {
-            continue;
-        }
-        for &store in &stores {
-            let addr = f.instr(store).expect("store").operands[1];
-            // Address must be defined outside the loop.
-            if layout.block_of(addr).is_some_and(|b| l.contains(b)) {
-                continue;
-            }
-            let root = address_root(f, addr);
-            // The store must execute every iteration.
-            let sb = layout.block_of(store).expect("placed");
-            if !dom.dominates(sb, latch) {
-                continue;
-            }
-            // No other store in the loop may alias; same-root loads must use
-            // the identical address value.
-            let other_store_conflicts = stores.iter().any(|&s| {
-                s != store && address_root(f, f.instr(s).expect("store").operands[1]) == root
-            });
-            if other_store_conflicts {
-                continue;
-            }
-            let same_addr_loads: Vec<ValueId> = loads
-                .iter()
-                .copied()
-                .filter(|&ld| f.instr(ld).expect("load").operands[0] == addr)
-                .collect();
-            let aliasing_other_load = loads.iter().any(|&ld| {
-                let a = f.instr(ld).expect("load").operands[0];
-                a != addr && address_root(f, a) == root
-            });
-            if aliasing_other_load {
-                continue;
-            }
-            // All loads must be dominated by the header (they are in the
-            // loop) and must happen before the store rewrites the location
-            // — guaranteed in SSA by dominance of uses; the rotation below
-            // is value-accurate regardless of order because the phi carries
-            // the latest value.
-            let header_preds = cfg.preds(l.header);
-            if header_preds.len() != 2 {
-                continue;
-            }
-            let stored_value = f.instr(store).expect("store").operands[0];
-            // The stored value must dominate the latch terminator.
-            let latch_term = f.terminator(latch).expect("terminated");
-            if f.is_instruction(stored_value) && !dominates(&layout, dom, stored_value, latch_term)
+        for &(store, addr, r) in &stores {
+            // The address is defined outside the loop, and the store
+            // executes every iteration.
+            let sb = self.block_of(store).expect("placed");
+            if self.block_of(addr).is_some_and(|b| l.contains(b)) || !dom.dominates(sb, shape.latch)
             {
                 continue;
             }
-            let ty = f
-                .value(addr)
-                .ty
-                .pointee()
-                .expect("store address is a pointer")
-                .clone();
-
-            // --- transform ---
-            let load = Instr::simple(Opcode::Load, vec![addr]);
-            let init = f.insert(preheader, InsertPoint::BeforeTerminator, ty.clone(), load);
-            let phi = f.append_phi(l.header, ty);
-            f.set_name(phi, "promoted");
-            f.add_phi_incoming(phi, init, preheader);
-            f.add_phi_incoming(phi, stored_value, latch);
-            for ld in same_addr_loads {
-                replace_all_uses(f, ld, phi);
-                remove_instruction(f, ld);
+            // No other store may alias it, and every load of its object
+            // reads the identical address value.
+            if stores.iter().any(|&(s, _, sr)| s != store && sr == r)
+                || loads.iter().any(|&(_, a, lr)| a != addr && lr == r)
+            {
+                continue;
             }
-            remove_instruction(f, store);
-            // Store the final value at the exit (its single pred is the header).
-            let sunk = Instr::simple(Opcode::Store, vec![phi, addr]);
-            f.insert(exit, InsertPoint::AfterPhis, Type::Void, sunk);
-            return true;
+            // The stored value is available at the end of the latch.
+            let value = self.resolve(f.instr(store).expect("store").operands[0]);
+            if f.is_instruction(value)
+                && !self
+                    .block_of(value)
+                    .is_some_and(|b| dom.dominates(b, shape.latch))
+            {
+                continue;
+            }
+            let loads = (loads.iter())
+                .filter(|&&(_, a, _)| a == addr)
+                .map(|&(v, _, _)| v)
+                .collect();
+            return Some(Site {
+                store,
+                addr,
+                value,
+                loads,
+            });
         }
+        None
     }
-    false
+
+    fn promote(&mut self, f: &mut Function, shape: Shape, site: Site) {
+        let ty = f
+            .value(site.addr)
+            .ty
+            .pointee()
+            .expect("store address is a pointer")
+            .clone();
+        let load = Instr::simple(Opcode::Load, vec![site.addr]);
+        let at = InsertPoint::BeforeTerminator;
+        let init = self.insert(f, shape.preheader, at, ty.clone(), load);
+        let phi = Instr::simple(Opcode::Phi, Vec::new());
+        let phi = self.insert(f, shape.header, InsertPoint::AfterPhis, ty, phi);
+        f.set_name(phi, "promoted");
+        f.add_phi_incoming(phi, init, shape.preheader);
+        f.add_phi_incoming(phi, site.value, shape.latch);
+        for &ld in &site.loads {
+            self.take(f, ld);
+            self.phi_of[ld.0 as usize] = Some(phi);
+        }
+        self.take(f, site.store);
+        // Store the final value at the exit (its single pred is the header).
+        let sunk = Instr::simple(Opcode::Store, vec![phi, site.addr]);
+        self.insert(f, shape.exit, InsertPoint::AfterPhis, Type::Void, sunk);
+    }
+
+    /// Creates and places an instruction, as [`Function::insert`].
+    fn insert(
+        &mut self,
+        f: &mut Function,
+        b: BlockId,
+        at: InsertPoint,
+        ty: Type,
+        i: Instr,
+    ) -> ValueId {
+        let v = f.insert(b, at, ty, i);
+        self.block_of.resize(f.num_values(), None);
+        self.phi_of.resize(f.num_values(), None);
+        self.block_of[v.0 as usize] = Some(b);
+        v
+    }
+
+    /// Takes the placed instruction `v` out of its block.
+    fn take(&mut self, f: &mut Function, v: ValueId) {
+        let b = self.block_of[v.0 as usize].take().expect("placed");
+        f.block_mut(b).instrs.retain(|&x| x != v);
+    }
 }
 
 #[cfg(test)]
@@ -641,6 +719,22 @@ mod tests {
     }
 
     #[test]
+    fn promotion_is_blocked_by_an_early_return() {
+        // The sunk store would sit on the header's exit, which the
+        // `return` path never reaches.
+        let src = "void f(double* a, double* x, int n) {
+            for (int k = 0; k < n; k++) { a[0] = a[0] + x[k]; if (x[k] > 5.0) return; }
+        }";
+        let m = compile(src, "t").unwrap();
+        let f = m.function("f").unwrap();
+        let promoted = f
+            .block_ids()
+            .flat_map(|b| f.block(b).instrs.clone())
+            .any(|v| f.value(v).name.as_deref() == Some("promoted"));
+        assert!(!promoted, "{f}");
+    }
+
+    #[test]
     fn scalar_accumulation_still_works_end_to_end() {
         let m = compile(
             "double dot(double* x, double* y, int n) { double acc = 0.0; for (int i = 0; i < n; i++) acc += x[i] * y[i]; return acc; }",
@@ -747,6 +841,31 @@ mod tests {
             .filter(|&v| f.opcode(v) == Some(Opcode::Store))
             .count();
         assert_eq!(stores_in_loops, 0, "{f}");
+    }
+
+    #[test]
+    fn promotion_chains_from_an_inner_loop_to_its_parent() {
+        // Promoting the inner loop sinks its store to the inner exit, in
+        // the outer loop's body, where the outer loop promotes it again.
+        let src = "void f(double* a, double* x, int n) {
+            for (int i = 0; i < n; i++) for (int k = 0; k < n; k++) a[0] = a[0] + x[i*n+k];
+        }";
+        let m = compile(src, "t").unwrap();
+        ssair::verify::verify_module(&m).expect("optimized IR verifies");
+        let f = m.function("f").unwrap();
+        let promoted = f
+            .block_ids()
+            .flat_map(|b| f.block(b).instrs.clone())
+            .filter(|&v| f.value(v).name.as_deref() == Some("promoted"))
+            .count();
+        assert_eq!(promoted, 2, "one accumulator per loop:\n{f}");
+        let count = |op: Opcode| {
+            f.block_ids()
+                .flat_map(|b| f.block(b).instrs.clone())
+                .filter(|&v| f.opcode(v) == Some(op))
+                .count()
+        };
+        assert_eq!(count(Opcode::Store), 1, "one store, after the nest:\n{f}");
     }
 
     #[test]

@@ -12,12 +12,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-/// Pure math callees allowed inside extracted kernel functions (matches
-/// the minicc intrinsic set).
-pub const PURE_CALLS: &[&str] = &[
-    "sqrt", "fabs", "exp", "log", "sin", "cos", "pow", "fmin", "fmax",
-];
-
 /// One satisfying assignment: flattened variable name → IR value.
 ///
 /// The search itself runs entirely on dense [`VarId`]-indexed slots; the
@@ -930,7 +924,7 @@ impl<'f> Solver<'f> {
                     for &fam in &a.families {
                         killers.extend(Self::resolve_family(full, symbols, fam));
                     }
-                    kernel_slice(self.f, sink, &killers, PURE_CALLS).is_some()
+                    kernel_slice(self.f, sink, &killers).is_some()
                 }
                 _ => {
                     let mut vals = Vec::with_capacity(a.vars.len());

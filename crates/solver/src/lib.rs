@@ -35,7 +35,7 @@
 
 mod engine;
 
-pub use engine::{RowsOutcome, Solution, SolveOptions, SolveOutcome, Solver, PURE_CALLS};
+pub use engine::{RowsOutcome, Solution, SolveOptions, SolveOutcome, Solver};
 
 #[cfg(test)]
 mod tests {

@@ -138,12 +138,6 @@ impl DomTree {
         ea != u32::MAX && eb != u32::MAX && ea <= eb && time(&self.exit, b) <= time(&self.exit, a)
     }
 
-    /// Strict (post-)dominance.
-    #[must_use]
-    pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.dominates(a, b)
-    }
-
     /// The immediate dominator of `b`, or `None` for the root, the virtual
     /// exit's children, or unprocessed blocks.
     #[must_use]
@@ -283,7 +277,6 @@ join:
         assert!(dom.dominates(entry, t));
         assert!(!dom.dominates(t, join), "join reachable via e");
         assert!(dom.dominates(join, join), "reflexive");
-        assert!(!dom.strictly_dominates(join, join));
         assert_eq!(dom.idom(join), Some(entry));
         assert_eq!(dom.idom(t), Some(entry));
         assert_eq!(dom.idom(entry), None);

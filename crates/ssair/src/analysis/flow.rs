@@ -93,18 +93,13 @@ pub fn all_data_flow_passes_through(
 ///
 /// `Some` means every backward data-flow path from `sink` ends at a
 /// killer, a constant or an argument, through pure arithmetic and calls
-/// to the math intrinsics in `pure_calls`. That is the varlist atomic
+/// to the [`crate::MATH_INTRINSICS`]. That is the varlist atomic
 /// `all flow to {sink} is killed by {killers}` of the `KernelFunction`
 /// building block: the kernel value is a detachable pure function of its
 /// declared inputs, which is what makes histogram/reduction/stencil
 /// kernels extractable (§4.2, §6.2 of the paper).
 #[must_use]
-pub fn kernel_slice(
-    f: &Function,
-    sink: ValueId,
-    killers: &[ValueId],
-    pure_calls: &[&str],
-) -> Option<Vec<ValueId>> {
+pub fn kernel_slice(f: &Function, sink: ValueId, killers: &[ValueId]) -> Option<Vec<ValueId>> {
     let mut slice = Vec::new();
     let mut seen: HashSet<ValueId> = HashSet::new();
     let mut stack = vec![sink];
@@ -115,9 +110,7 @@ pub fn kernel_slice(
         match &f.value(v).kind {
             ValueKind::ConstInt(_) | ValueKind::ConstFloat(_) | ValueKind::Argument { .. } => {}
             ValueKind::Instr(i) => {
-                let pure_call = i.opcode == crate::Opcode::Call
-                    && i.callee.as_deref().is_some_and(|c| pure_calls.contains(&c));
-                if !(i.opcode.is_pure_arith() || pure_call) {
+                if !(i.opcode.is_pure_arith() || i.is_math_call()) {
                     return None; // impure instruction inside the slice
                 }
                 slice.push(v);
@@ -214,30 +207,31 @@ entry:
         let bad = get(&f, "bad");
         let x = get(&f, "x");
         // s is a pure function of u and v.
-        let slice = kernel_slice(&f, s, &[u, v], &[]).expect("pure slice");
+        let slice = kernel_slice(&f, s, &[u, v]).expect("pure slice");
         assert_eq!(slice.len(), 2, "fmul and fadd");
         // bad pulls in a load -> not pure.
-        assert!(kernel_slice(&f, bad, &[u, v], &[]).is_none());
+        assert!(kernel_slice(&f, bad, &[u, v]).is_none());
         // Unless the load result itself is declared an input (killer).
-        assert!(kernel_slice(&f, bad, &[u, v, x], &[]).is_some());
+        assert!(kernel_slice(&f, bad, &[u, v, x]).is_some());
     }
 
     #[test]
-    fn kernel_slice_allows_whitelisted_calls() {
+    fn kernel_slice_allows_math_intrinsic_calls_only() {
         let f = parse_function_text(
             r#"
 define double @k(double %u) {
 entry:
   %r = call double @sqrt(double %u)
   %s = fadd double %r, 1.0
+  %h = call double @helper(double %u)
+  %t = fadd double %h, 1.0
   ret double %s
 }
 "#,
         )
         .unwrap();
         let u = f.params[0];
-        let s = get(&f, "s");
-        assert!(kernel_slice(&f, s, &[u], &["sqrt"]).is_some());
-        assert!(kernel_slice(&f, s, &[u], &[]).is_none());
+        assert!(kernel_slice(&f, get(&f, "s"), &[u]).is_some());
+        assert!(kernel_slice(&f, get(&f, "t"), &[u]).is_none());
     }
 }

@@ -42,34 +42,37 @@ impl LoopForest {
     /// Detects the natural loops of `cfg` using `dom`.
     #[must_use]
     pub fn new(cfg: &Cfg, dom: &DomTree) -> LoopForest {
+        // Per-block scratch, reused by each step below; `NONE` is unset.
+        const NONE: usize = usize::MAX;
+        let mut slot = vec![NONE; cfg.succs.len()];
         // Find back edges: latch -> header where header dominates latch.
+        // `slot` maps a header to its index in `headers`.
         let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for &b in &cfg.rpo {
             for &s in cfg.succs(b) {
                 if dom.dominates(s, b) {
-                    match headers.iter_mut().find(|(h, _)| *h == s) {
-                        Some((_, latches)) => latches.push(b),
-                        None => headers.push((s, vec![b])),
+                    let k = &mut slot[s.0 as usize];
+                    if *k == NONE {
+                        *k = headers.len();
+                        headers.push((s, Vec::new()));
                     }
+                    headers[*k].1.push(b);
                 }
             }
         }
         // Natural loop body: header plus all blocks that reach a latch
-        // without going through the header.
+        // without going through the header. `slot[b] == k` marks `b` as
+        // in the body of loop `k` (the loops are built in `headers`
+        // order).
         let mut loops: Vec<Loop> = Vec::new();
-        for (header, latches) in headers {
+        for (k, (header, latches)) in headers.into_iter().enumerate() {
             let mut blocks = vec![header];
+            slot[header.0 as usize] = k;
             let mut stack = latches.clone();
             while let Some(b) = stack.pop() {
-                if !blocks.contains(&b) {
+                if std::mem::replace(&mut slot[b.0 as usize], k) != k {
                     blocks.push(b);
-                    for &p in cfg.preds(b) {
-                        if p != header {
-                            stack.push(p);
-                        } else if !blocks.contains(&header) {
-                            blocks.push(header);
-                        }
-                    }
+                    stack.extend(cfg.preds(b).iter().filter(|&&p| p != header));
                 }
             }
             loops.push(Loop {
@@ -81,19 +84,18 @@ impl LoopForest {
             });
         }
         // Sort outer-first by body size (an outer loop strictly contains its
-        // nested loops' blocks) and link parents.
+        // nested loops' blocks) and link parents: `slot[b]` becomes the
+        // smallest loop so far that contains `b`, since later loops are no
+        // larger.
         loops.sort_by_key(|l| std::cmp::Reverse(l.blocks.len()));
+        slot.fill(NONE);
         for i in 0..loops.len() {
-            let mut best: Option<usize> = None;
-            for j in 0..i {
-                if loops[j].contains(loops[i].header) && loops[j].header != loops[i].header {
-                    // The smallest enclosing loop wins; since loops are
-                    // sorted by descending size, later j is smaller.
-                    best = Some(j);
-                }
+            let parent = Some(slot[loops[i].header.0 as usize]).filter(|&p| p != NONE);
+            loops[i].parent = parent;
+            loops[i].depth = parent.map_or(1, |p| loops[p].depth + 1);
+            for &b in &loops[i].blocks {
+                slot[b.0 as usize] = i;
             }
-            loops[i].parent = best;
-            loops[i].depth = best.map_or(1, |b| loops[b].depth + 1);
         }
         LoopForest { loops }
     }

@@ -23,7 +23,19 @@ pub use flow::{all_control_flow_passes_through, all_data_flow_passes_through, ke
 pub use layout::Layout;
 pub use loops::{Loop, LoopForest};
 
-use crate::function::{Function, ValueId};
+use crate::function::{Function, Opcode, ValueId};
+
+/// The object an address points into: the end of its `gep` chain (an
+/// argument, an `alloca`, or any other pointer value).
+#[must_use]
+pub fn address_root(f: &Function, mut v: ValueId) -> ValueId {
+    loop {
+        match f.instr(v) {
+            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
+            _ => return v,
+        }
+    }
+}
 
 /// All analyses for one function, computed eagerly and cached together.
 ///

@@ -317,7 +317,33 @@ impl Instr {
             ..Instr::simple(Opcode::Call, args)
         }
     }
+
+    /// `true` for a `call` of one of the [`MATH_INTRINSICS`], the only
+    /// calls every purity check treats as side-effect free.
+    #[must_use]
+    pub fn is_math_call(&self) -> bool {
+        self.opcode == Opcode::Call
+            && self
+                .callee
+                .as_deref()
+                .is_some_and(|c| MATH_INTRINSICS.iter().any(|&(name, _)| name == c))
+    }
 }
+
+/// The math intrinsics, with their arities: pure functions of `double`
+/// arguments returning `double`. The frontend accepts calls to exactly
+/// these, and the interpreter evaluates them.
+pub const MATH_INTRINSICS: &[(&str, usize)] = &[
+    ("sqrt", 1),
+    ("fabs", 1),
+    ("exp", 1),
+    ("log", 1),
+    ("sin", 1),
+    ("cos", 1),
+    ("pow", 2),
+    ("fmin", 2),
+    ("fmax", 2),
+];
 
 /// What a value is: argument, constant or instruction.
 #[derive(Debug, Clone, PartialEq)]

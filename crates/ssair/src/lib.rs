@@ -27,9 +27,9 @@
 //! * [`analysis`] — CFG, dominators, post-dominators, loops, def-use, and
 //!   the instruction-granularity flow queries IDL atomics need.
 //! * [`verify`] — structural SSA well-formedness checks.
-//! * [`pass`] — small transformation utilities (dead-code elimination,
-//!   the batch use-rewrite, value replacement) used by the frontend
-//!   optimizer and by the idiom replacement phase.
+//! * [`pass`] — small transformation utilities (the batch use-rewrite,
+//!   dead-code elimination, unreachable-block removal) used by the
+//!   frontend optimizer and by the idiom replacement phase.
 
 pub mod analysis;
 pub mod function;
@@ -42,6 +42,7 @@ pub mod verify;
 
 pub use function::{
     BlockId, FCmpPred, Function, ICmpPred, InsertPoint, Instr, Opcode, ValueId, ValueKind,
+    MATH_INTRINSICS,
 };
 pub use module::Module;
 pub use types::Type;

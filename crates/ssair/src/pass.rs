@@ -1,42 +1,21 @@
 //! Small transformation utilities shared by the frontend optimizer and the
-//! idiom replacement phase: value replacement and dead-code elimination.
+//! idiom replacement phase: use rewriting, dead-code elimination and
+//! unreachable-block removal.
 //!
 //! The paper's replacement scheme (§6.1) deletes only the anchoring store
 //! of a matched idiom "and the remaining cleanup is left to the standard
 //! dead code elimination pass" — [`eliminate_dead_code`] is that pass.
 //!
-//! Use rewriting has one owner. A pass that found a whole set of
-//! redundant values hands them to [`rewrite_uses`] as `(from, to)` pairs:
-//! one scan rewrites every operand, a `to` that is itself rewritten is
-//! followed to the end of its chain, and dead-code elimination then
-//! removes what lost its last user. [`replace_all_uses`] is the
-//! single-value form and reports the instructions it rewrote, so a caller
-//! can revisit exactly those. Placing an instruction inside a block goes
-//! through [`Function::place`] (see [`crate::function::InsertPoint`]).
+//! SSA is edited one way. Every use rewrite goes through
+//! [`rewrite_uses`]: a pass collects its `(from, to)` pairs, one scan
+//! rewrites every operand, a `to` that is itself rewritten is followed to
+//! the end of its chain, and dead-code elimination then removes what lost
+//! its last user. Every placement inside a block goes through
+//! [`Function::place`] (see [`crate::function::InsertPoint`]); a pass that
+//! moves or drops an instruction takes it out of its own block, which it
+//! knows, rather than scanning the function for it.
 
 use crate::function::{Function, Opcode, ValueId};
-
-/// Replaces every use of `from` with `to` in `f` and returns the
-/// instructions whose operands changed, in value order.
-pub fn replace_all_uses(f: &mut Function, from: ValueId, to: ValueId) -> Vec<ValueId> {
-    let mut users = Vec::new();
-    for v in (0..f.num_values()).map(|i| ValueId(i as u32)) {
-        let Some(instr) = f.instr_mut(v) else {
-            continue;
-        };
-        let mut used = false;
-        for op in &mut instr.operands {
-            if *op == from {
-                *op = to;
-                used = true;
-            }
-        }
-        if used {
-            users.push(v);
-        }
-    }
-    users
-}
 
 /// Applies a whole set of `(from, to)` use rewrites in one scan, then
 /// removes dead code. A `to` that is itself a `from` is followed to the
@@ -75,21 +54,6 @@ pub fn rewrite_uses(f: &mut Function, rewrites: &[(ValueId, ValueId)]) -> usize 
     }
     eliminate_dead_code(f);
     rewrites.len()
-}
-
-/// Removes the instruction `v` from its block (its value-arena slot is
-/// retired but ids of other values remain stable).
-pub fn remove_instruction(f: &mut Function, v: ValueId) {
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
-        blk.instrs.retain(|&i| i != v);
-    }
-    // Neutralize the payload so later passes do not see ghost operands.
-    if let Some(i) = f.instr_mut(v) {
-        i.operands.clear();
-        i.incoming.clear();
-        i.targets.clear();
-    }
 }
 
 /// Removes instructions that have no users and no side effects, and then
@@ -228,7 +192,6 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::DefUse;
     use crate::parser::parse_function_text;
 
     #[test]
@@ -365,49 +328,6 @@ entry:
         assert_eq!(entry.len(), 1, "only ret");
     }
 
-    #[test]
-    fn replace_all_uses_rewires_operands() {
-        let mut f = parse_function_text(
-            r#"
-define i32 @h(i32 %a, i32 %b) {
-entry:
-  %x = add i32 %a, %a
-  %y = add i32 %x, 1
-  ret i32 %y
-}
-"#,
-        )
-        .unwrap();
-        let a = f.params[0];
-        let b = f.params[1];
-        replace_all_uses(&mut f, a, b);
-        let x = f.block(crate::BlockId(0)).instrs[0];
-        assert_eq!(f.instr(x).unwrap().operands, vec![b, b]);
-    }
-
-    #[test]
-    fn replace_all_uses_reports_the_def_use_users() {
-        let mut f = parse_function_text(
-            r#"
-define i32 @u(i32 %a, i32 %b) {
-entry:
-  %x = add i32 %a, %a
-  %y = add i32 %x, %a
-  %z = mul i32 %b, %b
-  %s = add i32 %y, %z
-  ret i32 %s
-}
-"#,
-        )
-        .unwrap();
-        let a = f.params[0];
-        let b = f.params[1];
-        let expected = DefUse::new(&f).users(a).to_vec();
-        assert_eq!(expected.len(), 2, "x and y");
-        assert_eq!(replace_all_uses(&mut f, a, b), expected);
-        assert!(DefUse::new(&f).is_unused(a));
-    }
-
     /// Load forwarding's shape: `u` is forwarded to `t`, and a reload
     /// of what was stored from `u` is forwarded to `u`.
     const FORWARD_CHAIN: &str = r#"
@@ -454,29 +374,5 @@ entry:
         let before = f.clone();
         assert_eq!(rewrite_uses(&mut f, &[]), 0);
         assert_eq!(f, before);
-    }
-
-    #[test]
-    fn remove_instruction_then_dce_cleans_inputs() {
-        let mut f = parse_function_text(
-            r#"
-define void @k(double* %p, double %v) {
-entry:
-  %m = fmul double %v, %v
-  store double %m, double* %p
-  ret void
-}
-"#,
-        )
-        .unwrap();
-        let store = f.block(crate::BlockId(0)).instrs[1];
-        remove_instruction(&mut f, store);
-        let removed = eliminate_dead_code(&mut f);
-        assert_eq!(removed, 1, "the fmul feeding the removed store");
-        assert_eq!(
-            f.block(crate::BlockId(0)).instrs.len(),
-            1,
-            "only ret remains"
-        );
     }
 }

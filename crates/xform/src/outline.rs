@@ -33,7 +33,7 @@ impl<'f> KernelSlice<'f> {
     /// excluded).
     #[must_use]
     pub fn new(src: &'f Function, output: ValueId, inputs: &[ValueId]) -> Option<KernelSlice<'f>> {
-        let mut instrs = kernel_slice(src, output, inputs, solver::PURE_CALLS)?;
+        let mut instrs = kernel_slice(src, output, inputs)?;
         instrs.sort_unstable();
         let mut all = inputs.to_vec();
         for &v in &instrs {

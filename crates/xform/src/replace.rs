@@ -25,8 +25,8 @@
 use crate::outline::KernelSlice;
 use analysis::{LegalityVerdict, ParamAliasFacts, SafetyCertificate, VerdictKind};
 use idioms::{IdiomInstance, IdiomKind};
-use ssair::analysis::{AffineMap, Analyses};
-use ssair::pass::{eliminate_dead_code, remove_unreachable_blocks, replace_all_uses};
+use ssair::analysis::{address_root, AffineMap, Analyses};
+use ssair::pass::{eliminate_dead_code, remove_unreachable_blocks, rewrite_uses};
 use ssair::{
     BlockId, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId, ValueKind,
 };
@@ -184,14 +184,8 @@ fn region_side_effects(f: &Function, inst: &IdiomInstance) -> (Vec<ValueId>, Vec
         for &v in &f.block(b).instrs {
             match f.opcode(v) {
                 Some(Opcode::Store) => stores.push(v),
-                Some(Opcode::Call) => {
-                    let pure = f
-                        .instr(v)
-                        .and_then(|i| i.callee.as_deref())
-                        .is_some_and(|c| solver::PURE_CALLS.contains(&c));
-                    if !pure {
-                        calls.push(v);
-                    }
+                Some(Opcode::Call) if !f.instr(v).is_some_and(Instr::is_math_call) => {
+                    calls.push(v);
                 }
                 _ => {}
             }
@@ -313,15 +307,6 @@ fn check_soundness(
     Ok((verdict, certificate))
 }
 
-fn address_root(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
 /// Applies the best available replacement of `inst` inside
 /// `module.functions[..]` (looked up by `inst.function`) and appends any
 /// generated device program to the module. `uid` disambiguates generated
@@ -436,7 +421,7 @@ fn commit(module: &mut Module, fidx: usize, plan: Plan) -> Result<Replacement> {
     let instr = Instr::call(&call.callee, args);
     let result = f.insert(pre_block, InsertPoint::BeforeTerminator, call.ret_ty, instr);
     if let Some(old) = call.result {
-        replace_all_uses(&mut f, old, result);
+        rewrite_uses(&mut f, &[(old, result)]);
     }
     let branch = f.instr_mut(precursor).expect("branch");
     for t in &mut branch.targets {

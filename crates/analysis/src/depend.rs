@@ -20,7 +20,7 @@
 
 use crate::legality::{classify_base, MemoryBase};
 use ssair::analysis::{address_root, AffineIndex, AffineMap, Analyses, Bound, Coeff};
-use ssair::{BlockId, Function, Module, Opcode, Type, ValueId};
+use ssair::{BlockId, Function, Module, Opcode, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The relation between two base pointers.
@@ -212,7 +212,7 @@ pub fn classify_alias(
     }
     // Incompatible pointee types cannot name the same object in this
     // memory model (objects are typed arrays laid out by `setup`).
-    if let (Type::Ptr(pa), Type::Ptr(pb)) = (&f.value(a).ty, &f.value(b).ty) {
+    if let (Some(pa), Some(pb)) = (f.value(a).ty.pointee(), f.value(b).ty.pointee()) {
         if pa != pb {
             return AliasClass::NoAliasProven;
         }
@@ -697,6 +697,7 @@ pub fn classify_region(
 mod tests {
     use super::*;
     use ssair::parser::parse_function_text;
+    use ssair::Type;
 
     fn prep(src: &str) -> (Function, Analyses) {
         let f = parse_function_text(src).unwrap();

@@ -422,14 +422,14 @@ fn bitwise_eq(a: Value, b: Value) -> bool {
 /// Loads element `i` of a recorded allocation with its own type.
 fn load_elem(mem: &Memory, al: &Allocation, i: usize) -> Result<Value, String> {
     let addr = al.base + (al.elem.size_bytes() * i) as u64;
-    match &al.elem {
+    match al.elem {
         Type::F64 => mem.load_f64(addr).map(Value::F),
         Type::F32 => mem.load_f32(addr).map(Value::F),
         Type::I64 => mem.load_i64(addr).map(Value::I),
         Type::I32 => mem.load_i32(addr).map(Value::I),
         Type::I1 => mem.load_i8(addr).map(Value::I),
-        Type::Ptr(_) => mem.load_i64(addr).map(|x| Value::P(x as u64)),
-        Type::Void => Err("void allocation".into()),
+        t if t.is_pointer() => mem.load_i64(addr).map(|x| Value::P(x as u64)),
+        _ => Err("void allocation".into()),
     }
 }
 

@@ -68,7 +68,7 @@ pub(crate) enum IntWrap {
 }
 
 impl IntWrap {
-    pub(crate) fn of(ty: &Type) -> IntWrap {
+    pub(crate) fn of(ty: Type) -> IntWrap {
         match ty {
             Type::I1 => IntWrap::I1,
             Type::I32 => IntWrap::I32,
@@ -107,15 +107,15 @@ pub(crate) enum MemKind {
 }
 
 impl MemKind {
-    fn of(ty: &Type) -> Option<MemKind> {
+    fn of(ty: Type) -> Option<MemKind> {
         Some(match ty {
             Type::I1 => MemKind::I8,
             Type::I32 => MemKind::I32,
             Type::I64 => MemKind::I64,
             Type::F32 => MemKind::F32,
             Type::F64 => MemKind::F64,
-            Type::Ptr(_) => MemKind::Ptr,
-            Type::Void => return None,
+            _ if ty.is_pointer() => MemKind::Ptr,
+            _ => return None, // void
         })
     }
 }
@@ -785,7 +785,7 @@ fn fuse(code: &mut [Op], body: Range<usize>) {
 /// error here, so the function is refused.
 fn check_instr(f: &Function, v: ValueId, nb: usize) -> Option<()> {
     let i = f.instr(v)?;
-    let ty = &f.value(v).ty;
+    let ty = f.value(v).ty;
     let need = |n: usize| (i.operands.len() >= n).then_some(());
     match i.opcode {
         Opcode::Add
@@ -815,7 +815,7 @@ fn check_instr(f: &Function, v: ValueId, nb: usize) -> Option<()> {
         }
         Opcode::Store => {
             need(2)?;
-            MemKind::of(&f.value(i.operands[0]).ty).map(|_| ())
+            MemKind::of(f.value(i.operands[0]).ty).map(|_| ())
         }
         Opcode::Alloca => {
             need(1)?;
@@ -850,7 +850,7 @@ fn lower_instr(
     sites: &mut Vec<CallSite>,
 ) -> Option<Op> {
     let i = f.instr(v)?;
-    let ty = &f.value(v).ty;
+    let ty = f.value(v).ty;
     let dst = v.0;
     let r = |k: usize| i.operands[k].0;
     let int_bin = |op: IntOp| Op::IntBin {
@@ -862,7 +862,7 @@ fn lower_instr(
     };
     let float_bin = |op: FloatOp| Op::FloatBin {
         op,
-        round: *ty == Type::F32,
+        round: ty == Type::F32,
         dst,
         a: r(0),
         b: r(1),
@@ -912,14 +912,14 @@ fn lower_instr(
             addr: r(0),
         },
         Opcode::Store => Op::Store {
-            kind: MemKind::of(&f.value(i.operands[0]).ty)?,
+            kind: MemKind::of(f.value(i.operands[0]).ty)?,
             val: r(0),
             addr: r(1),
         },
         Opcode::Alloca => Op::Alloca {
             dst,
             n: r(0),
-            elem: ty.pointee()?.clone(),
+            elem: ty.pointee()?,
         },
         Opcode::SExt | Opcode::ZExt | Opcode::Trunc => Op::IntCast {
             wrap: IntWrap::of(ty),
@@ -927,7 +927,7 @@ fn lower_instr(
             src: r(0),
         },
         Opcode::SIToFP => Op::SiToFp {
-            round: *ty == Type::F32,
+            round: ty == Type::F32,
             dst,
             src: r(0),
         },

@@ -293,7 +293,7 @@ impl<'m> Machine<'m> {
         v: ValueId,
     ) -> Result<Value> {
         let i = f.instr(v).expect("instruction");
-        let ty = &f.value(v).ty;
+        let ty = f.value(v).ty;
         let op = |k: usize| self.operand(f, regs, i.operands[k]);
         // Typed operand accessors: type confusion (a pointer where an
         // integer is expected, …) is an execution error, never a panic —
@@ -302,15 +302,15 @@ impl<'m> Machine<'m> {
         let op_i = |k: usize| -> Result<i64> { op(k)?.try_i().map_err(Self::err) };
         let op_f = |k: usize| -> Result<f64> { op(k)?.try_f().map_err(Self::err) };
         let op_p = |k: usize| -> Result<u64> { op(k)?.try_p().map_err(Self::err) };
-        let wrap_int = |ty: &Type, x: i64| -> i64 {
+        let wrap_int = |ty: Type, x: i64| -> i64 {
             match ty {
                 Type::I1 => x & 1,
                 Type::I32 => i64::from(x as i32),
                 _ => x,
             }
         };
-        let wrap_float = |ty: &Type, x: f64| -> f64 {
-            if *ty == Type::F32 {
+        let wrap_float = |ty: Type, x: f64| -> f64 {
+            if ty == Type::F32 {
                 x as f32 as f64
             } else {
                 x
@@ -417,21 +417,25 @@ impl<'m> Machine<'m> {
                     Type::I64 => Value::I(self.mem.load_i64(addr).map_err(Self::err)?),
                     Type::F32 => Value::F(self.mem.load_f32(addr).map_err(Self::err)?),
                     Type::F64 => Value::F(self.mem.load_f64(addr).map_err(Self::err)?),
-                    Type::Ptr(_) => Value::P(self.mem.load_i64(addr).map_err(Self::err)? as u64),
-                    Type::Void => return Err(Self::err("load of void")),
+                    _ if ty.is_pointer() => {
+                        Value::P(self.mem.load_i64(addr).map_err(Self::err)? as u64)
+                    }
+                    _ => return Err(Self::err("load of void")),
                 }
             }
             Opcode::Store => {
                 let val = op(0)?;
                 let addr = op_p(1)?;
-                let res = match &f.value(i.operands[0]).ty {
+                let res = match f.value(i.operands[0]).ty {
                     Type::I1 => val.try_i().and_then(|x| self.mem.store_i8(addr, x)),
                     Type::I32 => val.try_i().and_then(|x| self.mem.store_i32(addr, x)),
                     Type::I64 => val.try_i().and_then(|x| self.mem.store_i64(addr, x)),
                     Type::F32 => val.try_f().and_then(|x| self.mem.store_f32(addr, x)),
                     Type::F64 => val.try_f().and_then(|x| self.mem.store_f64(addr, x)),
-                    Type::Ptr(_) => val.try_p().and_then(|x| self.mem.store_i64(addr, x as i64)),
-                    Type::Void => return Err(Self::err("store of void")),
+                    t if t.is_pointer() => {
+                        val.try_p().and_then(|x| self.mem.store_i64(addr, x as i64))
+                    }
+                    _ => return Err(Self::err("store of void")),
                 };
                 res.map_err(Self::err)?;
                 Value::I(0)

@@ -36,7 +36,7 @@ impl Allocation {
 /// no correct program reaches it).
 #[cold]
 #[inline(never)]
-fn over_cap(ty: &Type, n: usize) -> String {
+fn over_cap(ty: Type, n: usize) -> String {
     format!(
         "memory limit exceeded: alloca of {n} x {ty} would grow memory past {} bytes",
         Memory::MAX_BYTES
@@ -104,11 +104,11 @@ impl Memory {
 
     /// Allocates an array of `n` elements of `ty` and records it (see
     /// [`Memory::allocations`]).
-    pub fn alloc(&mut self, ty: &Type, n: usize) -> u64 {
+    pub fn alloc(&mut self, ty: Type, n: usize) -> u64 {
         let base = self.alloc_bytes(ty.size_bytes() * n);
         self.allocations.push(Allocation {
             base,
-            elem: ty.clone(),
+            elem: ty,
             count: n,
         });
         base
@@ -117,7 +117,7 @@ impl Memory {
     /// Allocates like [`Memory::alloc`] on behalf of the executed program
     /// (`alloca`): fails instead of growing the memory image past
     /// [`Memory::MAX_BYTES`], so a hostile size is an error, not an abort.
-    pub fn try_alloc(&mut self, ty: &Type, n: usize) -> Result<u64, String> {
+    pub fn try_alloc(&mut self, ty: Type, n: usize) -> Result<u64, String> {
         self.alloc_within_cap(ty, n).ok_or_else(|| over_cap(ty, n))
     }
 
@@ -126,7 +126,7 @@ impl Memory {
     // Out of line (as are the cold error constructors): code inlined into
     // the VM's dispatch loop slowed its suite-run programs by up to ~10%.
     #[inline(never)]
-    pub(crate) fn alloc_within_cap(&mut self, ty: &Type, n: usize) -> Option<u64> {
+    pub(crate) fn alloc_within_cap(&mut self, ty: Type, n: usize) -> Option<u64> {
         let base = (self.bytes.len() + 7) & !7;
         let end = ty
             .size_bytes()
@@ -228,7 +228,7 @@ impl Memory {
 
     /// Allocates and fills an `f64` array; returns its address.
     pub fn alloc_f64_slice(&mut self, data: &[f64]) -> u64 {
-        let addr = self.alloc(&Type::F64, data.len());
+        let addr = self.alloc(Type::F64, data.len());
         for (i, &v) in data.iter().enumerate() {
             self.store_f64(addr + 8 * i as u64, v).expect("in bounds");
         }
@@ -237,7 +237,7 @@ impl Memory {
 
     /// Allocates and fills an `i32` array; returns its address.
     pub fn alloc_i32_slice(&mut self, data: &[i32]) -> u64 {
-        let addr = self.alloc(&Type::I32, data.len());
+        let addr = self.alloc(Type::I32, data.len());
         for (i, &v) in data.iter().enumerate() {
             self.store_i32(addr + 4 * i as u64, i64::from(v))
                 .expect("in bounds");
@@ -458,12 +458,12 @@ mod tests {
     #[test]
     fn round_trips_scalars() {
         let mut m = Memory::new();
-        let a = m.alloc(&Type::F64, 2);
+        let a = m.alloc(Type::F64, 2);
         m.store_f64(a, 1.5).unwrap();
         m.store_f64(a + 8, -2.5).unwrap();
         assert_eq!(m.load_f64(a).unwrap(), 1.5);
         assert_eq!(m.load_f64(a + 8).unwrap(), -2.5);
-        let b = m.alloc(&Type::I32, 1);
+        let b = m.alloc(Type::I32, 1);
         m.store_i32(b, -7).unwrap();
         assert_eq!(m.load_i32(b).unwrap(), -7);
     }
@@ -472,7 +472,7 @@ mod tests {
     fn rejects_null_and_out_of_bounds() {
         let mut m = Memory::new();
         assert!(m.load_f64(0).is_err());
-        let a = m.alloc(&Type::F64, 1);
+        let a = m.alloc(Type::F64, 1);
         assert!(m.load_f64(a + 8).is_err());
         assert!(m.store_i64(0, 1).is_err());
     }
@@ -482,7 +482,7 @@ mod tests {
         // `p[-2]` on the first allocation: 8 - 16 wraps to 2^64 - 8,
         // whose end would wrap past zero.
         let mut m = Memory::new();
-        let a = m.alloc(&Type::F64, 4);
+        let a = m.alloc(Type::F64, 4);
         let wrapped = a.wrapping_sub(16);
         assert_eq!(wrapped, 0xFFFF_FFFF_FFFF_FFF8);
         let e = m.load_f64(wrapped).unwrap_err();
@@ -502,7 +502,7 @@ mod tests {
         // at the boundaries: null, the last access that fits, one byte
         // past it, and an address whose end wraps past the top.
         let mut m = Memory::new();
-        m.alloc(&Type::I64, 3);
+        m.alloc(Type::I64, 3);
         let len = m.size() as u64;
         for (addr, fits) in [
             (0, false),
@@ -544,23 +544,20 @@ mod tests {
     #[test]
     fn program_allocations_are_capped() {
         let mut m = Memory::new();
-        let e = m.try_alloc(&Type::F64, 4_000_000_000).unwrap_err();
+        let e = m.try_alloc(Type::F64, 4_000_000_000).unwrap_err();
         assert!(e.contains("memory limit exceeded"), "{e}");
-        assert!(
-            m.try_alloc(&Type::F64, usize::MAX).is_err(),
-            "size overflow"
-        );
+        assert!(m.try_alloc(Type::F64, usize::MAX).is_err(), "size overflow");
         assert_eq!(m.size(), 8, "a refused allocation leaves memory untouched");
         assert!(m.allocations().is_empty());
-        let a = m.try_alloc(&Type::F64, 4).unwrap();
+        let a = m.try_alloc(Type::F64, 4).unwrap();
         assert_eq!(m.allocations()[0].base, a);
     }
 
     #[test]
     fn allocations_are_aligned_and_disjoint() {
         let mut m = Memory::new();
-        let a = m.alloc(&Type::I32, 3); // 12 bytes
-        let b = m.alloc(&Type::F64, 1);
+        let a = m.alloc(Type::I32, 3); // 12 bytes
+        let b = m.alloc(Type::F64, 1);
         assert_eq!(a % 8, 0);
         assert_eq!(b % 8, 0);
         assert!(b >= a + 12);
@@ -570,7 +567,7 @@ mod tests {
     fn typed_allocations_are_recorded() {
         let mut m = Memory::new();
         let a = m.alloc_f64_slice(&[1.0, 2.0]);
-        let b = m.alloc(&Type::I32, 3);
+        let b = m.alloc(Type::I32, 3);
         let _raw = m.alloc_bytes(16); // untyped: not recorded
         assert_eq!(
             m.allocations(),

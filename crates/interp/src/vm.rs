@@ -402,7 +402,7 @@ impl<'c> Vm<'c> {
                         let Some(n) = int(r[*n as usize]).filter(|&n| n >= 0) else {
                             break 'exec;
                         };
-                        let Some(p) = mem.alloc_within_cap(elem, n as usize) else {
+                        let Some(p) = mem.alloc_within_cap(*elem, n as usize) else {
                             break 'exec;
                         };
                         r[*dst as usize] = Value::P(p);
@@ -836,7 +836,7 @@ fn replay(op: &Op, r: &[Value], mem: &mut Memory) -> std::result::Result<(), Str
                 MemKind::Ptr => val.try_p().and_then(|x| mem.store_i64(addr, x as i64)),
             }
         }
-        Op::Alloca { n, ref elem, .. } => {
+        Op::Alloca { n, elem, .. } => {
             let n = reg(n).try_i()?;
             if n < 0 {
                 return Err("negative alloca size".into());

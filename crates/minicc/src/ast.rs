@@ -1,41 +1,11 @@
 //! Abstract syntax tree of the minicc C subset.
+//!
+//! Source types are [`ssair::Type`]s: `int` is `i32`, `long` is `i64`,
+//! `float` is `f32`, `double` is `f64`, `void` is `void`, and `T*` is a
+//! pointer to `T`. Lowering types comparisons and logic as `i1`, which no
+//! source spelling names.
 
-/// Source-level types.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CType {
-    /// `int`: 32-bit signed.
-    Int,
-    /// `long`: 64-bit signed.
-    Long,
-    /// `float`: 32-bit IEEE.
-    Float,
-    /// `double`: 64-bit IEEE.
-    Double,
-    /// `void` (function returns only).
-    Void,
-    /// Pointer.
-    Ptr(Box<CType>),
-}
-
-impl CType {
-    /// Pointer to `self`.
-    #[must_use]
-    pub fn ptr_to(self) -> CType {
-        CType::Ptr(Box::new(self))
-    }
-
-    /// `true` for `int`/`long`.
-    #[must_use]
-    pub fn is_integer(&self) -> bool {
-        matches!(self, CType::Int | CType::Long)
-    }
-
-    /// `true` for `float`/`double`.
-    #[must_use]
-    pub fn is_float(&self) -> bool {
-        matches!(self, CType::Float | CType::Double)
-    }
-}
+use ssair::Type;
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +87,7 @@ pub enum Expr {
     /// Explicit cast `(type) expr`.
     Cast {
         /// Target type.
-        ty: CType,
+        ty: Type,
         /// Operand.
         expr: Box<Expr>,
     },
@@ -196,7 +166,7 @@ impl Expr {
 
     /// A cast `(ty) e`.
     #[must_use]
-    pub fn cast(ty: CType, e: Expr) -> Expr {
+    pub fn cast(ty: Type, e: Expr) -> Expr {
         Expr::Cast {
             ty,
             expr: Box::new(e),
@@ -236,7 +206,7 @@ pub enum Stmt {
         /// Declared name.
         name: String,
         /// Element type.
-        ty: CType,
+        ty: Type,
         /// Array dimensions; empty for scalars.
         dims: Vec<usize>,
         /// Scalar initializer.
@@ -293,7 +263,7 @@ pub enum Stmt {
 impl Stmt {
     /// A scalar declaration with an initializer.
     #[must_use]
-    pub fn decl(name: impl Into<String>, ty: CType, init: Expr) -> Stmt {
+    pub fn decl(name: impl Into<String>, ty: Type, init: Expr) -> Stmt {
         Stmt::Decl {
             name: name.into(),
             ty,
@@ -337,7 +307,7 @@ impl Stmt {
     pub fn count_for(iter: impl Into<String>, begin: Expr, end: Expr, body: Vec<Stmt>) -> Stmt {
         let iter = iter.into();
         Stmt::For {
-            init: Some(Box::new(Stmt::decl(iter.clone(), CType::Int, begin))),
+            init: Some(Box::new(Stmt::decl(iter.clone(), Type::I32, begin))),
             cond: Some(Expr::cmp(CmpOp::Lt, Expr::var(iter.clone()), end)),
             step: Some(Box::new(Stmt::assign(
                 LValue::Var(iter.clone()),
@@ -354,9 +324,9 @@ pub struct FuncDef {
     /// Function name.
     pub name: String,
     /// Parameters.
-    pub params: Vec<(String, CType)>,
+    pub params: Vec<(String, Type)>,
     /// Return type.
-    pub ret: CType,
+    pub ret: Type,
     /// Body statements.
     pub body: Vec<Stmt>,
     /// Source line of the definition.

@@ -112,17 +112,61 @@ mod tests {
         assert!(m.function("dot").is_some());
     }
 
-    /// `return x + x + … ;` with `terms` terms, compiled on a thread with
-    /// the 2 MiB stack test threads get.
-    fn compile_chain(terms: usize) -> Result<ssair::Module, super::CompileError> {
-        let body = vec!["x"; terms].join(" + ");
-        let src = format!("double f(double x) {{ return {body}; }}");
+    /// Compiles `src` on a thread with the 2 MiB stack test threads get.
+    fn compile_on_small_stack(src: String) -> Result<ssair::Module, super::CompileError> {
         std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || super::compile(&src, "chain"))
+            .spawn(move || super::compile(&src, "hostile"))
             .expect("spawns")
             .join()
             .expect("no panic")
+    }
+
+    /// `return x + x + … ;` with `terms` terms.
+    fn compile_chain(terms: usize) -> Result<ssair::Module, super::CompileError> {
+        let body = vec!["x"; terms].join(" + ");
+        compile_on_small_stack(format!("double f(double x) {{ return {body}; }}"))
+    }
+
+    fn stars(depth: usize) -> String {
+        "*".repeat(depth)
+    }
+
+    #[test]
+    fn a_deep_pointer_parameter_is_an_error_not_a_stack_overflow() {
+        let src = format!("double f(double{} p) {{ return 0.0; }}", stars(100_000));
+        let err = compile_on_small_stack(src).unwrap_err();
+        assert_eq!(err.message, "pointer type deeper than 128 levels");
+    }
+
+    #[test]
+    fn a_deep_pointer_local_is_an_error_not_a_stack_overflow() {
+        let src = format!("double f() {{ double{} p; return 0.0; }}", stars(100_000));
+        let err = compile_on_small_stack(src).unwrap_err();
+        assert_eq!(err.message, "pointer type deeper than 128 levels");
+    }
+
+    #[test]
+    fn a_pointer_type_at_the_cap_compiles() {
+        // A parameter, a local, a cast and an array of the deepest type:
+        // the array's alloca is one level deeper still, and its IR text
+        // parses back.
+        let t = format!("double{}", stars(128));
+        let src = format!("double f({t} p) {{ {t} q = ({t}) p; {t} a[2]; a[0] = q; return 0.0; }}");
+        let m = compile_on_small_stack(src).expect("within the cap");
+        let text = ssair::printer::print_module(&m);
+        assert!(text.contains(&format!("double{} %p", stars(128))), "{text}");
+        let back = ssair::parser::parse_module(&text).expect("parses back");
+        assert_eq!(
+            back.function("f").unwrap().to_string(),
+            m.function("f").unwrap().to_string()
+        );
+        let err = compile_on_small_stack(format!(
+            "double f(double{} p) {{ return 0.0; }}",
+            stars(129)
+        ))
+        .unwrap_err();
+        assert_eq!(err.message, "pointer type deeper than 128 levels");
     }
 
     #[test]

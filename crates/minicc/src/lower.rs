@@ -22,6 +22,7 @@
 //! constant-size arrays after instcombine).
 
 use crate::ast::*;
+use crate::pretty::type_name;
 use crate::CompileError;
 use ssair::{
     BlockId, FCmpPred, Function, ICmpPred, InsertPoint, Instr, Module, Opcode, Type, ValueId,
@@ -34,17 +35,12 @@ type Result<T> = std::result::Result<T, CompileError>;
 /// Lowers a parsed program to an SSA module.
 pub fn lower_program(prog: &Program, name: &str) -> Result<Module> {
     let mut module = Module::new(name);
-    let signatures: HashMap<String, (Vec<CType>, CType)> = prog
+    let signatures: HashMap<String, (Vec<Type>, Type)> = prog
         .funcs
         .iter()
         .map(|f| {
-            (
-                f.name.clone(),
-                (
-                    f.params.iter().map(|(_, t)| t.clone()).collect(),
-                    f.ret.clone(),
-                ),
-            )
+            let params = f.params.iter().map(|&(_, t)| t).collect();
+            (f.name.clone(), (params, f.ret))
         })
         .collect();
     for func in &prog.funcs {
@@ -54,33 +50,14 @@ pub fn lower_program(prog: &Program, name: &str) -> Result<Module> {
     Ok(module)
 }
 
-fn ir_type(ty: &CType) -> Type {
-    match ty {
-        CType::Int => Type::I32,
-        CType::Long => Type::I64,
-        CType::Float => Type::F32,
-        CType::Double => Type::F64,
-        CType::Void => Type::Void,
-        CType::Ptr(p) => ir_type(p).ptr_to(),
-    }
-}
-
-/// A typed value during lowering: either a C-typed value or a boolean
-/// (`i1`, produced by comparisons and logic).
-#[derive(Debug, Clone, PartialEq)]
-enum Ty {
-    Bool,
-    C(CType),
-}
-
 #[derive(Debug, Clone)]
 enum VarKind {
     /// SSA scalar (including pointer-typed parameters).
-    Scalar(CType),
+    Scalar(Type),
     /// Local array backed by an alloca; dims in row-major order.
     Array {
         alloca: ValueId,
-        elem: CType,
+        elem: Type,
         dims: Vec<usize>,
     },
 }
@@ -104,7 +81,7 @@ struct LivePhi {
 
 struct FuncLower<'a> {
     f: Function,
-    signatures: &'a HashMap<String, (Vec<CType>, CType)>,
+    signatures: &'a HashMap<String, (Vec<Type>, Type)>,
     /// Scope stack: source name → variable.
     scopes: Vec<HashMap<String, VarId>>,
     vars: Vec<Var>,
@@ -128,17 +105,12 @@ struct FuncLower<'a> {
     /// Current insertion block; `None` after a terminator.
     cur: Option<BlockId>,
     unique: u32,
-    ret: CType,
+    ret: Type,
 }
 
 impl<'a> FuncLower<'a> {
-    fn new(def: &FuncDef, signatures: &'a HashMap<String, (Vec<CType>, CType)>) -> Result<Self> {
-        let params: Vec<(String, Type)> = def
-            .params
-            .iter()
-            .map(|(n, t)| (n.clone(), ir_type(t)))
-            .collect();
-        let f = Function::new(def.name.clone(), &params, ir_type(&def.ret));
+    fn new(def: &FuncDef, signatures: &'a HashMap<String, (Vec<Type>, Type)>) -> Result<Self> {
+        let f = Function::new(def.name.clone(), &def.params, def.ret);
         let mut this = FuncLower {
             f,
             signatures,
@@ -153,11 +125,11 @@ impl<'a> FuncLower<'a> {
             replaced: Vec::new(),
             cur: Some(BlockId(0)),
             unique: 0,
-            ret: def.ret.clone(),
+            ret: def.ret,
         };
         for (i, (pname, pty)) in def.params.iter().enumerate() {
             let internal = this.fresh_name(pname, def.line)?;
-            let var = this.bind(pname, internal, VarKind::Scalar(pty.clone()));
+            let var = this.bind(pname, internal, VarKind::Scalar(*pty));
             let arg = this.f.params[i];
             this.write_var(var, BlockId(0), arg);
         }
@@ -167,16 +139,13 @@ impl<'a> FuncLower<'a> {
     fn run(mut self, def: &FuncDef) -> Result<Function> {
         self.stmts(&def.body)?;
         if let Some(b) = self.cur {
-            match self.ret {
-                CType::Void => {
-                    self.f.append_ret(b, None);
-                }
-                ref other => {
-                    // Falling off the end of a value-returning function is
-                    // undefined behaviour in C; return zero for determinism.
-                    let zero = self.zero_const(other.clone());
-                    self.f.append_ret(b, Some(zero));
-                }
+            if self.ret == Type::Void {
+                self.f.append_ret(b, None);
+            } else {
+                // Falling off the end of a value-returning function is
+                // undefined behaviour in C; return zero for determinism.
+                let zero = self.zero_const(self.ret);
+                self.f.append_ret(b, Some(zero));
             }
         }
         if self.replaced.iter().any(Option::is_some) {
@@ -239,9 +208,9 @@ impl<'a> FuncLower<'a> {
 
     // ----- SSA construction (Braun et al.) -----
 
-    fn scalar_type(&self, var: VarId) -> CType {
-        match &self.vars[var].kind {
-            VarKind::Scalar(t) => t.clone(),
+    fn scalar_type(&self, var: VarId) -> Type {
+        match self.vars[var].kind {
+            VarKind::Scalar(t) => t,
             VarKind::Array { .. } => unreachable!("arrays are not SSA variables"),
         }
     }
@@ -295,7 +264,7 @@ impl<'a> FuncLower<'a> {
     }
 
     fn new_phi(&mut self, var: VarId, block: BlockId) -> ValueId {
-        let ty = ir_type(&self.scalar_type(var));
+        let ty = self.scalar_type(var);
         let phi = self.f.append_phi(block, ty);
         self.f.set_name(phi, self.vars[var].name.clone());
         let slot = phi.0 as usize;
@@ -412,71 +381,62 @@ impl<'a> FuncLower<'a> {
 
     // ----- constants & conversions -----
 
-    fn zero_const(&mut self, ty: CType) -> ValueId {
-        match ty {
-            CType::Float | CType::Double => self.f.const_float(ir_type(&ty), 0.0),
-            _ => self.f.const_int(ir_type(&ty), 0),
+    fn zero_const(&mut self, ty: Type) -> ValueId {
+        if ty.is_float() {
+            self.f.const_float(ty, 0.0)
+        } else {
+            self.f.const_int(ty, 0)
         }
     }
 
-    /// Converts `v` of type `from` to C type `to`, folding constants.
-    fn convert(&mut self, v: ValueId, from: &Ty, to: &CType, line: usize) -> Result<ValueId> {
+    /// Converts `v` of type `from` to source type `to`, folding constants.
+    /// `to` is never `i1`: no source spelling names it.
+    fn convert(&mut self, v: ValueId, from: Type, to: Type, line: usize) -> Result<ValueId> {
         let b = self.block(line)?;
         // Constant folding first.
         match (&self.f.value(v).kind, to) {
-            (ssair::ValueKind::ConstInt(c), CType::Int | CType::Long) => {
-                return Ok(self.f.const_int(ir_type(to), *c));
+            (&ssair::ValueKind::ConstInt(c), Type::I32 | Type::I64) => {
+                return Ok(self.f.const_int(to, c));
             }
-            (ssair::ValueKind::ConstInt(c), CType::Float | CType::Double) => {
-                let c = *c;
-                return Ok(self.f.const_float(ir_type(to), c as f64));
+            (&ssair::ValueKind::ConstInt(c), Type::F32 | Type::F64) => {
+                return Ok(self.f.const_float(to, c as f64));
             }
-            (ssair::ValueKind::ConstFloat(c), CType::Float | CType::Double) => {
-                let c = *c;
-                let c = if *to == CType::Float {
-                    c as f32 as f64
-                } else {
-                    c
-                };
-                return Ok(self.f.const_float(ir_type(to), c));
+            (&ssair::ValueKind::ConstFloat(c), Type::F32 | Type::F64) => {
+                let c = if to == Type::F32 { c as f32 as f64 } else { c };
+                return Ok(self.f.const_float(to, c));
             }
-            (ssair::ValueKind::ConstFloat(c), CType::Int | CType::Long) => {
-                let c = *c;
-                return Ok(self.f.const_int(ir_type(to), c as i64));
+            (&ssair::ValueKind::ConstFloat(c), Type::I32 | Type::I64) => {
+                return Ok(self.f.const_int(to, c as i64));
             }
             _ => {}
         }
-        let from_c = match from {
-            Ty::Bool => {
-                // Bool → integer via zext (then to float if needed).
-                if to.is_integer() {
-                    return Ok(self.f.append_simple(b, ir_type(to), Opcode::ZExt, vec![v]));
-                }
-                let widened = self.f.append_simple(b, Type::I32, Opcode::ZExt, vec![v]);
-                return self.convert(widened, &Ty::C(CType::Int), to, line);
+        if from == Type::I1 {
+            // Bool → integer via zext (then to float if needed).
+            if to.is_integer() {
+                return Ok(self.f.append_simple(b, to, Opcode::ZExt, vec![v]));
             }
-            Ty::C(c) => c.clone(),
-        };
-        if from_c == *to {
+            let widened = self.f.append_simple(b, Type::I32, Opcode::ZExt, vec![v]);
+            return self.convert(widened, Type::I32, to, line);
+        }
+        if from == to {
             return Ok(v);
         }
-        let out = ir_type(to);
-        let instr = match (&from_c, to) {
-            (CType::Int, CType::Long) => self.f.append_simple(b, out, Opcode::SExt, vec![v]),
-            (CType::Long, CType::Int) => self.f.append_simple(b, out, Opcode::Trunc, vec![v]),
-            (CType::Int | CType::Long, CType::Float | CType::Double) => {
-                self.f.append_simple(b, out, Opcode::SIToFP, vec![v])
+        let instr = match (from, to) {
+            (Type::I32, Type::I64) => self.f.append_simple(b, to, Opcode::SExt, vec![v]),
+            (Type::I64, Type::I32) => self.f.append_simple(b, to, Opcode::Trunc, vec![v]),
+            (Type::I32 | Type::I64, Type::F32 | Type::F64) => {
+                self.f.append_simple(b, to, Opcode::SIToFP, vec![v])
             }
-            (CType::Float | CType::Double, CType::Int | CType::Long) => {
-                self.f.append_simple(b, out, Opcode::FPToSI, vec![v])
+            (Type::F32 | Type::F64, Type::I32 | Type::I64) => {
+                self.f.append_simple(b, to, Opcode::FPToSI, vec![v])
             }
-            (CType::Float, CType::Double) => self.f.append_simple(b, out, Opcode::FPExt, vec![v]),
-            (CType::Double, CType::Float) => self.f.append_simple(b, out, Opcode::FPTrunc, vec![v]),
-            (CType::Ptr(_), CType::Ptr(_)) => v, // pointer casts are free
+            (Type::F32, Type::F64) => self.f.append_simple(b, to, Opcode::FPExt, vec![v]),
+            (Type::F64, Type::F32) => self.f.append_simple(b, to, Opcode::FPTrunc, vec![v]),
+            _ if from.is_pointer() && to.is_pointer() => v, // pointer casts are free
             _ => {
                 return Err(CompileError {
                     line,
-                    message: format!("cannot convert {from_c:?} to {to:?}"),
+                    message: format!("cannot convert {} to {}", type_name(from), type_name(to)),
                 })
             }
         };
@@ -485,13 +445,12 @@ impl<'a> FuncLower<'a> {
 
     /// The common type of a binary arithmetic operation (usual C
     /// conversions restricted to our types).
-    fn common_type(a: &CType, b: &CType) -> CType {
-        use CType::*;
+    fn common_type(a: Type, b: Type) -> Type {
         match (a, b) {
-            (Double, _) | (_, Double) => Double,
-            (Float, _) | (_, Float) => Float,
-            (Long, _) | (_, Long) => Long,
-            _ => Int,
+            (Type::F64, _) | (_, Type::F64) => Type::F64,
+            (Type::F32, _) | (_, Type::F32) => Type::F32,
+            (Type::I64, _) | (_, Type::I64) => Type::I64,
+            _ => Type::I32,
         }
     }
 
@@ -523,7 +482,7 @@ impl<'a> FuncLower<'a> {
                 dims,
                 init,
                 line,
-            } => self.decl(name, ty, dims, init, *line),
+            } => self.decl(name, *ty, dims, init, *line),
             Stmt::Assign {
                 target,
                 op,
@@ -563,20 +522,20 @@ impl<'a> FuncLower<'a> {
     fn decl(
         &mut self,
         name: &str,
-        ty: &CType,
+        ty: Type,
         dims: &[usize],
         init: &Option<Expr>,
         line: usize,
     ) -> Result<()> {
         let internal = self.fresh_name(name, line)?;
         if dims.is_empty() {
-            let var = self.bind(name, internal, VarKind::Scalar(ty.clone()));
+            let var = self.bind(name, internal, VarKind::Scalar(ty));
             let value = match init {
                 Some(e) => {
                     let (v, vty) = self.expr(e, line)?;
-                    self.convert(v, &vty, ty, line)?
+                    self.convert(v, vty, ty, line)?
                 }
-                None => self.zero_const(ty.clone()),
+                None => self.zero_const(ty),
             };
             let b = self.block(line)?;
             self.write_var(var, b, value);
@@ -592,7 +551,7 @@ impl<'a> FuncLower<'a> {
             let count = self.f.const_int(Type::I64, total);
             // Allocas live in the entry block, like clang's.
             let entry = BlockId(0);
-            let ptr_ty = ir_type(ty).ptr_to();
+            let ptr_ty = ty.ptr_to();
             let alloca = Instr::simple(Opcode::Alloca, vec![count]);
             let alloca = self
                 .f
@@ -600,7 +559,7 @@ impl<'a> FuncLower<'a> {
             self.f.set_name(alloca, internal.clone());
             let kind = VarKind::Array {
                 alloca,
-                elem: ty.clone(),
+                elem: ty,
                 dims: dims.to_vec(),
             };
             self.bind(name, internal, kind);
@@ -621,11 +580,20 @@ impl<'a> FuncLower<'a> {
         base: &str,
         indices: &[Expr],
         line: usize,
-    ) -> Result<(ValueId, CType)> {
+    ) -> Result<(ValueId, Type)> {
         let var = self.resolve_var(base, line)?;
         let kind = self.vars[var].kind.clone();
         match kind {
-            VarKind::Scalar(CType::Ptr(elem)) => {
+            VarKind::Scalar(ty) => {
+                let Some(elem) = ty.pointee() else {
+                    return Err(CompileError {
+                        line,
+                        message: format!(
+                            "cannot subscript non-pointer {base:?} of type {}",
+                            type_name(ty)
+                        ),
+                    });
+                };
                 if indices.len() != 1 {
                     return Err(CompileError {
                         line,
@@ -633,17 +601,13 @@ impl<'a> FuncLower<'a> {
                     });
                 }
                 let (iv, ity) = self.expr(&indices[0], line)?;
-                let idx = self.index_to_i64(iv, &ity, line)?;
+                let idx = self.index_to_i64(iv, ity, line)?;
                 let b = self.block(line)?;
                 let ptr = self.read_var(var, b);
-                let ptr_ty = self.f.value(ptr).ty.clone();
+                let ptr_ty = self.f.value(ptr).ty;
                 let gep = self.f.append_simple(b, ptr_ty, Opcode::Gep, vec![ptr, idx]);
-                Ok((gep, (*elem).clone()))
+                Ok((gep, elem))
             }
-            VarKind::Scalar(other) => Err(CompileError {
-                line,
-                message: format!("cannot subscript non-pointer {base:?} of type {other:?}"),
-            }),
             VarKind::Array { alloca, elem, dims } => {
                 if indices.len() != dims.len() {
                     return Err(CompileError {
@@ -659,7 +623,7 @@ impl<'a> FuncLower<'a> {
                 let mut flat: Option<ValueId> = None;
                 for (k, idx_expr) in indices.iter().enumerate() {
                     let (iv, ity) = self.expr(idx_expr, line)?;
-                    let idx = self.index_to_i64(iv, &ity, line)?;
+                    let idx = self.index_to_i64(iv, ity, line)?;
                     flat = Some(match flat {
                         None => idx,
                         Some(acc) => {
@@ -675,7 +639,7 @@ impl<'a> FuncLower<'a> {
                 }
                 let idx = flat.expect("at least one index");
                 let b = self.block(line)?;
-                let ptr_ty = ir_type(&elem).ptr_to();
+                let ptr_ty = elem.ptr_to();
                 let gep = self
                     .f
                     .append_simple(b, ptr_ty, Opcode::Gep, vec![alloca, idx]);
@@ -684,14 +648,14 @@ impl<'a> FuncLower<'a> {
         }
     }
 
-    fn index_to_i64(&mut self, v: ValueId, ty: &Ty, line: usize) -> Result<ValueId> {
-        match ty {
-            Ty::C(c) if c.is_integer() => self.convert(v, ty, &CType::Long, line),
-            Ty::Bool => self.convert(v, ty, &CType::Long, line),
-            other => Err(CompileError {
+    fn index_to_i64(&mut self, v: ValueId, ty: Type, line: usize) -> Result<ValueId> {
+        if ty.is_integer() {
+            self.convert(v, ty, Type::I64, line)
+        } else {
+            Err(CompileError {
                 line,
-                message: format!("array index has type {other:?}"),
-            }),
+                message: format!("array index has type {}", type_name(ty)),
+            })
         }
     }
 
@@ -712,29 +676,17 @@ impl<'a> FuncLower<'a> {
                     });
                 }
                 let ty = self.scalar_type(var);
-                let new_value = match op {
-                    None => {
-                        let (v, vty) = self.expr(value, line)?;
-                        self.convert(v, &vty, &ty, line)?
-                    }
+                let (new_value, vty) = match op {
+                    None => self.expr(value, line)?,
                     Some(binop) => {
                         let b = self.block(line)?;
                         let old = self.read_var(var, b);
                         let (rhs, rty) = self.expr(value, line)?;
-                        self.binary_values(binop, old, &Ty::C(ty.clone()), rhs, &rty, line)?
-                            .0
+                        self.binary_values(binop, old, ty, rhs, rty, line)?
                     }
                 };
                 // Compound assignment on e.g. int keeps the variable's type.
-                let final_value = {
-                    let vty = self.f.value(new_value).ty.clone();
-                    if vty == ir_type(&ty) {
-                        new_value
-                    } else {
-                        let approx = self.ssair_ty_to_c(&vty, line)?;
-                        self.convert(new_value, &Ty::C(approx), &ty, line)?
-                    }
-                };
+                let final_value = self.convert(new_value, vty, ty, line)?;
                 let b = self.block(line)?;
                 self.write_var(var, b, final_value);
                 if let Some(n) = self.f.value(final_value).name.clone() {
@@ -750,17 +702,14 @@ impl<'a> FuncLower<'a> {
                 let stored = match op {
                     None => {
                         let (v, vty) = self.expr(value, line)?;
-                        self.convert(v, &vty, &elem, line)?
+                        self.convert(v, vty, elem, line)?
                     }
                     Some(binop) => {
                         let b = self.block(line)?;
-                        let old = self
-                            .f
-                            .append_simple(b, ir_type(&elem), Opcode::Load, vec![addr]);
+                        let old = self.f.append_simple(b, elem, Opcode::Load, vec![addr]);
                         let (rhs, rty) = self.expr(value, line)?;
-                        let (res, rty2) =
-                            self.binary_values(binop, old, &Ty::C(elem.clone()), rhs, &rty, line)?;
-                        self.convert(res, &rty2, &elem, line)?
+                        let (res, rty2) = self.binary_values(binop, old, elem, rhs, rty, line)?;
+                        self.convert(res, rty2, elem, line)?
                     }
                 };
                 let b = self.block(line)?;
@@ -771,31 +720,15 @@ impl<'a> FuncLower<'a> {
         }
     }
 
-    fn ssair_ty_to_c(&self, ty: &Type, line: usize) -> Result<CType> {
-        Ok(match ty {
-            Type::I1 | Type::I32 => CType::Int,
-            Type::I64 => CType::Long,
-            Type::F32 => CType::Float,
-            Type::F64 => CType::Double,
-            Type::Ptr(p) => self.ssair_ty_to_c(p, line)?.ptr_to(),
-            Type::Void => {
-                return Err(CompileError {
-                    line,
-                    message: "void value used".into(),
-                });
-            }
-        })
-    }
-
     fn ret_stmt(&mut self, e: Option<&Expr>, line: usize) -> Result<()> {
         let b = self.block(line)?;
-        match (e, self.ret.clone()) {
-            (None, CType::Void) => {
+        match (e, self.ret) {
+            (None, Type::Void) => {
                 self.f.append_ret(b, None);
             }
-            (Some(e), ret_ty) if ret_ty != CType::Void => {
+            (Some(e), ret_ty) if ret_ty != Type::Void => {
                 let (v, vty) = self.expr(e, line)?;
-                let v = self.convert(v, &vty, &ret_ty, line)?;
+                let v = self.convert(v, vty, ret_ty, line)?;
                 let b = self.block(line)?;
                 self.f.append_ret(b, Some(v));
             }
@@ -917,24 +850,25 @@ impl<'a> FuncLower<'a> {
     fn condition(&mut self, e: &Expr, line: usize) -> Result<ValueId> {
         let (v, ty) = self.expr(e, line)?;
         match ty {
-            Ty::Bool => Ok(v),
-            Ty::C(c) if c.is_integer() => {
+            // `i1` is an integer too: this arm must come first.
+            Type::I1 => Ok(v),
+            c if c.is_integer() => {
                 let b = self.block(line)?;
-                let zero = self.f.const_int(ir_type(&c), 0);
+                let zero = self.f.const_int(c, 0);
                 Ok(self
                     .f
                     .append_simple(b, Type::I1, Opcode::ICmp(ICmpPred::Ne), vec![v, zero]))
             }
-            Ty::C(c) if c.is_float() => {
+            c if c.is_float() => {
                 let b = self.block(line)?;
-                let zero = self.f.const_float(ir_type(&c), 0.0);
+                let zero = self.f.const_float(c, 0.0);
                 Ok(self
                     .f
                     .append_simple(b, Type::I1, Opcode::FCmp(FCmpPred::One), vec![v, zero]))
             }
             other => Err(CompileError {
                 line,
-                message: format!("condition has non-scalar type {other:?}"),
+                message: format!("condition has non-scalar type {}", type_name(other)),
             }),
         }
     }
@@ -943,16 +877,16 @@ impl<'a> FuncLower<'a> {
         &mut self,
         op: BinOp,
         lv: ValueId,
-        lt: &Ty,
+        lt: Type,
         rv: ValueId,
-        rt: &Ty,
+        rt: Type,
         line: usize,
-    ) -> Result<(ValueId, Ty)> {
+    ) -> Result<(ValueId, Type)> {
         let lc = self.as_arith(lt, line)?;
         let rc = self.as_arith(rt, line)?;
-        let common = Self::common_type(&lc, &rc);
-        let lv = self.convert(lv, lt, &common, line)?;
-        let rv = self.convert(rv, rt, &common, line)?;
+        let common = Self::common_type(lc, rc);
+        let lv = self.convert(lv, lt, common, line)?;
+        let rv = self.convert(rv, rt, common, line)?;
         let b = self.block(line)?;
         let opcode = match (op, common.is_float()) {
             (BinOp::Add, false) => Opcode::Add,
@@ -971,70 +905,62 @@ impl<'a> FuncLower<'a> {
                 })
             }
         };
-        let v = self
-            .f
-            .append_simple(b, ir_type(&common), opcode, vec![lv, rv]);
-        Ok((v, Ty::C(common)))
+        let v = self.f.append_simple(b, common, opcode, vec![lv, rv]);
+        Ok((v, common))
     }
 
-    fn as_arith(&self, ty: &Ty, line: usize) -> Result<CType> {
+    fn as_arith(&self, ty: Type, line: usize) -> Result<Type> {
         match ty {
-            Ty::Bool => Ok(CType::Int),
-            Ty::C(c) if c.is_integer() || c.is_float() => Ok(c.clone()),
-            Ty::C(other) => Err(CompileError {
+            // `i1` is an integer too: this arm must come first.
+            Type::I1 => Ok(Type::I32),
+            c if c.is_integer() || c.is_float() => Ok(c),
+            other => Err(CompileError {
                 line,
-                message: format!("{other:?} is not an arithmetic type"),
+                message: format!("{} is not an arithmetic type", type_name(other)),
             }),
         }
     }
 
-    fn expr(&mut self, e: &Expr, line: usize) -> Result<(ValueId, Ty)> {
+    fn expr(&mut self, e: &Expr, line: usize) -> Result<(ValueId, Type)> {
         match e {
-            Expr::IntLit(v) => Ok((self.f.const_int(Type::I32, *v), Ty::C(CType::Int))),
+            Expr::IntLit(v) => Ok((self.f.const_int(Type::I32, *v), Type::I32)),
             Expr::FloatLit(v, is_f32) => {
-                let (ty, cty) = if *is_f32 {
-                    (Type::F32, CType::Float)
-                } else {
-                    (Type::F64, CType::Double)
-                };
-                Ok((self.f.const_float(ty, *v), Ty::C(cty)))
+                let ty = if *is_f32 { Type::F32 } else { Type::F64 };
+                Ok((self.f.const_float(ty, *v), ty))
             }
             Expr::Var(name) => {
                 let var = self.resolve_var(name, line)?;
-                match &self.vars[var].kind {
+                match self.vars[var].kind {
                     VarKind::Scalar(ty) => {
-                        let ty = ty.clone();
                         let b = self.block(line)?;
                         let v = self.read_var(var, b);
-                        Ok((v, Ty::C(ty)))
+                        Ok((v, ty))
                     }
                     VarKind::Array { alloca, elem, .. } => {
                         // Array decays to pointer (single-dim only).
-                        Ok(((*alloca), Ty::C(elem.clone().ptr_to())))
+                        Ok((alloca, elem.ptr_to()))
                     }
                 }
             }
             Expr::Index { base, indices } => {
                 let (addr, elem) = self.element_address(base, indices, line)?;
                 let b = self.block(line)?;
-                let v = self
-                    .f
-                    .append_simple(b, ir_type(&elem), Opcode::Load, vec![addr]);
-                Ok((v, Ty::C(elem)))
+                let v = self.f.append_simple(b, elem, Opcode::Load, vec![addr]);
+                Ok((v, elem))
             }
             Expr::Bin(op, l, r) => {
                 let (lv, lt) = self.expr(l, line)?;
                 let (rv, rt) = self.expr(r, line)?;
-                self.binary_values(*op, lv, &lt, rv, &rt, line)
+                self.binary_values(*op, lv, lt, rv, rt, line)
             }
             Expr::Cmp(op, l, r) => {
                 let (lv, lt) = self.expr(l, line)?;
                 let (rv, rt) = self.expr(r, line)?;
-                let lc = self.as_arith(&lt, line)?;
-                let rc = self.as_arith(&rt, line)?;
-                let common = Self::common_type(&lc, &rc);
-                let lv = self.convert(lv, &lt, &common, line)?;
-                let rv = self.convert(rv, &rt, &common, line)?;
+                let lc = self.as_arith(lt, line)?;
+                let rc = self.as_arith(rt, line)?;
+                let common = Self::common_type(lc, rc);
+                let lv = self.convert(lv, lt, common, line)?;
+                let rv = self.convert(rv, rt, common, line)?;
                 let b = self.block(line)?;
                 let v = if common.is_float() {
                     let pred = match op {
@@ -1059,7 +985,7 @@ impl<'a> FuncLower<'a> {
                     self.f
                         .append_simple(b, Type::I1, Opcode::ICmp(pred), vec![lv, rv])
                 };
-                Ok((v, Ty::Bool))
+                Ok((v, Type::I1))
             }
             Expr::And(l, r) => {
                 let lc = self.condition(l, line)?;
@@ -1067,7 +993,7 @@ impl<'a> FuncLower<'a> {
                 let b = self.block(line)?;
                 Ok((
                     self.f.append_simple(b, Type::I1, Opcode::And, vec![lc, rc]),
-                    Ty::Bool,
+                    Type::I1,
                 ))
             }
             Expr::Or(l, r) => {
@@ -1076,7 +1002,7 @@ impl<'a> FuncLower<'a> {
                 let b = self.block(line)?;
                 Ok((
                     self.f.append_simple(b, Type::I1, Opcode::Or, vec![lc, rc]),
-                    Ty::Bool,
+                    Type::I1,
                 ))
             }
             Expr::Not(x) => {
@@ -1085,40 +1011,40 @@ impl<'a> FuncLower<'a> {
                 let one = self.f.const_int(Type::I1, 1);
                 Ok((
                     self.f.append_simple(b, Type::I1, Opcode::Xor, vec![c, one]),
-                    Ty::Bool,
+                    Type::I1,
                 ))
             }
             Expr::Neg(x) => {
                 let (v, ty) = self.expr(x, line)?;
-                let c = self.as_arith(&ty, line)?;
-                let zero = self.zero_const(c.clone());
-                self.binary_values(BinOp::Sub, zero, &Ty::C(c.clone()), v, &ty, line)
+                let c = self.as_arith(ty, line)?;
+                let zero = self.zero_const(c);
+                self.binary_values(BinOp::Sub, zero, c, v, ty, line)
             }
             Expr::Ternary { cond, then, other } => {
                 let c = self.condition(cond, line)?;
                 let (tv, tt) = self.expr(then, line)?;
                 let (ov, ot) = self.expr(other, line)?;
-                let tc = self.as_arith(&tt, line)?;
-                let oc = self.as_arith(&ot, line)?;
-                let common = Self::common_type(&tc, &oc);
-                let tv = self.convert(tv, &tt, &common, line)?;
-                let ov = self.convert(ov, &ot, &common, line)?;
+                let tc = self.as_arith(tt, line)?;
+                let oc = self.as_arith(ot, line)?;
+                let common = Self::common_type(tc, oc);
+                let tv = self.convert(tv, tt, common, line)?;
+                let ov = self.convert(ov, ot, common, line)?;
                 let b = self.block(line)?;
                 let v = self
                     .f
-                    .append_simple(b, ir_type(&common), Opcode::Select, vec![c, tv, ov]);
-                Ok((v, Ty::C(common)))
+                    .append_simple(b, common, Opcode::Select, vec![c, tv, ov]);
+                Ok((v, common))
             }
             Expr::Cast { ty, expr } => {
                 let (v, vty) = self.expr(expr, line)?;
-                let v = self.convert(v, &vty, ty, line)?;
-                Ok((v, Ty::C(ty.clone())))
+                let v = self.convert(v, vty, *ty, line)?;
+                Ok((v, *ty))
             }
             Expr::Call { name, args } => self.call(name, args, line),
         }
     }
 
-    fn call(&mut self, name: &str, args: &[Expr], line: usize) -> Result<(ValueId, Ty)> {
+    fn call(&mut self, name: &str, args: &[Expr], line: usize) -> Result<(ValueId, Type)> {
         // Math intrinsics take and return double.
         if let Some((_, arity)) = MATH_INTRINSICS.iter().find(|(n, _)| *n == name) {
             if args.len() != *arity {
@@ -1130,11 +1056,11 @@ impl<'a> FuncLower<'a> {
             let mut vals = Vec::new();
             for a in args {
                 let (v, vty) = self.expr(a, line)?;
-                vals.push(self.convert(v, &vty, &CType::Double, line)?);
+                vals.push(self.convert(v, vty, Type::F64, line)?);
             }
             let b = self.block(line)?;
             let v = self.f.append_call(b, Type::F64, name, vals);
-            return Ok((v, Ty::C(CType::Double)));
+            return Ok((v, Type::F64));
         }
         let Some((param_tys, ret_ty)) = self.signatures.get(name).cloned() else {
             return Err(CompileError {
@@ -1153,13 +1079,13 @@ impl<'a> FuncLower<'a> {
             });
         }
         let mut vals = Vec::new();
-        for (a, pty) in args.iter().zip(&param_tys) {
+        for (a, &pty) in args.iter().zip(&param_tys) {
             let (v, vty) = self.expr(a, line)?;
-            vals.push(self.convert(v, &vty, pty, line)?);
+            vals.push(self.convert(v, vty, pty, line)?);
         }
         let b = self.block(line)?;
-        let v = self.f.append_call(b, ir_type(&ret_ty), name, vals);
-        Ok((v, Ty::C(ret_ty)))
+        let v = self.f.append_call(b, ret_ty, name, vals);
+        Ok((v, ret_ty))
     }
 }
 

@@ -121,7 +121,7 @@ pub fn common_subexpression_elimination(f: &mut Function) -> usize {
 
 /// What makes two pure instructions congruent: opcode (with predicate),
 /// result type and operand leaders, padded with `ValueId(u32::MAX)`.
-type CseKey<'a> = (Opcode, &'a Type, [ValueId; 3]);
+type CseKey = (Opcode, Type, [ValueId; 3]);
 
 fn cse(f: &mut Function, cfg: &Cfg, dom: &DomTree) -> usize {
     // Each value's leader: itself, or the congruent instruction that
@@ -143,7 +143,7 @@ fn cse(f: &mut Function, cfg: &Cfg, dom: &DomTree) -> usize {
             for (k, op) in i.operands.iter().enumerate() {
                 ops[k] = leader[op.0 as usize];
             }
-            let entry = table.entry((i.opcode, &f.value(v).ty, ops)).or_default();
+            let entry = table.entry((i.opcode, f.value(v).ty, ops)).or_default();
             match entry
                 .iter()
                 .find(|&&(pb, _)| pb == b || dom.dominates(pb, b))
@@ -185,7 +185,7 @@ pub fn fold_constants(f: &mut Function) -> usize {
     for b in f.block_ids() {
         for &v in &f.block(b).instrs {
             let Some(i) = f.instr(v) else { continue };
-            let ty = f.value(v).ty.clone();
+            let ty = f.value(v).ty;
             let ops = i.operands.clone();
             let repl = match i.opcode {
                 Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::SDiv | Opcode::SRem => {
@@ -279,7 +279,7 @@ pub fn fold_constants(f: &mut Function) -> usize {
     let rewrites: Vec<(ValueId, ValueId)> = folds
         .into_iter()
         .map(|(v, r)| {
-            let ty = f.value(v).ty.clone();
+            let ty = f.value(v).ty;
             let to = match r {
                 Replacement::Int(c) => f.const_int(ty, c),
                 Replacement::Float(c) => f.const_float(ty, c),
@@ -569,11 +569,10 @@ impl Sweep {
             .value(site.addr)
             .ty
             .pointee()
-            .expect("store address is a pointer")
-            .clone();
+            .expect("store address is a pointer");
         let load = Instr::simple(Opcode::Load, vec![site.addr]);
         let at = InsertPoint::BeforeTerminator;
-        let init = self.insert(f, shape.preheader, at, ty.clone(), load);
+        let init = self.insert(f, shape.preheader, at, ty, load);
         let phi = Instr::simple(Opcode::Phi, Vec::new());
         let phi = self.insert(f, shape.header, InsertPoint::AfterPhis, ty, phi);
         f.set_name(phi, "promoted");

@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::lexer::{lex, Spanned, Tok};
 use crate::CompileError;
+use ssair::Type;
 
 struct Parser {
     toks: Vec<Spanned>,
@@ -20,6 +21,10 @@ struct Parser {
 /// after it (lowering, printing), so an unbounded depth lets a few
 /// kilobytes of source overflow a thread's stack — an abort no caller can
 /// contain. Deeper input is a [`CompileError`].
+///
+/// It also caps the depth of a pointer type, well inside what a [`Type`]
+/// holds ([`Type::MAX_DEPTH`]) even after lowering points at an array's
+/// elements.
 const MAX_NESTING: usize = 128;
 
 /// Builds a binary node from its operands.
@@ -147,17 +152,22 @@ impl Parser {
         matches!(self.peek(), Tok::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()))
     }
 
-    fn base_type(&mut self) -> Result<CType> {
+    fn base_type(&mut self) -> Result<Type> {
         let name = self.ident()?;
         let mut ty = match name.as_str() {
-            "int" => CType::Int,
-            "long" => CType::Long,
-            "float" => CType::Float,
-            "double" => CType::Double,
-            "void" => CType::Void,
+            "int" => Type::I32,
+            "long" => Type::I64,
+            "float" => Type::F32,
+            "double" => Type::F64,
+            "void" => Type::Void,
             other => return Err(self.err(format!("unknown type {other:?}"))),
         };
+        let mut depth = 0;
         while self.eat_punct("*") {
+            if depth == MAX_NESTING {
+                return Err(self.err(format!("pointer type deeper than {MAX_NESTING} levels")));
+            }
+            depth += 1;
             ty = ty.ptr_to();
         }
         Ok(ty)
@@ -600,7 +610,7 @@ mod tests {
         let f = &p.funcs[0];
         assert_eq!(f.name, "dot");
         assert_eq!(f.params.len(), 3);
-        assert_eq!(f.params[0].1, CType::Double.ptr_to());
+        assert_eq!(f.params[0].1, Type::F64.ptr_to());
         assert!(matches!(f.body[1], Stmt::For { .. }));
     }
 

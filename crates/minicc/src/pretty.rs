@@ -10,7 +10,8 @@
 //! exist in the AST, so this is the one canonical form that is guaranteed
 //! to round-trip regardless of operator precedence.
 
-use crate::ast::{BinOp, CType, CmpOp, Expr, FuncDef, LValue, Program, Stmt};
+use crate::ast::{BinOp, CmpOp, Expr, FuncDef, LValue, Program, Stmt};
+use ssair::Type;
 use std::fmt::Write;
 
 /// Renders a whole translation unit.
@@ -31,12 +32,12 @@ fn print_func(out: &mut String, f: &FuncDef) {
     let params: Vec<String> = f
         .params
         .iter()
-        .map(|(name, ty)| format!("{} {name}", type_name(ty)))
+        .map(|(name, ty)| format!("{} {name}", type_name(*ty)))
         .collect();
     let _ = writeln!(
         out,
         "{} {}({}) {{",
-        type_name(&f.ret),
+        type_name(f.ret),
         f.name,
         params.join(", ")
     );
@@ -46,17 +47,23 @@ fn print_func(out: &mut String, f: &FuncDef) {
     out.push_str("}\n");
 }
 
-/// The C spelling of a type.
+/// The C spelling of a type. `i1`, the type of comparisons and logic,
+/// has no minicc spelling and reads `_Bool`.
 #[must_use]
-pub fn type_name(ty: &CType) -> String {
-    match ty {
-        CType::Int => "int".into(),
-        CType::Long => "long".into(),
-        CType::Float => "float".into(),
-        CType::Double => "double".into(),
-        CType::Void => "void".into(),
-        CType::Ptr(inner) => format!("{}*", type_name(inner)),
+pub fn type_name(ty: Type) -> String {
+    let (mut scalar, mut stars) = (ty, 0);
+    while let Some(pointee) = scalar.pointee() {
+        (scalar, stars) = (pointee, stars + 1);
     }
+    let name = match scalar {
+        Type::I32 => "int",
+        Type::I64 => "long",
+        Type::F32 => "float",
+        Type::F64 => "double",
+        Type::Void => "void",
+        _ => "_Bool",
+    };
+    format!("{name}{}", "*".repeat(stars))
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -75,7 +82,7 @@ fn print_stmt(out: &mut String, s: &Stmt, depth: usize) {
             ..
         } => {
             indent(out, depth);
-            let _ = write!(out, "{} {name}", type_name(ty));
+            let _ = write!(out, "{} {name}", type_name(*ty));
             for d in dims {
                 let _ = write!(out, "[{d}]");
             }
@@ -172,8 +179,8 @@ fn print_stmt(out: &mut String, s: &Stmt, depth: usize) {
 fn inline_stmt(s: &Stmt) -> String {
     match s {
         Stmt::Decl { name, ty, init, .. } => match init {
-            Some(e) => format!("{} {name} = {}", type_name(ty), expr(e)),
-            None => format!("{} {name}", type_name(ty)),
+            Some(e) => format!("{} {name} = {}", type_name(*ty), expr(e)),
+            None => format!("{} {name}", type_name(*ty)),
         },
         Stmt::Assign {
             target, op, value, ..
@@ -256,7 +263,7 @@ pub fn expr(e: &Expr) -> String {
         Expr::Ternary { cond, then, other } => {
             format!("({} ? {} : {})", expr(cond), expr(then), expr(other))
         }
-        Expr::Cast { ty, expr: inner } => format!("(({}) {})", type_name(ty), expr(inner)),
+        Expr::Cast { ty, expr: inner } => format!("(({}) {})", type_name(*ty), expr(inner)),
     }
 }
 
@@ -288,7 +295,7 @@ mod tests {
                 funcs: vec![FuncDef {
                     name: "f".into(),
                     params: vec![],
-                    ret: CType::Double,
+                    ret: Type::F64,
                     body: vec![Stmt::Return(Some(Expr::FloatLit(v, false)), 1)],
                     line: 1,
                 }],

@@ -54,7 +54,7 @@ impl Canary {
                             .expect("call instr")
                             .operands
                             .iter()
-                            .take_while(|&&op| matches!(f.value(op).ty, Type::Ptr(_)))
+                            .take_while(|&&op| f.value(op).ty.is_pointer())
                             .count();
                         let bad = f.const_float(Type::F64, 12.5);
                         f.instr_mut(call).expect("call instr").operands[n_bases + 2] = bad;

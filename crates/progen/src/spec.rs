@@ -14,7 +14,8 @@
 
 use idioms::IdiomKind;
 use interp::{Memory, Value};
-use minicc::ast::{BinOp, CType, CmpOp, Expr, FuncDef, LValue, Program, Stmt};
+use minicc::ast::{BinOp, CmpOp, Expr, FuncDef, LValue, Program, Stmt};
+use ssair::Type;
 
 /// Length of the 1-D `double`/`int` data arrays (`n`).
 pub const LEN: usize = 64;
@@ -126,10 +127,10 @@ impl ArrayId {
 
     /// The pointer type of the parameter.
     #[must_use]
-    pub fn ctype(self) -> CType {
+    pub fn ctype(self) -> Type {
         match self {
-            ArrayId::K0 | ArrayId::BinsI | ArrayId::CsrR | ArrayId::CsrC => CType::Int.ptr_to(),
-            _ => CType::Double.ptr_to(),
+            ArrayId::K0 | ArrayId::BinsI | ArrayId::CsrR | ArrayId::CsrC => Type::I32.ptr_to(),
+            _ => Type::F64.ptr_to(),
         }
     }
 }
@@ -164,10 +165,10 @@ impl Param {
         }
     }
 
-    fn ctype(self) -> CType {
+    fn ctype(self) -> Type {
         match self {
             Param::Arr(a) => a.ctype(),
-            _ => CType::Int,
+            _ => Type::I32,
         }
     }
 }
@@ -646,7 +647,7 @@ fn render_filler(f: &FillerStmt, names: &mut Names, acc: Option<&str>) -> Vec<St
             let t = names.var();
             let mut out = vec![Stmt::decl(
                 t.clone(),
-                CType::Double,
+                Type::F64,
                 Expr::mul(at(*src, Expr::int(3)), Expr::f64(coef(*c))),
             )];
             if let Some(acc) = acc {
@@ -694,7 +695,7 @@ fn reduction_body(
         RedKernel::TernaryAbs => {
             let d = names.var();
             vec![
-                Stmt::decl(d.clone(), CType::Double, Expr::sub(x, y)),
+                Stmt::decl(d.clone(), Type::F64, Expr::sub(x, y)),
                 Stmt::assign_op(
                     s,
                     BinOp::Add,
@@ -735,9 +736,9 @@ fn histogram_body(variant: &HistoVariant, i: &str, names: &mut Names) -> Vec<Stm
             vec![
                 Stmt::decl(
                     b.clone(),
-                    CType::Int,
+                    Type::I32,
                     Expr::cast(
-                        CType::Int,
+                        Type::I32,
                         Expr::mul(Expr::call("fabs", vec![at(*src, v(i))]), Expr::f64(*c)),
                     ),
                 ),
@@ -753,7 +754,7 @@ fn histogram_body(variant: &HistoVariant, i: &str, names: &mut Names) -> Vec<Stm
             vec![
                 Stmt::decl(
                     m.clone(),
-                    CType::Double,
+                    Type::F64,
                     Expr::call(
                         "fmax",
                         vec![
@@ -764,8 +765,8 @@ fn histogram_body(variant: &HistoVariant, i: &str, names: &mut Names) -> Vec<Stm
                 ),
                 Stmt::decl(
                     b.clone(),
-                    CType::Int,
-                    Expr::cast(CType::Int, Expr::mul(v(&m), Expr::f64(*c))),
+                    Type::I32,
+                    Expr::cast(Type::I32, Expr::mul(v(&m), Expr::f64(*c))),
                 ),
                 Stmt::assign(
                     store(ArrayId::BinsI, v(&b)),
@@ -783,7 +784,7 @@ fn sum(terms: Vec<Expr>) -> Expr {
     it.fold(first, Expr::add)
 }
 
-fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType {
+fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> Type {
     match p {
         PlantKind::Reduction {
             kernel,
@@ -794,13 +795,13 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
             wrapped,
         } => {
             let (ty, init) = if *kernel == RedKernel::IntSum {
-                (CType::Int, Expr::int(0))
+                (Type::I32, Expr::int(0))
             } else if *kernel == RedKernel::Prod {
-                (CType::Double, Expr::f64(1.0))
+                (Type::F64, Expr::f64(1.0))
             } else {
-                (CType::Double, Expr::f64(0.0))
+                (Type::F64, Expr::f64(0.0))
             };
-            body.push(Stmt::decl("s", ty.clone(), init));
+            body.push(Stmt::decl("s", ty, init));
             let i = names.iter();
             let red = Stmt::count_for(
                 i.clone(),
@@ -820,7 +821,7 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
             let i = names.iter();
             let inner = histogram_body(variant, &i, names);
             body.push(Stmt::count_for(i, Expr::int(0), v("n"), inner));
-            CType::Void
+            Type::Void
         }
         PlantKind::Stencil1D {
             src,
@@ -848,7 +849,7 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
                 Expr::sub(v("n"), Expr::int(radius)),
                 vec![Stmt::assign(store(*dst, v(&i)), value)],
             ));
-            CType::Void
+            Type::Void
         }
         PlantKind::Stencil2D { taps, scale } => {
             let i = names.iter();
@@ -880,7 +881,7 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
                 Expr::sub(v("g"), Expr::int(1)),
                 vec![inner],
             ));
-            CType::Void
+            Type::Void
         }
         PlantKind::Gemm { epilogue } => {
             let i = names.iter();
@@ -914,7 +915,7 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
                     at(arr, Expr::add(v(row), Expr::mul(v(col), v("dim"))))
                 };
                 vec![
-                    Stmt::decl("s", CType::Double, Expr::f64(0.0)),
+                    Stmt::decl("s", Type::F64, Expr::f64(0.0)),
                     Stmt::count_for(
                         k.clone(),
                         Expr::int(0),
@@ -938,7 +939,7 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
                 v("dim"),
                 vec![jloop],
             ));
-            CType::Void
+            Type::Void
         }
         PlantKind::Spmv => {
             let i = names.iter();
@@ -946,7 +947,7 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
             let inner = Stmt::For {
                 init: Some(Box::new(Stmt::decl(
                     k.clone(),
-                    CType::Int,
+                    Type::I32,
                     at(ArrayId::CsrR, v(&i)),
                 ))),
                 cond: Some(Expr::cmp(
@@ -974,20 +975,20 @@ fn render_plant(p: &PlantKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType
                 Expr::int(0),
                 v("rows"),
                 vec![
-                    Stmt::decl("s", CType::Double, Expr::f64(0.0)),
+                    Stmt::decl("s", Type::F64, Expr::f64(0.0)),
                     inner,
                     Stmt::assign(store(ArrayId::Y0, v(&i)), v("s")),
                 ],
             ));
-            CType::Void
+            Type::Void
         }
     }
 }
 
-fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) -> CType {
+fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) -> Type {
     match nm {
         NearMissKind::GuardedReduction { a, g } => {
-            body.push(Stmt::decl("s", CType::Double, Expr::f64(0.0)));
+            body.push(Stmt::decl("s", Type::F64, Expr::f64(0.0)));
             let i = names.iter();
             body.push(Stmt::count_for(
                 i.clone(),
@@ -1003,15 +1004,15 @@ fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) 
                     other: vec![],
                 }],
             ));
-            CType::Double
+            Type::F64
         }
         NearMissKind::DownwardReduction { a } => {
-            body.push(Stmt::decl("s", CType::Double, Expr::f64(0.0)));
+            body.push(Stmt::decl("s", Type::F64, Expr::f64(0.0)));
             let i = names.iter();
             body.push(Stmt::For {
                 init: Some(Box::new(Stmt::decl(
                     i.clone(),
-                    CType::Int,
+                    Type::I32,
                     Expr::sub(v("n"), Expr::int(1)),
                 ))),
                 cond: Some(Expr::cmp(CmpOp::Ge, v(&i), Expr::int(0))),
@@ -1025,7 +1026,7 @@ fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) 
                     at(*a, v(&i)),
                 )],
             });
-            CType::Double
+            Type::F64
         }
         NearMissKind::IteratorHistogram => {
             let i = names.iter();
@@ -1038,7 +1039,7 @@ fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) 
                     Expr::add(at(ArrayId::BinsI, v(&i)), Expr::int(1)),
                 )],
             ));
-            CType::Void
+            Type::Void
         }
         NearMissKind::InPlaceStencil { arr } => {
             let i = names.iter();
@@ -1054,7 +1055,7 @@ fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) 
                     ),
                 )],
             ));
-            CType::Void
+            Type::Void
         }
     }
 }
@@ -1063,21 +1064,20 @@ fn render_near_miss(nm: &NearMissKind, names: &mut Names, body: &mut Vec<Stmt>) 
 /// naming scheme on purpose: the aliasing adversary needs two pointer
 /// parameters that only the *call site* (see [`adversary_args`]) reveals
 /// to be one object.
-fn adversary_params(k: AdversaryKind) -> Vec<(String, CType)> {
+fn adversary_params(k: AdversaryKind) -> Vec<(String, Type)> {
     match k {
         AdversaryKind::AliasedParams => vec![
-            ("pa".into(), CType::Double.ptr_to()),
-            ("pb".into(), CType::Double.ptr_to()),
-            ("n".into(), CType::Int),
+            ("pa".into(), Type::F64.ptr_to()),
+            ("pb".into(), Type::F64.ptr_to()),
+            ("n".into(), Type::I32),
         ],
         AdversaryKind::NonAffine => vec![
-            ("pa".into(), CType::Double.ptr_to()),
-            ("pb".into(), CType::Double.ptr_to()),
+            ("pa".into(), Type::F64.ptr_to()),
+            ("pb".into(), Type::F64.ptr_to()),
         ],
-        AdversaryKind::TriangularSweep => vec![
-            ("pm".into(), CType::Double.ptr_to()),
-            ("dim".into(), CType::Int),
-        ],
+        AdversaryKind::TriangularSweep => {
+            vec![("pm".into(), Type::F64.ptr_to()), ("dim".into(), Type::I32)]
+        }
     }
 }
 
@@ -1281,22 +1281,22 @@ fn uses_second(k: RedKernel) -> bool {
 /// The C return type of a function, derivable from its role without
 /// rendering the body (kept in sync with `render_plant`/
 /// `render_near_miss` by a debug assertion in `render_func`).
-fn ret_type(f: &FuncSpec) -> CType {
+fn ret_type(f: &FuncSpec) -> Type {
     match &f.role {
         Role::Plant(PlantKind::Reduction { kernel, .. }) => {
             if *kernel == RedKernel::IntSum {
-                CType::Int
+                Type::I32
             } else {
-                CType::Double
+                Type::F64
             }
         }
-        Role::Plant(_) => CType::Void,
+        Role::Plant(_) => Type::Void,
         Role::NearMiss(
             NearMissKind::GuardedReduction { .. } | NearMissKind::DownwardReduction { .. },
-        ) => CType::Double,
-        Role::NearMiss(_) => CType::Void,
-        Role::Adversary(_) => CType::Void,
-        Role::Filler => CType::Double,
+        ) => Type::F64,
+        Role::NearMiss(_) => Type::Void,
+        Role::Adversary(_) => Type::Void,
+        Role::Filler => Type::F64,
     }
 }
 
@@ -1328,19 +1328,19 @@ fn render_func(f: &FuncSpec) -> FuncDef {
             for stmt in &f.post {
                 body.extend(render_filler(stmt, &mut names, None));
             }
-            if ty != CType::Void {
+            if ty != Type::Void {
                 body.push(Stmt::ret(v("s")));
             }
             ty
         }
         Role::Adversary(_) => unreachable!("adversaries render above"),
         Role::Filler => {
-            body.push(Stmt::decl("s", CType::Double, Expr::f64(0.0)));
+            body.push(Stmt::decl("s", Type::F64, Expr::f64(0.0)));
             for stmt in f.pre.iter().chain(&f.post) {
                 body.extend(render_filler(stmt, &mut names, Some("s")));
             }
             body.push(Stmt::ret(v("s")));
-            CType::Double
+            Type::F64
         }
     };
     debug_assert_eq!(ret, ret_type(f), "ret_type out of sync for {f:?}");
@@ -1359,14 +1359,14 @@ fn render_func(f: &FuncSpec) -> FuncDef {
 /// The fixed entry point: takes the full array pool + size scalars and
 /// calls every generated function, accumulating scalar results.
 fn render_entry(funcs: &[FuncSpec]) -> FuncDef {
-    let mut params: Vec<(String, CType)> = ArrayId::ALL
+    let mut params: Vec<(String, Type)> = ArrayId::ALL
         .iter()
         .map(|a| (a.cname().to_owned(), a.ctype()))
         .collect();
     for s in [Param::N, Param::G, Param::Dim, Param::Rows, Param::Nb] {
-        params.push((s.cname().to_owned(), CType::Int));
+        params.push((s.cname().to_owned(), Type::I32));
     }
-    let mut body = vec![Stmt::decl("total", CType::Double, Expr::f64(0.0))];
+    let mut body = vec![Stmt::decl("total", Type::F64, Expr::f64(0.0))];
     for f in funcs {
         let args: Vec<Expr> = match &f.role {
             Role::Adversary(k) => adversary_args(*k),
@@ -1374,10 +1374,10 @@ fn render_entry(funcs: &[FuncSpec]) -> FuncDef {
         };
         let call = Expr::call(&f.name, args);
         match ret_type(f) {
-            CType::Void => body.push(Stmt::Expr(call, 0)),
-            CType::Int => body.push(Stmt::assign(
+            Type::Void => body.push(Stmt::Expr(call, 0)),
+            Type::I32 => body.push(Stmt::assign(
                 LValue::Var("total".into()),
-                Expr::add(v("total"), Expr::cast(CType::Double, call)),
+                Expr::add(v("total"), Expr::cast(Type::F64, call)),
             )),
             _ => body.push(Stmt::assign(
                 LValue::Var("total".into()),
@@ -1389,7 +1389,7 @@ fn render_entry(funcs: &[FuncSpec]) -> FuncDef {
     FuncDef {
         name: Spec::ENTRY.into(),
         params,
-        ret: CType::Double,
+        ret: Type::F64,
         body,
         line: 0,
     }

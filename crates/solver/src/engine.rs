@@ -515,7 +515,7 @@ impl<'f> Solver<'f> {
 
     fn type_is(&self, v: ValueId, class: TypeClass, constant_zero: bool) -> bool {
         let f = self.f;
-        let ty = &f.value(v).ty;
+        let ty = f.value(v).ty;
         let class_ok = match class {
             TypeClass::Integer => ty.is_integer(),
             TypeClass::Float => ty.is_float(),

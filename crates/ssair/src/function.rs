@@ -450,7 +450,7 @@ impl Function {
         };
         for (i, (pname, pty)) in params.iter().enumerate() {
             let id = f.push_value(ValueData {
-                ty: pty.clone(),
+                ty: *pty,
                 kind: ValueKind::Argument { index: i },
                 name: Some(pname.clone()),
             });
@@ -586,7 +586,7 @@ impl Function {
     /// The slot of an interned constant, creating it on first use: the
     /// same id a scan of the arena for the first equal constant returns.
     fn intern(&mut self, ty: Type, bits: ConstBits, kind: ValueKind) -> ValueId {
-        if let Some(&id) = self.consts.get(&(ty.clone(), bits)) {
+        if let Some(&id) = self.consts.get(&(ty, bits)) {
             debug_assert!(
                 self.value(id).ty == ty && ConstBits::of(&self.value(id).kind) == Some(bits),
                 "constant slot {id} was rewritten after interning"
@@ -594,7 +594,7 @@ impl Function {
             return id;
         }
         let id = self.push_value(ValueData {
-            ty: ty.clone(),
+            ty,
             kind,
             name: None,
         });
@@ -874,7 +874,7 @@ mod tests {
         let mut interned = Vec::new();
         for (k, &x) in floats.iter().enumerate() {
             let ty = if k % 2 == 0 { Type::F64 } else { Type::F32 };
-            interned.push((ty.clone(), ValueKind::ConstFloat(x), f.const_float(ty, x)));
+            interned.push((ty, ValueKind::ConstFloat(x), f.const_float(ty, x)));
             let c = k as i64 % 3;
             interned.push((Type::I64, ValueKind::ConstInt(c), f.const_int(Type::I64, c)));
             let a = f.params[0];

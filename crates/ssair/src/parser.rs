@@ -203,7 +203,7 @@ impl<'a> Cursor<'a> {
 
     fn ty(&mut self) -> Result<Type> {
         let w = self.word()?;
-        parse_type(&w).ok_or_else(|| self.err(format!("unknown type {w:?}")))
+        parse_type(&w).map_err(|m| self.err(m))
     }
 
     fn at_end(&self) -> bool {
@@ -211,24 +211,33 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The deepest pointer type word the parser accepts: one level short of
+/// what a [`Type`] holds, because `alloca` and `getelementptr` type their
+/// result one level deeper than their type word.
+const MAX_WORD_DEPTH: usize = Type::MAX_DEPTH - 1;
+
 /// Parses a type word like `i32`, `double`, `float**`.
-#[must_use]
-pub fn parse_type(word: &str) -> Option<Type> {
-    let stars = word.chars().rev().take_while(|&c| c == '*').count();
-    let base = &word[..word.len() - stars];
-    let mut ty = match base {
+///
+/// # Errors
+/// An unknown base type, or more `*`s than a type word may hold (254).
+pub fn parse_type(word: &str) -> std::result::Result<Type, String> {
+    let stars = word.bytes().rev().take_while(|&c| c == b'*').count();
+    let mut ty = match &word[..word.len() - stars] {
         "i1" => Type::I1,
         "i32" => Type::I32,
         "i64" => Type::I64,
         "float" => Type::F32,
         "double" => Type::F64,
         "void" => Type::Void,
-        _ => return None,
+        _ => return Err(format!("unknown type {word:?}")),
     };
+    if stars > MAX_WORD_DEPTH {
+        return Err(format!("pointer type deeper than {MAX_WORD_DEPTH} levels"));
+    }
     for _ in 0..stars {
         ty = ty.ptr_to();
     }
-    Some(ty)
+    Ok(ty)
 }
 
 fn parse_icmp_pred(w: &str) -> Option<ICmpPred> {
@@ -455,7 +464,7 @@ fn peek_result_type(toks: &[Tok], lineno: usize) -> Result<Type> {
     let w0 = word(0).ok_or_else(|| err("expected mnemonic"))?;
     let ty_at = |k: usize| -> Result<Type> {
         let w = word(k).ok_or_else(|| err("expected type"))?;
-        parse_type(w).ok_or_else(|| err("unknown type"))
+        parse_type(w).map_err(|m| err(&m))
     };
     match w0 {
         "add" | "sub" | "mul" | "sdiv" | "srem" | "and" | "or" | "xor" | "shl" | "ashr"
@@ -470,7 +479,7 @@ fn peek_result_type(toks: &[Tok], lineno: usize) -> Result<Type> {
                 .position(|t| *t == Tok::Comma)
                 .ok_or_else(|| err("malformed select"))?;
             match toks.get(comma + 1) {
-                Some(Tok::Word(w)) => parse_type(w).ok_or_else(|| err("unknown select type")),
+                Some(Tok::Word(w)) => parse_type(w).map_err(|m| err(&m)),
                 _ => Err(err("malformed select")),
             }
         }),
@@ -495,7 +504,7 @@ fn resolve_operand(
     f: &mut Function,
     names: &HashMap<String, ValueId>,
     tok: &Tok,
-    ty: &Type,
+    ty: Type,
     lineno: usize,
 ) -> Result<ValueId> {
     match tok {
@@ -514,13 +523,13 @@ fn resolve_operand(
                         message: format!("bad float literal {lit:?}"),
                     })?,
                 };
-                Ok(f.const_float(ty.clone(), v))
+                Ok(f.const_float(ty, v))
             } else {
                 let v: i64 = w.parse().map_err(|_| ParseError {
                     line: lineno,
                     message: format!("bad integer literal {w:?}"),
                 })?;
-                Ok(f.const_int(ty.clone(), v))
+                Ok(f.const_int(ty, v))
             }
         }
         other => Err(ParseError {
@@ -580,8 +589,8 @@ fn parse_instr_body(
             let a = cur.next()?;
             cur.expect(&Tok::Comma)?;
             let b = cur.next()?;
-            let a = resolve_operand(f, names, &a, &ty, lineno)?;
-            let b = resolve_operand(f, names, &b, &ty, lineno)?;
+            let a = resolve_operand(f, names, &a, ty, lineno)?;
+            let b = resolve_operand(f, names, &b, ty, lineno)?;
             Ok(simple(opcode, vec![a, b]))
         }
         "icmp" => {
@@ -590,8 +599,8 @@ fn parse_instr_body(
             let a = cur.next()?;
             cur.expect(&Tok::Comma)?;
             let b = cur.next()?;
-            let a = resolve_operand(f, names, &a, &ty, lineno)?;
-            let b = resolve_operand(f, names, &b, &ty, lineno)?;
+            let a = resolve_operand(f, names, &a, ty, lineno)?;
+            let b = resolve_operand(f, names, &b, ty, lineno)?;
             Ok(simple(Opcode::ICmp(p), vec![a, b]))
         }
         "fcmp" => {
@@ -600,8 +609,8 @@ fn parse_instr_body(
             let a = cur.next()?;
             cur.expect(&Tok::Comma)?;
             let b = cur.next()?;
-            let a = resolve_operand(f, names, &a, &ty, lineno)?;
-            let b = resolve_operand(f, names, &b, &ty, lineno)?;
+            let a = resolve_operand(f, names, &a, ty, lineno)?;
+            let b = resolve_operand(f, names, &b, ty, lineno)?;
             Ok(simple(Opcode::FCmp(p), vec![a, b]))
         }
         "select" => {
@@ -612,9 +621,9 @@ fn parse_instr_body(
             let a = cur.next()?;
             cur.expect(&Tok::Comma)?;
             let b = cur.next()?;
-            let c = resolve_operand(f, names, &c, &cty, lineno)?;
-            let a = resolve_operand(f, names, &a, &ty, lineno)?;
-            let b = resolve_operand(f, names, &b, &ty, lineno)?;
+            let c = resolve_operand(f, names, &c, cty, lineno)?;
+            let a = resolve_operand(f, names, &a, ty, lineno)?;
+            let b = resolve_operand(f, names, &b, ty, lineno)?;
             Ok(simple(Opcode::Select, vec![c, a, b]))
         }
         "getelementptr" => {
@@ -625,8 +634,8 @@ fn parse_instr_body(
             cur.expect(&Tok::Comma)?;
             let ity = cur.ty()?;
             let idx = cur.next()?;
-            let base = resolve_operand(f, names, &base, &pty, lineno)?;
-            let idx = resolve_operand(f, names, &idx, &ity, lineno)?;
+            let base = resolve_operand(f, names, &base, pty, lineno)?;
+            let idx = resolve_operand(f, names, &idx, ity, lineno)?;
             Ok(simple(Opcode::Gep, vec![base, idx]))
         }
         "load" => {
@@ -634,7 +643,7 @@ fn parse_instr_body(
             cur.expect(&Tok::Comma)?;
             let pty = cur.ty()?;
             let p = cur.next()?;
-            let p = resolve_operand(f, names, &p, &pty, lineno)?;
+            let p = resolve_operand(f, names, &p, pty, lineno)?;
             Ok(simple(Opcode::Load, vec![p]))
         }
         "store" => {
@@ -643,8 +652,8 @@ fn parse_instr_body(
             cur.expect(&Tok::Comma)?;
             let pty = cur.ty()?;
             let p = cur.next()?;
-            let v = resolve_operand(f, names, &v, &vty, lineno)?;
-            let p = resolve_operand(f, names, &p, &pty, lineno)?;
+            let v = resolve_operand(f, names, &v, vty, lineno)?;
+            let p = resolve_operand(f, names, &p, pty, lineno)?;
             Ok(simple(Opcode::Store, vec![v, p]))
         }
         "phi" => {
@@ -657,7 +666,7 @@ fn parse_instr_body(
                 cur.expect(&Tok::Comma)?;
                 let label = cur.local()?;
                 cur.expect(&Tok::RBracket)?;
-                operands.push(resolve_operand(f, names, &v, &ty, lineno)?);
+                operands.push(resolve_operand(f, names, &v, ty, lineno)?);
                 incoming.push(*blocks.get(&label).ok_or(ParseError {
                     line: lineno,
                     message: format!("unknown label %{label}"),
@@ -693,7 +702,7 @@ fn parse_instr_body(
                 let t = block_ref(&mut cur, blocks)?;
                 cur.expect(&Tok::Comma)?;
                 let e = block_ref(&mut cur, blocks)?;
-                let c = resolve_operand(f, names, &c, &cty, lineno)?;
+                let c = resolve_operand(f, names, &c, cty, lineno)?;
                 Ok(Instr {
                     opcode: Opcode::CondBr,
                     operands: vec![c],
@@ -711,7 +720,7 @@ fn parse_instr_body(
             }
             let ty = cur.ty()?;
             let v = cur.next()?;
-            let v = resolve_operand(f, names, &v, &ty, lineno)?;
+            let v = resolve_operand(f, names, &v, ty, lineno)?;
             Ok(simple(Opcode::Ret, vec![v]))
         }
         "call" => {
@@ -739,7 +748,7 @@ fn parse_instr_body(
                     _ => {
                         let aty = cur.ty()?;
                         let a = cur.next()?;
-                        args.push(resolve_operand(f, names, &a, &aty, lineno)?);
+                        args.push(resolve_operand(f, names, &a, aty, lineno)?);
                     }
                 }
             }
@@ -756,7 +765,7 @@ fn parse_instr_body(
             cur.expect(&Tok::Comma)?;
             let cty = cur.ty()?;
             let c = cur.next()?;
-            let c = resolve_operand(f, names, &c, &cty, lineno)?;
+            let c = resolve_operand(f, names, &c, cty, lineno)?;
             Ok(simple(Opcode::Alloca, vec![c]))
         }
         "sext" | "zext" | "trunc" | "sitofp" | "fptosi" | "fpext" | "fptrunc" => {
@@ -771,7 +780,7 @@ fn parse_instr_body(
             };
             let ty = cur.ty()?;
             let v = cur.next()?;
-            let v = resolve_operand(f, names, &v, &ty, lineno)?;
+            let v = resolve_operand(f, names, &v, ty, lineno)?;
             let to = cur.word()?;
             if to != "to" {
                 return Err(cur.err("expected 'to'"));
@@ -926,5 +935,24 @@ entry:
         let alloca = f.block(entry).instrs[0];
         assert_eq!(f.opcode(alloca), Some(Opcode::Alloca));
         assert_eq!(f.value(alloca).ty, Type::F64.ptr_to());
+    }
+
+    /// A word deeper than the cap is a parse error, and the deepest one
+    /// still fits a [`Type`] after `alloca` points at it.
+    #[test]
+    fn refuses_pointer_types_deeper_than_the_cap() {
+        let word = |stars: usize| format!("double{}", "*".repeat(stars));
+        let alloca = |stars: usize| {
+            let w = word(stars);
+            format!("define void @f() {{\nentry:\n  %a = alloca {w}, i64 1\n  ret void\n}}\n")
+        };
+        let f = parse_function_text(&alloca(MAX_WORD_DEPTH)).expect("within the cap");
+        let a = f.block(BlockId(0)).instrs[0];
+        assert_eq!(f.value(a).ty.to_string(), word(Type::MAX_DEPTH));
+        let too_deep = format!("pointer type deeper than {MAX_WORD_DEPTH} levels");
+        let err = parse_function_text(&alloca(MAX_WORD_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.line, err.message), (3, too_deep.clone()));
+        assert_eq!(parse_type(&word(100_000)), Err(too_deep));
+        assert!(parse_type("doubles*").is_err());
     }
 }

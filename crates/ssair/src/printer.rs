@@ -100,8 +100,8 @@ fn typed_operand(f: &Function, namer: &Namer, id: ValueId) -> String {
 
 /// Renders one instruction (without trailing newline).
 fn instr_text(f: &Function, namer: &Namer, id: ValueId, i: &Instr) -> String {
-    let ty = &f.value(id).ty;
-    let lhs = if *ty == Type::Void {
+    let ty = f.value(id).ty;
+    let lhs = if ty == Type::Void {
         String::new()
     } else {
         format!("%{} = ", namer.value(id))
@@ -125,18 +125,18 @@ fn instr_text(f: &Function, namer: &Namer, id: ValueId, i: &Instr) -> String {
             format!("{lhs}{} {} {}, {}", i.opcode.mnemonic(), ty, ops(0), ops(1))
         }
         Opcode::ICmp(p) => {
-            let oty = &f.value(i.operands[0]).ty;
+            let oty = f.value(i.operands[0]).ty;
             format!("{lhs}icmp {} {} {}, {}", p.mnemonic(), oty, ops(0), ops(1))
         }
         Opcode::FCmp(p) => {
-            let oty = &f.value(i.operands[0]).ty;
+            let oty = f.value(i.operands[0]).ty;
             format!("{lhs}fcmp {} {} {}, {}", p.mnemonic(), oty, ops(0), ops(1))
         }
         Opcode::Select => {
             format!("{lhs}select i1 {}, {} {}, {}", ops(0), ty, ops(1), ops(2))
         }
         Opcode::Gep => {
-            let pty = &f.value(i.operands[0]).ty;
+            let pty = f.value(i.operands[0]).ty;
             let ety = pty.pointee().expect("gep base must be pointer");
             format!(
                 "{lhs}getelementptr {ety}, {pty} {}, {} {}",
@@ -146,7 +146,7 @@ fn instr_text(f: &Function, namer: &Namer, id: ValueId, i: &Instr) -> String {
             )
         }
         Opcode::Load => {
-            let pty = &f.value(i.operands[0]).ty;
+            let pty = f.value(i.operands[0]).ty;
             format!("{lhs}load {ty}, {pty} {}", ops(0))
         }
         Opcode::Store => {

@@ -203,7 +203,7 @@ fn check_call(f: &Function, v: ValueId, i: &Instr, g: &Function) -> Result<(), S
         ));
     }
     for (k, (&a, &p)) in i.operands.iter().zip(&g.params).enumerate() {
-        let (have, want) = (&f.value(a).ty, &g.value(p).ty);
+        let (have, want) = (f.value(a).ty, g.value(p).ty);
         if have != want {
             return Err(format!(
                 "{call}: argument {k} is {have}, @{} takes {want}",
@@ -293,13 +293,13 @@ fn verify_shape(f: &Function, i: &Instr) -> Result<(), String> {
 #[allow(clippy::collapsible_match)]
 fn verify_types(f: &Function, v: ValueId, errors: &mut Vec<VerifyError>) {
     let i = f.instr(v).expect("instruction");
-    let ty = &f.value(v).ty;
+    let ty = f.value(v).ty;
     macro_rules! err {
         ($($arg:tt)*) => {
             errors.push(VerifyError { function: f.name.clone(), message: format!($($arg)*) })
         };
     }
-    let opty = |k: usize| &f.value(i.operands[k]).ty;
+    let opty = |k: usize| f.value(i.operands[k]).ty;
     match i.opcode {
         Opcode::Add
         | Opcode::Sub
@@ -321,12 +321,12 @@ fn verify_types(f: &Function, v: ValueId, errors: &mut Vec<VerifyError>) {
             }
         }
         Opcode::ICmp(_) => {
-            if *ty != Type::I1 || !opty(0).is_integer() && !opty(0).is_pointer() {
+            if ty != Type::I1 || !opty(0).is_integer() && !opty(0).is_pointer() {
                 err!("icmp {} has bad types", f.display_name(v));
             }
         }
         Opcode::FCmp(_) => {
-            if *ty != Type::I1 || !opty(0).is_float() {
+            if ty != Type::I1 || !opty(0).is_float() {
                 err!("fcmp {} has bad types", f.display_name(v));
             }
         }
@@ -336,12 +336,12 @@ fn verify_types(f: &Function, v: ValueId, errors: &mut Vec<VerifyError>) {
             }
         }
         Opcode::Load => {
-            if *ty == Type::Void || opty(0).pointee() != Some(ty) {
+            if ty == Type::Void || opty(0).pointee() != Some(ty) {
                 err!("load {} type does not match pointer", f.display_name(v));
             }
         }
         Opcode::Store => {
-            if *opty(0) == Type::Void || opty(1).pointee() != Some(opty(0)) {
+            if opty(0) == Type::Void || opty(1).pointee() != Some(opty(0)) {
                 err!("store {} type does not match pointer", f.display_name(v));
             }
         }
@@ -351,7 +351,7 @@ fn verify_types(f: &Function, v: ValueId, errors: &mut Vec<VerifyError>) {
             }
         }
         Opcode::CondBr => {
-            if *opty(0) != Type::I1 {
+            if opty(0) != Type::I1 {
                 err!("condbr {} condition is not i1", f.display_name(v));
             }
         }
@@ -502,7 +502,7 @@ exit:
     #[test]
     fn rejects_void_load_and_store() {
         let vptr = Type::Void.ptr_to();
-        let mut f = Function::new("vload", &[("p".into(), vptr.clone())], Type::Void);
+        let mut f = Function::new("vload", &[("p".into(), vptr)], Type::Void);
         let p = f.params[0];
         f.append_simple(BlockId(0), Type::Void, Opcode::Load, vec![p]);
         f.append_ret(BlockId(0), None);

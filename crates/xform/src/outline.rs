@@ -78,7 +78,7 @@ impl<'f> KernelSlice<'f> {
             if let Some(&m) = map.get(&v) {
                 return m;
             }
-            let ty = src.value(v).ty.clone();
+            let ty = src.value(v).ty;
             match src.value(v).kind {
                 ValueKind::ConstInt(c) => dst.const_int(ty, c),
                 ValueKind::ConstFloat(c) => dst.const_float(ty, c),
@@ -95,7 +95,7 @@ impl<'f> KernelSlice<'f> {
                 callee: instr.callee.clone(),
                 ..Instr::simple(instr.opcode, operands)
             };
-            let image = dst.append(block, src.value(v).ty.clone(), cloned);
+            let image = dst.append(block, src.value(v).ty, cloned);
             map.insert(v, image);
         }
         let result = remap(&map, dst, self.output);
@@ -127,9 +127,9 @@ pub fn outline_kernel(
 ) -> Option<OutlinedKernel> {
     let slice = KernelSlice::new(src, output, inputs)?;
     let params: Vec<(String, Type)> = (slice.inputs.iter().enumerate())
-        .map(|(k, &v)| (format!("in{k}"), src.value(v).ty.clone()))
+        .map(|(k, &v)| (format!("in{k}"), src.value(v).ty))
         .collect();
-    let mut function = Function::new(name, &params, src.value(output).ty.clone());
+    let mut function = Function::new(name, &params, src.value(output).ty);
     let args = function.params.clone();
     let result = slice.emit(&mut function, BlockId(0), &args, "out");
     function.append_ret(BlockId(0), Some(result));

@@ -555,7 +555,7 @@ fn emit(
 /// like it.
 fn add_params(d: &mut Function, f: &Function, prefix: &str, values: &[ValueId]) -> Vec<ValueId> {
     (values.iter().enumerate())
-        .map(|(k, &v)| d.add_param(&format!("{prefix}{k}"), f.value(v).ty.clone()))
+        .map(|(k, &v)| d.add_param(&format!("{prefix}{k}"), f.value(v).ty))
         .collect()
 }
 
@@ -564,8 +564,8 @@ fn offset(d: &mut Function, block: BlockId, v: ValueId, c: i64, name: &str) -> V
     if c == 0 {
         return v;
     }
-    let ty = d.value(v).ty.clone();
-    let c = d.const_int(ty.clone(), c);
+    let ty = d.value(v).ty;
+    let c = d.const_int(ty, c);
     emit(d, block, name, ty, Opcode::Add, vec![v, c])
 }
 
@@ -584,7 +584,7 @@ fn element_addr(
     } else {
         idx
     };
-    let ty = d.value(base).ty.clone();
+    let ty = d.value(base).ty;
     emit(d, block, name, ty, Opcode::Gep, vec![base, idx])
 }
 
@@ -601,7 +601,7 @@ fn emit_indexed_load(
     let addr = element_addr(d, block, base, idx, &format!("{wide}{r}"), &format!("a{r}"));
     // A base that is no pointer (only a forged binding can give one) loads
     // `void`, which verification refuses.
-    let elem = d.value(base).ty.pointee().cloned().unwrap_or(Type::Void);
+    let elem = d.value(base).ty.pointee().unwrap_or(Type::Void);
     emit(d, block, format!("v{r}"), elem, Opcode::Load, vec![addr])
 }
 
@@ -617,7 +617,7 @@ fn enter_loop(
     end: ValueId,
 ) -> ValueId {
     d.append_br(pre, header);
-    let phi = d.append_phi(header, d.value(begin).ty.clone());
+    let phi = d.append_phi(header, d.value(begin).ty);
     d.set_name(phi, iv);
     d.add_phi_incoming(phi, begin, pre);
     let slt = Opcode::ICmp(ICmpPred::Slt);
@@ -638,8 +638,8 @@ fn one_loop(d: &mut Function, begin: ValueId, end: ValueId) -> ([BlockId; 3], Va
 /// Ends the body of the loop on `iv` at `latch`: steps `iv` as `%{next}`
 /// and branches back to `header`.
 fn step_loop(d: &mut Function, latch: BlockId, header: BlockId, iv: ValueId, next: &str) {
-    let ty = d.value(iv).ty.clone();
-    let one = d.const_int(ty.clone(), 1);
+    let ty = d.value(iv).ty;
+    let one = d.const_int(ty, 1);
     let stepped = emit(d, latch, next, ty, Opcode::Add, vec![iv, one]);
     d.append_br(latch, header);
     d.add_phi_incoming(iv, stepped, latch);
@@ -675,18 +675,18 @@ fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let bases = (0..reads.len())
         .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
         .collect::<Result<Vec<_>>>()?;
-    let ity = f.value(bind(inst, "iterator")?).ty.clone();
-    let aty = f.value(acc).ty.clone();
+    let ity = f.value(bind(inst, "iterator")?).ty;
+    let aty = f.value(acc).ty;
 
     // Build the device program (the "Lift output").
-    let mut d = Function::new(format!("lift_red_{uid}"), &[], aty.clone());
+    let mut d = Function::new(format!("lift_red_{uid}"), &[], aty);
     let ptrs = add_params(&mut d, f, "b", &bases);
-    let begin = d.add_param("begin", ity.clone());
+    let begin = d.add_param("begin", ity);
     let end = d.add_param("end", ity);
-    let init = d.add_param("init", aty.clone());
+    let init = d.add_param("init", aty);
     let xs = add_params(&mut d, f, "x", &extras);
     let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
-    let dacc = d.append_phi(header, aty.clone());
+    let dacc = d.append_phi(header, aty);
     d.set_name(dacc, "acc");
     d.add_phi_incoming(dacc, init, BlockId(0));
     let mut kargs: Vec<ValueId> = (ptrs.iter().enumerate())
@@ -738,13 +738,13 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
         .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
         .collect::<Result<Vec<_>>>()?;
     let bins = bind(inst, "bins")?;
-    let bty = f.value(old).ty.clone();
-    let ity = f.value(bind(inst, "iterator")?).ty.clone();
+    let bty = f.value(old).ty;
+    let ity = f.value(bind(inst, "iterator")?).ty;
 
     let mut d = Function::new(format!("lift_histo_{uid}"), &[], Type::Void);
-    let dbins = d.add_param("bins", bty.clone().ptr_to());
+    let dbins = d.add_param("bins", bty.ptr_to());
     let ptrs = add_params(&mut d, f, "b", &bases);
-    let begin = d.add_param("begin", ity.clone());
+    let begin = d.add_param("begin", ity);
     let end = d.add_param("end", ity);
     let ixs = add_params(&mut d, f, "ix", &i_extras);
     let vxs = add_params(&mut d, f, "vx", &v_extras);
@@ -754,7 +754,7 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
         .collect();
     let xidx = ik.emit(&mut d, latch, &[&loads[..], &ixs].concat(), "xidx");
     let ba = element_addr(&mut d, latch, dbins, xidx, "xw", "ba");
-    let dold = emit(&mut d, latch, "old", bty.clone(), Opcode::Load, vec![ba]);
+    let dold = emit(&mut d, latch, "old", bty, Opcode::Load, vec![ba]);
     let new = vk.emit(&mut d, latch, &[&loads[..], &[dold], &vxs].concat(), "new");
     d.append_simple(latch, Type::Void, Opcode::Store, vec![new, ba]);
     step_loop(&mut d, latch, header, i, "inext");
@@ -812,13 +812,13 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         offsets.push(off);
     }
     let out_base = bind(inst, "write.base_pointer")?;
-    let oty = f.value(write_value).ty.clone();
-    let ity = f.value(center).ty.clone();
+    let oty = f.value(write_value).ty;
+    let ity = f.value(center).ty;
 
     let mut d = Function::new(format!("halide_st1_{uid}"), &[], Type::Void);
     let out = d.add_param("out", oty.ptr_to());
     let ptrs = add_params(&mut d, f, "b", &bases);
-    let begin = d.add_param("begin", ity.clone());
+    let begin = d.add_param("begin", ity);
     let end = d.add_param("end", ity);
     let xs = add_params(&mut d, f, "x", &extras);
     let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
@@ -880,8 +880,8 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         });
     }
     let out_base = bind(inst, "write.base_pointer")?;
-    let oty = f.value(write_value).ty.clone();
-    let ity = f.value(row_iter).ty.clone();
+    let oty = f.value(write_value).ty;
+    let ity = f.value(row_iter).ty;
     if f.value(col_iter).ty != ity {
         return Err(XformError::Unsupported(
             "mixed-width stencil iterators".into(),
@@ -890,13 +890,13 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
 
     let mut d = Function::new(format!("halide_st2_{uid}"), &[], Type::Void);
     let out = d.add_param("out", oty.ptr_to());
-    let sw = d.add_param("sw", ity.clone());
+    let sw = d.add_param("sw", ity);
     let mut ptrs = Vec::new();
     for (r, rd) in rs.iter().enumerate() {
-        let b = d.add_param(&format!("b{r}"), f.value(rd.base).ty.clone());
-        ptrs.push((b, d.add_param(&format!("s{r}"), ity.clone())));
+        let b = d.add_param(&format!("b{r}"), f.value(rd.base).ty);
+        ptrs.push((b, d.add_param(&format!("s{r}"), ity)));
     }
-    let [b0r, e0r, b1c, e1c] = ["b0r", "e0r", "b1c", "e1c"].map(|p| d.add_param(p, ity.clone()));
+    let [b0r, e0r, b1c, e1c] = ["b0r", "e0r", "b1c", "e1c"].map(|p| d.add_param(p, ity));
     let xs = add_params(&mut d, f, "x", &extras);
     let blocks = ["h0", "pre1", "h1", "l1", "x1", "l0", "x0"];
     let [h0, pre1, h1, l1, x1, l0, x0] = blocks.map(|b| d.add_block(b));
@@ -910,24 +910,17 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
             &mut d,
             pre1,
             format!("m{r}"),
-            ity.clone(),
+            ity,
             Opcode::Mul,
             vec![row, s],
         ));
     }
-    let mo = emit(&mut d, pre1, "mo", ity.clone(), Opcode::Mul, vec![i, sw]);
+    let mo = emit(&mut d, pre1, "mo", ity, Opcode::Mul, vec![i, sw]);
     let j = enter_loop(&mut d, [pre1, h1, l1, x1], ["j", "c1"], b1c, e1c);
     let mut kargs = Vec::new();
     for (r, ((rd, &(b, _)), &m)) in rs.iter().zip(&ptrs).zip(&rows).enumerate() {
         let col = offset(&mut d, l1, j, rd.coff, &format!("co{r}"));
-        let flat = emit(
-            &mut d,
-            l1,
-            format!("f{r}"),
-            ity.clone(),
-            Opcode::Add,
-            vec![m, col],
-        );
+        let flat = emit(&mut d, l1, format!("f{r}"), ity, Opcode::Add, vec![m, col]);
         kargs.push(emit_indexed_load(&mut d, l1, r, b, flat, "fw"));
     }
     kargs.extend(xs);

@@ -85,16 +85,16 @@ pub fn reverse_loop(f: &mut Function, info: &IndVar, dom: &DomTree) -> Result<()
         return Err("loop bound is not available in the preheader".into());
     }
     let latch = phi.incoming[latch_idx];
-    let ty = f.value(iv).ty.clone();
+    let ty = f.value(iv).ty;
 
     // All checks passed — mutate. The old step (`iv + 1`) is left in
     // place untouched: bodies often reuse it as data (`rowptr[i+1]`),
     // and the frontend CSEs that use with the increment. The reversed
     // loop gets a *fresh* decrement feeding the phi instead.
-    let minus_one = f.const_int(ty.clone(), -1);
+    let minus_one = f.const_int(ty, -1);
     let before_term = InsertPoint::BeforeTerminator;
     let last = Instr::simple(Opcode::Add, vec![end, minus_one]);
-    let last = f.insert(preheader, before_term, ty.clone(), last);
+    let last = f.insert(preheader, before_term, ty, last);
     let dec = Instr::simple(Opcode::Add, vec![iv, minus_one]);
     let dec = f.insert(latch, before_term, ty, dec);
     let init = {

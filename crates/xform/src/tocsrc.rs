@@ -4,15 +4,14 @@
 
 use ssair::{BlockId, Function, Opcode, Type, ValueId, ValueKind};
 
-fn c_type(t: &Type) -> &'static str {
+fn c_type(t: Type) -> &'static str {
     match t {
-        Type::I1 => "int",
-        Type::I32 => "int",
+        Type::I1 | Type::I32 => "int",
         Type::I64 => "long",
         Type::F32 => "float",
         Type::F64 => "double",
-        Type::Ptr(_) => "void*",
-        Type::Void => "void",
+        _ if t.is_pointer() => "void*",
+        _ => "void",
     }
 }
 
@@ -36,17 +35,17 @@ pub fn ir_to_c(f: &Function) -> Option<String> {
         .params
         .iter()
         .enumerate()
-        .map(|(k, &p)| format!("{} in{k}", c_type(&f.value(p).ty)))
+        .map(|(k, &p)| format!("{} in{k}", c_type(f.value(p).ty)))
         .collect();
     let mut out = format!(
         "{} {}({}) {{\n",
-        c_type(&f.ret_ty),
+        c_type(f.ret_ty),
         f.name,
         params.join(", ")
     );
     for &v in &f.block(BlockId(0)).instrs {
         let i = f.instr(v)?;
-        let ty = c_type(&f.value(v).ty);
+        let ty = c_type(f.value(v).ty);
         let name = format!("t{}", v.0);
         let op = |k: usize| c_operand(f, i.operands[k]);
         let line = match i.opcode {

@@ -103,6 +103,13 @@ fn a_deeply_nested_one_liner_is_a_parse_error_not_an_abort() {
     );
     std::fs::write(corpus_dir.join("a_deep.c"), deep).unwrap();
     std::fs::write(corpus_dir.join("b_ok.c"), OK_SOURCE).unwrap();
+    // A 100,000-star parameter type (~100 KB) used to overflow the same
+    // stack in type conversion, printing and drop, aborting the batch too.
+    let stars = format!(
+        "double f(double{} p) {{ return 0.0; }}\n",
+        "*".repeat(100_000)
+    );
+    std::fs::write(corpus_dir.join("c_deep_pointer.c"), stars).unwrap();
 
     let state = scratch("corpus_deep_state");
     let summary = run(&RunConfig::new(
@@ -112,7 +119,7 @@ fn a_deeply_nested_one_liner_is_a_parse_error_not_an_abort() {
     .expect("run survives the hostile module");
 
     assert!(summary.complete);
-    assert_eq!(summary.records.len(), 2);
+    assert_eq!(summary.records.len(), 3);
     let deep = &summary.records[0];
     assert_eq!(deep.module, "a_deep.c");
     assert_eq!(deep.outcome, Taxonomy::ParseError);
@@ -120,6 +127,15 @@ fn a_deeply_nested_one_liner_is_a_parse_error_not_an_abort() {
     let ok = &summary.records[1];
     assert_eq!(ok.outcome, Taxonomy::Ok, "{}", ok.detail);
     assert_eq!(ok.planted_hit, 1);
+    let stars = &summary.records[2];
+    assert_eq!(stars.module, "c_deep_pointer.c");
+    assert_eq!(stars.outcome, Taxonomy::ParseError);
+    assert!(
+        stars.detail.contains("pointer type deeper than 128 levels"),
+        "got {:?}",
+        stars.detail
+    );
+    assert_eq!(summary.taxonomy()[&Taxonomy::ParseError], 2);
 
     let _ = std::fs::remove_dir_all(&corpus_dir);
     let _ = std::fs::remove_dir_all(&state);

@@ -16,8 +16,10 @@
 
 use hetero::{Platform, Workload};
 use idioms::{IdiomInstance, IdiomKind};
-use interp::{compile_module, Allocation, CompiledModule, Memory, Value, Vm};
+use interp::{compile_module, Allocation, CompiledModule, Memory, ModuleCode, Value, Vm};
+use ssair::analysis::{AffineMap, Analyses};
 use ssair::{Module, Type};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -433,6 +435,23 @@ fn load_elem(mem: &Memory, al: &Allocation, i: usize) -> Result<Value, String> {
     }
 }
 
+/// One input seed's post-setup state: the memory image the setup built
+/// and the entry arguments it returned. Every run under the seed starts
+/// from a clone of the image, so the setup runs once per module and seed.
+struct Input {
+    seed: u64,
+    image: Memory,
+    args: Vec<Value>,
+}
+
+impl Input {
+    fn new(setup: &impl Fn(&mut Memory, u64) -> Vec<Value>, seed: u64) -> Input {
+        let mut image = Memory::new();
+        let args = setup(&mut image, seed);
+        Input { seed, image, args }
+    }
+}
+
 /// One finished run of a program's entry point under one input seed.
 struct Run {
     seed: u64,
@@ -444,68 +463,97 @@ struct Run {
     setup_allocs: usize,
 }
 
-/// One full run of `entry` in `code`: seeded setup, fresh VM with the
-/// vendor hosts registered, entry execution.
-fn run_program(
-    code: &CompiledModule<'_>,
-    entry: &str,
-    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seed: u64,
-) -> Result<Run, String> {
+/// One run of `entry` in `code` from `input`: a fresh VM with the vendor
+/// hosts registered, starting from a clone of the input's image.
+fn run_program(code: &CompiledModule<'_>, entry: &str, input: &Input) -> Result<Run, String> {
     let mut vm = Vm::new(code);
     hetero::hosts::register_all(&mut vm);
-    let args = setup(&mut vm.mem, seed);
-    let setup_allocs = vm.mem.allocations().len();
-    let ret = vm.run(entry, &args).map_err(|e| e.to_string())?;
+    vm.mem = input.image.clone();
+    let ret = vm.run(entry, &input.args).map_err(|e| e.to_string())?;
     Ok(Run {
-        seed,
+        seed: input.seed,
         ret,
         mem: vm.mem,
-        setup_allocs,
+        setup_allocs: input.image.allocations().len(),
     })
 }
 
-/// The original module's runs, one per input seed in seed order, each
-/// made at most once: validation and every reversed variant of the
-/// witness compare against the same images. A seed no caller reached
-/// yet is run (and the module compiled) on first use.
+/// What the original module's side of the comparisons keeps between
+/// stages: its code, detached from the module, and the inputs and runs
+/// made so far, one per seed in seed order.
+#[derive(Default)]
+struct ForwardState {
+    code: Option<ModuleCode>,
+    inputs: Vec<Input>,
+    runs: Vec<Run>,
+}
+
+/// The original module's side of every comparison: each seed's input and
+/// the original's run from it, each made at most once, so validation and
+/// every reversed variant of the witness compare against the same runs.
+/// A seed no caller reached yet is set up and run (and the module
+/// compiled) on first use.
 struct Forward<'m> {
     module: &'m Module,
     code: Option<CompiledModule<'m>>,
+    inputs: Vec<Input>,
     runs: Vec<Run>,
 }
 
 impl<'m> Forward<'m> {
-    fn new(module: &'m Module, runs: Vec<Run>) -> Forward<'m> {
+    /// Resumes from `state`, which holds what an earlier stage made for
+    /// `module`.
+    fn new(module: &'m Module, state: ForwardState) -> Forward<'m> {
         Forward {
             module,
-            code: None,
-            runs,
+            code: state.code.and_then(|c| c.attach(module)),
+            inputs: state.inputs,
+            runs: state.runs,
         }
     }
 
-    /// The run under `seeds[k]`, where `seeds[..k]` already ran.
+    fn into_state(self) -> ForwardState {
+        ForwardState {
+            code: self.code.map(CompiledModule::detach),
+            inputs: self.inputs,
+            runs: self.runs,
+        }
+    }
+
+    /// The original module's code, compiled on first use.
+    fn code(&mut self) -> &mut CompiledModule<'m> {
+        let module = self.module;
+        self.code.get_or_insert_with(|| compile_module(module))
+    }
+
+    /// Makes the input and the original's run under `seeds[k]`, where
+    /// `seeds[..k]` already have theirs.
     fn get(
         &mut self,
         k: usize,
         seed: u64,
         entry: &str,
         setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
-    ) -> Result<&Run, ValidationError> {
+    ) -> Result<(), ValidationError> {
+        if k == self.inputs.len() {
+            self.inputs.push(Input::new(setup, seed));
+        }
         if k == self.runs.len() {
+            let input = &self.inputs[k];
             let module = self.module;
             let code = self.code.get_or_insert_with(|| compile_module(module));
-            let run =
-                run_program(code, entry, setup, seed).map_err(|message| ValidationError::Exec {
-                    which: "original",
-                    seed,
-                    message,
-                })?;
+            let run = run_program(code, entry, input).map_err(|message| ValidationError::Exec {
+                which: "original",
+                seed,
+                message,
+            })?;
             self.runs.push(run);
         }
-        let run = &self.runs[k];
-        debug_assert_eq!(run.seed, seed, "forward runs follow the seed order");
-        Ok(run)
+        debug_assert_eq!(
+            self.runs[k].seed, seed,
+            "forward runs follow the seed order"
+        );
+        Ok(())
     }
 }
 
@@ -578,6 +626,10 @@ fn compare_runs(o: &Run, t: &Run) -> Result<usize, ValidationError> {
 /// `entry` on both modules under every seed in `seeds` and compares the
 /// runs seed by seed: return values, memory sizes and every element of
 /// the arrays the setup allocated, bitwise.
+///
+/// `setup` runs once per seed, and both modules' runs start from a clone
+/// of the memory it built, so it must be deterministic in its seed (the
+/// chain and [`check_reversal_oracle`] each call it again).
 pub fn validate_transform(
     original: &Module,
     transformed: &Module,
@@ -585,13 +637,12 @@ pub fn validate_transform(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ValidationSummary, ValidationError> {
-    let mut forward = Forward::new(original, Vec::new());
+    let mut forward = Forward::new(original, ForwardState::default());
     validate_against(&mut forward, transformed, entry, &setup, seeds)
 }
 
-/// The seed loop of [`validate_transform`], against forward runs that
-/// may already exist: per seed, the original's run (made on first use),
-/// then `transformed`'s, then [`compare_runs`].
+/// The seed loop of [`validate_transform`] against `transformed`'s
+/// whole-module code.
 fn validate_against(
     forward: &mut Forward<'_>,
     transformed: &Module,
@@ -599,20 +650,36 @@ fn validate_against(
     setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ValidationSummary, ValidationError> {
+    let code = compile_module(transformed);
+    compare_seeds(forward, entry, setup, seeds, |fw, k| {
+        run_program(&code, entry, &fw.inputs[k])
+    })
+}
+
+/// The seed loop shared by validation and the witness: per seed, the
+/// original's run (made on first use), then the other side's run from
+/// the same input (`other`, given the seed's index), then
+/// [`compare_runs`]. An empty seed set is an error, not a vacuous pass.
+fn compare_seeds<'m>(
+    forward: &mut Forward<'m>,
+    entry: &str,
+    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
+    seeds: &[u64],
+    mut other: impl FnMut(&mut Forward<'m>, usize) -> Result<Run, String>,
+) -> Result<ValidationSummary, ValidationError> {
     if seeds.is_empty() {
         return Err(ValidationError::NoSeeds);
     }
-    let code = compile_module(transformed);
     let mut arrays = 0;
     let mut elements = 0;
     for (k, &seed) in seeds.iter().enumerate() {
-        let o = forward.get(k, seed, entry, setup)?;
-        let t =
-            run_program(&code, entry, setup, seed).map_err(|message| ValidationError::Exec {
-                which: "transformed",
-                seed,
-                message,
-            })?;
+        forward.get(k, seed, entry, setup)?;
+        let t = other(forward, k).map_err(|message| ValidationError::Exec {
+            which: "transformed",
+            seed,
+            message,
+        })?;
+        let o = &forward.runs[k];
         elements += compare_runs(o, &t)?;
         arrays = o.setup_allocs;
     }
@@ -644,8 +711,13 @@ pub struct ReversalOracle {
 ///
 /// Regions certified `ReductionOnly` or `Serial` are out of scope (their
 /// iterations do not claim to commute), as are loop shapes the rewriter
-/// refuses; both are reported, not failed. [`Validated::witness`] runs
-/// the same check against the forward runs validation already made.
+/// refuses; both are reported, not failed. The module is compiled once;
+/// a reversed variant compiles only its one function and runs with that
+/// code swapped in ([`CompiledModule::with_function`]). `setup` runs once
+/// per seed and must be deterministic in it: every run under the seed
+/// starts from a clone of the memory it built. [`Validated::witness`]
+/// runs the same check against the forward runs validation already made,
+/// with the analyses detection and transform already built.
 ///
 /// # Errors
 /// The first divergence or execution failure, as a [`ValidationError`].
@@ -656,38 +728,73 @@ pub fn check_reversal_oracle(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ReversalOracle, ValidationError> {
-    let mut forward = Forward::new(module, Vec::new());
-    witness(&mut forward, instances, entry, &setup, seeds)
+    let mut forward = Forward::new(module, ForwardState::default());
+    let analyses = ModuleAnalyses::lazy(module);
+    let facts = analysis::ParamAliasFacts::of_module(module);
+    witness(
+        &mut forward,
+        instances,
+        &analyses,
+        &facts,
+        entry,
+        &setup,
+        seeds,
+    )
+}
+
+/// The analyses of each function of a module, in module order, each
+/// built at most once: by detection in the chain, or on first use.
+struct ModuleAnalyses(Vec<OnceCell<(Analyses, AffineMap)>>);
+
+impl ModuleAnalyses {
+    fn lazy(module: &Module) -> ModuleAnalyses {
+        ModuleAnalyses(module.functions.iter().map(|_| OnceCell::new()).collect())
+    }
+
+    /// The analyses of `f`, the module's function `idx`.
+    fn get(&self, idx: usize, f: &ssair::Function) -> &(Analyses, AffineMap) {
+        self.0[idx].get_or_init(|| {
+            let an = Analyses::new(f);
+            let map = AffineMap::new(f, &an);
+            (an, map)
+        })
+    }
+}
+
+impl std::fmt::Debug for ModuleAnalyses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ModuleAnalyses({} functions)", self.0.len())
+    }
 }
 
 /// The witness loop of [`check_reversal_oracle`] over `forward.module`:
 /// each forward run is made at most once per call, so a witnessed region
-/// costs only its reversed variant's runs.
+/// costs only its reversed function's compile and its variant's runs.
 fn witness(
     forward: &mut Forward<'_>,
     instances: &[IdiomInstance],
+    analyses: &ModuleAnalyses,
+    facts: &analysis::ParamAliasFacts,
     entry: &str,
     setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ReversalOracle, ValidationError> {
-    use ssair::analysis::{AffineMap, Analyses};
     let module = forward.module;
-    let facts = analysis::ParamAliasFacts::of_module(module);
-    let mut analyses: BTreeMap<&str, (Analyses, AffineMap)> = BTreeMap::new();
     let mut oracle = ReversalOracle::default();
     for inst in instances {
         let Some(iv) = inst.value(inst.kind.outer_iterator_var()) else {
             continue;
         };
-        let Some(f) = module.function(&inst.function) else {
+        let Some(idx) = module
+            .functions
+            .iter()
+            .position(|f| f.name == inst.function)
+        else {
             continue;
         };
-        let (an, map) = analyses.entry(&f.name).or_insert_with(|| {
-            let an = Analyses::new(f);
-            let map = AffineMap::new(f, &an);
-            (an, map)
-        });
-        let cert = analysis::classify_region(f, an, map, &inst.blocks, iv, Some(&facts));
+        let f = &module.functions[idx];
+        let (an, map) = analyses.get(idx, f);
+        let cert = analysis::classify_region(f, an, map, &inst.blocks, iv, Some(facts));
         if cert.safety != idioms::ParallelSafety::IndependentIterations {
             continue;
         }
@@ -695,13 +802,21 @@ fn witness(
         let Some(info) = map.iv(iv) else {
             continue;
         };
-        match xform::reverse::reversed_module(module, &inst.function, info, &an.dom) {
-            Ok(reversed) => {
-                validate_against(forward, &reversed, entry, setup, seeds)?;
-                oracle.checked += 1;
-            }
-            Err(reason) => oracle.skipped.push((inst.function.clone(), reason)),
+        let mut reversed = f.clone();
+        if let Err(reason) = xform::reverse_loop(&mut reversed, info, &an.dom) {
+            oracle.skipped.push((inst.function.clone(), reason));
+            continue;
         }
+        let mut code = forward
+            .code()
+            .compile_function(&reversed)
+            .expect("the reversed function keeps its name");
+        compare_seeds(forward, entry, setup, seeds, |fw, k| {
+            let input = &fw.inputs[k];
+            let original = fw.code.as_mut().expect("compiled above");
+            original.with_function(&mut code, |c| run_program(c, entry, input))
+        })?;
+        oracle.checked += 1;
     }
     Ok(oracle)
 }
@@ -753,17 +868,28 @@ impl Compiled {
     /// solver budgets, recording truncation instead of hiding it.
     #[must_use]
     pub fn detect(mut self) -> Detected {
-        let fs: Vec<&ssair::Function> = self.module.functions.iter().collect();
+        let opts = idioms::DetectOptions::default();
         let t = Instant::now();
-        let detections = idioms::detect_functions(&fs, &idioms::DetectOptions::default());
+        let (detections, analyses): (Vec<_>, Vec<_>) = self
+            .module
+            .functions
+            .iter()
+            .map(|f| {
+                let (d, an, map) = idioms::detect_with_analyses(f, &opts);
+                (d, OnceCell::from((an, map)))
+            })
+            .unzip();
         self.times.detect_s = t.elapsed().as_secs_f64();
-        let incomplete_functions = fs
+        let incomplete_functions = self
+            .module
+            .functions
             .iter()
             .zip(&detections)
             .filter(|(_, d)| !d.complete)
             .map(|(f, _)| f.name.clone())
             .collect();
         Detected {
+            analyses: ModuleAnalyses(analyses),
             solve_steps: detections.iter().map(|d| d.steps).sum(),
             pruned_pairs: detections.iter().map(|d| d.pruned_pairs).sum(),
             instances: detections.into_iter().flat_map(|d| d.instances).collect(),
@@ -787,6 +913,9 @@ pub struct Detected {
     /// Idiom×function pairs the fingerprint prepass proved matchless
     /// (skipped with zero solver steps).
     pub pruned_pairs: u64,
+    /// The analyses detection built for each original function, which the
+    /// witness reads again.
+    analyses: ModuleAnalyses,
 }
 
 impl std::ops::Deref for Detected {
@@ -803,7 +932,8 @@ impl Detected {
     #[must_use]
     pub fn transform(mut self) -> Transformed {
         let t = Instant::now();
-        let xform = xform::transform_instances(&self.module, self.instances.clone());
+        let facts = analysis::ParamAliasFacts::of_module(&self.module);
+        let xform = xform::transform_instances_with(&self.module, self.instances.clone(), &facts);
         self.compiled.times.transform_s = t.elapsed().as_secs_f64();
         let t = Instant::now();
         let verify_errors = ssair::verify::verify_module(&xform.module)
@@ -815,6 +945,7 @@ impl Detected {
             detected: self,
             xform,
             verify_errors,
+            facts,
         }
     }
 }
@@ -831,6 +962,9 @@ pub struct Transformed {
     /// every call to them included).
     /// Always empty for a correct backend.
     pub verify_errors: Vec<String>,
+    /// The original module's call-site alias facts, which transform
+    /// refined its certificates with and the witness reads again.
+    facts: analysis::ParamAliasFacts,
 }
 
 impl std::ops::Deref for Transformed {
@@ -852,8 +986,8 @@ impl Transformed {
     /// Stage 4: differential validation of the transformed module
     /// against the original under every seed ([`validate_transform`]).
     /// It runs even when nothing was replaced (then checking execution
-    /// determinism). The original's runs are kept for
-    /// [`Validated::witness`].
+    /// determinism). Each seed's post-setup memory and the original's
+    /// runs are kept for [`Validated::witness`].
     pub fn validate<'a, S: Fn(&mut Memory, u64) -> Vec<Value>>(
         mut self,
         entry: &'a str,
@@ -861,9 +995,9 @@ impl Transformed {
         seeds: &'a [u64],
     ) -> Validated<'a, S> {
         let t = Instant::now();
-        let mut forward = Forward::new(&self.module, Vec::new());
+        let mut forward = Forward::new(&self.module, ForwardState::default());
         let validation = validate_against(&mut forward, &self.xform.module, entry, &setup, seeds);
-        let forward = forward.runs;
+        let forward = forward.into_state();
         self.detected.compiled.times.validate_s = t.elapsed().as_secs_f64();
         Validated {
             transformed: self,
@@ -881,7 +1015,7 @@ pub struct Validated<'a, S> {
     transformed: Transformed,
     /// The differential-validation verdict over all seeds.
     pub validation: Result<ValidationSummary, ValidationError>,
-    forward: Vec<Run>,
+    forward: ForwardState,
     entry: &'a str,
     setup: S,
     seeds: &'a [u64],
@@ -896,22 +1030,28 @@ impl<S> std::ops::Deref for Validated<'_, S> {
 
 impl<S: Fn(&mut Memory, u64) -> Vec<Value>> Validated<'_, S> {
     /// Stage 5: the reversed-iteration witness ([`check_reversal_oracle`])
-    /// over the original module and its detected instances, compared
-    /// against the forward runs validation made.
+    /// over the original module and its detected instances. It compares
+    /// against the forward runs validation made, starts every reversed
+    /// run from the seed's memory image validation set up, and reads the
+    /// analyses detection built and the alias facts transform computed,
+    /// so it builds none of them again.
     ///
     /// # Errors
     /// As [`check_reversal_oracle`].
     pub fn witness(&mut self) -> Result<ReversalOracle, ValidationError> {
         let t = Instant::now();
-        let runs = std::mem::take(&mut self.forward);
-        let mut forward = Forward::new(&self.transformed.module, runs);
+        let state = std::mem::take(&mut self.forward);
+        let mut forward = Forward::new(&self.transformed.module, state);
         let oracle = witness(
             &mut forward,
             &self.transformed.instances,
+            &self.transformed.detected.analyses,
+            &self.transformed.facts,
             self.entry,
             &self.setup,
             self.seeds,
         );
+        self.forward = forward.into_state();
         self.transformed.detected.compiled.times.witness_s = t.elapsed().as_secs_f64();
         oracle
     }
@@ -1039,9 +1179,9 @@ mod tests {
             .transform()
             .validate(b.entry, b.setup, &seeds);
         v.validation.as_ref().expect("stencil validates");
-        assert_eq!(v.forward.len(), seeds.len());
+        assert_eq!(v.forward.runs.len(), seeds.len());
         let k = 1;
-        let run = &mut v.forward[k];
+        let run = &mut v.forward.runs[k];
         let (array, al) = run.mem.allocations()[..run.setup_allocs]
             .iter()
             .enumerate()
@@ -1071,6 +1211,19 @@ mod tests {
         }
     }
 
+    /// Detection hands the witness the analyses of every original
+    /// function, so the chain's witness builds none itself.
+    #[test]
+    fn detection_keeps_every_function_s_analyses_for_the_witness() {
+        let b = benchsuite::all()
+            .into_iter()
+            .find(|b| b.name == "CG")
+            .unwrap();
+        let d = compile(b.source, b.name).unwrap().detect();
+        assert_eq!(d.analyses.0.len(), d.module.functions.len());
+        assert!(d.analyses.0.iter().all(|cell| cell.get().is_some()));
+    }
+
     /// Validation counts every element of every setup array once per
     /// seed, whether the array's bytes matched at once or it was walked
     /// element by element.
@@ -1088,6 +1241,7 @@ mod tests {
         let summary = v.validation.as_ref().expect("spmv validates");
         let counted: usize = v
             .forward
+            .runs
             .iter()
             .flat_map(|run| &run.mem.allocations()[..run.setup_allocs])
             .map(|al| al.count)

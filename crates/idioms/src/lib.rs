@@ -25,7 +25,7 @@
 pub use analysis::{ParallelSafety, SafetyCertificate};
 use idl::{CompiledConstraint, Library, VarId};
 use solver::{RowsOutcome, Solution, SolveOptions, SolveOutcome, Solver};
-use ssair::analysis::AffineMap;
+use ssair::analysis::{AffineMap, Analyses};
 use ssair::{BlockId, Function, Module, ValueId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
@@ -733,6 +733,25 @@ pub fn detect_with(f: &Function, opts: &DetectOptions) -> Detection {
 /// `(2·k + skeleton_key_count()) · max_steps` total steps.
 #[must_use]
 pub fn detect_kinds_with(f: &Function, kinds: &[IdiomKind], opts: &DetectOptions) -> Detection {
+    detect_kinds_analysed(f, kinds, opts).0
+}
+
+/// [`detect_with`] that also returns the analyses it built for `f`: a
+/// later stage that reads the same unchanged function (the pipeline's
+/// reversal witness) takes them instead of building them again.
+#[must_use]
+pub fn detect_with_analyses(
+    f: &Function,
+    opts: &DetectOptions,
+) -> (Detection, Analyses, AffineMap) {
+    detect_kinds_analysed(f, &IdiomKind::ALL, opts)
+}
+
+fn detect_kinds_analysed(
+    f: &Function,
+    kinds: &[IdiomKind],
+    opts: &DetectOptions,
+) -> (Detection, Analyses, AffineMap) {
     let solver = Solver::new(f);
     let solve_opts = SolveOptions {
         max_solutions: opts.max_solutions,
@@ -785,14 +804,15 @@ pub fn detect_kinds_with(f: &Function, kinds: &[IdiomKind], opts: &DetectOptions
             out.push(inst);
         }
     }
-    Detection {
+    let detection = Detection {
         instances: out,
         complete,
         steps: steps + skeletons.steps,
         steps_by_kind,
         skeleton_steps: skeletons.steps,
         pruned_pairs,
-    }
+    };
+    (detection, solver.into_analyses(), affine)
 }
 
 /// The requirement signature of one idiom kind (derived once,

@@ -410,6 +410,90 @@ impl<'m> CompiledModule<'m> {
     pub fn compiled_count(&self) -> usize {
         self.funcs.iter().filter(|f| f.is_some()).count()
     }
+
+    /// Compiles `f` as a stand-in for the module function of the same
+    /// name, against this module's function index and symbol table (a
+    /// callee new to the module is interned and stays interned). `None`
+    /// when no module function has that name. Nothing runs the new code
+    /// until [`CompiledModule::with_function`] swaps it in.
+    pub fn compile_function(&mut self, f: &Function) -> Option<FunctionCode> {
+        let idx = *self.func_index.get(&f.name)?;
+        let mut interner = Interner {
+            symbols: &mut self.symbols,
+            map: &mut self.sym_index,
+        };
+        let code = compile_function(f, &self.func_index, &mut interner);
+        Some(FunctionCode { idx, code })
+    }
+
+    /// Runs `run` on this module with `code` in place of the function it
+    /// stands in for, then restores the function's own code: executing
+    /// the result is executing the module with that one function edited,
+    /// without recompiling the rest.
+    pub fn with_function<R>(
+        &mut self,
+        code: &mut FunctionCode,
+        run: impl FnOnce(&CompiledModule<'m>) -> R,
+    ) -> R {
+        let slot = code.idx as usize;
+        std::mem::swap(&mut self.funcs[slot], &mut code.code);
+        let out = run(self);
+        std::mem::swap(&mut self.funcs[slot], &mut code.code);
+        out
+    }
+}
+
+impl CompiledModule<'_> {
+    /// Releases the borrow of the module and keeps the code, for an owner
+    /// that holds the module and its code side by side.
+    #[must_use]
+    pub fn detach(self) -> ModuleCode {
+        ModuleCode {
+            funcs: self.funcs,
+            func_index: self.func_index,
+            symbols: self.symbols,
+            sym_index: self.sym_index,
+        }
+    }
+}
+
+/// A [`CompiledModule`]'s code without its borrow of the module
+/// ([`CompiledModule::detach`]).
+pub struct ModuleCode {
+    funcs: Vec<Option<CompiledFunction>>,
+    func_index: HashMap<String, u32>,
+    symbols: Vec<String>,
+    sym_index: HashMap<String, u32>,
+}
+
+impl ModuleCode {
+    /// Binds the code to `module` again, which must be the module it was
+    /// compiled from, unedited. `None` (the code is dropped) when `module`
+    /// does not even have the functions, by count and name, that it was
+    /// compiled for.
+    #[must_use]
+    pub fn attach(self, module: &Module) -> Option<CompiledModule<'_>> {
+        let same_functions = module.functions.len() == self.funcs.len()
+            && self
+                .func_index
+                .iter()
+                .all(|(name, &i)| module.functions[i as usize].name == *name);
+        same_functions.then_some(CompiledModule {
+            module,
+            funcs: self.funcs,
+            func_index: self.func_index,
+            symbols: self.symbols,
+            sym_index: self.sym_index,
+        })
+    }
+}
+
+/// One function's bytecode, compiled for a [`CompiledModule`] by
+/// [`CompiledModule::compile_function`] but held outside it.
+pub struct FunctionCode {
+    /// The module function it stands in for.
+    idx: u32,
+    code: Option<CompiledFunction>,
 }
 
 /// Lowers every function of `module`. Never fails: a function whose
@@ -421,9 +505,11 @@ pub fn compile_module(module: &Module) -> CompiledModule<'_> {
     for (i, f) in module.functions.iter().enumerate() {
         func_index.entry(f.name.clone()).or_insert(i as u32);
     }
+    let mut symbols = Vec::new();
+    let mut sym_index = HashMap::new();
     let mut interner = Interner {
-        symbols: Vec::new(),
-        map: HashMap::new(),
+        symbols: &mut symbols,
+        map: &mut sym_index,
     };
     let funcs = module
         .functions
@@ -434,17 +520,17 @@ pub fn compile_module(module: &Module) -> CompiledModule<'_> {
         module,
         funcs,
         func_index,
-        symbols: interner.symbols,
-        sym_index: interner.map,
+        symbols,
+        sym_index,
     }
 }
 
-struct Interner {
-    symbols: Vec<String>,
-    map: HashMap<String, u32>,
+struct Interner<'a> {
+    symbols: &'a mut Vec<String>,
+    map: &'a mut HashMap<String, u32>,
 }
 
-impl Interner {
+impl Interner<'_> {
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.map.get(name) {
             return id;
@@ -466,7 +552,7 @@ struct BlockShape {
 fn compile_function(
     f: &Function,
     func_index: &HashMap<String, u32>,
-    interner: &mut Interner,
+    interner: &mut Interner<'_>,
 ) -> Option<CompiledFunction> {
     let nb = f.num_blocks();
     if nb == 0 {
@@ -846,7 +932,7 @@ fn lower_instr(
     f: &Function,
     v: ValueId,
     func_index: &HashMap<String, u32>,
-    interner: &mut Interner,
+    interner: &mut Interner<'_>,
     sites: &mut Vec<CallSite>,
 ) -> Option<Op> {
     let i = f.instr(v)?;
@@ -1226,6 +1312,68 @@ exit:
         m.functions[0].append_phi(BlockId(0), Type::I64);
         let c = compile_module(&m);
         assert!(c.funcs[0].is_none(), "entry phi must be refused");
+    }
+
+    #[test]
+    fn a_swapped_function_runs_in_place_and_is_restored() {
+        let m = compile_text(
+            r#"
+define i64 @sq(i64 %x) {
+entry:
+  %r = mul i64 %x, %x
+  ret i64 %r
+}
+
+define i64 @f(i64 %x) {
+entry:
+  %a = call i64 @sq(i64 %x)
+  ret i64 %a
+}
+"#,
+        );
+        let cube = compile_text(
+            r#"
+define i64 @sq(i64 %x) {
+entry:
+  %r = mul i64 %x, %x
+  %c = mul i64 %r, %x
+  %n = call i64 @negate(i64 %c)
+  ret i64 %n
+}
+"#,
+        );
+        let run = |c: &CompiledModule<'_>| {
+            let mut vm = crate::Vm::new(c);
+            let negate = |_: &mut crate::Memory, a: &[Value]| match a {
+                [Value::I(x)] => Ok(Value::I(-x)),
+                _ => Err("negate takes one integer".to_owned()),
+            };
+            vm.register_host("negate", std::sync::Arc::new(negate));
+            vm.run("f", &[Value::I(3)]).unwrap()
+        };
+        let mut c = compile_module(&m);
+        let mut code = c.compile_function(&cube.functions[0]).expect("@sq exists");
+        assert_eq!(c.with_function(&mut code, run), Value::I(-27));
+        assert_eq!(run(&c), Value::I(9), "the module's own code is back");
+        // The new callee stays interned; no module call site uses it.
+        assert_eq!(c.symbols, ["sq", "negate"]);
+        assert!(c.compile_function(&m.functions[0]).is_some());
+        let g = ssair::Function::new("absent", &[], ssair::Type::Void);
+        assert!(c.compile_function(&g).is_none());
+    }
+
+    #[test]
+    fn detached_code_attaches_only_to_a_module_with_its_functions() {
+        let text = "define i64 @id(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+        let m = compile_text(text);
+        let other = compile_text(&text.replace("@id", "@other"));
+        assert!(compile_module(&m).detach().attach(&other).is_none());
+        let code = compile_module(&m).detach();
+        let c = code.attach(&m).expect("attaches to its own module");
+        assert_eq!(
+            crate::Vm::new(&c).run("id", &[Value::I(7)]).unwrap(),
+            Value::I(7)
+        );
     }
 
     #[test]

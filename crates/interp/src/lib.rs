@@ -30,7 +30,7 @@ mod memory;
 mod profile;
 mod vm;
 
-pub use bytecode::{compile_module, CompiledModule};
+pub use bytecode::{compile_module, CompiledModule, FunctionCode, ModuleCode};
 pub use machine::{ExecError, HostFn, HostRegistry, Machine, Value};
 pub use memory::{Allocation, Memory, OutWindow, ReadView};
 pub use profile::Profile;

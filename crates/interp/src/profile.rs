@@ -12,7 +12,7 @@ use ssair::{Function, Opcode, ValueId};
 use std::collections::HashMap;
 
 /// Execution counts per function, indexed by value id.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Profile {
     counts: HashMap<String, Vec<u64>>,
 }

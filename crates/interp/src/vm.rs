@@ -736,12 +736,12 @@ fn bump(counts: &mut Vec<Vec<u64>>, compiled: &CompiledModule<'_>, fidx: usize, 
     }
     let c = &mut counts[fidx];
     if c.len() <= vid as usize {
-        c.resize(
-            compiled.module.functions[fidx]
-                .num_values()
-                .max(vid as usize + 1),
-            0,
-        );
+        // One counter per value of the code that runs, which may stand in
+        // for the module's function (`CompiledModule::with_function`).
+        let values = compiled.funcs[fidx]
+            .as_ref()
+            .map_or(0, |cf| cf.init_regs.len());
+        c.resize(values.max(vid as usize + 1), 0);
     }
     c[vid as usize] += 1;
 }

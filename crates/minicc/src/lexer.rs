@@ -141,15 +141,12 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
             }
             continue;
         }
-        // Punctuation, maximal munch.
-        let rest: String = chars[i..i + 3.min(chars.len() - i)].iter().collect();
-        let mut matched = None;
-        for p in PUNCTS {
-            if rest.starts_with(p) {
-                matched = Some(*p);
-                break;
-            }
-        }
+        // Punctuation, maximal munch: the first (longest) entry of
+        // `PUNCTS` the remaining chars start with.
+        let rest = &chars[i..];
+        let matched = PUNCTS.iter().copied().find(|p| {
+            p.len() <= rest.len() && p.bytes().zip(rest).all(|(b, &c)| c == char::from(b))
+        });
         match matched {
             Some(p) => {
                 toks.push(Spanned {

@@ -157,10 +157,7 @@ mod tests {
         let text = ssair::printer::print_module(&m);
         assert!(text.contains(&format!("double{} %p", stars(128))), "{text}");
         let back = ssair::parser::parse_module(&text).expect("parses back");
-        assert_eq!(
-            back.function("f").unwrap().to_string(),
-            m.function("f").unwrap().to_string()
-        );
+        assert_eq!(ssair::printer::print_module(&back), text);
         let err = compile_on_small_stack(format!(
             "double f(double{} p) {{ return 0.0; }}",
             stars(129)

@@ -582,8 +582,7 @@ impl<'a> FuncLower<'a> {
         line: usize,
     ) -> Result<(ValueId, Type)> {
         let var = self.resolve_var(base, line)?;
-        let kind = self.vars[var].kind.clone();
-        match kind {
+        match self.vars[var].kind {
             VarKind::Scalar(ty) => {
                 let Some(elem) = ty.pointee() else {
                     return Err(CompileError {
@@ -608,13 +607,17 @@ impl<'a> FuncLower<'a> {
                 let gep = self.f.append_simple(b, ptr_ty, Opcode::Gep, vec![ptr, idx]);
                 Ok((gep, elem))
             }
-            VarKind::Array { alloca, elem, dims } => {
-                if indices.len() != dims.len() {
+            VarKind::Array {
+                alloca,
+                elem,
+                ref dims,
+            } => {
+                let rank = dims.len();
+                if indices.len() != rank {
                     return Err(CompileError {
                         line,
                         message: format!(
-                            "array {base:?} has {} dimensions, {} indices given",
-                            dims.len(),
+                            "array {base:?} has {rank} dimensions, {} indices given",
                             indices.len()
                         ),
                     });
@@ -628,7 +631,8 @@ impl<'a> FuncLower<'a> {
                         None => idx,
                         Some(acc) => {
                             let b = self.block(line)?;
-                            let dim = self.f.const_int(Type::I64, dims[k] as i64);
+                            let extent = self.array_extent(var, k) as i64;
+                            let dim = self.f.const_int(Type::I64, extent);
                             let scaled =
                                 self.f
                                     .append_simple(b, Type::I64, Opcode::Mul, vec![acc, dim]);
@@ -645,6 +649,14 @@ impl<'a> FuncLower<'a> {
                     .append_simple(b, ptr_ty, Opcode::Gep, vec![alloca, idx]);
                 Ok((gep, elem))
             }
+        }
+    }
+
+    /// Extent `k` (row-major) of the local array `var`.
+    fn array_extent(&self, var: VarId, k: usize) -> usize {
+        match &self.vars[var].kind {
+            VarKind::Array { dims, .. } => dims[k],
+            VarKind::Scalar(_) => unreachable!("only arrays have extents"),
         }
     }
 

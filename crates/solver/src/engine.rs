@@ -243,6 +243,13 @@ impl<'f> Solver<'f> {
         &self.an
     }
 
+    /// Drops the solver and keeps its analyses, for a later stage that
+    /// reads the same unchanged function.
+    #[must_use]
+    pub fn into_analyses(self) -> Analyses {
+        self.an
+    }
+
     /// Enumerates all solutions of `c` (deduplicated), subject to `opts`.
     #[must_use]
     pub fn solve(&self, c: &CompiledConstraint, opts: &SolveOptions) -> Vec<Solution> {

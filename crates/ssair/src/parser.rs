@@ -272,7 +272,9 @@ struct Pending {
     value: ValueId,
 }
 
-/// Parses one module from text. Functions may appear in any order.
+/// Parses one module from text. Functions may appear in any order. The
+/// module is named by the printer's `; module NAME` header when a comment
+/// line of that form comes before the first function, else `"parsed"`.
 pub fn parse_module(text: &str) -> Result<Module> {
     let mut m = Module::new("parsed");
     let lines: Vec<&str> = text.lines().collect();
@@ -280,6 +282,11 @@ pub fn parse_module(text: &str) -> Result<Module> {
     while i < lines.len() {
         let trimmed = lines[i].trim();
         if trimmed.is_empty() || trimmed.starts_with(';') {
+            if let Some(name) = trimmed.strip_prefix("; module ") {
+                if m.functions.is_empty() {
+                    m.name = name.to_owned();
+                }
+            }
             i += 1;
             continue;
         }
@@ -847,6 +854,20 @@ exit:
         let instr = f.instr(phi).unwrap();
         assert_eq!(instr.operands.len(), 2);
         assert_eq!(instr.incoming.len(), 2);
+    }
+
+    #[test]
+    fn print_parse_round_trips_a_whole_module() {
+        let mut m = parse_module(EXAMPLE).unwrap();
+        assert_eq!(m.name, "parsed", "no header keeps the default name");
+        m.name = "kernels".into();
+        m.add_function(parse_function_text(&EXAMPLE.replace("@example", "@other")).unwrap());
+        let text = crate::printer::print_module(&m);
+        assert!(text.starts_with("; module kernels\n"), "{text}");
+        assert_eq!(parse_module(&text).unwrap(), m);
+        // A later comment of the same form is not a header.
+        let late = format!("{EXAMPLE}; module late\n");
+        assert_eq!(parse_module(&late).unwrap().name, "parsed");
     }
 
     #[test]

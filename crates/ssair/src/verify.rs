@@ -6,7 +6,7 @@
 //! consistent for the common instruction shapes. A module that verifies
 //! compiles to bytecode in full (`interp::compile_module`).
 
-use crate::analysis::Analyses;
+use crate::analysis::{inst_dominates, Cfg, DomTree, Layout};
 use crate::function::{BlockId, Function, Instr, Opcode};
 use crate::module::Module;
 use crate::types::Type;
@@ -132,10 +132,14 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
         return Err(errors); // analyses below need structural sanity
     }
 
-    let an = Analyses::new(f);
+    // Only the tables the checks below read: no post-dominators, def-use
+    // chains or loop forest.
+    let layout = Layout::new(f);
+    let cfg = Cfg::new(f);
+    let dom = DomTree::dominators(&cfg);
 
     for b in f.block_ids() {
-        if !an.cfg.is_reachable(b) {
+        if !cfg.is_reachable(b) {
             err!("block {b} is unreachable");
         }
     }
@@ -148,7 +152,7 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
             let i = f.instr(v).expect("checked above");
             // Phi incoming edges must exactly match CFG predecessors.
             if i.opcode == Opcode::Phi {
-                let preds = an.cfg.preds(b);
+                let preds = cfg.preds(b);
                 if i.incoming.len() != preds.len() || !preds.iter().all(|p| i.incoming.contains(p))
                 {
                     err!(
@@ -167,9 +171,9 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
                     // Phi uses must dominate the end of the incoming block.
                     let from = i.incoming[k];
                     let term = f.terminator(from).expect("terminated block");
-                    an.inst_dominates(op, term)
+                    inst_dominates(&layout, &dom, op, term)
                 } else {
-                    an.inst_strictly_dominates(op, v)
+                    op != v && inst_dominates(&layout, &dom, op, v)
                 };
                 if !ok {
                     err!(

@@ -132,6 +132,18 @@ pub fn transform_module(module: &Module) -> ModuleXform {
 /// [`idioms::detect_functions`] with custom limits).
 #[must_use]
 pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> ModuleXform {
+    transform_instances_with(module, instances, &ParamAliasFacts::of_module(module))
+}
+
+/// [`transform_instances`] under the caller's call-site alias facts of
+/// `module` ([`ParamAliasFacts::of_module`]), for a caller that reads
+/// them again later.
+#[must_use]
+pub fn transform_instances_with(
+    module: &Module,
+    instances: Vec<IdiomInstance>,
+    facts: &ParamAliasFacts,
+) -> ModuleXform {
     // Deterministic attempt order (on the original, consistent block
     // ids): outermost (largest region) first, then idiom priority, then
     // the owning function, then anchor id. The function name must be in
@@ -167,10 +179,9 @@ pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> Mo
     // is refused, the loop below still reaches the lower-priority
     // instance — its region is intact, so it gets its own attempt
     // instead of being skipped for nothing.
-    // Call-site alias facts are a whole-module property; compute them once
-    // on the pristine module (replacements only excise loops inside the
-    // functions detection already ran on, so the facts stay valid).
-    let facts = ParamAliasFacts::of_module(module);
+    // Call-site alias facts are a whole-module property of the pristine
+    // module; replacements only excise loops inside the functions
+    // detection already ran on, so the facts stay valid throughout.
     let mut out = module.clone();
     let mut outcomes: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
     let mut replaced_idx: Vec<usize> = Vec::new();
@@ -192,7 +203,7 @@ pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> Mo
                 "instance region no longer exists after earlier replacements".into(),
             ))
         } else {
-            match replace(&mut out, &fresh, uid, Some(&facts)) {
+            match replace(&mut out, &fresh, uid, Some(facts)) {
                 Ok(rep) => {
                     uid += 1;
                     replaced_idx.push(i);

@@ -44,8 +44,11 @@ pub mod replace;
 pub mod reverse;
 pub mod tocsrc;
 
-pub use driver::{transform_instances, transform_module, InstanceOutcome, ModuleXform, Outcome};
+pub use driver::{
+    transform_instances, transform_instances_with, transform_module, InstanceOutcome, ModuleXform,
+    Outcome,
+};
 pub use outline::{outline_kernel, OutlinedKernel};
 pub use replace::{apply_replacement, Replacement, XformError};
-pub use reverse::{reverse_loop, reversed_module};
+pub use reverse::reverse_loop;
 pub use tocsrc::ir_to_c;

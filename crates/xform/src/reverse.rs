@@ -16,7 +16,7 @@
 //! coverage gap, never a wrong answer).
 
 use ssair::analysis::{DomTree, IndVar};
-use ssair::{Function, ICmpPred, InsertPoint, Instr, Module, Opcode};
+use ssair::{Function, ICmpPred, InsertPoint, Instr, Opcode};
 
 /// Rewrites the counted loop of the induction variable `info` in place so
 /// its iterations run in reverse order:
@@ -108,23 +108,4 @@ pub fn reverse_loop(f: &mut Function, info: &IndVar, dom: &DomTree) -> Result<()
     cmp.opcode = Opcode::ICmp(ICmpPred::Sge);
     cmp.operands = vec![iv, init];
     Ok(())
-}
-
-/// Clones `m` and reverses the loop of `info` inside function `func`.
-/// `ValueId`s and block ids are stable across the clone, so `info` and
-/// `dom` can come straight from the analyses of the original function.
-pub fn reversed_module(
-    m: &Module,
-    func: &str,
-    info: &IndVar,
-    dom: &DomTree,
-) -> Result<Module, String> {
-    let mut out = m.clone();
-    let f = out
-        .functions
-        .iter_mut()
-        .find(|f| f.name == func)
-        .ok_or_else(|| format!("no function {func}"))?;
-    reverse_loop(f, info, dom)?;
-    Ok(out)
 }

@@ -7,9 +7,9 @@
 
 use idiomatch::benchsuite;
 use idiomatch::hetero::hosts::register_all;
-use idiomatch::interp::{compile_module, Machine, Memory, Value, Vm};
+use idiomatch::interp::{compile_module, Machine, Memory, Profile, Value, Vm};
 use idiomatch::ssair::analysis::{AffineMap, Analyses};
-use idiomatch::xform::reverse::reversed_module;
+use idiomatch::xform::reverse_loop;
 use proptest::prelude::*;
 
 /// Everything one execution produces, in comparable form.
@@ -828,7 +828,9 @@ fn verified_modules_compile_fully() {
             let Some(info) = map.iv(iv) else {
                 continue;
             };
-            if let Ok(r) = reversed_module(m, &inst.function, info, &an.dom) {
+            let mut r = m.clone();
+            let g = r.function_mut(&inst.function).expect("instance function");
+            if reverse_loop(g, info, &an.dom).is_ok() {
                 add(check(&r, ctx));
             }
         }
@@ -917,4 +919,106 @@ proptest! {
             );
         }
     }
+}
+
+/// A profiled VM run: the trace plus the execution-count profile.
+fn profiled(
+    code: &idiomatch::interp::CompiledModule<'_>,
+    entry: &str,
+    setup: &dyn Fn(&mut Memory, u64) -> Vec<Value>,
+    seed: u64,
+    max_steps: Option<u64>,
+) -> (Trace, Profile) {
+    let mut vm = Vm::new(code);
+    register_all(&mut vm);
+    vm.set_profiling(true);
+    if let Some(ms) = max_steps {
+        vm.max_steps = ms;
+    }
+    let args = setup(&mut vm.mem, seed);
+    let result = vm
+        .run(entry, &args)
+        .map(value_bits)
+        .map_err(|e| e.to_string());
+    let trace = Trace {
+        result,
+        steps: vm.steps(),
+        mem: vm.mem.bytes().to_vec(),
+    };
+    (trace, vm.profile())
+}
+
+/// Runs every reversed variant of `m` with only the reversed function's
+/// code swapped in and asserts it matches the edited module compiled
+/// whole (see the test below). Returns how many variants it ran.
+fn assert_swaps_match_edits(
+    m: &ssair::Module,
+    entry: &str,
+    setup: &dyn Fn(&mut Memory, u64) -> Vec<Value>,
+    seed: u64,
+    ctx: &str,
+) -> usize {
+    let mut code = compile_module(m);
+    let before = profiled(&code, entry, setup, seed, None);
+    let mut variants = 0;
+    for inst in idiomatch::idioms::detect_module(m) {
+        let Some(iv) = inst.value(inst.kind.outer_iterator_var()) else {
+            continue;
+        };
+        let f = m.function(&inst.function).expect("instance function");
+        let an = Analyses::new(f);
+        let map = AffineMap::new(f, &an);
+        let Some(info) = map.iv(iv) else {
+            continue;
+        };
+        let mut edited = m.clone();
+        let g = edited
+            .function_mut(&inst.function)
+            .expect("instance function");
+        if reverse_loop(g, info, &an.dom).is_err() {
+            continue;
+        }
+        let mut swapped = code.compile_function(g).expect("same name");
+        let whole = compile_module(&edited);
+        let ctx = format!("{ctx} {}", inst.function);
+        let full = profiled(&whole, entry, setup, seed, None);
+        assert!(full.0.result.is_ok(), "{ctx}: the variant runs");
+        let half = Some(full.0.steps / 2);
+        let cut = profiled(&whole, entry, setup, seed, half);
+        assert!(cut.0.result.is_err(), "{ctx}: the budget cuts the run");
+        for (want, budget) in [(full, None), (cut, half)] {
+            let got = code.with_function(&mut swapped, |c| profiled(c, entry, setup, seed, budget));
+            assert_eq!(got, want, "{ctx}: budget {budget:?}");
+        }
+        variants += 1;
+    }
+    let after = profiled(&code, entry, setup, seed, None);
+    assert_eq!(after, before, "{ctx}: the restored code runs as before");
+    variants
+}
+
+/// The reversed variants of the suite and of progen seeds 0..100 run with
+/// only the reversed function's code swapped into the original's compiled
+/// module (`CompiledModule::with_function`) exactly as the edited module
+/// compiled whole: same result, memory image, steps and profile, and the
+/// same error message where a step budget cuts the run short. Once the
+/// swap ends, the original's code runs bitwise as before.
+#[test]
+fn swapped_function_code_runs_like_the_edited_module() {
+    let seed = benchsuite::VALIDATION_SEEDS[0];
+    let mut variants = 0;
+    for b in benchsuite::all() {
+        let m = idiomatch::minicc::compile(b.source, b.name).unwrap();
+        let setup = |mem: &mut Memory, s| (b.setup)(mem, s);
+        variants += assert_swaps_match_edits(&m, b.entry, &setup, seed, b.name);
+    }
+    assert!(variants >= 15, "only {variants} reversed suite variants");
+    for s in 0..100 {
+        let m =
+            idiomatch::minicc::compile(&idiomatch::progen::generate(s).render(), "prop").unwrap();
+        let entry = idiomatch::progen::Spec::ENTRY;
+        let ctx = format!("progen {s}");
+        variants += assert_swaps_match_edits(&m, entry, &idiomatch::progen::setup, seed, &ctx);
+    }
+    assert!(variants >= 200, "only {variants} reversed variants");
 }

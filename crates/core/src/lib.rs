@@ -17,9 +17,8 @@
 use hetero::{Platform, Workload};
 use idioms::{IdiomInstance, IdiomKind};
 use interp::{compile_module, Allocation, CompiledModule, Memory, ModuleCode, Value, Vm};
-use ssair::analysis::{AffineMap, Analyses};
+use ssair::analysis::ModuleAnalyses;
 use ssair::{Module, Type};
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -742,31 +741,6 @@ pub fn check_reversal_oracle(
     )
 }
 
-/// The analyses of each function of a module, in module order, each
-/// built at most once: by detection in the chain, or on first use.
-struct ModuleAnalyses(Vec<OnceCell<(Analyses, AffineMap)>>);
-
-impl ModuleAnalyses {
-    fn lazy(module: &Module) -> ModuleAnalyses {
-        ModuleAnalyses(module.functions.iter().map(|_| OnceCell::new()).collect())
-    }
-
-    /// The analyses of `f`, the module's function `idx`.
-    fn get(&self, idx: usize, f: &ssair::Function) -> &(Analyses, AffineMap) {
-        self.0[idx].get_or_init(|| {
-            let an = Analyses::new(f);
-            let map = AffineMap::new(f, &an);
-            (an, map)
-        })
-    }
-}
-
-impl std::fmt::Debug for ModuleAnalyses {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ModuleAnalyses({} functions)", self.0.len())
-    }
-}
-
 /// The witness loop of [`check_reversal_oracle`] over `forward.module`:
 /// each forward run is made at most once per call, so a witnessed region
 /// costs only its reversed function's compile and its variant's runs.
@@ -876,7 +850,7 @@ impl Compiled {
             .iter()
             .map(|f| {
                 let (d, an, map) = idioms::detect_with_analyses(f, &opts);
-                (d, OnceCell::from((an, map)))
+                (d, (an, map))
             })
             .unzip();
         self.times.detect_s = t.elapsed().as_secs_f64();
@@ -889,7 +863,7 @@ impl Compiled {
             .map(|(f, _)| f.name.clone())
             .collect();
         Detected {
-            analyses: ModuleAnalyses(analyses),
+            analyses: analyses.into_iter().collect(),
             solve_steps: detections.iter().map(|d| d.steps).sum(),
             pruned_pairs: detections.iter().map(|d| d.pruned_pairs).sum(),
             instances: detections.into_iter().flat_map(|d| d.instances).collect(),
@@ -913,8 +887,8 @@ pub struct Detected {
     /// Idiom×function pairs the fingerprint prepass proved matchless
     /// (skipped with zero solver steps).
     pub pruned_pairs: u64,
-    /// The analyses detection built for each original function, which the
-    /// witness reads again.
+    /// The analyses detection built for each original function, which
+    /// transform and the witness read again.
     analyses: ModuleAnalyses,
 }
 
@@ -928,12 +902,18 @@ impl std::ops::Deref for Detected {
 impl Detected {
     /// Stage 3: replaces every non-overlapping instance
     /// ([`xform::transform_instances`]) and verifies the transformed
-    /// module's IR.
+    /// module's IR. Transform plans on detection's analyses of every
+    /// function no replacement has rewritten yet.
     #[must_use]
     pub fn transform(mut self) -> Transformed {
         let t = Instant::now();
         let facts = analysis::ParamAliasFacts::of_module(&self.module);
-        let xform = xform::transform_instances_with(&self.module, self.instances.clone(), &facts);
+        let xform = xform::transform_instances_with(
+            &self.module,
+            self.instances.clone(),
+            &facts,
+            &self.analyses,
+        );
         self.compiled.times.transform_s = t.elapsed().as_secs_f64();
         let t = Instant::now();
         let verify_errors = ssair::verify::verify_module(&xform.module)
@@ -1060,6 +1040,7 @@ impl<S: Fn(&mut Memory, u64) -> Vec<Value>> Validated<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssair::analysis::BuildCounts;
 
     #[test]
     fn analyze_cg_finds_sparse_ops_and_high_coverage() {
@@ -1211,6 +1192,65 @@ mod tests {
         }
     }
 
+    /// Counts what `transform` builds beyond detection's analyses: an
+    /// `Analyses` and a `refresh_blocks` loop forest per attempt on a
+    /// function an earlier replacement rewrote, nothing for the others.
+    fn transform_builds(d: Detected) -> (Transformed, BuildCounts) {
+        let before = BuildCounts::current();
+        let t = d.transform();
+        let built = BuildCounts::current().since(before);
+        (t, built)
+    }
+
+    #[test]
+    fn transform_analyses_only_the_functions_it_rewrote() {
+        let src = "double two(double* x, double* y, int n) {
+            double a = 0.0;
+            for (int i = 0; i < n; i++) a += x[i];
+            double b = 1.0;
+            for (int i = 0; i < n; i++) b = b * y[i];
+            return a + b;
+        }
+        double one(double* x, int n) {
+            double a = 0.0;
+            for (int i = 0; i < n; i++) a += x[i];
+            return a;
+        }";
+        let (t, built) = transform_builds(compile(src, "t").unwrap().detect());
+        assert_eq!(t.xform.replaced(), 3);
+        // Only `two`'s second loop is attempted on a rewritten function.
+        assert_eq!((built.analyses, built.loop_forests), (1, 2));
+        // Over the suite: every commit after a function's first is an
+        // attempt on a rewritten function, and so is at most every
+        // attempt after its first.
+        for b in benchsuite::all() {
+            let (t, built) = transform_builds(compile(b.source, b.name).unwrap().detect());
+            let (mut least, mut most) = (0, 0);
+            for f in &t.module.functions {
+                let mine = || {
+                    t.xform
+                        .outcomes
+                        .iter()
+                        .filter(|o| o.instance.function == f.name)
+                };
+                let attempts = mine()
+                    .filter(|o| !matches!(o.outcome, xform::Outcome::Shadowed { .. }))
+                    .count() as u64;
+                let replaced = mine().filter(|o| o.outcome.is_replaced()).count() as u64;
+                if replaced > 0 {
+                    least += replaced - 1;
+                    most += attempts - 1;
+                }
+            }
+            assert!(
+                (least..=most).contains(&built.analyses),
+                "{}: {built:?} outside {least}..={most}",
+                b.name
+            );
+            assert_eq!(built.loop_forests, 2 * built.analyses, "{}", b.name);
+        }
+    }
+
     /// Detection hands the witness the analyses of every original
     /// function, so the chain's witness builds none itself.
     #[test]
@@ -1220,8 +1260,11 @@ mod tests {
             .find(|b| b.name == "CG")
             .unwrap();
         let d = compile(b.source, b.name).unwrap().detect();
-        assert_eq!(d.analyses.0.len(), d.module.functions.len());
-        assert!(d.analyses.0.iter().all(|cell| cell.get().is_some()));
+        let before = BuildCounts::current();
+        for (k, f) in d.module.functions.iter().enumerate() {
+            let _ = d.analyses.get(k, f);
+        }
+        assert_eq!(BuildCounts::current().since(before), BuildCounts::default());
     }
 
     /// Validation counts every element of every setup array once per

@@ -1071,6 +1071,24 @@ impl Defined {
             *a &= b;
         }
     }
+    /// Makes `self` block `bi`'s in-state: `entry_in` for the entry
+    /// block, else the intersection of its predecessors' out-states.
+    fn become_block_in(
+        &mut self,
+        bi: usize,
+        entry_in: &Defined,
+        preds: &[BlockId],
+        outs: &[Defined],
+    ) {
+        if bi == 0 {
+            self.0.copy_from_slice(&entry_in.0);
+        } else {
+            self.0.fill(u64::MAX);
+            for &p in preds {
+                self.intersect(&outs[p.0 as usize]);
+            }
+        }
+    }
 }
 
 fn is_const(f: &Function, v: ValueId) -> bool {
@@ -1099,19 +1117,14 @@ fn must_defined_ok(f: &Function, shapes: &[BlockShape], preds: &[Vec<BlockId>]) 
         d
     };
     let mut outs: Vec<Defined> = vec![Defined::full(n); shapes.len()];
+    // One scratch set serves every block: a changed out-state is swapped
+    // in, and the old one becomes the next block's scratch.
+    let mut d = Defined::full(n);
     // Fixpoint: defined sets only shrink from ⊤, so this terminates.
     loop {
         let mut changed = false;
         for (bi, shape) in shapes.iter().enumerate() {
-            let mut d = if bi == 0 {
-                entry_in.clone()
-            } else {
-                let mut d = Defined::full(n);
-                for &p in &preds[bi] {
-                    d.intersect(&outs[p.0 as usize]);
-                }
-                d
-            };
+            d.become_block_in(bi, &entry_in, &preds[bi], &outs);
             for &phi in &shape.phis {
                 d.set(phi);
             }
@@ -1119,7 +1132,7 @@ fn must_defined_ok(f: &Function, shapes: &[BlockShape], preds: &[Vec<BlockId>]) 
                 d.set(v);
             }
             if d != outs[bi] {
-                outs[bi] = d;
+                std::mem::swap(&mut outs[bi], &mut d);
                 changed = true;
             }
         }
@@ -1130,15 +1143,7 @@ fn must_defined_ok(f: &Function, shapes: &[BlockShape], preds: &[Vec<BlockId>]) 
     // Use checks against the converged solution. Body operands are read
     // sequentially within the block, so track the running defined set.
     for (bi, shape) in shapes.iter().enumerate() {
-        let mut d = if bi == 0 {
-            entry_in.clone()
-        } else {
-            let mut d = Defined::full(n);
-            for &p in &preds[bi] {
-                d.intersect(&outs[p.0 as usize]);
-            }
-            d
-        };
+        d.become_block_in(bi, &entry_in, &preds[bi], &outs);
         for &phi in &shape.phis {
             d.set(phi);
         }

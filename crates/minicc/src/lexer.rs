@@ -26,12 +26,54 @@ pub struct Spanned {
     pub line: usize,
 }
 
-const PUNCTS: &[&str] = &[
-    // Longest first so maximal munch works.
-    "<<=", ">>=", "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "++", "--",
-    "<<", ">>", "(", ")", "{", "}", "[", "]", ";", ",", "+", "-", "*", "/", "%", "<", ">", "=",
-    "!", "?", ":", "&", "|", "^",
-];
+/// The punctuator `rest` starts with, by maximal munch: the arms list
+/// the longer punctuators first, and the match dispatches on the first
+/// char.
+fn punct(rest: &[char]) -> Option<&'static str> {
+    let c = |k: usize| rest.get(k).copied().unwrap_or('\0');
+    Some(match (c(0), c(1), c(2)) {
+        ('<', '<', '=') => "<<=",
+        ('>', '>', '=') => ">>=",
+        ('&', '&', _) => "&&",
+        ('|', '|', _) => "||",
+        ('=', '=', _) => "==",
+        ('!', '=', _) => "!=",
+        ('<', '=', _) => "<=",
+        ('>', '=', _) => ">=",
+        ('+', '=', _) => "+=",
+        ('-', '=', _) => "-=",
+        ('*', '=', _) => "*=",
+        ('/', '=', _) => "/=",
+        ('%', '=', _) => "%=",
+        ('+', '+', _) => "++",
+        ('-', '-', _) => "--",
+        ('<', '<', _) => "<<",
+        ('>', '>', _) => ">>",
+        ('(', ..) => "(",
+        (')', ..) => ")",
+        ('{', ..) => "{",
+        ('}', ..) => "}",
+        ('[', ..) => "[",
+        (']', ..) => "]",
+        (';', ..) => ";",
+        (',', ..) => ",",
+        ('+', ..) => "+",
+        ('-', ..) => "-",
+        ('*', ..) => "*",
+        ('/', ..) => "/",
+        ('%', ..) => "%",
+        ('<', ..) => "<",
+        ('>', ..) => ">",
+        ('=', ..) => "=",
+        ('!', ..) => "!",
+        ('?', ..) => "?",
+        (':', ..) => ":",
+        ('&', ..) => "&",
+        ('|', ..) => "|",
+        ('^', ..) => "^",
+        _ => return None,
+    })
+}
 
 /// Lexes `source` into tokens (with a trailing [`Tok::Eof`]).
 pub fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
@@ -141,13 +183,7 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, CompileError> {
             }
             continue;
         }
-        // Punctuation, maximal munch: the first (longest) entry of
-        // `PUNCTS` the remaining chars start with.
-        let rest = &chars[i..];
-        let matched = PUNCTS.iter().copied().find(|p| {
-            p.len() <= rest.len() && p.bytes().zip(rest).all(|(b, &c)| c == char::from(b))
-        });
-        match matched {
+        match punct(&chars[i..]) {
             Some(p) => {
                 toks.push(Spanned {
                     tok: Tok::Punct(p),

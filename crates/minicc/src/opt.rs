@@ -55,7 +55,7 @@ pub fn optimize_function(f: &mut Function) {
         hoist(f, &cfg, &forest);
         promote(f, &cfg, &dom, &forest);
         eliminate_dead_code(f);
-        debug_assert_eq!(Cfg::new(f).succs, cfg.succs, "a pass changed the CFG");
+        debug_assert_eq!(Cfg::new(f), cfg, "a pass changed the CFG");
     }
 }
 
@@ -186,7 +186,7 @@ pub fn fold_constants(f: &mut Function) -> usize {
         for &v in &f.block(b).instrs {
             let Some(i) = f.instr(v) else { continue };
             let ty = f.value(v).ty;
-            let ops = i.operands.clone();
+            let ops = &i.operands[..];
             let repl = match i.opcode {
                 Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::SDiv | Opcode::SRem => {
                     let (a, bo) = (ops[0], ops[1]);

@@ -1,14 +1,18 @@
 //! Block-level control-flow graph with predecessor lists and a reverse
 //! post-order, the substrate for dominator computation.
 
+use super::csr::Csr;
 use crate::function::{BlockId, Function};
 
-/// The control-flow graph of one function.
+/// The control-flow graph of one function. Edges are stored flat: one
+/// offset array and one edge array per direction.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Cfg {
-    /// Successors of each block, indexed by block id.
-    pub succs: Vec<Vec<BlockId>>,
-    /// Predecessors of each block, indexed by block id.
-    pub preds: Vec<Vec<BlockId>>,
+    /// Successors of each block, in terminator target order.
+    succs: Csr<BlockId>,
+    /// Predecessors of each block, in block order; a block branching to
+    /// the same target twice is listed twice.
+    preds: Csr<BlockId>,
     /// Blocks in reverse post-order from the entry (unreachable blocks are
     /// absent).
     pub rpo: Vec<BlockId>,
@@ -24,41 +28,42 @@ impl Cfg {
     #[must_use]
     pub fn new(f: &Function) -> Cfg {
         let n = f.num_blocks();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        let mut exits = Vec::new();
-        for b in f.block_ids() {
-            let ss = f.successors(b);
-            if ss.is_empty() && f.terminator(b).is_some() {
-                exits.push(b);
-            }
-            for s in &ss {
-                preds[s.0 as usize].push(b);
-            }
-            succs[b.0 as usize] = ss;
-        }
-        // Iterative post-order DFS from entry.
-        let mut post = Vec::new();
-        let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-        let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
-        state[0] = 1;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let bs = &succs[b.0 as usize];
-            if *next < bs.len() {
-                let s = bs[*next];
-                *next += 1;
-                if state[s.0 as usize] == 0 {
-                    state[s.0 as usize] = 1;
-                    stack.push((s, 0));
-                }
-            } else {
-                state[b.0 as usize] = 2;
-                post.push(b);
-                stack.pop();
-            }
-        }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
+        let succs = Csr::from_rows(f.block_ids().map(|b| f.successors(b)));
+        let preds = Csr::from_pairs(n, BlockId(0), || {
+            f.block_ids().flat_map(|b| {
+                succs
+                    .row(b.0 as usize)
+                    .iter()
+                    .map(move |s| (s.0 as usize, b))
+            })
+        });
+        let exits = f
+            .block_ids()
+            .filter(|&b| succs.row(b.0 as usize).is_empty() && f.terminator(b).is_some())
+            .collect();
+        // Iterative post-order DFS from entry; `rpo_index` marks visited
+        // blocks with 0 until the final numbering.
         let mut rpo_index = vec![usize::MAX; n];
+        let mut rpo = Vec::with_capacity(n);
+        if n > 0 {
+            let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
+            rpo_index[0] = 0;
+            while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+                let bs = succs.row(b.0 as usize);
+                if *next < bs.len() {
+                    let s = bs[*next];
+                    *next += 1;
+                    if rpo_index[s.0 as usize] == usize::MAX {
+                        rpo_index[s.0 as usize] = 0;
+                        stack.push((s, 0));
+                    }
+                } else {
+                    rpo.push(b);
+                    stack.pop();
+                }
+            }
+        }
+        rpo.reverse();
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.0 as usize] = i;
         }
@@ -71,16 +76,22 @@ impl Cfg {
         }
     }
 
-    /// Predecessor blocks of `b`.
+    /// The number of blocks, reachable or not.
     #[must_use]
-    pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.0 as usize]
+    pub fn num_blocks(&self) -> usize {
+        self.succs.rows()
     }
 
-    /// Successor blocks of `b`.
+    /// Predecessor blocks of `b`, in block order (duplicates kept).
+    #[must_use]
+    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+        self.preds.row(b.0 as usize)
+    }
+
+    /// Successor blocks of `b`, in terminator target order.
     #[must_use]
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.0 as usize]
+        self.succs.row(b.0 as usize)
     }
 
     /// `true` if `b` is reachable from the entry block.

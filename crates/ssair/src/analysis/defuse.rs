@@ -2,12 +2,12 @@
 //! operand. This is the data-flow edge relation of the IDL atomic
 //! `{a} has data flow to {b}`.
 
-use crate::function::{Function, ValueId, ValueKind};
-use std::collections::HashMap;
+use super::csr::Csr;
+use crate::function::{Function, ValueId};
 
-/// Def-use chains for one function.
+/// Def-use chains for one function: one row of users per value id.
 pub struct DefUse {
-    users: HashMap<ValueId, Vec<ValueId>>,
+    users: Csr<ValueId>,
 }
 
 impl DefUse {
@@ -15,27 +15,31 @@ impl DefUse {
     /// block count as users (retired arena slots are ignored).
     #[must_use]
     pub fn new(f: &Function) -> DefUse {
-        let mut users: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
-        for b in f.block_ids() {
-            for &v in &f.block(b).instrs {
-                if let ValueKind::Instr(i) = &f.value(v).kind {
-                    for &op in &i.operands {
-                        let us = users.entry(op).or_default();
-                        if !us.contains(&v) {
-                            us.push(v);
-                        }
-                    }
-                }
-            }
-        }
+        let users = Csr::from_pairs(f.num_values(), ValueId(0), || {
+            f.block_ids()
+                .flat_map(|b| f.block(b).instrs.iter())
+                .filter_map(|&v| f.instr(v).map(|i| (v, &i.operands)))
+                .flat_map(|(v, ops)| {
+                    // An instruction using a value twice is one user.
+                    ops.iter()
+                        .enumerate()
+                        .filter(|&(k, op)| !ops[..k].contains(op))
+                        .map(move |(_, op)| (op.0 as usize, v))
+                })
+        });
         DefUse { users }
     }
 
-    /// The instructions using `v` as an operand (deduplicated, in
-    /// instruction creation order).
+    /// The instructions using `v` as an operand (deduplicated, in block
+    /// then instruction order).
     #[must_use]
     pub fn users(&self, v: ValueId) -> &[ValueId] {
-        self.users.get(&v).map_or(&[], Vec::as_slice)
+        let r = v.0 as usize;
+        if r < self.users.rows() {
+            self.users.row(r)
+        } else {
+            &[]
+        }
     }
 
     /// `true` if no instruction uses `v` (the IDL atomic `is unused`).

@@ -4,6 +4,7 @@
 //! at a virtual exit joining all `ret` blocks.
 
 use super::cfg::Cfg;
+use super::csr::Csr;
 use crate::function::BlockId;
 
 /// A (post-)dominator tree over basic blocks.
@@ -30,68 +31,56 @@ impl DomTree {
     /// Builds the dominator tree of `cfg`.
     #[must_use]
     pub fn dominators(cfg: &Cfg) -> DomTree {
-        let n = cfg.succs.len();
         // Order: reverse post-order from entry, nodes numbered by RPO index.
-        let order: Vec<u32> = cfg.rpo.iter().map(|b| b.0).collect();
-        let preds = |b: u32| -> Vec<u32> { cfg.preds(BlockId(b)).iter().map(|p| p.0).collect() };
-        let idom = compute_idoms(n, 0, &order, preds);
+        let idom = compute_idoms(cfg.num_blocks(), 0, &cfg.rpo, |b| cfg.preds(b), &[]);
         DomTree::with_intervals(idom, 0)
     }
 
     /// Builds the post-dominator tree of `cfg`.
     #[must_use]
     pub fn post_dominators(cfg: &Cfg) -> DomTree {
-        let n = cfg.succs.len();
+        let n = cfg.num_blocks();
         // Compute a genuine reverse post-order of the *reversed* graph,
         // rooted at the virtual exit (DFS over forward predecessors from
         // every exit block). Blocks that cannot reach an exit are absent.
-        let mut state = vec![0u8; n];
-        let mut post: Vec<u32> = Vec::new();
+        let mut seen = vec![false; n];
+        let mut order: Vec<BlockId> = Vec::new();
+        let mut stack: Vec<(BlockId, usize)> = Vec::new();
         for &exit in &cfg.exits {
-            if state[exit.0 as usize] != 0 {
+            if std::mem::replace(&mut seen[exit.0 as usize], true) {
                 continue;
             }
-            state[exit.0 as usize] = 1;
-            let mut stack: Vec<(u32, usize)> = vec![(exit.0, 0)];
+            stack.push((exit, 0));
             while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-                let rsuccs = cfg.preds(BlockId(b)); // reversed-graph successors
+                let rsuccs = cfg.preds(b); // reversed-graph successors
                 if *next < rsuccs.len() {
-                    let s = rsuccs[*next].0;
+                    let s = rsuccs[*next];
                     *next += 1;
-                    if state[s as usize] == 0 {
-                        state[s as usize] = 1;
+                    if !std::mem::replace(&mut seen[s.0 as usize], true) {
                         stack.push((s, 0));
                     }
                 } else {
-                    post.push(b);
+                    order.push(b);
                     stack.pop();
                 }
             }
         }
-        let order: Vec<u32> = post.into_iter().rev().collect();
+        order.reverse();
         // Reverse-graph predecessors are forward successors; exits also have
         // the virtual root as a reverse-predecessor.
-        let exits: Vec<u32> = cfg.exits.iter().map(|b| b.0).collect();
-        let preds = move |b: u32| -> Vec<u32> {
-            let mut ps: Vec<u32> = cfg.succs(BlockId(b)).iter().map(|s| s.0).collect();
-            if exits.contains(&b) {
-                ps.push(VIRTUAL);
-            }
-            ps
-        };
-        let idom = compute_idoms(n, VIRTUAL, &order, preds);
+        let idom = compute_idoms(n, VIRTUAL, &order, |b| cfg.succs(b), &cfg.exits);
         DomTree::with_intervals(idom, VIRTUAL)
     }
 
     fn with_intervals(idom: Vec<Option<u32>>, root: u32) -> DomTree {
         let n = idom.len();
         let node = |b: u32| if b == VIRTUAL { n } else { b as usize };
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-        for (b, p) in idom.iter().enumerate() {
-            if let Some(p) = *p {
-                children[node(p)].push(b as u32);
-            }
-        }
+        // Children in ascending block order.
+        let children = Csr::from_pairs(n + 1, 0, || {
+            idom.iter()
+                .enumerate()
+                .filter_map(|(b, p)| p.map(|p| (node(p), b as u32)))
+        });
         let mut enter = vec![u32::MAX; n + 1];
         let mut exit = vec![u32::MAX; n + 1];
         let mut clock = 0u32;
@@ -99,7 +88,7 @@ impl DomTree {
         let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
             clock += 1;
-            match children[node(b)].get(*next) {
+            match children.row(node(b)).get(*next) {
                 Some(&c) => {
                     *next += 1;
                     enter[node(c)] = clock;
@@ -161,12 +150,14 @@ impl DomTree {
 }
 
 /// Cooper–Harvey–Kennedy fixed-point over `order` (must be a reverse
-/// post-order of the graph whose predecessor function is `preds`).
-fn compute_idoms(
+/// post-order of the graph whose predecessors are `preds`, plus the
+/// virtual root for each block of `root_preds`).
+fn compute_idoms<'c>(
     n: usize,
     root: u32,
-    order: &[u32],
-    preds: impl Fn(u32) -> Vec<u32>,
+    order: &[BlockId],
+    preds: impl Fn(BlockId) -> &'c [BlockId],
+    root_preds: &[BlockId],
 ) -> Vec<Option<u32>> {
     let mut idom: Vec<Option<u32>> = vec![None; n];
     let mut rpo_num = vec![usize::MAX; n + 1];
@@ -178,13 +169,8 @@ fn compute_idoms(
         }
     };
     for (i, &b) in order.iter().enumerate() {
-        rpo_num[b as usize] = i + 1; // virtual root gets number 0
+        rpo_num[b.0 as usize] = i + 1; // virtual root gets number 0
     }
-    let set_idom = |idom: &mut Vec<Option<u32>>, b: u32, v: u32| {
-        if b != VIRTUAL {
-            idom[b as usize] = Some(v);
-        }
-    };
     let get_idom = |idom: &[Option<u32>], b: u32| -> Option<u32> {
         if b == VIRTUAL {
             Some(VIRTUAL) // root is its own dominator for intersection
@@ -194,17 +180,18 @@ fn compute_idoms(
     };
     // The root dominates itself.
     if root != VIRTUAL {
-        set_idom(&mut idom, root, root);
+        idom[root as usize] = Some(root);
     }
     let mut changed = true;
     while changed {
         changed = false;
         for &b in order {
-            if b == root {
+            if b.0 == root {
                 continue;
             }
+            let virtual_pred = root_preds.contains(&b).then_some(VIRTUAL);
             let mut new_idom: Option<u32> = None;
-            for p in preds(b) {
+            for p in preds(b).iter().map(|p| p.0).chain(virtual_pred) {
                 if get_idom(&idom, p).is_none() {
                     continue; // unprocessed predecessor
                 }
@@ -214,8 +201,8 @@ fn compute_idoms(
                 });
             }
             if let Some(ni) = new_idom {
-                if idom[b as usize] != Some(ni) {
-                    idom[b as usize] = Some(ni);
+                if idom[b.0 as usize] != Some(ni) {
+                    idom[b.0 as usize] = Some(ni);
                     changed = true;
                 }
             }

@@ -42,9 +42,10 @@ impl LoopForest {
     /// Detects the natural loops of `cfg` using `dom`.
     #[must_use]
     pub fn new(cfg: &Cfg, dom: &DomTree) -> LoopForest {
+        super::count_build(|c| c.loop_forests += 1);
         // Per-block scratch, reused by each step below; `NONE` is unset.
         const NONE: usize = usize::MAX;
-        let mut slot = vec![NONE; cfg.succs.len()];
+        let mut slot = vec![NONE; cfg.num_blocks()];
         // Find back edges: latch -> header where header dominates latch.
         // `slot` maps a header to its index in `headers`.
         let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();

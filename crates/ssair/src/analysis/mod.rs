@@ -9,6 +9,7 @@
 
 mod affine;
 mod cfg;
+mod csr;
 mod defuse;
 mod dom;
 mod flow;
@@ -24,6 +25,54 @@ pub use layout::Layout;
 pub use loops::{Loop, LoopForest};
 
 use crate::function::{Function, Opcode, ValueId};
+use crate::Module;
+use std::cell::{Cell, OnceCell};
+
+/// How many analyses this thread has built. Tests and probes read it to
+/// check that an analysis is built once and then reused.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildCounts {
+    /// [`LoopForest::new`] calls: one per [`Analyses::new`], plus those
+    /// of callers that build only the loops (`refresh_blocks`, the
+    /// optimizer, fingerprints).
+    pub loop_forests: u64,
+    /// [`Analyses::new`] calls.
+    pub analyses: u64,
+}
+
+thread_local! {
+    static BUILDS: Cell<BuildCounts> = const {
+        Cell::new(BuildCounts {
+            loop_forests: 0,
+            analyses: 0,
+        })
+    };
+}
+
+impl BuildCounts {
+    /// This thread's counts so far.
+    #[must_use]
+    pub fn current() -> BuildCounts {
+        BUILDS.with(Cell::get)
+    }
+
+    /// The builds made between `earlier` and `self`.
+    #[must_use]
+    pub fn since(self, earlier: BuildCounts) -> BuildCounts {
+        BuildCounts {
+            loop_forests: self.loop_forests - earlier.loop_forests,
+            analyses: self.analyses - earlier.analyses,
+        }
+    }
+}
+
+fn count_build(bump: impl FnOnce(&mut BuildCounts)) {
+    BUILDS.with(|c| {
+        let mut n = c.get();
+        bump(&mut n);
+        c.set(n);
+    });
+}
 
 /// The object an address points into: the end of its `gep` chain (an
 /// argument, an `alloca`, or any other pointer value).
@@ -74,6 +123,7 @@ impl Analyses {
     /// Computes all analyses for `f`.
     #[must_use]
     pub fn new(f: &Function) -> Analyses {
+        count_build(|c| c.analyses += 1);
         let layout = Layout::new(f);
         let cfg = Cfg::new(f);
         let dom = DomTree::dominators(&cfg);
@@ -130,7 +180,18 @@ impl Analyses {
     /// block.
     #[must_use]
     pub fn has_control_flow_edge(&self, f: &Function, a: ValueId, b: ValueId) -> bool {
-        self.control_flow_successors(f, a).contains(&b)
+        let Some(block) = self.layout.block_of(a) else {
+            return false;
+        };
+        let instrs = &f.block(block).instrs;
+        if let Some(&next) = instrs.get(self.layout.position(a) + 1) {
+            return next == b;
+        }
+        f.instr(a).is_some_and(|i| {
+            i.targets
+                .iter()
+                .any(|&t| f.block(t).instrs.first() == Some(&b))
+        })
     }
 
     /// The instruction-level control-flow successors of `a`.
@@ -171,6 +232,44 @@ impl Analyses {
             .iter()
             .filter_map(|&p| f.terminator(p))
             .collect()
+    }
+}
+
+/// The analyses of each function of a module, in module order, each
+/// built at most once. Detection hands over the ones it built; a reader
+/// of the unchanged module (transform, the reversal witness) takes them,
+/// and builds on first use those nobody handed over.
+pub struct ModuleAnalyses(Vec<OnceCell<(Analyses, AffineMap)>>);
+
+impl ModuleAnalyses {
+    /// No analyses yet: each function's are built on first use.
+    #[must_use]
+    pub fn lazy(module: &Module) -> ModuleAnalyses {
+        ModuleAnalyses(module.functions.iter().map(|_| OnceCell::new()).collect())
+    }
+
+    /// The analyses of `f`, the module's function `idx`, built now if
+    /// nobody has built them yet.
+    #[must_use]
+    pub fn get(&self, idx: usize, f: &Function) -> &(Analyses, AffineMap) {
+        self.0[idx].get_or_init(|| {
+            let an = Analyses::new(f);
+            let map = AffineMap::new(f, &an);
+            (an, map)
+        })
+    }
+}
+
+/// Takes analyses already built, one per function, in module order.
+impl FromIterator<(Analyses, AffineMap)> for ModuleAnalyses {
+    fn from_iter<I: IntoIterator<Item = (Analyses, AffineMap)>>(iter: I) -> ModuleAnalyses {
+        ModuleAnalyses(iter.into_iter().map(OnceCell::from).collect())
+    }
+}
+
+impl std::fmt::Debug for ModuleAnalyses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ModuleAnalyses({} functions)", self.0.len())
     }
 }
 

@@ -718,12 +718,13 @@ impl Function {
         op.is_terminator().then_some(last)
     }
 
-    /// Successor blocks of `block` (empty for `ret`-terminated blocks).
+    /// Successor blocks of `block`: its terminator's targets, in order
+    /// (empty for `ret`-terminated blocks).
     #[must_use]
-    pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, block: BlockId) -> &[BlockId] {
         match self.terminator(block).and_then(|t| self.instr(t)) {
-            Some(i) => i.targets.clone(),
-            None => Vec::new(),
+            Some(i) => &i.targets,
+            None => &[],
         }
     }
 
@@ -904,7 +905,7 @@ mod tests {
         let next = f.add_block("next");
         f.append_br(entry, next);
         f.append_ret(next, None);
-        assert_eq!(f.successors(entry), vec![next]);
+        assert_eq!(f.successors(entry), &[next]);
         assert!(f.successors(next).is_empty());
         assert!(f.terminator(entry).is_some());
     }

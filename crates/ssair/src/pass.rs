@@ -134,7 +134,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
     let mut stack = vec![BlockId(0)];
     reach[0] = true;
     while let Some(b) = stack.pop() {
-        for s in f.successors(b) {
+        for &s in f.successors(b) {
             if !reach[s.0 as usize] {
                 reach[s.0 as usize] = true;
                 stack.push(s);

@@ -20,9 +20,12 @@
 //! 2. **IR churn.** Each excision compacts block ids
 //!    (`remove_unreachable_blocks`), so instances detected against the
 //!    original function hold stale regions once a sibling has been
-//!    replaced. Value ids are stable, so every instance re-anchors its
-//!    region on its outer iterator phi ([`IdiomInstance::refresh_blocks`])
-//!    immediately before its own soundness check and rewrite.
+//!    replaced. Value ids are stable, so an instance in a function that
+//!    an earlier replacement rewrote re-anchors its region on its outer
+//!    iterator phi ([`IdiomInstance::refresh_blocks`]) and plans on fresh
+//!    analyses. An instance in a function no replacement has touched
+//!    plans on the analyses detection built ([`ModuleAnalyses`]): the
+//!    function and its blocks are exactly the ones detection saw.
 //!
 //! Failures are isolated by the replacement itself: every check runs in
 //! its side-effect-free plan, and its commit swaps in the one edited
@@ -30,9 +33,10 @@
 //! shape, §6.3 unsoundness) never leaves half-rewritten functions or
 //! orphan device programs behind for later instances.
 
-use crate::replace::{replace, Replacement, XformError};
+use crate::replace::{commit, plan, Replacement, XformError};
 use analysis::ParamAliasFacts;
 use idioms::{IdiomInstance, IdiomKind};
+use ssair::analysis::{AffineMap, Analyses, ModuleAnalyses};
 use ssair::Module;
 
 /// What happened to one detected instance during whole-module
@@ -121,6 +125,38 @@ fn overlaps(a: &IdiomInstance, b: &IdiomInstance) -> bool {
     a.function == b.function && a.blocks.iter().any(|blk| b.blocks.contains(blk))
 }
 
+fn region_gone() -> XformError {
+    XformError::Unsupported("instance region no longer exists after earlier replacements".into())
+}
+
+/// Plans `inst` in `out.functions[k]` and commits it: on detection's
+/// analyses while no replacement has touched the function, else on a
+/// region re-anchored in the rewritten function and fresh analyses.
+fn attempt(
+    out: &mut Module,
+    k: usize,
+    inst: &IdiomInstance,
+    untouched: bool,
+    analyses: &ModuleAnalyses,
+    facts: &ParamAliasFacts,
+    uid: usize,
+) -> Result<Replacement, XformError> {
+    let f = &out.functions[k];
+    let planned = if untouched {
+        let (an, map) = analyses.get(k, f);
+        plan(f, an, map, inst, uid, Some(facts))?
+    } else {
+        let mut fresh = inst.clone();
+        if !fresh.refresh_blocks(f) {
+            return Err(region_gone());
+        }
+        let an = Analyses::new(f);
+        let map = AffineMap::new(f, &an);
+        plan(f, &an, &map, &fresh, uid, Some(facts))?
+    };
+    commit(out, k, planned)
+}
+
 /// Detects all idiom instances in `module` (via [`idioms::detect_module`])
 /// and applies every non-overlapping replacement.
 #[must_use]
@@ -128,21 +164,28 @@ pub fn transform_module(module: &Module) -> ModuleXform {
     transform_instances(module, idioms::detect_module(module))
 }
 
-/// [`transform_module`] over a caller-provided instance list (e.g. from
-/// [`idioms::detect_functions`] with custom limits).
+/// [`transform_module`] over a caller-provided instance list, detected
+/// on `module` (e.g. by [`idioms::detect_functions`] with custom limits).
 #[must_use]
 pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> ModuleXform {
-    transform_instances_with(module, instances, &ParamAliasFacts::of_module(module))
+    transform_instances_with(
+        module,
+        instances,
+        &ParamAliasFacts::of_module(module),
+        &ModuleAnalyses::lazy(module),
+    )
 }
 
 /// [`transform_instances`] under the caller's call-site alias facts of
-/// `module` ([`ParamAliasFacts::of_module`]), for a caller that reads
-/// them again later.
+/// `module` ([`ParamAliasFacts::of_module`]) and analyses of its
+/// functions (detection's, or [`ModuleAnalyses::lazy`]), for a caller
+/// that built them already or reads them again later.
 #[must_use]
 pub fn transform_instances_with(
     module: &Module,
     instances: Vec<IdiomInstance>,
     facts: &ParamAliasFacts,
+    analyses: &ModuleAnalyses,
 ) -> ModuleXform {
     // Deterministic attempt order (on the original, consistent block
     // ids): outermost (largest region) first, then idiom priority, then
@@ -185,6 +228,8 @@ pub fn transform_instances_with(
     let mut out = module.clone();
     let mut outcomes: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
     let mut replaced_idx: Vec<usize> = Vec::new();
+    // `touched[k]`: a replacement was committed to function `k`.
+    let mut touched = vec![false; module.functions.len()];
     let mut uid = 0usize;
     for &i in &priority {
         if let Some(&w) = replaced_idx
@@ -194,23 +239,25 @@ pub fn transform_instances_with(
             outcomes[i] = Some(Outcome::Shadowed { by: w });
             continue;
         }
-        let mut fresh = instances[i].clone();
-        let refreshed = out
-            .function(&fresh.function)
-            .is_some_and(|f| fresh.refresh_blocks(f));
-        outcomes[i] = Some(if !refreshed {
-            Outcome::Failed(XformError::Unsupported(
-                "instance region no longer exists after earlier replacements".into(),
-            ))
-        } else {
-            match replace(&mut out, &fresh, uid, Some(facts)) {
-                Ok(rep) => {
-                    uid += 1;
-                    replaced_idx.push(i);
-                    Outcome::Replaced(rep)
-                }
-                Err(e) => Outcome::Failed(e),
+        let inst = &instances[i];
+        let k = out.functions.iter().position(|f| f.name == inst.function);
+        let result = match k {
+            Some(k) => {
+                let untouched = touched.get(k) == Some(&false);
+                attempt(&mut out, k, inst, untouched, analyses, facts, uid)
             }
+            None => Err(region_gone()),
+        };
+        outcomes[i] = Some(match result {
+            Ok(rep) => {
+                if let Some(t) = k.and_then(|k| touched.get_mut(k)) {
+                    *t = true;
+                }
+                uid += 1;
+                replaced_idx.push(i);
+                Outcome::Replaced(rep)
+            }
+            Err(e) => Outcome::Failed(e),
         });
     }
     ModuleXform {

@@ -2,7 +2,8 @@
 //! (§6.3), in two steps.
 //!
 //! **Plan.** `plan` reads the target function and never changes it.
-//! Every fallible step happens here, on one set of analyses: the §6.3
+//! Every fallible step happens here, on one set of analyses (detection's,
+//! when the driver has not rewritten the function since): the §6.3
 //! soundness and legality checks (which yield the verdict and
 //! certificate), the backend's shape checks, kernel slicing, building
 //! and verifying the generated device program, and the check that every
@@ -128,7 +129,7 @@ impl Call {
 
 /// A replacement that passed every check, computed from the target
 /// function without changing it; [`commit`] applies it.
-struct Plan {
+pub(crate) struct Plan {
     kind: IdiomKind,
     call: Call,
     /// The preheader branch the call goes in front of.
@@ -316,42 +317,36 @@ pub fn apply_replacement(
     inst: &IdiomInstance,
     uid: usize,
 ) -> Result<Replacement> {
-    replace(module, inst, uid, None)
-}
-
-/// [`apply_replacement`] with module-level call-site alias facts folded
-/// into the admission check.
-pub(crate) fn replace(
-    module: &mut Module,
-    inst: &IdiomInstance,
-    uid: usize,
-    facts: Option<&ParamAliasFacts>,
-) -> Result<Replacement> {
     let fidx = module
         .functions
         .iter()
         .position(|f| f.name == inst.function)
         .ok_or_else(|| XformError::Unsupported("function not in module".into()))?;
-    let plan = plan(&module.functions[fidx], inst, uid, facts)?;
+    let f = &module.functions[fidx];
+    let an = Analyses::new(f);
+    let map = AffineMap::new(f, &an);
+    let plan = plan(f, &an, &map, inst, uid, None)?;
     commit(module, fidx, plan)
 }
 
-/// Plans the replacement of `inst` in `f` on one build of the analyses:
-/// soundness first, then the kind's backend, then the call site.
-fn plan(
+/// Plans the replacement of `inst` in `f` on one set of its analyses
+/// (`an`, `map`), with whatever module-level call-site alias facts the
+/// caller has: soundness first, then the kind's backend, then the call
+/// site.
+pub(crate) fn plan(
     f: &Function,
+    an: &Analyses,
+    map: &AffineMap,
     inst: &IdiomInstance,
     uid: usize,
     facts: Option<&ParamAliasFacts>,
 ) -> Result<Plan> {
-    let an = Analyses::new(f);
-    let map = AffineMap::new(f, &an);
-    let (verdict, certificate) = check_soundness(f, &an, &map, inst, facts)?;
+    let (verdict, certificate) = check_soundness(f, an, map, inst, facts)?;
     let call = match inst.kind {
         IdiomKind::Gemm => plan_gemm(f, inst),
         IdiomKind::Spmv => plan_spmv(f, inst),
         IdiomKind::Reduction => plan_reduction(f, inst, uid),
-        IdiomKind::Histogram => plan_histogram(f, &an, inst, uid),
+        IdiomKind::Histogram => plan_histogram(f, an, inst, uid),
         IdiomKind::Stencil1D => plan_stencil1d(f, inst, uid),
         IdiomKind::Stencil2D => plan_stencil2d(f, inst, uid),
     }?;
@@ -361,9 +356,9 @@ fn plan(
     let precursor = bind(inst, &format!("{prefix}precursor"))?;
     let header_phi = bind(inst, iterator)?;
     let successor = bind(inst, &format!("{prefix}successor"))?;
-    let pre_block = placed(&an, precursor, "precursor")?;
-    let header_block = placed(&an, header_phi, "iterator")?;
-    let exit_block = placed(&an, successor, "successor")?;
+    let pre_block = placed(an, precursor, "precursor")?;
+    let header_block = placed(an, header_phi, "iterator")?;
+    let exit_block = placed(an, successor, "successor")?;
     // All call operands must be available before the precursor.
     for &a in &call.args {
         if let Arg::Value(v) = a {
@@ -397,7 +392,7 @@ fn plan(
 /// the loop successor, removes the dead loop blocks and cleans up — all
 /// on a clone of the one function. Only when the edited clone verifies
 /// is it swapped in and is the generated device program appended.
-fn commit(module: &mut Module, fidx: usize, plan: Plan) -> Result<Replacement> {
+pub(crate) fn commit(module: &mut Module, fidx: usize, plan: Plan) -> Result<Replacement> {
     let Plan {
         kind,
         call,

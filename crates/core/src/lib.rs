@@ -1194,12 +1194,23 @@ mod tests {
 
     /// Counts what `transform` builds beyond detection's analyses: an
     /// `Analyses` and a `refresh_blocks` loop forest per attempt on a
-    /// function an earlier replacement rewrote, nothing for the others.
+    /// function an earlier replacement rewrote, nothing for the others,
+    /// and the optimizer's loop forest per generated device program.
     fn transform_builds(d: Detected) -> (Transformed, BuildCounts) {
         let before = BuildCounts::current();
         let t = d.transform();
         let built = BuildCounts::current().since(before);
         (t, built)
+    }
+
+    /// How many device programs `t`'s replacements generated.
+    fn device_programs(t: &Transformed) -> u64 {
+        (t.xform.outcomes.iter())
+            .map(|o| match &o.outcome {
+                xform::Outcome::Replaced(rep) => rep.generated.len() as u64,
+                _ => 0,
+            })
+            .sum()
     }
 
     #[test]
@@ -1218,8 +1229,10 @@ mod tests {
         }";
         let (t, built) = transform_builds(compile(src, "t").unwrap().detect());
         assert_eq!(t.xform.replaced(), 3);
-        // Only `two`'s second loop is attempted on a rewritten function.
-        assert_eq!((built.analyses, built.loop_forests), (1, 2));
+        assert_eq!(device_programs(&t), 3);
+        // Only `two`'s second loop is attempted on a rewritten function;
+        // each of the three device programs adds one loop forest.
+        assert_eq!((built.analyses, built.loop_forests), (1, 2 + 3));
         // Over the suite: every commit after a function's first is an
         // attempt on a rewritten function, and so is at most every
         // attempt after its first.
@@ -1247,7 +1260,12 @@ mod tests {
                 "{}: {built:?} outside {least}..={most}",
                 b.name
             );
-            assert_eq!(built.loop_forests, 2 * built.analyses, "{}", b.name);
+            assert_eq!(
+                built.loop_forests,
+                2 * built.analyses + device_programs(&t),
+                "{}",
+                b.name
+            );
         }
     }
 

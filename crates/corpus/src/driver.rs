@@ -54,6 +54,12 @@ use std::time::{Duration, Instant};
 /// off it).
 const SANDBOX_THREAD: &str = "corpus-sandbox";
 
+/// Stack of a sandbox thread: 2 MiB, the stack the frontend's nesting
+/// and pointer-depth caps are sized against (minicc's
+/// `compile_on_small_stack` tests), set here so that `RUST_MIN_STACK`
+/// cannot shrink it.
+const SANDBOX_STACK_BYTES: usize = 2 << 20;
+
 /// Configuration of one batch run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -244,6 +250,7 @@ fn analyze_isolated(
     let t0 = Instant::now();
     let spawned = std::thread::Builder::new()
         .name(SANDBOX_THREAD.into())
+        .stack_size(SANDBOX_STACK_BYTES)
         .spawn(move || {
             let out = catch_unwind(AssertUnwindSafe(|| analyze_job(&job)));
             // The receiver is gone when the budget already expired; the

@@ -3,10 +3,10 @@
 //! The ASPLOS'18 paper compiles C/C++ benchmarks with clang to optimized
 //! LLVM IR before running idiom detection. This crate plays clang's role
 //! for the workspace: it compiles a small but expressive C subset to
-//! [`ssair`] SSA form and runs a mid-level optimizer so that the IR reaching
-//! the detector has the canonical shapes clang -O2 would produce (register
-//! accumulators, rotated loops with header comparisons and latch
-//! increments, promoted read-modify-write arrays).
+//! [`ssair`] SSA form and runs the mid-level optimizer ([`ssair::opt`]) so
+//! that the IR reaching the detector has the canonical shapes clang -O2
+//! would produce (register accumulators, rotated loops with header
+//! comparisons and latch increments, promoted read-modify-write arrays).
 //!
 //! Supported language (enough for the 21 NAS/Parboil benchmark
 //! reconstructions in `benchsuite`):
@@ -41,9 +41,12 @@
 pub mod ast;
 pub mod lexer;
 pub mod lower;
-pub mod opt;
 pub mod parse;
 pub mod pretty;
+
+/// The optimizer lives in `ssair`, which generated device programs share;
+/// re-exported for callers that name its passes through the frontend.
+pub use ssair::opt;
 
 use ssair::Module;
 
@@ -70,7 +73,7 @@ impl std::error::Error for CompileError {}
 /// result is the IR that idiom detection and the baseline detectors run on.
 pub fn compile(source: &str, name: &str) -> Result<Module, CompileError> {
     let mut module = compile_unoptimized(source, name)?;
-    opt::optimize_module(&mut module);
+    ssair::opt::optimize_module(&mut module);
     debug_assert_verified(&module);
     Ok(module)
 }

@@ -29,11 +29,14 @@
 //! * [`verify`] — structural SSA well-formedness checks.
 //! * [`pass`] — small transformation utilities (the batch use-rewrite,
 //!   dead-code elimination, unreachable-block removal) used by the
-//!   frontend optimizer and by the idiom replacement phase.
+//!   optimizer and by the idiom replacement phase.
+//! * [`opt`] — the mid-level optimizer: the one pass pipeline for the
+//!   functions `minicc` lowers and the device programs `xform` generates.
 
 pub mod analysis;
 pub mod function;
 pub mod module;
+pub mod opt;
 pub mod parser;
 pub mod pass;
 pub mod printer;

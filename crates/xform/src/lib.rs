@@ -15,17 +15,19 @@
 //!   with that slice emitted straight into its loop body, as the device
 //!   compiler would inline it, and the original loop is replaced with a
 //!   call to the generated code. The device loop calls nothing per
-//!   element.
+//!   element, and the device program goes through the same optimizer
+//!   ([`ssair::opt`]) as the frontend's output, so no plan hoists or
+//!   shares work by hand.
 //!
 //! Each rewrite ([`apply_replacement`]) is planned, then committed (see
 //! [`replace`]). The plan reads the function and changes nothing: it
 //! re-validates the §6.3 side conditions natively (no unmatched side
 //! effects or live-outs in the replaced region, a legal region, operands
 //! available at the call site), checks the backend's shape, slices out
-//! the kernel and builds and verifies the generated device program. The
-//! commit edits a clone of the one target function and swaps it in only
-//! once it verifies, so a refused rewrite leaves the module untouched;
-//! the tests exercise the rejection paths.
+//! the kernel and builds, verifies and optimizes the generated device
+//! program. The commit edits a clone of the one target function and
+//! swaps it in only once it verifies, so a refused rewrite leaves the
+//! module untouched; the tests exercise the rejection paths.
 //!
 //! [`transform_module`] scales the rewrite to the paper's actual claim —
 //! *all* detected instances of a module — resolving overlapping matches

@@ -5,16 +5,18 @@
 //! Every fallible step happens here, on one set of analyses (detection's,
 //! when the driver has not rewritten the function since): the §6.3
 //! soundness and legality checks (which yield the verdict and
-//! certificate), the backend's shape checks, kernel slicing, building
-//! and verifying the generated device program, and the check that every
-//! call argument is available at the call site. For the library path the
-//! call targets a fixed-function API entry point (`gemm_f64`,
-//! `csrmv_f64` — installed by the `hetero` crate); for the DSL path the
-//! plan carries the *generated* device program (an IR function standing
-//! in for the OpenCL that Lift/Halide would emit), and the call targets
-//! it. The kernel slice is emitted straight into the device loop's body,
-//! as the device compiler would inline it, so the loop calls nothing per
-//! element.
+//! certificate), the backend's shape checks, kernel slicing, building,
+//! verifying and optimizing the generated device program, and the check
+//! that every call argument is available at the call site. For the
+//! library path the call targets a fixed-function API entry point
+//! (`gemm_f64`, `csrmv_f64` — installed by the `hetero` crate); for the
+//! DSL path the plan carries the *generated* device program (an IR
+//! function standing in for the OpenCL that Lift/Halide would emit), and
+//! the call targets it. The kernel slice is emitted straight into the
+//! device loop's body, as the device compiler would inline it, so the
+//! loop calls nothing per element. The plan then runs [`ssair::opt`]
+//! over the device program, as the device compiler would optimize it,
+//! instead of placing hoisted or shared work by hand.
 //!
 //! **Commit.** `commit` excises the matched loop nest on a clone of the
 //! one target function: it inserts the call before the preheader branch,
@@ -88,7 +90,6 @@ enum Arg {
 struct Call {
     /// The API entry point, or the name of the generated device program.
     callee: String,
-    ret_ty: Type,
     args: Vec<Arg>,
     /// The value whose uses the call's result takes over, if any.
     result: Option<ValueId>,
@@ -101,28 +102,34 @@ impl Call {
     fn library(callee: &str, args: Vec<Arg>) -> Call {
         Call {
             callee: callee.into(),
-            ret_ty: Type::Void,
             args,
             result: None,
             generated: None,
         }
     }
 
-    /// A call to the device program `dev`, which gets linked. A device
-    /// program that fails to verify refuses the rewrite.
-    fn device(dev: Function, ret_ty: Type, args: Vec<Arg>) -> Result<Call> {
-        ssair::verify::verify_function(&dev).map_err(|es| {
+    /// A call to the built device program, which gets linked once the
+    /// optimizer has run over it. A device program that fails to verify
+    /// refuses the rewrite; the optimizer takes verified IR and returns
+    /// verified IR.
+    fn device(Device { mut d, args, .. }: Device) -> Result<Call> {
+        ssair::verify::verify_function(&d).map_err(|es| {
             XformError::Unsupported(format!(
                 "generated device code failed to verify: {}",
                 es.first().map(ToString::to_string).unwrap_or_default()
             ))
         })?;
+        ssair::opt::optimize_function(&mut d);
+        debug_assert!(
+            ssair::verify::verify_function(&d).is_ok(),
+            "the optimizer broke @{}",
+            d.name
+        );
         Ok(Call {
-            callee: dev.name.clone(),
-            ret_ty,
+            callee: d.name.clone(),
             args,
             result: None,
-            generated: Some(dev),
+            generated: Some(d),
         })
     }
 }
@@ -414,7 +421,8 @@ pub(crate) fn commit(module: &mut Module, fidx: usize, plan: Plan) -> Result<Rep
         })
         .collect();
     let instr = Instr::call(&call.callee, args);
-    let result = f.insert(pre_block, InsertPoint::BeforeTerminator, call.ret_ty, instr);
+    let ret_ty = call.generated.as_ref().map_or(Type::Void, |g| g.ret_ty);
+    let result = f.insert(pre_block, InsertPoint::BeforeTerminator, ret_ty, instr);
     if let Some(old) = call.result {
         rewrite_uses(&mut f, &[(old, result)]);
     }
@@ -529,8 +537,70 @@ fn plan_spmv(f: &Function, inst: &IdiomInstance) -> Result<Call> {
 
 // ----- DSL path: build the device program around the kernel slice -----
 //
-// Value and block names, block order and instruction order are part of
-// the printed transformed IR that `tests/replace_suite.rs` pins by hash.
+// Each plan builds its device loop plainly, every address computed where
+// the body uses it, and `Call::device` runs the optimizer over it: fold
+// drops `+ 0`, CSE merges the address arithmetic of reads that share a
+// stride, and LICM hoists Stencil2D's row terms into `%pre1`. Value and
+// block names, block order and instruction order are part of the printed
+// transformed IR that `tests/replace_suite.rs` pins by hash.
+
+/// A device program under construction for an instance in `f`, with the
+/// host arguments of the call to it: each parameter is declared together
+/// with the host value the call passes for it.
+struct Device<'a> {
+    f: &'a Function,
+    inst: &'a IdiomInstance,
+    d: Function,
+    args: Vec<Arg>,
+}
+
+impl<'a> Device<'a> {
+    fn new(f: &'a Function, inst: &'a IdiomInstance, name: String, ret_ty: Type) -> Self {
+        Device {
+            f,
+            inst,
+            d: Function::new(name, &[], ret_ty),
+            args: Vec::new(),
+        }
+    }
+
+    /// Declares `%name`, typed like the host value `host` the call passes.
+    fn param(&mut self, name: &str, host: ValueId) -> ValueId {
+        self.args.push(Arg::Value(host));
+        self.d.add_param(name, self.f.value(host).ty)
+    }
+
+    /// Declares `%name` for the host value bound to `var`.
+    fn bound(&mut self, name: &str, var: &str) -> Result<ValueId> {
+        Ok(self.param(name, bind(self.inst, var)?))
+    }
+
+    /// Declares `%b{r}` for the base pointer of each of the `n` reads.
+    fn read_bases(&mut self, n: usize) -> Result<Vec<ValueId>> {
+        (0..n)
+            .map(|r| self.bound(&format!("b{r}"), &format!("read[{r}].base_pointer")))
+            .collect()
+    }
+
+    /// Declares `%{prefix}{k}` for the `k`-th value of `hosts`.
+    fn params(&mut self, prefix: &str, hosts: &[ValueId]) -> Vec<ValueId> {
+        (hosts.iter().enumerate())
+            .map(|(k, &h)| self.param(&format!("{prefix}{k}"), h))
+            .collect()
+    }
+
+    /// The parameter already declared for `host`, or else a new `%name`:
+    /// one parameter per host value, so that CSE sees equal values as
+    /// equal. It searches every parameter declared so far, so declare the
+    /// ones an executor rewrites per launch (hetero's stencil executors
+    /// chunk `%begin`/`%end` and `%b0r`/`%e0r`) after the last shared one.
+    fn shared(&mut self, name: &str, host: ValueId) -> ValueId {
+        match self.args.iter().position(|&a| a == Arg::Value(host)) {
+            Some(k) => self.d.params[k],
+            None => self.param(name, host),
+        }
+    }
+}
 
 /// Appends `op` over `operands` to `block` as the value `%name`.
 fn emit(
@@ -546,19 +616,8 @@ fn emit(
     v
 }
 
-/// Adds one parameter `%{prefix}{k}` per host value in `values`, typed
-/// like it.
-fn add_params(d: &mut Function, f: &Function, prefix: &str, values: &[ValueId]) -> Vec<ValueId> {
-    (values.iter().enumerate())
-        .map(|(k, &v)| d.add_param(&format!("{prefix}{k}"), f.value(v).ty))
-        .collect()
-}
-
-/// `v + c` in `block` as `%name`, or `v` itself when `c` is zero.
+/// `v + c` in `block` as `%name` (the optimizer folds `+ 0`).
 fn offset(d: &mut Function, block: BlockId, v: ValueId, c: i64, name: &str) -> ValueId {
-    if c == 0 {
-        return v;
-    }
     let ty = d.value(v).ty;
     let c = d.const_int(ty, c);
     emit(d, block, name, ty, Opcode::Add, vec![v, c])
@@ -665,41 +724,33 @@ fn plan_reduction(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     kernel_inputs.push(acc);
     let kernel = KernelSlice::new(f, update, &kernel_inputs)
         .ok_or_else(|| XformError::Unsupported("reduction kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = kernel.inputs[kernel_inputs.len()..].to_vec();
-
-    let bases = (0..reads.len())
-        .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
-        .collect::<Result<Vec<_>>>()?;
-    let ity = f.value(bind(inst, "iterator")?).ty;
     let aty = f.value(acc).ty;
 
-    // Build the device program (the "Lift output").
-    let mut d = Function::new(format!("lift_red_{uid}"), &[], aty);
-    let ptrs = add_params(&mut d, f, "b", &bases);
-    let begin = d.add_param("begin", ity);
-    let end = d.add_param("end", ity);
-    let init = d.add_param("init", aty);
-    let xs = add_params(&mut d, f, "x", &extras);
-    let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
+    // Build the device program (the "Lift output"). progen's canary
+    // relies on its argument order: bases, bounds, `%init`, extras.
+    let mut dev = Device::new(f, inst, format!("lift_red_{uid}"), aty);
+    let ptrs = dev.read_bases(reads.len())?;
+    let begin = dev.bound("begin", "iter_begin")?;
+    let end = dev.bound("end", "iter_end")?;
+    let init = dev.bound("init", "init")?;
+    let xs = dev.params("x", &kernel.inputs[kernel_inputs.len()..]);
+    let d = &mut dev.d;
+    let ([header, latch, exit], i) = one_loop(d, begin, end);
     let dacc = d.append_phi(header, aty);
     d.set_name(dacc, "acc");
     d.add_phi_incoming(dacc, init, BlockId(0));
     let mut kargs: Vec<ValueId> = (ptrs.iter().enumerate())
-        .map(|(r, &b)| emit_indexed_load(&mut d, latch, r, b, i, "iw"))
+        .map(|(r, &b)| emit_indexed_load(d, latch, r, b, i, "iw"))
         .collect();
     kargs.push(dacc);
     kargs.extend(xs);
-    let nacc = kernel.emit(&mut d, latch, &kargs, "nacc");
-    step_loop(&mut d, latch, header, i, "inext");
+    let nacc = kernel.emit(d, latch, &kargs, "nacc");
+    step_loop(d, latch, header, i, "inext");
     d.add_phi_incoming(dacc, nacc, latch);
     d.append_ret(exit, Some(dacc));
-
-    let mut args: Vec<Arg> = bases.into_iter().map(Arg::Value).collect();
-    args.extend(bind_args(inst, &["iter_begin", "iter_end", "init"])?);
-    args.extend(extras.into_iter().map(Arg::Value));
     Ok(Call {
         result: Some(acc),
-        ..Call::device(d, aty, args)?
+        ..Call::device(dev)?
     })
 }
 
@@ -726,40 +777,28 @@ fn plan_histogram(f: &Function, an: &Analyses, inst: &IdiomInstance, uid: usize)
         .ok_or_else(|| XformError::Unsupported("histogram value kernel is not pure".into()))?;
     let ik = KernelSlice::new(f, bin_idx, &reads)
         .ok_or_else(|| XformError::Unsupported("histogram index kernel is not pure".into()))?;
-    let v_extras: Vec<ValueId> = vk.inputs[val_inputs.len()..].to_vec();
-    let i_extras: Vec<ValueId> = ik.inputs[reads.len()..].to_vec();
-
-    let bases = (0..reads.len())
-        .map(|r| bind(inst, &format!("read[{r}].base_pointer")))
-        .collect::<Result<Vec<_>>>()?;
-    let bins = bind(inst, "bins")?;
     let bty = f.value(old).ty;
-    let ity = f.value(bind(inst, "iterator")?).ty;
 
-    let mut d = Function::new(format!("lift_histo_{uid}"), &[], Type::Void);
-    let dbins = d.add_param("bins", bty.ptr_to());
-    let ptrs = add_params(&mut d, f, "b", &bases);
-    let begin = d.add_param("begin", ity);
-    let end = d.add_param("end", ity);
-    let ixs = add_params(&mut d, f, "ix", &i_extras);
-    let vxs = add_params(&mut d, f, "vx", &v_extras);
-    let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
+    let mut dev = Device::new(f, inst, format!("lift_histo_{uid}"), Type::Void);
+    let bins = dev.bound("bins", "bins")?;
+    let ptrs = dev.read_bases(reads.len())?;
+    let begin = dev.bound("begin", "iter_begin")?;
+    let end = dev.bound("end", "iter_end")?;
+    let ixs = dev.params("ix", &ik.inputs[reads.len()..]);
+    let vxs = dev.params("vx", &vk.inputs[val_inputs.len()..]);
+    let d = &mut dev.d;
+    let ([header, latch, exit], i) = one_loop(d, begin, end);
     let loads: Vec<ValueId> = (ptrs.iter().enumerate())
-        .map(|(r, &b)| emit_indexed_load(&mut d, latch, r, b, i, "iw"))
+        .map(|(r, &b)| emit_indexed_load(d, latch, r, b, i, "iw"))
         .collect();
-    let xidx = ik.emit(&mut d, latch, &[&loads[..], &ixs].concat(), "xidx");
-    let ba = element_addr(&mut d, latch, dbins, xidx, "xw", "ba");
-    let dold = emit(&mut d, latch, "old", bty, Opcode::Load, vec![ba]);
-    let new = vk.emit(&mut d, latch, &[&loads[..], &[dold], &vxs].concat(), "new");
+    let xidx = ik.emit(d, latch, &[&loads[..], &ixs].concat(), "xidx");
+    let ba = element_addr(d, latch, bins, xidx, "xw", "ba");
+    let dold = emit(d, latch, "old", bty, Opcode::Load, vec![ba]);
+    let new = vk.emit(d, latch, &[&loads[..], &[dold], &vxs].concat(), "new");
     d.append_simple(latch, Type::Void, Opcode::Store, vec![new, ba]);
-    step_loop(&mut d, latch, header, i, "inext");
+    step_loop(d, latch, header, i, "inext");
     d.append_ret(exit, None);
-
-    let mut args: Vec<Arg> = vec![Arg::Value(bins)];
-    args.extend(bases.into_iter().map(Arg::Value));
-    args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
-    args.extend(i_extras.into_iter().chain(v_extras).map(Arg::Value));
-    Call::device(d, Type::Void, args)
+    Call::device(dev)
 }
 
 /// Constant offset of `idx` relative to `center` (`i`, `i±c`), or `None`.
@@ -792,48 +831,37 @@ fn plan_stencil1d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     check_step_and_cmp(f, inst, "")?;
     let reads = inst.family("read_value");
     let center = bind(inst, "iterator")?;
-    let write_value = bind(inst, "write.value")?;
-    let kernel = KernelSlice::new(f, write_value, &reads)
+    let kernel = KernelSlice::new(f, bind(inst, "write.value")?, &reads)
         .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = kernel.inputs[reads.len()..].to_vec();
-    let (mut bases, mut offsets) = (Vec::new(), Vec::new());
-    for r in 0..reads.len() {
-        let base = bind(inst, &format!("read[{r}].base_pointer"))?;
-        let gep_idx = bind(inst, &format!("read[{r}].gep_idx"))?;
-        let off = offset_from(f, gep_idx, center).ok_or_else(|| {
-            XformError::Unsupported("stencil read offset is not a constant".into())
-        })?;
-        bases.push(base);
-        offsets.push(off);
-    }
-    let out_base = bind(inst, "write.base_pointer")?;
-    let oty = f.value(write_value).ty;
-    let ity = f.value(center).ty;
+    let offsets = (0..reads.len())
+        .map(|r| {
+            let gep_idx = bind(inst, &format!("read[{r}].gep_idx"))?;
+            offset_from(f, gep_idx, center).ok_or_else(|| {
+                XformError::Unsupported("stencil read offset is not a constant".into())
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
 
-    let mut d = Function::new(format!("halide_st1_{uid}"), &[], Type::Void);
-    let out = d.add_param("out", oty.ptr_to());
-    let ptrs = add_params(&mut d, f, "b", &bases);
-    let begin = d.add_param("begin", ity);
-    let end = d.add_param("end", ity);
-    let xs = add_params(&mut d, f, "x", &extras);
-    let ([header, latch, exit], i) = one_loop(&mut d, begin, end);
+    let mut dev = Device::new(f, inst, format!("halide_st1_{uid}"), Type::Void);
+    let out = dev.bound("out", "write.base_pointer")?;
+    let ptrs = dev.read_bases(reads.len())?;
+    let begin = dev.bound("begin", "iter_begin")?;
+    let end = dev.bound("end", "iter_end")?;
+    let xs = dev.params("x", &kernel.inputs[reads.len()..]);
+    let d = &mut dev.d;
+    let ([header, latch, exit], i) = one_loop(d, begin, end);
     let mut kargs = Vec::new();
     for (r, (&b, &off)) in ptrs.iter().zip(&offsets).enumerate() {
-        let idx = offset(&mut d, latch, i, off, &format!("off{r}"));
-        kargs.push(emit_indexed_load(&mut d, latch, r, b, idx, "iw"));
+        let idx = offset(d, latch, i, off, &format!("off{r}"));
+        kargs.push(emit_indexed_load(d, latch, r, b, idx, "iw"));
     }
     kargs.extend(xs);
-    let res = kernel.emit(&mut d, latch, &kargs, "res");
-    let oa = element_addr(&mut d, latch, out, i, "ow", "oa");
+    let res = kernel.emit(d, latch, &kargs, "res");
+    let oa = element_addr(d, latch, out, i, "ow", "oa");
     d.append_simple(latch, Type::Void, Opcode::Store, vec![res, oa]);
-    step_loop(&mut d, latch, header, i, "inext");
+    step_loop(d, latch, header, i, "inext");
     d.append_ret(exit, None);
-
-    let mut args: Vec<Arg> = vec![Arg::Value(out_base)];
-    args.extend(bases.into_iter().map(Arg::Value));
-    args.extend(bind_args(inst, &["iter_begin", "iter_end"])?);
-    args.extend(extras.into_iter().map(Arg::Value));
-    Call::device(d, Type::Void, args)
+    Call::device(dev)
 }
 
 fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call> {
@@ -842,40 +870,12 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
     let reads = inst.family("read_value");
     let row_iter = bind(inst, "loop[0].iterator")?;
     let col_iter = bind(inst, "loop[1].iterator")?;
-    let write_value = bind(inst, "write.value")?;
-    let kernel = KernelSlice::new(f, write_value, &reads)
+    let kernel = KernelSlice::new(f, bind(inst, "write.value")?, &reads)
         .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = kernel.inputs[reads.len()..].to_vec();
-
     // Write side must be row-major (row in the scaled position).
     if inst.value("write.addr.mulidx") != Some(row_iter) {
         return Err(XformError::Unsupported("transposed stencil output".into()));
     }
-    let out_stride = bind(inst, "write.addr.stride")?;
-    struct Read2 {
-        base: ValueId,
-        roff: i64,
-        coff: i64,
-        stride: ValueId,
-    }
-    let mut rs: Vec<Read2> = Vec::new();
-    for r in 0..reads.len() {
-        let rowexpr = bind(inst, &format!("read[{r}].rowexpr"))?;
-        let colexpr = bind(inst, &format!("read[{r}].colexpr"))?;
-        let roff = offset_from(f, rowexpr, row_iter)
-            .ok_or_else(|| XformError::Unsupported("stencil row offset is not constant".into()))?;
-        let coff = offset_from(f, colexpr, col_iter).ok_or_else(|| {
-            XformError::Unsupported("stencil column offset is not constant".into())
-        })?;
-        rs.push(Read2 {
-            base: bind(inst, &format!("read[{r}].base_pointer"))?,
-            roff,
-            coff,
-            stride: bind(inst, &format!("read[{r}].stride"))?,
-        });
-    }
-    let out_base = bind(inst, "write.base_pointer")?;
-    let oty = f.value(write_value).ty;
     let ity = f.value(row_iter).ty;
     if f.value(col_iter).ty != ity {
         return Err(XformError::Unsupported(
@@ -883,64 +883,54 @@ fn plan_stencil2d(f: &Function, inst: &IdiomInstance, uid: usize) -> Result<Call
         ));
     }
 
-    let mut d = Function::new(format!("halide_st2_{uid}"), &[], Type::Void);
-    let out = d.add_param("out", oty.ptr_to());
-    let sw = d.add_param("sw", ity);
-    let mut ptrs = Vec::new();
-    for (r, rd) in rs.iter().enumerate() {
-        let b = d.add_param(&format!("b{r}"), f.value(rd.base).ty);
-        ptrs.push((b, d.add_param(&format!("s{r}"), ity)));
+    let mut dev = Device::new(f, inst, format!("halide_st2_{uid}"), Type::Void);
+    let out = dev.bound("out", "write.base_pointer")?;
+    let sw = dev.bound("sw", "write.addr.stride")?;
+    // Each read's base and stride parameters and constant row and column
+    // offsets.
+    let mut rs = Vec::new();
+    for r in 0..reads.len() {
+        let offset_of = |expr: &str, iter: ValueId, what: &str| {
+            offset_from(f, bind(inst, &format!("read[{r}].{expr}"))?, iter).ok_or_else(|| {
+                XformError::Unsupported(format!("stencil {what} offset is not constant"))
+            })
+        };
+        let (roff, coff) = (
+            offset_of("rowexpr", row_iter, "row")?,
+            offset_of("colexpr", col_iter, "column")?,
+        );
+        let b = dev.bound(&format!("b{r}"), &format!("read[{r}].base_pointer"))?;
+        let s = dev.shared(&format!("s{r}"), bind(inst, &format!("read[{r}].stride"))?);
+        rs.push((b, s, roff, coff));
     }
-    let [b0r, e0r, b1c, e1c] = ["b0r", "e0r", "b1c", "e1c"].map(|p| d.add_param(p, ity));
-    let xs = add_params(&mut d, f, "x", &extras);
+    let b0r = dev.bound("b0r", "loop[0].iter_begin")?;
+    let e0r = dev.bound("e0r", "loop[0].iter_end")?;
+    let b1c = dev.bound("b1c", "loop[1].iter_begin")?;
+    let e1c = dev.bound("e1c", "loop[1].iter_end")?;
+    let xs = dev.params("x", &kernel.inputs[reads.len()..]);
+    let d = &mut dev.d;
     let blocks = ["h0", "pre1", "h1", "l1", "x1", "l0", "x0"];
     let [h0, pre1, h1, l1, x1, l0, x0] = blocks.map(|b| d.add_block(b));
-    let i = enter_loop(&mut d, [BlockId(0), h0, pre1, x0], ["i", "c0"], b0r, e0r);
-    // The row terms depend only on `%i` and the strides: computed once
-    // per row, in the inner loop's preheader.
-    let mut rows = Vec::new();
-    for (r, (rd, &(_, s))) in rs.iter().zip(&ptrs).enumerate() {
-        let row = offset(&mut d, pre1, i, rd.roff, &format!("ro{r}"));
-        rows.push(emit(
-            &mut d,
-            pre1,
-            format!("m{r}"),
-            ity,
-            Opcode::Mul,
-            vec![row, s],
-        ));
-    }
-    let mo = emit(&mut d, pre1, "mo", ity, Opcode::Mul, vec![i, sw]);
-    let j = enter_loop(&mut d, [pre1, h1, l1, x1], ["j", "c1"], b1c, e1c);
+    let i = enter_loop(d, [BlockId(0), h0, pre1, x0], ["i", "c0"], b0r, e0r);
+    let j = enter_loop(d, [pre1, h1, l1, x1], ["j", "c1"], b1c, e1c);
+    // Each read loads `b[(i + roff) * s + (j + coff)]`.
     let mut kargs = Vec::new();
-    for (r, ((rd, &(b, _)), &m)) in rs.iter().zip(&ptrs).zip(&rows).enumerate() {
-        let col = offset(&mut d, l1, j, rd.coff, &format!("co{r}"));
-        let flat = emit(&mut d, l1, format!("f{r}"), ity, Opcode::Add, vec![m, col]);
-        kargs.push(emit_indexed_load(&mut d, l1, r, b, flat, "fw"));
+    for (r, &(b, s, roff, coff)) in rs.iter().enumerate() {
+        let row = offset(d, l1, i, roff, &format!("ro{r}"));
+        let m = emit(d, l1, format!("m{r}"), ity, Opcode::Mul, vec![row, s]);
+        let col = offset(d, l1, j, coff, &format!("co{r}"));
+        let flat = emit(d, l1, format!("f{r}"), ity, Opcode::Add, vec![m, col]);
+        kargs.push(emit_indexed_load(d, l1, r, b, flat, "fw"));
     }
     kargs.extend(xs);
-    let res = kernel.emit(&mut d, l1, &kargs, "res");
-    let fo = emit(&mut d, l1, "fo", ity, Opcode::Add, vec![mo, j]);
-    let oa = element_addr(&mut d, l1, out, fo, "fow", "oa");
+    let res = kernel.emit(d, l1, &kargs, "res");
+    let mo = emit(d, l1, "mo", ity, Opcode::Mul, vec![i, sw]);
+    let fo = emit(d, l1, "fo", ity, Opcode::Add, vec![mo, j]);
+    let oa = element_addr(d, l1, out, fo, "fow", "oa");
     d.append_simple(l1, Type::Void, Opcode::Store, vec![res, oa]);
-    step_loop(&mut d, l1, h1, j, "jnext");
+    step_loop(d, l1, h1, j, "jnext");
     d.append_br(x1, l0);
-    step_loop(&mut d, l0, h0, i, "inext");
+    step_loop(d, l0, h0, i, "inext");
     d.append_ret(x0, None);
-
-    let mut args: Vec<Arg> = vec![Arg::Value(out_base), Arg::Value(out_stride)];
-    for rd in &rs {
-        args.extend([Arg::Value(rd.base), Arg::Value(rd.stride)]);
-    }
-    args.extend(bind_args(
-        inst,
-        &[
-            "loop[0].iter_begin",
-            "loop[0].iter_end",
-            "loop[1].iter_begin",
-            "loop[1].iter_end",
-        ],
-    )?);
-    args.extend(extras.into_iter().map(Arg::Value));
-    Call::device(d, Type::Void, args)
+    Call::device(dev)
 }

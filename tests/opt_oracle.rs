@@ -12,16 +12,18 @@
 //! (a refactor, a speed-up) proves it. Changing a pinned constant needs a
 //! stated reason.
 //!
-//! Two more properties pin the frontend's shape and cost: `minicc::compile`
-//! output is a fixpoint of every repeatable pass (so one CSE call is
-//! enough inside `optimize_function`), and both an `if` ladder and a
-//! ladder of read-modify-write loops compile in time linear in their
-//! length.
+//! Two more properties pin the optimizer's shape and cost. Its output is
+//! a fixpoint of every repeatable pass (so one CSE call is enough inside
+//! `ssair::opt::optimize_function`), both for `minicc::compile` and for
+//! every device program idiom replacement generates. And both an `if`
+//! ladder and a ladder of read-modify-write loops compile in time linear
+//! in their length.
 
 use idiomatch::core::validate_transform;
 use idiomatch::interp::{Memory, Value};
+use idiomatch::xform::Outcome;
 use idiomatch::{benchsuite, minicc, progen, ssair};
-use minicc::opt::{common_subexpression_elimination, eliminate_redundant_loads, fold_constants};
+use ssair::opt::{common_subexpression_elimination, eliminate_redundant_loads, fold_constants};
 use ssair::pass::eliminate_dead_code;
 
 /// FNV-1a over the printed optimized IR of the 21 suite benchmarks, in
@@ -133,15 +135,31 @@ fn optimized_ir_is_a_fixpoint_of_each_pass() {
         .map(|b| (b.source.to_owned(), b.name.to_owned()));
     let generated =
         (0..200).map(|seed| (progen::generate(seed).render(), format!("progen-{seed}")));
+    let mut devices = 0;
     for (source, name) in suite.chain(generated) {
-        let m = minicc::compile(&source, &name).expect("compiles");
-        for f in &m.functions {
+        // The compiled functions, then every device program generated to
+        // replace an idiom in them.
+        let t = idiomatch::core::compile(&source, &name)
+            .expect("compiles")
+            .detect()
+            .transform();
+        let device = (t.xform.outcomes.iter())
+            .filter_map(|o| match &o.outcome {
+                Outcome::Replaced(rep) => Some(&rep.generated),
+                _ => None,
+            })
+            .flatten()
+            .map(|g| t.xform.module.function(g).expect("linked"));
+        devices += device.clone().count();
+        for f in t.module.functions.iter().chain(device) {
             for (pass, run) in passes {
                 let mut g = f.clone();
                 assert_eq!(run(&mut g), 0, "{name}: {pass} changes @{}", f.name);
             }
         }
     }
+    // 405 at the time of writing: a guard against a vacuous pass.
+    assert!(devices >= 400, "only {devices} device programs");
 }
 
 /// `n` ifs in a row, each guarding one update of an accumulator: every
